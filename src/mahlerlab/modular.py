@@ -501,8 +501,10 @@ def dump_coefficient_file(spec: NewformSpec, path: str, n_max: int) -> None:
 def load_coefficient_file(spec: NewformSpec, path: str) -> int:
     """Prime the cache from a 'n a_n' file; returns the count loaded.
 
-    Entries are validated against the recipe's first 64 coefficients, so a
-    stale or foreign file fails loudly rather than poisoning L-values.
+    The file must hold each index 1..top exactly once, and every entry is
+    checked against an independent computation (f's FFT product
+    psi4_phi4_coefficients, any other form's own recipe), so a stale,
+    truncated or foreign file fails loudly rather than poisoning L-values.
     """
     entries: Dict[int, int] = {}
     with open(path) as fh:
@@ -510,24 +512,29 @@ def load_coefficient_file(spec: NewformSpec, path: str) -> int:
             parts = line.split()
             if not parts:
                 continue
+            if len(parts) != 2:
+                raise ValueError(f"bad line {line.strip()!r} in {path}")
             n, an = int(parts[0]), int(parts[1])
+            if n in entries:
+                raise ValueError(f"index {n} repeated in {path}")
             entries[n] = an
     if not entries:
         return 0
     top = max(entries)
-    coeffs = [0] * (top + 1)
-    for n, an in entries.items():
-        if not 1 <= n <= top:
-            raise ValueError(f"bad index {n} in {path}")
-        coeffs[n] = an
-    spec.ensure(min(64, top))
+    if min(entries) < 1 or top >= _COEFF_LIMIT:
+        raise ValueError(f"index out of range 1..{_COEFF_LIMIT - 1} in {path}")
+    if len(entries) != top:
+        missing = next(n for n in range(1, top + 1) if n not in entries)
+        raise ValueError(f"index {missing} missing from {path}")
+    coeffs = [0] + [entries[n] for n in range(1, top + 1)]
+    if spec.recipe is _recipe_f:
+        expected = [int(a) for a in psi4_phi4_coefficients(top)]
+    else:
+        expected = list(spec.recipe(top).coeffs)
+    for n in range(1, top + 1):
+        if coeffs[n] != expected[n]:
+            raise ValueError(f"{path} disagrees with {spec.name} at n = {n}")
     with spec._lock:
-        check = min(len(spec._coeffs) - 1, top)
-        for n in range(1, check + 1):
-            if coeffs[n] != spec._coeffs[n]:
-                raise ValueError(
-                    f"{path} disagrees with {spec.name} recipe at n = {n}"
-                )
         if top >= len(spec._coeffs):
             spec._coeffs = coeffs
     return top

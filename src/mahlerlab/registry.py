@@ -50,6 +50,7 @@ from .mahler import (
 from .modular import (
     NEWFORM_F,
     NEWFORM_H,
+    _sigma_sieve,
     fricke_check,
     l_prime_at_0,
     l_value,
@@ -62,7 +63,7 @@ from .special import PFQSpec, catalan, ell_k, ell_kprime, pfq, zeta_int
 from .wz import (
     PAIR_ONE,
     PAIR_TWO,
-    identity_2_8_2_9,
+    identity_rows,
     ramanujan_partial_sums,
     telescope_reconstruct,
     wz_pair_verify,
@@ -491,21 +492,19 @@ def _plan_wz_telescope(ctx: RunContext) -> PlanResult:
     return PlanResult((worst,), checked)
 
 
+@lru_cache(maxsize=1)
+def _wz_triples(n_max: int) -> Tuple[Tuple[Fraction, Fraction, Fraction], ...]:
+    """(s1, s2, s3) for every n <= n_max, computed once for both plans."""
+    return tuple(identity_rows(n_max))
+
+
 def _plan_wz_triple_lhs(ctx: RunContext) -> PlanResult:
-    values: List[Fraction] = []
-    for n in range(_WZ_RANGE + 1):
-        s1, _, _ = identity_2_8_2_9(n)
-        values.append(s1)
-        values.append(s1)
+    values = [s for s1, _, _ in _wz_triples(_WZ_RANGE) for s in (s1, s1)]
     return PlanResult(tuple(values), 2 * (_WZ_RANGE + 1))
 
 
 def _plan_wz_triple_rhs(ctx: RunContext) -> PlanResult:
-    values: List[Fraction] = []
-    for n in range(_WZ_RANGE + 1):
-        _, s2, s3 = identity_2_8_2_9(n)
-        values.append(s2)
-        values.append(s3)
+    values = [s for _, s2, s3 in _wz_triples(_WZ_RANGE) for s in (s2, s3)]
     return PlanResult(tuple(values), 2 * (_WZ_RANGE + 1))
 
 
@@ -534,21 +533,13 @@ def _plan_ao_rhs(ctx: RunContext) -> PlanResult:
     )
 
 
-def _sigma_divisors(n_max: int) -> List[int]:
-    sig = [0] * (n_max + 1)
-    for d in range(1, n_max + 1):
-        for m in range(d, n_max + 1, d):
-            sig[m] += d
-    return sig
-
-
 def _plan_qexp_ramanujan(ctx: RunContext) -> PlanResult:
     half = _QEXP_ORDER // 2
     series = (theta_psi(half).dilate(2) ** 4).shift(1)
-    sig = _sigma_divisors(_QEXP_ORDER)
+    sig = _sigma_sieve(_QEXP_ORDER)
     worst = 0
     for m in range(_QEXP_ORDER + 1):
-        expected = sig[m] if m % 2 == 1 else 0
+        expected = int(sig[m]) if m % 2 == 1 else 0
         worst = max(worst, abs(series[m] - expected))
     return PlanResult((Fraction(worst),), _QEXP_ORDER + 1)
 

@@ -1,18 +1,45 @@
 """Exact verification of WZ certificate pairs and the binomial identities
 they prove.
 
-Everything here is big-rational arithmetic: a pass is a proof for the
-verified range, there are no tolerances.  The two certificate pairs share
-the common factor T(n,k) = 2^(-4k-4n) C(2k,k)^2 C(2n,n)^2; the fast
-verification route divides the pair relation through by T, which cancels
-every binomial coefficient and every power of two symbolically and leaves a
-relation between O(1)-size rationals:
+Everything here is integer and rational arithmetic: a pass is a proof for
+the verified range, there are no tolerances.
+
+Row sums.  Every sum of (2.8)-(2.9) and every telescoping row has the shape
+
+    sum_{k<=n} C(2k,k)^2 2^(-4k) num_k / den_k
+
+with small integer weights: 1/(2n-2k+1) for s1, 1/(n+k+1) for s2, and a
+pair's reduced_f(n,k) for the direct side of telescope_reconstruct.
+_row_sum clears every denominator before it adds anything: with D the lcm
+of the row's den_k it sums the plain integers
+
+    C(2k,k)^2 16^(n-k) num_k (D // den_k)
+
+and its caller builds one Fraction over D 16^n from that sum, so each value
+pays a single gcd instead of one per term.  The inner sums of s3 and
+ramanujan_partial_sums come from the integer prefix
+
+    I(n) = 256 I(n-1) + (4n+1) C(2n,n)^4,   I(n) / 2^(8n) = sum_{k<=n} (4k+1) 2^(-8k) C(2k,k)^4,
+
+one Fraction (one gcd) per value again, and s3 one step of the prefix per
+row when identity_rows computes all rows together.  C(2k,k)^2 comes from
+the recurrence C(2k,k) = C(2k-2,k-1) 2(2k-1)/k, never from binom.
+
+Certificates.  The two certificate pairs share the common factor
+T(n,k) = 2^(-4k-4n) C(2k,k)^2 C(2n,n)^2; the fast verification route
+divides the pair relation through by T, which cancels every binomial
+coefficient and every power of two symbolically and leaves a relation
+between O(1)-size rationals:
 
     T(n+1,k)/T(n,k) = (2n+1)^2 / (4(n+1)^2)
     T(n,k+1)/T(n,k) = (2k+1)^2 / (4(k+1)^2)
 
-Powers of two are applied to a term exactly once, at final rational
-assembly, never compounded through running products.
+Both sides are compared by cross-multiplying their small integer numerators
+and denominators; the exact Fraction residual (times T) is built only for a
+violation.  The certificates themselves (f, g) take their binomials from
+binom, and the telescope's reconstruction side sums f(n,n) + g(n-1,n) -
+g(n-1,0) from them, so it shares no arithmetic with the row-sum kernel it
+is checked against.
 """
 
 from __future__ import annotations
@@ -20,8 +47,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
-from typing import Callable, List, Optional, Tuple
+from math import gcd, lcm
+from typing import Callable, List, Optional, Sequence, Tuple
 
 __all__ = [
     "WZPair",
@@ -31,6 +58,7 @@ __all__ = [
     "binom",
     "wz_pair_verify",
     "identity_2_8_2_9",
+    "identity_rows",
     "telescope_reconstruct",
     "ramanujan_partial_sums",
 ]
@@ -58,7 +86,8 @@ class WZPair:
     """Certificate pair with the relation f(n+1,k)-f(n,k) = g(n,k+1)-g(n,k).
 
     reduced_f/reduced_g are f/T and g/T for the shared factor T above; when
-    both are present the verifier uses them and never touches a binomial.
+    both are present the verifier uses them and never touches a binomial,
+    and a reduced_f alone lets telescope_reconstruct use the row-sum kernel.
     """
 
     name: str
@@ -129,6 +158,40 @@ PAIR_TWO = WZPair(
 )
 
 
+# ---------------------------------------------------------------------------
+# The integer row-sum kernel
+
+
+def _central_squares(n: int) -> List[int]:
+    """C(2k,k)^2 for k <= n, from C(2k,k) = C(2k-2,k-1) 2(2k-1)/k."""
+    csq = [1]
+    for k in range(1, n + 1):
+        csq.append(csq[-1] * (2 * (2 * k - 1)) ** 2 // (k * k))
+    return csq
+
+
+def _ramanujan_prefix(csq: Sequence[int]) -> List[int]:
+    """I(k) = 2^(8k) sum_{j<=k} (4j+1) 2^(-8j) C(2j,j)^4 for k < len(csq)."""
+    prefix = [1]
+    for k in range(1, len(csq)):
+        prefix.append((prefix[-1] << 8) + (4 * k + 1) * csq[k] ** 2)
+    return prefix
+
+
+def _row_sum(
+    csq: Sequence[int], n: int, weights: Sequence[Tuple[int, int]]
+) -> Tuple[int, int]:
+    """(N, D 16^n) with N / (D 16^n) = sum_{k<=n} csq[k] 16^(-k) num_k/den_k
+    for weights[k] = (num_k, den_k), den_k > 0 and D = lcm of the den_k.
+
+    Plain integer additions only; the caller reduces the value once."""
+    d = lcm(*(den for _, den in weights))
+    total = 0
+    for k, (num, den) in enumerate(weights):
+        total += (csq[k] * num * (d // den)) << (4 * (n - k))
+    return total, d << (4 * n)
+
+
 def wz_pair_verify(pair: WZPair, n_max: int) -> WZReport:
     """Check the pair relation exactly for all 0 <= k <= n <= n_max.
 
@@ -137,38 +200,67 @@ def wz_pair_verify(pair: WZPair, n_max: int) -> WZReport:
     """
     if n_max < 1:
         raise ValueError(f"n_max must be >= 1, got {n_max}")
-    violations: List[Tuple[int, Optional[int], Fraction]] = []
-    checked = 0
     reduced = pair.reduced_f is not None and pair.reduced_g is not None
-    for n in range(n_max + 1):
-        if reduced:
-            r_n = Fraction((2 * n + 1) ** 2, 4 * (n + 1) ** 2)
-            for k in range(n + 1):
-                lhs = pair.reduced_f(n + 1, k) * r_n - pair.reduced_f(n, k)
-                r_k = Fraction((2 * k + 1) ** 2, 4 * (k + 1) ** 2)
-                rhs = pair.reduced_g(n, k + 1) * r_k - pair.reduced_g(n, k)
-                checked += 1
-                if lhs != rhs:
-                    violations.append((n, k, (lhs - rhs) * _t_factor(n, k)))
-        else:
+    if reduced:
+        violations = _reduced_violations(pair, n_max)
+    else:
+        violations = []
+        for n in range(n_max + 1):
             for k in range(n + 1):
                 lhs = pair.f(n + 1, k) - pair.f(n, k)
                 rhs = pair.g(n, k + 1) - pair.g(n, k)
-                checked += 1
                 if lhs != rhs:
                     violations.append((n, k, lhs - rhs))
     return WZReport(
         pair_name=pair.name,
         n_max=n_max,
-        relations_checked=checked,
+        relations_checked=(n_max + 1) * (n_max + 2) // 2,
         violations=tuple(violations),
         route="reduced" if reduced else "direct",
     )
 
 
-@lru_cache(maxsize=None)
-def _central_sq(k: int) -> int:
-    return binom(2 * k, k) ** 2
+def _reduced_violations(
+    pair: WZPair, n_max: int
+) -> List[Tuple[int, Optional[int], Fraction]]:
+    """The reduced relation
+
+        rf(n+1,k) a_n/b_n - rf(n,k) = rg(n,k+1) c_k/d_k - rg(n,k)
+
+    with a_n/b_n = T(n+1,k)/T(n,k) and c_k/d_k = T(n,k+1)/T(n,k), compared
+    as cross-multiplied integers.  Row n+1's reduced_f values serve as the
+    next row's, so each certificate value is evaluated once."""
+
+    def parts(values):
+        return [(v.numerator, v.denominator) for v in values]
+
+    rf, rg = pair.reduced_f, pair.reduced_g
+    violations: List[Tuple[int, Optional[int], Fraction]] = []
+    f_next = parts([rf(0, 0)])
+    for n in range(n_max + 1):
+        f_row = f_next
+        f_next = parts([rf(n + 1, k) for k in range(n + 2)])
+        g_row = parts([rg(n, k) for k in range(n + 2)])
+        a, b = (2 * n + 1) ** 2, 4 * (n + 1) ** 2
+        for k in range(n + 1):
+            (p1, q1), (p0, q0) = f_next[k], f_row[k]
+            lhs_num, lhs_den = p1 * a * q0 - p0 * q1 * b, q1 * b * q0
+            c, d = (2 * k + 1) ** 2, 4 * (k + 1) ** 2
+            (u1, v1), (u0, v0) = g_row[k + 1], g_row[k]
+            rhs_num, rhs_den = u1 * c * v0 - u0 * v1 * d, v1 * d * v0
+            if lhs_num * rhs_den != rhs_num * lhs_den:
+                residual = Fraction(lhs_num, lhs_den) - Fraction(rhs_num, rhs_den)
+                violations.append((n, k, residual * _t_factor(n, k)))
+    return violations
+
+
+def _identity_row(
+    csq: Sequence[int], prefix: Sequence[int], n: int
+) -> Tuple[Fraction, Fraction, Fraction]:
+    s1 = Fraction(*_row_sum(csq, n, [(1, 2 * n - 2 * k + 1) for k in range(n + 1)]))
+    s2 = Fraction(*_row_sum(csq, n, [(1, n + k + 1) for k in range(n + 1)]))
+    s3 = Fraction(prefix[n], (2 * n + 1) ** 2 * csq[n] << (4 * n))
+    return s1, s2, s3
 
 
 def identity_2_8_2_9(n: int) -> Tuple[Fraction, Fraction, Fraction]:
@@ -177,19 +269,32 @@ def identity_2_8_2_9(n: int) -> Tuple[Fraction, Fraction, Fraction]:
     s1 = sum_{k<=n} 2^(-4k) C(2k,k)^2 / (2n-2k+1)
     s2 = sum_{k<=n} 2^(-4k) C(2k,k)^2 / (n+k+1)
     s3 = 2^(4n) / ((2n+1)^2 C(2n,n)^2) * sum_{k<=n} (4k+1) 2^(-8k) C(2k,k)^4
+       = I(n) / ((2n+1)^2 C(2n,n)^2 2^(4n))
     """
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
-    s1 = Fraction(0)
-    s2 = Fraction(0)
-    inner = Fraction(0)
-    for k in range(n + 1):
-        csq = _central_sq(k)
-        s1 += Fraction(csq, (1 << (4 * k)) * (2 * n - 2 * k + 1))
-        s2 += Fraction(csq, (1 << (4 * k)) * (n + k + 1))
-        inner += Fraction((4 * k + 1) * csq * csq, 1 << (8 * k))
-    s3 = Fraction(1 << (4 * n), (2 * n + 1) ** 2 * _central_sq(n)) * inner
-    return s1, s2, s3
+    csq = _central_squares(n)
+    return _identity_row(csq, _ramanujan_prefix(csq), n)
+
+
+def identity_rows(n_max: int) -> List[Tuple[Fraction, Fraction, Fraction]]:
+    """identity_2_8_2_9(n) for every 0 <= n <= n_max; the rows share one
+    list of C(2k,k)^2 and one prefix I, so s3 costs O(1) per row."""
+    if n_max < 0:
+        raise ValueError(f"n_max must be >= 0, got {n_max}")
+    csq = _central_squares(n_max)
+    prefix = _ramanujan_prefix(csq)
+    return [_identity_row(csq, prefix, n) for n in range(n_max + 1)]
+
+
+def _direct_row(pair: WZPair, csq: Sequence[int], n: int) -> Fraction:
+    """h(n) = sum_{k<=n} f(n,k); with a reduced_f this is T_n times the
+    kernel's row sum of reduced_f(n,k), T_n = C(2n,n)^2 / 16^n."""
+    if pair.reduced_f is None:
+        return sum((pair.f(n, k) for k in range(n + 1)), Fraction(0))
+    weights = [pair.reduced_f(n, k) for k in range(n + 1)]
+    total, den = _row_sum(csq, n, [(w.numerator, w.denominator) for w in weights])
+    return Fraction(csq[n] * total, den << (4 * n))
 
 
 def telescope_reconstruct(pair: WZPair, n_max: int) -> WZReport:
@@ -198,11 +303,12 @@ def telescope_reconstruct(pair: WZPair, n_max: int) -> WZReport:
     if n_max < 1:
         raise ValueError(f"n_max must be >= 1, got {n_max}")
     violations: List[Tuple[int, Optional[int], Fraction]] = []
+    csq = _central_squares(n_max)
     recon = pair.f(0, 0)
     checked = 1  # n = 0 base case is h(0) = f(0,0) by construction
     for n in range(1, n_max + 1):
         recon += pair.f(n, n) + pair.g(n - 1, n) - pair.g(n - 1, 0)
-        direct = sum((pair.f(n, k) for k in range(n + 1)), Fraction(0))
+        direct = _direct_row(pair, csq, n)
         checked += 1
         if direct != recon:
             violations.append((n, None, direct - recon))
@@ -216,7 +322,8 @@ def telescope_reconstruct(pair: WZPair, n_max: int) -> WZReport:
 
 
 def ramanujan_partial_sums(m_max: int) -> List[Fraction]:
-    """Exact inner partial sums S_m = sum_{k<=m} (4k+1) 2^(-8k) C(2k,k)^4.
+    """Exact inner partial sums S_m = sum_{k<=m} (4k+1) 2^(-8k) C(2k,k)^4
+    = I(m) / 2^(8m).
 
     These grow like (4/pi^2) log m + O(1); they feed the double-sum
     identities, whose numeric checks cross-validate against these exact
@@ -224,12 +331,5 @@ def ramanujan_partial_sums(m_max: int) -> List[Fraction]:
     """
     if m_max < 0:
         raise ValueError(f"m_max must be >= 0, got {m_max}")
-    out: List[Fraction] = []
-    acc = Fraction(0)
-    c = 1  # C(2k,k) built by recurrence, powers of two applied at assembly
-    for k in range(m_max + 1):
-        if k > 0:
-            c = c * 2 * (2 * k - 1) // k
-        acc += Fraction((4 * k + 1) * c ** 4, 1 << (8 * k))
-        out.append(acc)
-    return out
+    prefix = _ramanujan_prefix(_central_squares(m_max))
+    return [Fraction(prefix[m], 1 << (8 * m)) for m in range(m_max + 1)]

@@ -16,7 +16,7 @@ from mpmath import mp
 
 from mahlerlab import cli, registry
 from mahlerlab.cli import JSON_SCHEMA, RunConfig, UsageError, main
-from mahlerlab.modular import NEWFORM_F, newform_coefficient
+from mahlerlab.modular import NEWFORM_F, dump_coefficient_file, newform_coefficient
 from mahlerlab.registry import IdentityCheck, get_check
 
 
@@ -301,6 +301,25 @@ class TestConfigLayering:
         code, _, err = run_cli(capsys, "compute", "ap", "7", "--cache", str(cache))
         assert code == 2
         assert "cache" in err
+
+    @pytest.mark.parametrize("corrupt", ["line 101 deleted", "a_150 + 1"])
+    def test_corrupt_entry_past_64_rejected(self, capsys, tmp_path, monkeypatch, corrupt):
+        cache = tmp_path / "cache"
+        cache.mkdir()
+        path = cache / "f.coeffs"
+        dump_coefficient_file(NEWFORM_F, str(path), 256)
+        lines = path.read_text().splitlines()
+        if corrupt == "line 101 deleted":
+            del lines[100]
+        else:
+            n, an = lines[149].split()
+            lines[149] = f"{n} {int(an) + 1}"
+        path.write_text("\n".join(lines) + "\n")
+        # as in a fresh process: nothing computed yet to compare against
+        monkeypatch.setattr(NEWFORM_F, "_coeffs", [])
+        code, _, err = run_cli(capsys, "compute", "ap", "7", "--cache", str(cache))
+        assert code == 2
+        assert f"cache file {path} rejected" in err
 
 
 class TestHelpers:

@@ -394,6 +394,19 @@ class TestCoefficientFile:
         with pytest.raises(ValueError):
             load_coefficient_file(fresh, str(path))
 
+    @pytest.mark.parametrize(
+        "text",
+        ["1 1\n1 1\n2 0\n", "1 1\n2\n", "0 0\n1 1\n", "1 1\n3 0\n"],
+        ids=["repeated", "short line", "index 0", "index 2 missing"],
+    )
+    def test_bad_indices_rejected(self, tmp_path, text):
+        path = tmp_path / "bad.coeffs"
+        path.write_text(text)
+        fresh = NewformSpec(name="f6", weight=4, level=8, fricke_sign=1,
+                            recipe=_recipe_f)
+        with pytest.raises(ValueError):
+            load_coefficient_file(fresh, str(path))
+
     def test_empty_file(self, tmp_path):
         path = tmp_path / "empty.coeffs"
         path.write_text("")

@@ -6,6 +6,7 @@ checks are exercised at modest precision to keep the loop fast, with one
 filtered run_all over the exact kind (those checks are precision-free).
 """
 
+import dataclasses
 from fractions import Fraction
 
 import pytest
@@ -13,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from mpmath import mp
 
-from mahlerlab import registry
+from mahlerlab import registry, wz
 from mahlerlab.precision import NoConvergence
 from mahlerlab.registry import (
     CheckResult,
@@ -247,6 +248,78 @@ class TestRunCheck:
         result = run_check("eq-4.3")
         assert not result.passed
         assert "mismatch" in result.note
+
+
+@pytest.fixture
+def small_wz_range(monkeypatch):
+    """The WZ checks on n <= 40, with the shared row cache emptied before
+    and after, so perturbed rows cannot outlive the test."""
+    monkeypatch.setattr(registry, "_WZ_RANGE", 40)
+    registry._wz_triples.cache_clear()
+    yield
+    registry._wz_triples.cache_clear()
+
+
+def _scaled_at(fn, cell):
+    return lambda n, k: fn(n, k) * (2 if (n, k) == cell else 1)
+
+
+class TestWZNegativeControls:
+    """One perturbed input must flip each WZ check to FAIL with a nonzero
+    residual; the unperturbed check passes on the same range."""
+
+    def _assert_flips(self, check_id, perturb):
+        clean = run_check(check_id)
+        assert clean.passed and clean.deviation == 0
+        perturb()
+        registry._wz_triples.cache_clear()
+        result = run_check(check_id)
+        assert not result.passed
+        assert result.deviation > 0
+        assert result.note == ""
+
+    @pytest.mark.parametrize("check_id, pair", [
+        ("wz-pair-1", wz.PAIR_ONE),
+        ("wz-pair-2", wz.PAIR_TWO),
+    ])
+    def test_certificate_scaled_at_one_cell(self, small_wz_range, monkeypatch, check_id, pair):
+        cell = (17, 6)
+        bad = dataclasses.replace(
+            pair,
+            f=_scaled_at(pair.f, cell),
+            reduced_f=_scaled_at(pair.reduced_f, cell),
+        )
+        check = get_check(check_id)
+
+        def perturb():
+            monkeypatch.setitem(
+                registry._REGISTRY,
+                check_id,
+                dataclasses.replace(check, lhs_plan=registry._plan_wz_pair(bad)),
+            )
+
+        self._assert_flips(check_id, perturb)
+
+    @pytest.mark.parametrize("check_id", ["wz-telescope", "wz-2.8-2.9"])
+    def test_central_square_off_by_one(self, small_wz_range, monkeypatch, check_id):
+        # one C(2k,k)^2 of the row-sum kernel; the telescope's certificates
+        # take theirs from binom and so expose it
+        exact_squares = wz._central_squares
+
+        def off_by_one(n):
+            squares = exact_squares(n)
+            squares[5] += 1
+            return squares
+
+        self._assert_flips(
+            check_id, lambda: monkeypatch.setattr(wz, "_central_squares", off_by_one)
+        )
+
+    def test_telescope_certificate_scaled_at_one_cell(self, small_wz_range, monkeypatch):
+        bad = dataclasses.replace(wz.PAIR_TWO, g=_scaled_at(wz.PAIR_TWO.g, (11, 12)))
+        self._assert_flips(
+            "wz-telescope", lambda: monkeypatch.setattr(registry, "PAIR_TWO", bad)
+        )
 
 
 class TestRunAll:

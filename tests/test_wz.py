@@ -15,7 +15,7 @@ from mahlerlab.wz import (
     telescope_reconstruct,
     wz_pair_verify,
 )
-from mahlerlab.wz import _t_factor
+from mahlerlab.wz import _central_squares, _direct_row, _t_factor, identity_rows
 
 
 def _pascal_oracle(n, k):
@@ -23,6 +23,56 @@ def _pascal_oracle(n, k):
     for _ in range(n):
         row = [1] + [row[i] + row[i + 1] for i in range(len(row) - 1)] + [1]
     return row[k]
+
+
+# Oracles: the Fraction-accumulation routes the integer row-sum kernel
+# replaced, one Fraction addition (and one gcd) per term.
+
+
+def _identity_oracle(n):
+    s1 = Fraction(0)
+    s2 = Fraction(0)
+    inner = Fraction(0)
+    for k in range(n + 1):
+        csq = math.comb(2 * k, k) ** 2
+        s1 += Fraction(csq, (1 << (4 * k)) * (2 * n - 2 * k + 1))
+        s2 += Fraction(csq, (1 << (4 * k)) * (n + k + 1))
+        inner += Fraction((4 * k + 1) * csq * csq, 1 << (8 * k))
+    s3 = Fraction(1 << (4 * n), (2 * n + 1) ** 2 * math.comb(2 * n, n) ** 2) * inner
+    return s1, s2, s3
+
+
+def _direct_row_oracle(pair, n):
+    return sum((pair.f(n, k) for k in range(n + 1)), Fraction(0))
+
+
+def _ramanujan_oracle(m_max):
+    out = []
+    acc = Fraction(0)
+    c = 1
+    for k in range(m_max + 1):
+        if k > 0:
+            c = c * 2 * (2 * k - 1) // k
+        acc += Fraction((4 * k + 1) * c ** 4, 1 << (8 * k))
+        out.append(acc)
+    return out
+
+
+def _reduced_fraction_route(pair, n_max):
+    """wz_pair_verify's reduced route with every quantity a Fraction."""
+    violations = []
+    for n in range(n_max + 1):
+        r_n = Fraction((2 * n + 1) ** 2, 4 * (n + 1) ** 2)
+        for k in range(n + 1):
+            lhs = pair.reduced_f(n + 1, k) * r_n - pair.reduced_f(n, k)
+            r_k = Fraction((2 * k + 1) ** 2, 4 * (k + 1) ** 2)
+            rhs = pair.reduced_g(n, k + 1) * r_k - pair.reduced_g(n, k)
+            if lhs != rhs:
+                violations.append((n, k, (lhs - rhs) * _t_factor(n, k)))
+    return violations
+
+
+ORACLE_ROWS = list(range(61)) + [100, 250, 500]
 
 
 class TestBinom:
@@ -101,6 +151,23 @@ class TestPairVerify:
         residual = next(r for n, k, r in report.violations if (n, k) == (1, 0))
         assert residual == Fraction(3, 64)
 
+    @pytest.mark.parametrize("scaled", ["f", "g"])
+    def test_integer_route_matches_fraction_route(self, scaled):
+        # one certificate value scaled at one cell: same cells, same residuals
+        def bump(fn, cell):
+            return lambda n, k: fn(n, k) * (3 if (n, k) == cell else 1)
+
+        rf, rg = PAIR_TWO.reduced_f, PAIR_TWO.reduced_g
+        if scaled == "f":
+            rf = bump(rf, (9, 4))
+        else:
+            rg = bump(rg, (12, 7))
+        bad = WZPair(name="bad", f=PAIR_TWO.f, g=PAIR_TWO.g, reduced_f=rf, reduced_g=rg)
+        report = wz_pair_verify(bad, 20)
+        expected = _reduced_fraction_route(bad, 20)
+        assert expected
+        assert list(report.violations) == expected
+
     def test_mutated_pair_caught_on_direct_route(self):
         bad = WZPair(name="bad", f=PAIR_ONE.f, g=lambda n, k: 2 * PAIR_ONE.g(n, k))
         assert not wz_pair_verify(bad, 5).ok
@@ -130,9 +197,21 @@ class TestIdentity:
         s1, s2, s3 = identity_2_8_2_9(n)
         assert s1 == s2 == s3
 
+    @pytest.mark.parametrize("n", ORACLE_ROWS)
+    def test_kernel_matches_fraction_oracle(self, n):
+        assert identity_2_8_2_9(n) == _identity_oracle(n)
+
+    def test_rows_match_fraction_oracle(self):
+        rows = identity_rows(60)
+        assert len(rows) == 61
+        for n, row in enumerate(rows):
+            assert row == _identity_oracle(n), n
+
     def test_domain(self):
         with pytest.raises(ValueError):
             identity_2_8_2_9(-1)
+        with pytest.raises(ValueError):
+            identity_rows(-1)
 
 
 class TestTelescope:
@@ -149,6 +228,16 @@ class TestTelescope:
         assert PAIR_ONE.f(0, 0) == 1
         assert PAIR_TWO.f(0, 0) == 1
 
+    @pytest.mark.parametrize("n", ORACLE_ROWS)
+    def test_direct_rows_match_fraction_oracle(self, n):
+        csq = _central_squares(n)
+        for pair in (PAIR_ONE, PAIR_TWO):
+            assert _direct_row(pair, csq, n) == _direct_row_oracle(pair, n)
+
+    def test_direct_route_without_reduced_forms(self):
+        direct = WZPair(name=PAIR_TWO.name, f=PAIR_TWO.f, g=PAIR_TWO.g)
+        assert telescope_reconstruct(direct, 40).ok
+
     def test_mutated_pair_caught(self):
         bad = WZPair(name="bad", f=PAIR_ONE.f, g=lambda n, k: 2 * PAIR_ONE.g(n, k))
         report = telescope_reconstruct(bad, 10)
@@ -162,6 +251,9 @@ class TestRamanujanPartialSums:
         assert sums[0] == 1
         assert sums[1] == Fraction(21, 16)  # 1 + 5*16/256
         assert sums[2] == Fraction(21, 16) + Fraction(9 * 6 ** 4, 1 << 16)
+
+    def test_matches_fraction_oracle(self):
+        assert ramanujan_partial_sums(200) == _ramanujan_oracle(200)
 
     def test_matches_identity_inner_sum(self):
         # s3 of identity_2_8_2_9 is built from the same inner sums
