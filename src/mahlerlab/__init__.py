@@ -1,7 +1,7 @@
 """High-precision verification toolkit for Mahler measures, L-values,
 and hypergeometric identities.
 
-The package is organized as a stack: exact rational series / acceleration
+The package is organized as a stack: Levin acceleration of series
 (precision), special functions on top of it (special), deterministic
 quadrature and lattice QMC (quadrature), eta-product newforms and their
 L-functions (modular), Wilf-Zeilberger certificates (wz), finite-field
@@ -38,7 +38,7 @@ from .modular import (
     l_value,
     newform_coefficient,
 )
-from .precision import NoConvergence, ResourceLimitError, accelerate, sum_series
+from .precision import NoConvergence, ResourceLimitError, accelerate
 from .quadrature import IntegrandError, tanh_sinh, tanh_sinh_interval, torus_qmc
 from .registry import (
     KINDS,
@@ -100,7 +100,6 @@ __all__ = [
     "NoConvergence",
     "ResourceLimitError",
     "accelerate",
-    "sum_series",
     # quadrature
     "IntegrandError",
     "tanh_sinh",

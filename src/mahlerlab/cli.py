@@ -5,9 +5,10 @@ Two subcommands:
     mahlerlab verify [ids...] [--all] [--filter kinds] ...
     mahlerlab compute <quantity tokens> [--digits N] ...
 
-Configuration layering, tightest first: command-line flags, then the
-MAHLERLAB_CACHE environment variable (cache path only), then a flat
+Configuration layering, tightest first: command-line flags, then a flat
 key=value file ./mahlerlab.cfg in the working directory, then defaults.
+The file is read once; an unknown, repeated or malformed key exits 2.
+--digits belongs to compute, --all and --filter to verify.
 
 Report formats: text is for people (real wall times, values to at most 40
 digits); json and csv are for machines and are byte-identical across
@@ -29,7 +30,7 @@ import os
 import sys
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 from mpmath import mp
 
@@ -41,14 +42,7 @@ from .mahler import (
     mahler_numeric,
     parse_descriptor,
 )
-from .modular import (
-    NEWFORM_F,
-    NEWFORM_H,
-    dump_coefficient_file,
-    l_value,
-    load_coefficient_file,
-    newform_coefficient,
-)
+from .modular import NEWFORM_F, NEWFORM_H, l_value, newform_coefficient
 from .registry import UnknownCheckError
 from .special import catalan, ell_k, zeta_int
 
@@ -56,7 +50,6 @@ __all__ = ["RunConfig", "main", "cmd_verify", "cmd_compute", "JSON_SCHEMA"]
 
 _FORMATS = ("text", "json", "csv")
 _CONFIG_FILENAME = "mahlerlab.cfg"
-_CACHE_FORMS = (("f", NEWFORM_F), ("h", NEWFORM_H))
 _MACHINE_DIGITS = 40
 
 JSON_SCHEMA = {
@@ -124,7 +117,7 @@ class RunConfig:
     qmc_samples: int = registry.DEFAULT_SAMPLES
     filter: Tuple[str, ...] = ()
     output_format: str = "text"
-    coefficient_cache_path: Optional[str] = None
+    digits: int = 30
 
     def validate(self) -> "RunConfig":
         if not 32 <= self.precision <= 4096:
@@ -146,6 +139,8 @@ class RunConfig:
             raise UsageError(
                 f"unknown format {self.output_format!r}; valid: {', '.join(_FORMATS)}"
             )
+        if not 1 <= self.digits <= 1000:
+            raise UsageError(f"digits must lie in [1, 1000], got {self.digits}")
         return self
 
 
@@ -162,9 +157,12 @@ def _read_config_file(path: str) -> Dict[str, str]:
                 continue
             if "=" not in line:
                 raise UsageError(f"{path}:{lineno}: expected key=value, got {raw!r}")
-            key, value = line.split("=", 1)
-            out[key.strip()] = value.strip()
+            key, value = (part.strip() for part in line.split("=", 1))
+            if key in out:
+                raise UsageError(f"{path}:{lineno}: key {key!r} repeated")
+            out[key] = value
     return out
+
 
 def _parse_int(text: str, what: str) -> int:
     try:
@@ -178,11 +176,11 @@ def _parse_filter(text: str) -> Tuple[str, ...]:
 
 
 def resolve_config(args: argparse.Namespace) -> RunConfig:
-    """Flags > MAHLERLAB_CACHE (cache only) > ./mahlerlab.cfg > defaults."""
+    """Flags > ./mahlerlab.cfg > defaults."""
     file_map: Dict[str, str] = {}
     if os.path.isfile(_CONFIG_FILENAME):
         file_map = _read_config_file(_CONFIG_FILENAME)
-    known = {"precision", "seed", "samples", "filter", "format", "cache", "digits"}
+    known = {"precision", "seed", "samples", "filter", "format", "digits"}
     unknown = set(file_map) - known
     if unknown:
         raise UsageError(
@@ -205,12 +203,8 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
         config = replace(config, filter=_parse_filter(file_map["filter"]))
     if "format" in file_map:
         config = replace(config, output_format=file_map["format"])
-    if "cache" in file_map:
-        config = replace(config, coefficient_cache_path=file_map["cache"])
-
-    env_cache = os.environ.get("MAHLERLAB_CACHE")
-    if env_cache:
-        config = replace(config, coefficient_cache_path=env_cache)
+    if "digits" in file_map:
+        config = replace(config, digits=_parse_int(file_map["digits"], "digits"))
 
     if args.precision is not None:
         config = replace(config, precision=args.precision)
@@ -218,58 +212,13 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
         config = replace(config, seed=_parse_int(args.seed, "seed"))
     if args.samples is not None:
         config = replace(config, qmc_samples=args.samples)
-    if args.filter is not None:
+    if getattr(args, "filter", None) is not None:
         config = replace(config, filter=_parse_filter(args.filter))
     if args.format is not None:
         config = replace(config, output_format=args.format)
-    if args.cache is not None:
-        config = replace(config, coefficient_cache_path=args.cache)
-    return config.validate()
-
-
-def _resolve_digits(args: argparse.Namespace) -> int:
     if getattr(args, "digits", None) is not None:
-        digits = args.digits
-    else:
-        digits = 30
-        if os.path.isfile(_CONFIG_FILENAME):
-            file_map = _read_config_file(_CONFIG_FILENAME)
-            if "digits" in file_map:
-                digits = _parse_int(file_map["digits"], "digits")
-    if not 1 <= digits <= 1000:
-        raise UsageError(f"digits must lie in [1, 1000], got {digits}")
-    return digits
-
-
-# ---------------------------------------------------------------------------
-# Coefficient cache
-
-
-def _cache_file(directory: str, name: str) -> str:
-    return os.path.join(directory, f"{name}.coeffs")
-
-
-def _load_cache(config: RunConfig) -> None:
-    directory = config.coefficient_cache_path
-    if not directory:
-        return
-    for name, spec in _CACHE_FORMS:
-        path = _cache_file(directory, name)
-        if os.path.isfile(path):
-            try:
-                load_coefficient_file(spec, path)
-            except (ValueError, OSError) as exc:
-                raise UsageError(f"cache file {path} rejected: {exc}") from None
-
-
-def _save_cache(config: RunConfig) -> None:
-    directory = config.coefficient_cache_path
-    if not directory:
-        return
-    os.makedirs(directory, exist_ok=True)
-    for name, spec in _CACHE_FORMS:
-        n_max = max(128, spec.cached_order())
-        dump_coefficient_file(spec, _cache_file(directory, name), n_max)
+        config = replace(config, digits=args.digits)
+    return config.validate()
 
 
 # ---------------------------------------------------------------------------
@@ -417,7 +366,6 @@ def cmd_verify(args: argparse.Namespace, out=None) -> int:
     config = resolve_config(args)
     if not args.ids and not args.all:
         raise UsageError("verify needs check ids or --all (see --help)")
-    _load_cache(config)
     if args.ids:
         try:
             for check_id in args.ids:
@@ -447,7 +395,6 @@ def cmd_verify(args: argparse.Namespace, out=None) -> int:
         _emit_csv(results, out)
     else:
         _emit_text(results, config, out)
-    _save_cache(config)
     return 0 if all(r.passed for r in results) else 1
 
 
@@ -560,9 +507,8 @@ def _quantity_ap(tokens: Sequence[str], work: int):
 def cmd_compute(args: argparse.Namespace, out=None) -> int:
     out = sys.stdout if out is None else out
     config = resolve_config(args)
-    digits = _resolve_digits(args)
+    digits = config.digits
     work = _compute_work(config, digits)
-    _load_cache(config)
     tokens = list(args.quantity)
     head, rest = tokens[0], tokens[1:]
     if head == "L":
@@ -604,7 +550,6 @@ def cmd_compute(args: argparse.Namespace, out=None) -> int:
         print(rendered, file=out)
         print(f"route: {route}", file=out)
         print(f"error-estimate: {error_text}", file=out)
-    _save_cache(config)
     return 0
 
 
@@ -617,10 +562,7 @@ def _build_parser() -> argparse.ArgumentParser:
     shared.add_argument("--precision", type=int, default=None, metavar="BITS")
     shared.add_argument("--seed", default=None, metavar="INT")
     shared.add_argument("--samples", type=int, default=None, metavar="N")
-    shared.add_argument("--filter", default=None, metavar="KINDS")
     shared.add_argument("--format", default=None, choices=_FORMATS)
-    shared.add_argument("--cache", default=None, metavar="DIR")
-    shared.add_argument("--digits", type=int, default=None, metavar="N")
 
     parser = argparse.ArgumentParser(
         prog="mahlerlab",
@@ -636,6 +578,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     verify.add_argument("ids", nargs="*", metavar="CHECK-ID")
     verify.add_argument("--all", action="store_true", help="run every check")
+    verify.add_argument("--filter", default=None, metavar="KINDS")
 
     compute = sub.add_parser(
         "compute",
@@ -644,6 +587,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "mahler <descriptor> | mRk <k> | ap <n>)",
     )
     compute.add_argument("quantity", nargs="+", metavar="TOKEN")
+    compute.add_argument("--digits", type=int, default=None, metavar="N")
     return parser
 
 

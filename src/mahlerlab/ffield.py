@@ -26,7 +26,6 @@ counting.
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Tuple
@@ -111,21 +110,6 @@ class CharTable:
     @property
     def legendre_index(self) -> int:
         return (self.prime - 1) // 2
-
-    def chi(self, j: int, x: int) -> complex:
-        p = self.prime
-        x %= p
-        if x == 0:
-            return 0j
-        return np.exp(2j * np.pi * ((j * self.index[x]) % (p - 1)) / (p - 1))
-
-    def chi_row(self, j: int) -> np.ndarray:
-        """chi_j over x = 0..p-1 as complex128 (0 at x = 0)."""
-        p = self.prime
-        ind = np.asarray(self.index, dtype=np.int64)
-        row = np.exp(2j * np.pi * ((j * ind) % (p - 1)) / (p - 1))
-        row[0] = 0
-        return row
 
 
 @dataclass(frozen=True)

@@ -21,7 +21,6 @@ moments of K(k)K'(k)) that the verification registry wraps.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from types import MappingProxyType
@@ -236,20 +235,6 @@ def _cosine_block(kind: str, k: float):
     return block
 
 
-def _cosine_scalar(kind: str, k: float):
-    def evaluate(*thetas: float) -> float:
-        c = [math.cos(2.0 * math.pi * t) for t in thetas]
-        if kind == "sum":
-            inner = 2.0 * sum(c) - k
-        elif kind == "product":
-            inner = float(2 ** len(c)) * math.prod(c) - k
-        else:
-            inner = 4.0 * (k * c[0] * c[1] + c[2] * c[3])
-        return math.log(abs(inner)) if inner != 0.0 else float("-inf")
-
-    return evaluate
-
-
 def _generic_block(desc: LaurentDescriptor):
     vecs, coeffs = desc.exponent_matrix()
 
@@ -260,20 +245,6 @@ def _generic_block(desc: LaurentDescriptor):
             return np.log(np.abs(values))
 
     return block
-
-
-def _generic_scalar(desc: LaurentDescriptor):
-    items = list(desc.terms.items())
-
-    def evaluate(*thetas: float) -> float:
-        total = 0j
-        for vec, coeff in items:
-            phase = sum(e * t for e, t in zip(vec, thetas))
-            total += coeff * complex(math.cos(2 * math.pi * phase), math.sin(2 * math.pi * phase))
-        mag = abs(total)
-        return math.log(mag) if mag != 0.0 else float("-inf")
-
-    return evaluate
 
 
 def _classify_builtin(desc: LaurentDescriptor) -> Optional[Tuple[str, float]]:
@@ -304,13 +275,11 @@ def torus_integrand(desc: LaurentDescriptor) -> TorusIntegrand:
         note = f"zero set of the cosine form of {desc.name}"
         return TorusIntegrand(
             dimension=desc.dimension,
-            evaluate=_cosine_scalar(kind, k),
             evaluate_block=_cosine_block(kind, k),
             singular_set_note=note,
         )
     return TorusIntegrand(
         dimension=desc.dimension,
-        evaluate=_generic_scalar(desc),
         evaluate_block=_generic_block(desc),
         singular_set_note=f"zero set of {desc.name} on the torus",
     )
@@ -467,22 +436,9 @@ def r_alpha(
             result = tanh_sinh(integrand, tolerance=tol, precision=base + 24)
             return 4 / mp.pi ** 2 * result.value
     # torus route
-    a = float(alpha)
-
-    def block(pts: np.ndarray) -> np.ndarray:
-        c = np.cos(2.0 * np.pi * pts)
-        with np.errstate(divide="ignore"):
-            return np.log(4.0 * np.abs(a * c[:, 0] * c[:, 1] + c[:, 2] * c[:, 3]))
-
-    def evaluate(*thetas: float) -> float:
-        c = [math.cos(2.0 * math.pi * t) for t in thetas]
-        inner = 4.0 * (a * c[0] * c[1] + c[2] * c[3])
-        return math.log(abs(inner)) if inner != 0.0 else float("-inf")
-
     integrand4 = TorusIntegrand(
         dimension=4,
-        evaluate=evaluate,
-        evaluate_block=block,
+        evaluate_block=_cosine_block("ralpha", float(alpha)),
         singular_set_note="hypersurface a c1 c2 + c3 c4 = 0",
     )
     result = torus_qmc(integrand4, samples=samples, shifts=shifts, seed=seed)

@@ -27,7 +27,7 @@ import math
 import threading
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Tuple
 
 import numpy as np
 from mpmath import mp
@@ -45,14 +45,10 @@ __all__ = [
     "ResourceLimitError",
     "eta_qexp",
     "theta_psi",
-    "theta_phi",
     "newform_coefficient",
     "l_value",
     "l_prime_at_0",
     "fricke_check",
-    "psi4_phi4_coefficients",
-    "dump_coefficient_file",
-    "load_coefficient_file",
 ]
 
 
@@ -124,15 +120,15 @@ class QSeries:
             raise ValueError("shift must be nonnegative")
         return QSeries((0,) * k + self.coeffs, self.order + k)
 
-    def dilate(self, scale: int, alternate: bool = False) -> "QSeries":
-        """Substitute q -> q^scale (or q -> -q^scale when alternate)."""
+    def dilate(self, scale: int) -> "QSeries":
+        """Substitute q -> q^scale."""
         if scale < 1:
             raise ValueError("scale must be >= 1")
         n = self.order * scale
         out = [0] * (n + 1)
         for i, c in enumerate(self.coeffs):
             if c:
-                out[i * scale] = -c if (alternate and i % 2) else c
+                out[i * scale] = c
         return QSeries(tuple(out), n)
 
     def nnz(self) -> int:
@@ -167,19 +163,6 @@ def theta_psi(order: int) -> QSeries:
     n = 0
     while n * (n + 1) // 2 <= order:
         out[n * (n + 1) // 2] += 1
-        n += 1
-    return QSeries(tuple(out), order)
-
-
-def theta_phi(order: int) -> QSeries:
-    """phi(q) = 1 + 2 sum q^(n^2)."""
-    if order < 1:
-        raise ValueError("order must be >= 1")
-    out = [0] * (order + 1)
-    out[0] = 1
-    n = 1
-    while n * n <= order:
-        out[n * n] = 2
         n += 1
     return QSeries(tuple(out), order)
 
@@ -438,103 +421,12 @@ def fricke_check(spec: NewformSpec, precision: int = 64):
 
 
 # ---------------------------------------------------------------------------
-# Fast bulk coefficients for f (divisor-sum convolution)
+# Divisor sums
 
 
 def _sigma_sieve(n: int) -> np.ndarray:
+    """sigma(m) = sum of the divisors of m, for every m <= n (entry 0 is 0)."""
     sig = np.zeros(n + 1, dtype=np.int64)
     for d in range(1, n + 1):
         sig[d::d] += d
     return sig
-
-
-def psi4_phi4_coefficients(n_max: int) -> np.ndarray:
-    """Exact coefficients of q psi^4(q^2) phi^4(-q^2) through q^n_max.
-
-    q psi^4(q^2) = sum over odd m of sigma(m) q^m and phi^4(-q^2) has
-    coefficient (-1)^j 8 sigma*(j) at q^(2j) with sigma*(j) = sigma(j) -
-    4 sigma(j/4); the product is one integer convolution, done as two
-    float64 FFT convolutions after a 9-bit split of the first factor, with
-    an integrality check on reassembly.
-    """
-    if n_max < 1:
-        raise ValueError("n_max must be >= 1")
-    sig = _sigma_sieve(n_max)
-    a = np.zeros(n_max + 1, dtype=np.int64)
-    odd = np.arange(1, n_max + 1, 2)
-    a[odd] = sig[odd]
-    b = np.zeros(n_max + 1, dtype=np.int64)
-    b[0] = 1
-    j = np.arange(1, n_max // 2 + 1)
-    sig_star = sig[j].copy()
-    j4 = j[j % 4 == 0]
-    sig_star[j4 - 1] -= 4 * sig[j4 // 4]
-    b[2 * j] = np.where(j % 2 == 1, -8, 8) * sig_star
-
-    a_hi, a_lo = a >> 9, a & 511
-    size = 1
-    while size < 2 * (n_max + 1):
-        size *= 2
-    fb = np.fft.rfft(b, size)
-    conv_hi = np.fft.irfft(np.fft.rfft(a_hi, size) * fb, size)[: n_max + 1]
-    conv_lo = np.fft.irfft(np.fft.rfft(a_lo, size) * fb, size)[: n_max + 1]
-    hi = np.rint(conv_hi)
-    lo = np.rint(conv_lo)
-    resid = max(np.abs(conv_hi - hi).max(), np.abs(conv_lo - lo).max())
-    if resid > 0.25:
-        raise ArithmeticError(f"FFT convolution residual {resid} too large to round")
-    return (hi.astype(np.int64) << 9) + lo.astype(np.int64)
-
-
-# ---------------------------------------------------------------------------
-# On-disk coefficient cache
-
-
-def dump_coefficient_file(spec: NewformSpec, path: str, n_max: int) -> None:
-    """Write 'n a_n' lines for 1 <= n <= n_max."""
-    spec.ensure(n_max)
-    with open(path, "w") as fh:
-        for n in range(1, n_max + 1):
-            fh.write(f"{n} {spec._coeffs[n]}\n")
-
-
-def load_coefficient_file(spec: NewformSpec, path: str) -> int:
-    """Prime the cache from a 'n a_n' file; returns the count loaded.
-
-    The file must hold each index 1..top exactly once, and every entry is
-    checked against an independent computation (f's FFT product
-    psi4_phi4_coefficients, any other form's own recipe), so a stale,
-    truncated or foreign file fails loudly rather than poisoning L-values.
-    """
-    entries: Dict[int, int] = {}
-    with open(path) as fh:
-        for line in fh:
-            parts = line.split()
-            if not parts:
-                continue
-            if len(parts) != 2:
-                raise ValueError(f"bad line {line.strip()!r} in {path}")
-            n, an = int(parts[0]), int(parts[1])
-            if n in entries:
-                raise ValueError(f"index {n} repeated in {path}")
-            entries[n] = an
-    if not entries:
-        return 0
-    top = max(entries)
-    if min(entries) < 1 or top >= _COEFF_LIMIT:
-        raise ValueError(f"index out of range 1..{_COEFF_LIMIT - 1} in {path}")
-    if len(entries) != top:
-        missing = next(n for n in range(1, top + 1) if n not in entries)
-        raise ValueError(f"index {missing} missing from {path}")
-    coeffs = [0] + [entries[n] for n in range(1, top + 1)]
-    if spec.recipe is _recipe_f:
-        expected = [int(a) for a in psi4_phi4_coefficients(top)]
-    else:
-        expected = list(spec.recipe(top).coeffs)
-    for n in range(1, top + 1):
-        if coeffs[n] != expected[n]:
-            raise ValueError(f"{path} disagrees with {spec.name} at n = {n}")
-    with spec._lock:
-        if top >= len(spec._coeffs):
-            spec._coeffs = coeffs
-    return top

@@ -1,32 +1,27 @@
-"""Arbitrary-precision reals, exact rationals, and series summation.
+"""Arbitrary-precision reals, exact rationals, and series acceleration.
 
 Reals are mpmath floats; every routine that takes a ``precision`` argument
 interprets it as a bit count and runs inside its own ``mp.workprec`` context,
 so callers never have to manage the global mpmath state.  Rationals are
 ``fractions.Fraction`` and all rational arithmetic is exact.
 
-Series with geometric tails are summed directly (`sum_series`); series with
-algebraic tails (1/n^2, 1/n^3, log n/n^2 ...) go through `accelerate`, which
-extrapolates a sequence of partial sums.  Raw summation of an n^(-3) tail to
-twenty digits would need ~10^10 terms, so acceleration is not optional here.
+Series with algebraic tails (1/n^2, 1/n^3, log n/n^2 ...) go through
+`accelerate`, which extrapolates a sequence of partial sums with the Levin
+u-transform.  Raw summation of an n^(-3) tail to twenty digits would need
+~10^10 terms, so acceleration is not optional here.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
-import numpy as np
 from mpmath import mp
 
 __all__ = [
     "NoConvergence",
     "ResourceLimitError",
-    "SeriesSpec",
-    "SumResult",
     "AccelResult",
-    "const_pi",
-    "sum_series",
     "accelerate",
 ]
 
@@ -50,41 +45,6 @@ class NoConvergence(ArithmeticError):
         self.terms = terms
 
 
-def const_pi(precision: int):
-    """Return pi to `precision` bits (relative error <= 2^(2-precision))."""
-    if precision < MIN_PRECISION_BITS:
-        raise ValueError(f"precision must be >= {MIN_PRECISION_BITS} bits, got {precision}")
-    with mp.workprec(precision + 4):
-        return +mp.pi
-
-
-@dataclass(frozen=True)
-class SeriesSpec:
-    """A series sum_{n>=start} term(n) together with a tail bound.
-
-    term(n) must return the n-th term as an mpf (or int/Fraction convertible
-    to one).  tail_bound(n), when given, must be a nonincreasing upper bound
-    on |sum_{m>n} term(m)|; it decides where direct summation may stop.
-
-    term_block, when given, maps a numpy int64 index array to a float64 term
-    array.  It enables the vectorized low-precision path for series that need
-    tens of millions of terms (tail bounds like 1/N).  The mpf path refuses
-    such jobs instead of silently running for hours.
-    """
-
-    term: Callable[[int], object]
-    tail_bound: Optional[Callable[[int], object]] = None
-    name: str = ""
-    start: int = 0
-    term_block: Optional[Callable[[np.ndarray], np.ndarray]] = None
-
-
-@dataclass(frozen=True)
-class SumResult:
-    value: object
-    terms_used: int
-
-
 @dataclass(frozen=True)
 class AccelResult:
     value: object
@@ -92,92 +52,14 @@ class AccelResult:
     low_confidence: bool = False
 
 
-# Direct mpf summation beyond this many terms is refused; use term_block
-# (vectorized float64) or accelerate instead.
-_MPF_TERM_LIMIT = 300_000
-_BLOCK = 1 << 21
+def accelerate(partial_sums: Sequence, precision: Optional[int] = None) -> AccelResult:
+    """Extrapolate a sequence of partial sums to its limit (Levin u).
 
+    The error estimate comes from differences of the highest-order
+    extrapolants and is heuristic, not a bound.  Needs at least 8 partial
+    sums.
 
-def sum_series(spec: SeriesSpec, target_abs_error, precision: int, max_terms: int = 1 << 27) -> SumResult:
-    """Sum a series directly until its tail bound falls below the target.
-
-    Accumulation is compensated (Neumaier) and runs in fixed ascending index
-    order, so results are reproducible.  Raises `NoConvergence` when the tail
-    bound does not reach the target within ``max_terms`` (the exception
-    carries the best estimate).
-    """
-    if spec.tail_bound is None:
-        raise ValueError("sum_series needs a tail bound; use accelerate for bare partial sums")
-    if precision < MIN_PRECISION_BITS:
-        raise ValueError(f"precision must be >= {MIN_PRECISION_BITS} bits")
-
-    with mp.workprec(precision + 16):
-        target = mp.mpf(target_abs_error)
-
-        # Vectorized path: only trustworthy to ~48 bits, but it is the only
-        # realistic way to honor tail bounds like 1/N at 1e-8.
-        if spec.term_block is not None and precision <= 48:
-            return _sum_series_block(spec, target, max_terms)
-
-        total = mp.mpf(0)
-        comp = mp.mpf(0)  # Neumaier compensation
-        n = spec.start
-        terms = 0
-        while terms < min(max_terms, _MPF_TERM_LIMIT):
-            t = mp.mpf(spec.term(n))
-            s = total + t
-            if abs(total) >= abs(t):
-                comp += (total - s) + t
-            else:
-                comp += (t - s) + total
-            total = s
-            terms += 1
-            bound = mp.mpf(spec.tail_bound(n))
-            if bound <= target:
-                return SumResult(value=+(total + comp), terms_used=terms)
-            n += 1
-        raise NoConvergence(
-            f"series {spec.name!r}: tail bound still above target after {terms} terms"
-            " (supply term_block for a vectorized run, or use accelerate)",
-            best=+(total + comp),
-            terms=terms,
-        )
-
-
-def _sum_series_block(spec: SeriesSpec, target, max_terms: int) -> SumResult:
-    total = 0.0
-    comp = 0.0
-    n = spec.start
-    terms = 0
-    while terms < max_terms:
-        count = min(_BLOCK, max_terms - terms)
-        idx = np.arange(n, n + count, dtype=np.int64)
-        block = float(np.sum(spec.term_block(idx)))
-        s = total + block
-        if abs(total) >= abs(block):
-            comp += (total - s) + block
-        else:
-            comp += (block - s) + total
-        total = s
-        n += count
-        terms += count
-        if float(spec.tail_bound(n - 1)) <= float(target):
-            return SumResult(value=mp.mpf(total + comp), terms_used=terms)
-    raise NoConvergence(
-        f"series {spec.name!r}: tail bound still above target after {terms} terms",
-        best=mp.mpf(total + comp),
-        terms=terms,
-    )
-
-
-def accelerate(partial_sums: Sequence, scheme: str, precision: Optional[int] = None) -> AccelResult:
-    """Extrapolate a sequence of partial sums to its limit.
-
-    scheme is one of "levin-u", "richardson", "wynn-epsilon".  The error
-    estimate comes from differences of the highest-order extrapolants and is
-    heuristic, not a bound.  Needs at least 8 partial sums.
-
-    The tables are numerically delicate: internal working precision is raised
+    The table is numerically delicate: internal working precision is raised
     by ~1.2 bits per input term to absorb the cancellation, but the input
     partial sums themselves must have been computed accurately enough to
     carry the digits the caller hopes to extract.
@@ -185,8 +67,6 @@ def accelerate(partial_sums: Sequence, scheme: str, precision: Optional[int] = N
     n_terms = len(partial_sums)
     if n_terms < 8:
         raise ValueError(f"accelerate needs >= 8 partial sums, got {n_terms}")
-    if scheme not in ("levin-u", "richardson", "wynn-epsilon"):
-        raise ValueError(f"unknown acceleration scheme {scheme!r}")
 
     base = precision if precision is not None else mp.prec
     work = base + int(1.2 * n_terms) + 32
@@ -195,13 +75,7 @@ def accelerate(partial_sums: Sequence, scheme: str, precision: Optional[int] = N
         if s[-1] == s[-2] == s[-3]:
             # series terminated exactly
             return AccelResult(value=+s[-1], error_estimate=mp.mpf(0), low_confidence=False)
-        if scheme == "levin-u":
-            diag = _levin_u_diagonal(s)
-        elif scheme == "richardson":
-            diag = _richardson_diagonal(s)
-        else:
-            diag = _wynn_diagonal(s)
-
+        diag = _levin_u_diagonal(s)
         if len(diag) < 3:
             value = diag[-1]
             return AccelResult(value=+value, error_estimate=abs(value), low_confidence=True)
@@ -247,38 +121,4 @@ def _levin_u_diagonal(s):
         if den[0] == 0:
             break
         diag.append(num[0] / den[0])
-    return diag
-
-
-def _richardson_diagonal(s):
-    """Neville extrapolation of (1/(n+1), s_n) to x = 0."""
-    m = len(s)
-    x = [mp.mpf(1) / (n + 1) for n in range(m)]
-    p = list(s)
-    diag = [p[0]]
-    for k in range(1, m):
-        for n in range(m - k):
-            p[n] = (x[n] * p[n + 1] - x[n + k] * p[n]) / (x[n] - x[n + k])
-        diag.append(p[0])
-    return diag
-
-
-def _wynn_diagonal(s):
-    """Even columns of the Wynn epsilon table."""
-    m = len(s)
-    eps_prev = [mp.mpf(0)] * (m + 1)  # epsilon_{-1}
-    eps_cur = list(s)  # epsilon_0
-    diag = [eps_cur[0]]
-    col = 0
-    while len(eps_cur) >= 2:
-        nxt = []
-        for n in range(len(eps_cur) - 1):
-            d = eps_cur[n + 1] - eps_cur[n]
-            if d == 0:
-                return diag + [eps_cur[n + 1]]
-            nxt.append(eps_prev[n + 1] + 1 / d)
-        eps_prev, eps_cur = eps_cur, nxt
-        col += 1
-        if col % 2 == 0:
-            diag.append(eps_cur[0])
     return diag

@@ -53,24 +53,21 @@ class QuadratureResult:
 class TorusIntegrand:
     """Integrand on [0,1)^dimension.
 
-    evaluate is the scalar ground truth.  evaluate_block, if provided, takes
-    an (n, dimension) float64 array and returns n values; it must agree with
-    evaluate pointwise and exists only to make 10^6-point runs affordable.
+    evaluate_block takes an (n, dimension) float64 array of points and
+    returns their n values; evaluating whole blocks is what makes 10^6-point
+    runs affordable.
     """
 
     dimension: int
-    evaluate: Callable
+    evaluate_block: Callable
     singular_set_note: str = ""
-    evaluate_block: Optional[Callable] = None
 
     def __post_init__(self):
         if not 1 <= self.dimension <= 4:
             raise ValueError(f"dimension must be 1..4, got {self.dimension}")
 
     def block(self, pts: np.ndarray) -> np.ndarray:
-        if self.evaluate_block is not None:
-            return np.asarray(self.evaluate_block(pts), dtype=np.float64)
-        return np.array([float(self.evaluate(*row)) for row in pts], dtype=np.float64)
+        return np.asarray(self.evaluate_block(pts), dtype=np.float64)
 
 
 def _check_value(v, x):

@@ -191,8 +191,7 @@ class IdentityCheck:
         with mp.workprec(64):
             if self.tolerance_rule == "fricke":
                 return mp.mpf(2) ** (20 - e)
-            formula = mp.mpf(10) ** (-(mp.mpf("0.3") * e - 10))
-            return max(formula, mp.mpf(self.tolerance))
+            return max(_hp_tolerance(e), mp.mpf(self.tolerance))
 
 
 @dataclass(frozen=True)
@@ -271,7 +270,7 @@ def _quartic_series(coef: Callable[[int], Fraction], e: int, start: int = 0):
             partials.append(acc)
     with mp.workprec(work):
         sums = [_to_mpf(p) for p in partials]
-        result = accelerate(sums, "levin-u", precision=work)
+        result = accelerate(sums, precision=work)
     if result.low_confidence:
         raise NoConvergence(
             "series acceleration lost confidence; value "
@@ -303,7 +302,7 @@ def _swapped_double_sum(e: int):
             acc += 2 * _to_mpf(t_j) * (pi2_8 - inner)
             partials.append(acc)
             inner += mp.mpf(1) / (2 * j + 1) ** 2
-        result = accelerate(partials, "levin-u", precision=work)
+        result = accelerate(partials, precision=work)
     if result.low_confidence:
         raise NoConvergence("double-sum acceleration lost confidence")
     return result.value, n_terms
@@ -390,61 +389,18 @@ def _plan_eq_4_3_series(ctx: RunContext) -> PlanResult:
 # Quadrature plans: elliptic-integral moments on (0, 1)
 
 
-def _quad_plan(integrand_factory, prefactor=None) -> Plan:
+def _quad_plan(integrand, prefactor=None) -> Plan:
     def plan(ctx: RunContext) -> PlanResult:
         e = ctx.effective
         work = e + 32
         with mp.workprec(work):
-            f = integrand_factory()
-            result = tanh_sinh(f, tolerance=_hp_tolerance(e) / 4, precision=work)
+            result = tanh_sinh(integrand, tolerance=_hp_tolerance(e) / 4, precision=work)
             value = result.value
             if prefactor is not None:
                 value = prefactor() * value
         return PlanResult((value,), result.evaluations)
 
     return plan
-
-
-def _kk_log_k_full():
-    def f(k):
-        return (1 + k * k) / (1 - k * k) * ell_k(k) * ell_kprime(k) * mp.log(k)
-
-    return f
-
-
-def _kk_log_k_odd():
-    def f(k):
-        return 2 * k / (1 - k * k) * ell_k(k) * ell_kprime(k) * mp.log(k)
-
-    return f
-
-
-def _kk_wan():
-    def f(k):
-        return -mp.log((1 - k) * (1 + k)) / k * ell_k(k) * ell_kprime(k)
-
-    return f
-
-
-def _kk_atanh():
-    def f(k):
-        return ell_k(k) * ell_kprime(k) * mp.log((1 + k) / (1 - k)) / k
-
-    return f
-
-
-def _kk_log1p():
-    def f(k):
-        return ell_k(k) * ell_kprime(k) * mp.log(1 + k) / k
-
-    return f
-
-
-def _kk_log1m():
-    def f(k):
-        return ell_k(k) * ell_kprime(k) * mp.log(1 - k) / k
-
-    return f
 
 
 def _const_plan(maker) -> Plan:
@@ -809,39 +765,50 @@ def _build_registry() -> Dict[str, IdentityCheck]:
         _hp(
             "eq-2.4",
             "-8 int_0^1 ((1+k^2)/(1-k^2)) K(k) K'(k) log k dk = (192/pi) L(f,4)",
-            _quad_plan(_kk_log_k_full, lambda: mp.mpf(-8)),
+            _quad_plan(
+                lambda k: (1 + k * k) / (1 - k * k) * ell_k(k) * ell_kprime(k) * mp.log(k),
+                lambda: mp.mpf(-8),
+            ),
             _const_plan(lambda w: 192 / mp.pi * _l_f4(w)),
         ),
         _hp(
             "eq-2.5",
             "-8 int_0^1 (2k/(1-k^2)) K(k) K'(k) log k dk = 7 pi zeta(3)",
-            _quad_plan(_kk_log_k_odd, lambda: mp.mpf(-8)),
+            _quad_plan(
+                lambda k: 2 * k / (1 - k * k) * ell_k(k) * ell_kprime(k) * mp.log(k),
+                lambda: mp.mpf(-8),
+            ),
             _const_plan(lambda w: 7 * mp.pi * _zeta3(w)),
         ),
         _hp(
             "e-wan",
             "int_0^1 (-log(1-k^2)/k) K(k) K'(k) dk = (7/8) pi zeta(3)",
-            _quad_plan(_kk_wan),
+            _quad_plan(
+                lambda k: -mp.log((1 - k) * (1 + k)) / k * ell_k(k) * ell_kprime(k)
+            ),
             _const_plan(lambda w: mp.mpf(7) / 8 * mp.pi * _zeta3(w)),
         ),
         _hp(
             "eq-2.6",
             "(8/pi^3) int_0^1 K(k) K'(k) log((1+k)/(1-k)) dk/k "
             "= (192/pi^4) L(f,4) + 7 zeta(3)/pi^2",
-            _quad_plan(_kk_atanh, lambda: 8 / mp.pi ** 3),
+            _quad_plan(
+                lambda k: ell_k(k) * ell_kprime(k) * mp.log((1 + k) / (1 - k)) / k,
+                lambda: 8 / mp.pi ** 3,
+            ),
             _const_plan(_theorem_value),
         ),
         _hp(
             "eq-2.7",
             "int_0^1 K(k) K'(k) log(1+k) dk/k = (12/pi) L(f,4)",
-            _quad_plan(_kk_log1p),
+            _quad_plan(lambda k: ell_k(k) * ell_kprime(k) * mp.log(1 + k) / k),
             _const_plan(lambda w: 12 / mp.pi * _l_f4(w)),
         ),
         _hp(
             "eq-2.8-analytic",
             "int_0^1 K(k) K'(k) log(1-k) dk/k "
             "= -(12/pi) L(f,4) - (7/8) pi zeta(3)",
-            _quad_plan(_kk_log1m),
+            _quad_plan(lambda k: ell_k(k) * ell_kprime(k) * mp.log(1 - k) / k),
             _const_plan(
                 lambda w: -12 / mp.pi * _l_f4(w) - mp.mpf(7) / 8 * mp.pi * _zeta3(w)
             ),
@@ -852,7 +819,10 @@ def _build_registry() -> Dict[str, IdentityCheck]:
             "= 2 sum_{n>=0} S_n/(2n+1)^2, "
             "S_n = sum_{k<=n} (4k+1) 2^(-8k) C(2k,k)^4 exact; the double sum "
             "is evaluated by exact summation by parts (see eq-2.11)",
-            _quad_plan(_kk_atanh, lambda: 8 / mp.pi ** 3),
+            _quad_plan(
+                lambda k: ell_k(k) * ell_kprime(k) * mp.log((1 + k) / (1 - k)) / k,
+                lambda: 8 / mp.pi ** 3,
+            ),
             _plan_swap_sum,
         ),
         _hp(
@@ -1121,24 +1091,16 @@ def _score(check: IdentityCheck, ctx: RunContext, left: PlanResult, right: PlanR
     exact = all(
         isinstance(v, (Fraction, int)) for pair in pairs for v in pair
     )
-    if exact:
-        worst_idx = 0
-        worst = Fraction(0)
-        for i, (a, b) in enumerate(pairs):
-            d = abs(Fraction(a) - Fraction(b))
-            if d >= worst:
-                worst, worst_idx = d, i
-        lhs, rhs = pairs[worst_idx]
-        return lhs, rhs, worst
+    convert = Fraction if exact else _to_mpf
     with mp.workprec(max(ctx.effective, 64) + 16):
         worst_idx = 0
-        worst = mp.mpf(0)
+        worst = convert(0)
         for i, (a, b) in enumerate(pairs):
-            d = abs(_to_mpf(a) - _to_mpf(b))
+            d = abs(convert(a) - convert(b))
             if d >= worst:
                 worst, worst_idx = d, i
-        lhs, rhs = pairs[worst_idx]
-        return lhs, rhs, worst
+    lhs, rhs = pairs[worst_idx]
+    return lhs, rhs, worst
 
 
 def run_all(

@@ -9,7 +9,7 @@ local working-precision context.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional
 
@@ -178,7 +178,7 @@ def catalan(precision: int = 128):
         for n in range(n_terms):
             tot += mp.mpf((-1) ** n) / (2 * n + 1) ** 2
             sums.append(tot)
-        res = accelerate(sums, "levin-u", precision=precision + 8)
+        res = accelerate(sums, precision=precision + 8)
         if res.error_estimate > mp.mpf(2) ** (-(precision + 4)):
             # one retry with twice the terms; alternating series gain fast
             sums = []
@@ -186,7 +186,7 @@ def catalan(precision: int = 128):
             for n in range(2 * n_terms):
                 tot += mp.mpf((-1) ** n) / (2 * n + 1) ** 2
                 sums.append(tot)
-            res = accelerate(sums, "levin-u", precision=precision + 8)
+            res = accelerate(sums, precision=precision + 8)
     with mp.workprec(precision):
         return +res.value
 
@@ -241,32 +241,6 @@ class PFQSpec:
         for b in self.lower:
             if b <= 0 and b.denominator == 1:
                 raise ValueError(f"lower parameter {b} is zero or a negative integer")
-
-    def term_ratio(self, n: int) -> Fraction:
-        """Exact t_(n+1) / t_n at unit argument."""
-        num = Fraction(1)
-        for a in self.upper:
-            num *= Fraction(a) + n
-        den = Fraction(n + 1)
-        for b in self.lower:
-            den *= Fraction(b) + n
-        return num / den
-
-    def term(self, n: int) -> Fraction:
-        """Exact unit-argument term via factorial products (slow; self-check)."""
-        t = Fraction(1)
-        for j in range(n):
-            t *= self.term_ratio(j)
-        return t
-
-    def self_check(self, n_max: int = 20) -> bool:
-        t = Fraction(1)
-        for n in range(n_max):
-            direct = self.term(n)
-            if direct != t:
-                return False
-            t *= self.term_ratio(n)
-        return True
 
     def tail_exponent(self) -> Fraction:
         """Unit-argument terms decay like n^(-rho) with rho = this value."""
@@ -353,7 +327,7 @@ def _pfq_unit(spec: PFQSpec, target, base: int):
                 for b in spec.lower:
                     ratio /= mp.mpf(b.numerator) / b.denominator + n
                 t = t * ratio / (n + 1)
-            res = accelerate(sums, "levin-u", precision=base)
+            res = accelerate(sums, precision=base)
         if not res.low_confidence and res.error_estimate <= target:
             with mp.workprec(base):
                 return +res.value

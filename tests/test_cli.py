@@ -16,7 +16,7 @@ from mpmath import mp
 
 from mahlerlab import cli, registry
 from mahlerlab.cli import JSON_SCHEMA, RunConfig, UsageError, main
-from mahlerlab.modular import NEWFORM_F, dump_coefficient_file, newform_coefficient
+from mahlerlab.modular import NEWFORM_F, newform_coefficient
 from mahlerlab.registry import IdentityCheck, get_check
 
 
@@ -277,49 +277,73 @@ class TestConfigLayering:
         assert json.loads(out)["results"][0]["seed"] == 0x5EED
 
     def test_cache_env_and_flag(self, capsys, tmp_path, monkeypatch):
-        env_dir = tmp_path / "env-cache"
-        monkeypatch.setenv("MAHLERLAB_CACHE", str(env_dir))
-        code, _, _ = run_cli(capsys, "compute", "ap", "11")
-        assert code == 0
-        assert (env_dir / "f.coeffs").is_file()
-        assert (env_dir / "h.coeffs").is_file()
-        flag_dir = tmp_path / "flag-cache"
-        code, _, _ = run_cli(
-            capsys, "compute", "ap", "11", "--cache", str(flag_dir)
-        )
-        assert code == 0
-        assert (flag_dir / "f.coeffs").is_file()
-        # reload from the freshly written cache
-        code, out, _ = run_cli(capsys, "compute", "ap", "7", "--cache", str(flag_dir))
+        # the coefficient disk cache is gone: the flag is a usage error and
+        # the environment variable writes nothing
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setenv("MAHLERLAB_CACHE", str(tmp_path / "env-cache"))
+        code, out, _ = run_cli(capsys, "compute", "ap", "7")
         assert code == 0
         assert out.splitlines()[0] == "24"
-
-    def test_corrupt_cache_rejected(self, capsys, tmp_path):
-        cache = tmp_path / "cache"
-        cache.mkdir()
-        (cache / "f.coeffs").write_text("1 1\n2 999\n")
-        code, _, err = run_cli(capsys, "compute", "ap", "7", "--cache", str(cache))
+        assert list(tmp_path.iterdir()) == []
+        code, _, _ = run_cli(capsys, "compute", "ap", "7", "--cache", str(tmp_path))
         assert code == 2
-        assert "cache" in err
 
-    @pytest.mark.parametrize("corrupt", ["line 101 deleted", "a_150 + 1"])
-    def test_corrupt_entry_past_64_rejected(self, capsys, tmp_path, monkeypatch, corrupt):
-        cache = tmp_path / "cache"
-        cache.mkdir()
-        path = cache / "f.coeffs"
-        dump_coefficient_file(NEWFORM_F, str(path), 256)
-        lines = path.read_text().splitlines()
-        if corrupt == "line 101 deleted":
-            del lines[100]
-        else:
-            n, an = lines[149].split()
-            lines[149] = f"{n} {int(an) + 1}"
-        path.write_text("\n".join(lines) + "\n")
-        # as in a fresh process: nothing computed yet to compare against
-        monkeypatch.setattr(NEWFORM_F, "_coeffs", [])
-        code, _, err = run_cli(capsys, "compute", "ap", "7", "--cache", str(cache))
+    def test_repeated_config_key_rejected(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "mahlerlab.cfg").write_text("precision = 96\nprecision = 64\n")
+        code, out, err = run_cli(capsys, "verify", "ff-4.1")
         assert code == 2
-        assert f"cache file {path} rejected" in err
+        assert out == ""
+        assert "mahlerlab.cfg:2" in err and "'precision' repeated" in err
+
+    @pytest.mark.parametrize("command", ["verify", "compute"])
+    def test_bad_config_digits_rejected(self, capsys, tmp_path, monkeypatch, command):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "mahlerlab.cfg").write_text("digits = abc\n")
+        argv = ["verify", "qexp-ramanujan"] if command == "verify" else ["compute", "zeta", "3"]
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert "digits must be an integer" in err
+
+    def test_config_digits_sets_compute_width(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "mahlerlab.cfg").write_text("digits = 12\n")
+        code, out, _ = run_cli(capsys, "compute", "zeta", "3")
+        assert code == 0
+        assert out.splitlines()[0] == "1.202056903160"
+        code, out, _ = run_cli(capsys, "compute", "zeta", "3", "--digits", "5")
+        assert code == 0
+        assert out.splitlines()[0] == "1.20206"
+
+
+class TestFlagScope:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["verify", "qexp-ramanujan", "--digits", "5"],
+            ["compute", "zeta", "3", "--filter", "exact"],
+            ["compute", "zeta", "3", "--all"],
+        ],
+        ids=["verify --digits", "compute --filter", "compute --all"],
+    )
+    def test_flag_of_other_subcommand_rejected(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert "unrecognized arguments" in err
+
+    def test_benchmark_argv_still_parses(self):
+        parser = cli._build_parser()
+        verify = parser.parse_args(
+            ["verify", "--all", "--filter", "exact", "--precision", "96",
+             "--seed", "7", "--samples", "4096", "--format", "json"]
+        )
+        assert verify.all and verify.filter == "exact"
+        compute = parser.parse_args(
+            ["compute", "mRk", "16", "--digits", "300", "--format", "json"]
+        )
+        assert compute.digits == 300 and compute.quantity == ["mRk", "16"]
 
 
 class TestHelpers:
@@ -338,4 +362,6 @@ class TestHelpers:
             RunConfig(output_format="yaml").validate()
         with pytest.raises(UsageError):
             RunConfig(filter=("nope",)).validate()
+        with pytest.raises(UsageError):
+            RunConfig(digits=0).validate()
         assert RunConfig().validate() == RunConfig()

@@ -5,6 +5,7 @@ import math
 from dataclasses import replace
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -19,15 +20,12 @@ from mahlerlab.modular import (
     ResourceLimitError,
     _recipe_f,
     _recipe_h,
-    dump_coefficient_file,
+    _sigma_sieve,
     eta_qexp,
     fricke_check,
     l_prime_at_0,
     l_value,
-    load_coefficient_file,
     newform_coefficient,
-    psi4_phi4_coefficients,
-    theta_phi,
     theta_psi,
 )
 
@@ -57,6 +55,64 @@ def h_coefficient_oracle(n_max):
     return out
 
 
+def theta_phi(order):
+    """phi(q) = 1 + 2 sum q^(n^2)."""
+    out = [0] * (order + 1)
+    out[0] = 1
+    n = 1
+    while n * n <= order:
+        out[n * n] = 2
+        n += 1
+    return QSeries(tuple(out), order)
+
+
+def dilate_alternating(series, scale):
+    """series(-q^scale)."""
+    out = [0] * (series.order * scale + 1)
+    for i, c in enumerate(series.coeffs):
+        out[i * scale] = -c if i % 2 else c
+    return QSeries(tuple(out), series.order * scale)
+
+
+def psi4_phi4_coefficients(n_max: int) -> np.ndarray:
+    """Exact coefficients of q psi^4(q^2) phi^4(-q^2) through q^n_max, an
+    independent route to f's coefficients.
+
+    q psi^4(q^2) = sum over odd m of sigma(m) q^m and phi^4(-q^2) has
+    coefficient (-1)^j 8 sigma*(j) at q^(2j) with sigma*(j) = sigma(j) -
+    4 sigma(j/4); the product is one integer convolution, done as two
+    float64 FFT convolutions after a 9-bit split of the first factor, with
+    an integrality check on reassembly.
+    """
+    if n_max < 1:
+        raise ValueError("n_max must be >= 1")
+    sig = _sigma_sieve(n_max)
+    a = np.zeros(n_max + 1, dtype=np.int64)
+    odd = np.arange(1, n_max + 1, 2)
+    a[odd] = sig[odd]
+    b = np.zeros(n_max + 1, dtype=np.int64)
+    b[0] = 1
+    j = np.arange(1, n_max // 2 + 1)
+    sig_star = sig[j].copy()
+    j4 = j[j % 4 == 0]
+    sig_star[j4 - 1] -= 4 * sig[j4 // 4]
+    b[2 * j] = np.where(j % 2 == 1, -8, 8) * sig_star
+
+    a_hi, a_lo = a >> 9, a & 511
+    size = 1
+    while size < 2 * (n_max + 1):
+        size *= 2
+    fb = np.fft.rfft(b, size)
+    conv_hi = np.fft.irfft(np.fft.rfft(a_hi, size) * fb, size)[: n_max + 1]
+    conv_lo = np.fft.irfft(np.fft.rfft(a_lo, size) * fb, size)[: n_max + 1]
+    hi = np.rint(conv_hi)
+    lo = np.rint(conv_lo)
+    resid = max(np.abs(conv_hi - hi).max(), np.abs(conv_lo - lo).max())
+    if resid > 0.25:
+        raise ArithmeticError(f"FFT convolution residual {resid} too large to round")
+    return (hi.astype(np.int64) << 9) + lo.astype(np.int64)
+
+
 small_series = st.builds(
     lambda cs: QSeries(tuple(cs), len(cs) - 1),
     st.lists(st.integers(-9, 9), min_size=1, max_size=12),
@@ -84,8 +140,6 @@ class TestQSeries:
         assert s.shift(2).coeffs == (0, 0, 1, 2, 3)
         d = s.dilate(2)
         assert d.coeffs == (1, 0, 2, 0, 3)
-        alt = s.dilate(2, alternate=True)
-        assert alt.coeffs == (1, 0, -2, 0, 3)
 
     def test_getitem_past_order_is_zero(self):
         s = QSeries((1, 2), 1)
@@ -167,8 +221,6 @@ class TestTheta:
     def test_domain(self):
         with pytest.raises(ValueError):
             theta_psi(0)
-        with pytest.raises(ValueError):
-            theta_phi(0)
 
 
 class TestNewformF:
@@ -201,7 +253,7 @@ class TestNewformF:
     def test_theta_product_identity_to_200(self):
         order = 200
         psi2 = theta_psi(order).dilate(2)
-        phi2 = theta_phi(order).dilate(2, alternate=True)
+        phi2 = dilate_alternating(theta_phi(order), 2)
         lhs = (psi2 ** 4).shift(1) * (phi2 ** 4)
         f = _recipe_f(order)
         for n in range(order + 1):
@@ -371,45 +423,3 @@ class TestFrickeCheck:
     def test_support_step(self):
         assert NEWFORM_F.support_step() == 2
         assert NEWFORM_H.support_step() == 4
-
-
-class TestCoefficientFile:
-    def test_round_trip(self, tmp_path):
-        path = tmp_path / "f.coeffs"
-        dump_coefficient_file(NEWFORM_F, str(path), 300)
-        fresh = NewformSpec(name="f3", weight=4, level=8, fricke_sign=1,
-                            recipe=_recipe_f)
-        n = load_coefficient_file(fresh, str(path))
-        assert n == 300
-        assert fresh.coefficient(299) == newform_coefficient(NEWFORM_F, 299)
-
-    def test_corrupt_file_rejected(self, tmp_path):
-        path = tmp_path / "bad.coeffs"
-        dump_coefficient_file(NEWFORM_F, str(path), 100)
-        lines = path.read_text().splitlines()
-        lines[2] = "3 999"
-        path.write_text("\n".join(lines) + "\n")
-        fresh = NewformSpec(name="f4", weight=4, level=8, fricke_sign=1,
-                            recipe=_recipe_f)
-        with pytest.raises(ValueError):
-            load_coefficient_file(fresh, str(path))
-
-    @pytest.mark.parametrize(
-        "text",
-        ["1 1\n1 1\n2 0\n", "1 1\n2\n", "0 0\n1 1\n", "1 1\n3 0\n"],
-        ids=["repeated", "short line", "index 0", "index 2 missing"],
-    )
-    def test_bad_indices_rejected(self, tmp_path, text):
-        path = tmp_path / "bad.coeffs"
-        path.write_text(text)
-        fresh = NewformSpec(name="f6", weight=4, level=8, fricke_sign=1,
-                            recipe=_recipe_f)
-        with pytest.raises(ValueError):
-            load_coefficient_file(fresh, str(path))
-
-    def test_empty_file(self, tmp_path):
-        path = tmp_path / "empty.coeffs"
-        path.write_text("")
-        fresh = NewformSpec(name="f5", weight=4, level=8, fricke_sign=1,
-                            recipe=_recipe_f)
-        assert load_coefficient_file(fresh, str(path)) == 0

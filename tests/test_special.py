@@ -257,15 +257,40 @@ class TestLegendreChi3:
             legendre_chi3(1.1)
 
 
+def pochhammer_sum(upper, lower, x, n_terms):
+    """Exact sum_{n < n_terms} prod (a)_n / (prod (b)_n n!) x^n, each term
+    built from its own Pochhammer products rather than a term ratio."""
+    total = Fraction(0)
+    for n in range(n_terms):
+        num = Fraction(1)
+        den = Fraction(math.factorial(n))
+        for a in upper:
+            for j in range(n):
+                num *= a + j
+        for b in lower:
+            for j in range(n):
+                den *= b + j
+        total += num / den * x ** n
+    return total
+
+
 class TestPFQSpec:
+    # pfq's term recurrence at x = 1/2 against Pochhammer-product terms;
+    # 160 terms leave a tail below 2^-150
     def test_self_check_gauss(self):
-        spec = PFQSpec([Fraction(1, 2), Fraction(1, 2)], [Fraction(1)], 1)
-        assert spec.self_check()
+        upper, lower = [Fraction(1, 2), Fraction(1, 2)], [Fraction(1)]
+        value = pfq(PFQSpec(upper, lower, Fraction(1, 2)), mp.mpf(2) ** -120, precision=160)
+        exact = pochhammer_sum(upper, lower, Fraction(1, 2), 160)
+        with mp.workprec(160):
+            assert abs(value - mp.mpf(exact.numerator) / exact.denominator) < mp.mpf(2) ** -110
 
     def test_self_check_deep(self):
-        spec = PFQSpec([Fraction(3, 2)] * 4 + [Fraction(1)] * 2, [Fraction(2)] * 5, 1)
-        assert spec.self_check()
-        assert spec.tail_exponent() == 3
+        upper, lower = [Fraction(3, 2)] * 4 + [Fraction(1)] * 2, [Fraction(2)] * 5
+        value = pfq(PFQSpec(upper, lower, Fraction(1, 2)), mp.mpf(2) ** -120, precision=160)
+        exact = pochhammer_sum(upper, lower, Fraction(1, 2), 160)
+        with mp.workprec(160):
+            assert abs(value - mp.mpf(exact.numerator) / exact.denominator) < mp.mpf(2) ** -110
+        assert PFQSpec(upper, lower, 1).tail_exponent() == 3
 
     def test_wan_moment_exponent(self):
         # 4F3(1/2,1/2,(m+1)/2,(m+1)/2; 1,(m+2)/2,(m+2)/2; 1) decays like n^-2
