@@ -171,8 +171,21 @@ def _parse_int(text: str, what: str) -> int:
         raise UsageError(f"{what} must be an integer, got {text!r}") from None
 
 
-def _parse_filter(text: str) -> Tuple[str, ...]:
+def _parse_filter(text: str, what: str) -> Tuple[str, ...]:
     return tuple(tag.strip() for tag in text.split(",") if tag.strip())
+
+
+# (config-file key, which is also the argparse dest of its flag; RunConfig
+# field; parser(text, key) of a text value).  Flags that argparse already
+# typed as int skip the parser.
+_CONFIG_KEYS = (
+    ("precision", "precision", _parse_int),
+    ("seed", "seed", _parse_int),
+    ("samples", "qmc_samples", _parse_int),
+    ("filter", "filter", _parse_filter),
+    ("format", "output_format", lambda text, what: text),
+    ("digits", "digits", _parse_int),
+)
 
 
 def resolve_config(args: argparse.Namespace) -> RunConfig:
@@ -180,44 +193,22 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
     file_map: Dict[str, str] = {}
     if os.path.isfile(_CONFIG_FILENAME):
         file_map = _read_config_file(_CONFIG_FILENAME)
-    known = {"precision", "seed", "samples", "filter", "format", "digits"}
-    unknown = set(file_map) - known
+    known = sorted(key for key, _, _ in _CONFIG_KEYS)
+    unknown = set(file_map) - set(known)
     if unknown:
         raise UsageError(
             f"{_CONFIG_FILENAME}: unknown keys {sorted(unknown)}; valid: "
-            f"{', '.join(sorted(known))}"
+            f"{', '.join(known)}"
         )
 
     config = RunConfig()
-    if "precision" in file_map:
-        config = replace(
-            config, precision=_parse_int(file_map["precision"], "precision")
-        )
-    if "seed" in file_map:
-        config = replace(config, seed=_parse_int(file_map["seed"], "seed"))
-    if "samples" in file_map:
-        config = replace(
-            config, qmc_samples=_parse_int(file_map["samples"], "samples")
-        )
-    if "filter" in file_map:
-        config = replace(config, filter=_parse_filter(file_map["filter"]))
-    if "format" in file_map:
-        config = replace(config, output_format=file_map["format"])
-    if "digits" in file_map:
-        config = replace(config, digits=_parse_int(file_map["digits"], "digits"))
-
-    if args.precision is not None:
-        config = replace(config, precision=args.precision)
-    if args.seed is not None:
-        config = replace(config, seed=_parse_int(args.seed, "seed"))
-    if args.samples is not None:
-        config = replace(config, qmc_samples=args.samples)
-    if getattr(args, "filter", None) is not None:
-        config = replace(config, filter=_parse_filter(args.filter))
-    if args.format is not None:
-        config = replace(config, output_format=args.format)
-    if getattr(args, "digits", None) is not None:
-        config = replace(config, digits=args.digits)
+    for layer in (file_map, vars(args)):
+        for key, field, parse in _CONFIG_KEYS:
+            value = layer.get(key)
+            if value is not None:
+                if isinstance(value, str):
+                    value = parse(value, key)
+                config = replace(config, **{field: value})
     return config.validate()
 
 
@@ -338,19 +329,8 @@ def _emit_json(results: Sequence[registry.CheckResult], out) -> None:
 
 
 def _emit_csv(results: Sequence[registry.CheckResult], out) -> None:
-    fields = [
-        "id",
-        "kind",
-        "lhs",
-        "rhs",
-        "deviation",
-        "tolerance",
-        "pass",
-        "wall_ms",
-        "evals",
-        "seed",
-        "note",
-    ]
+    # the columns are the json record's properties, in schema order
+    fields = list(JSON_SCHEMA["properties"]["results"]["items"]["properties"])
     buffer = io.StringIO()
     writer = csv.DictWriter(buffer, fieldnames=fields, lineterminator="\n")
     writer.writeheader()
@@ -406,7 +386,7 @@ def _compute_work(config: RunConfig, digits: int) -> int:
     return max(config.precision, int(3.33 * digits) + 48)
 
 
-def _quantity_l(tokens: Sequence[str], work: int):
+def _quantity_l(tokens: Sequence[str], work: int, config: RunConfig):
     if len(tokens) != 2:
         raise UsageError("usage: compute L <f|h> <s>")
     forms = {"f": NEWFORM_F, "h": NEWFORM_H}
@@ -420,7 +400,7 @@ def _quantity_l(tokens: Sequence[str], work: int):
     return value, f"mellin-split L({tokens[0]},{s})", mp.mpf(2) ** (8 - work)
 
 
-def _quantity_zeta(tokens: Sequence[str], work: int):
+def _quantity_zeta(tokens: Sequence[str], work: int, config: RunConfig):
     if len(tokens) != 1:
         raise UsageError("usage: compute zeta <s>")
     s = _parse_int(tokens[0], "s")
@@ -429,13 +409,13 @@ def _quantity_zeta(tokens: Sequence[str], work: int):
     return zeta_int(s, work), "euler-maclaurin", mp.mpf(2) ** (8 - work)
 
 
-def _quantity_catalan(tokens: Sequence[str], work: int):
+def _quantity_catalan(tokens: Sequence[str], work: int, config: RunConfig):
     if tokens:
         raise UsageError("usage: compute catalan")
     return catalan(work), "levin-accelerated series", mp.mpf(2) ** (8 - work)
 
 
-def _quantity_k(tokens: Sequence[str], work: int):
+def _quantity_k(tokens: Sequence[str], work: int, config: RunConfig):
     if len(tokens) != 1:
         raise UsageError("usage: compute K <k>")
     with mp.workprec(work):
@@ -460,12 +440,12 @@ def _parse_k_token(token: str):
         raise UsageError(f"k must be a number, got {token!r}") from None
 
 
-def _quantity_mrk(tokens: Sequence[str], work: int, digits: int):
+def _quantity_mrk(tokens: Sequence[str], work: int, config: RunConfig):
     if len(tokens) != 1:
         raise UsageError("usage: compute mRk <k>")
     k = _parse_k_token(tokens[0])
     with mp.workprec(work + 16):
-        target = mp.mpf(10) ** (-(digits + 4))
+        target = mp.mpf(10) ** (-(config.digits + 4))
         try:
             value = m_rk_hypergeometric(k, target_abs_error=target, precision=work)
         except ValueError as exc:
@@ -473,7 +453,7 @@ def _quantity_mrk(tokens: Sequence[str], work: int, digits: int):
     return value, "hypergeometric-6f5", target
 
 
-def _quantity_mahler(tokens: Sequence[str], config: RunConfig):
+def _quantity_mahler(tokens: Sequence[str], work: int, config: RunConfig):
     if len(tokens) != 1:
         raise UsageError("usage: compute mahler <descriptor>")
     name = tokens[0]
@@ -495,7 +475,7 @@ def _quantity_mahler(tokens: Sequence[str], config: RunConfig):
     return mp.mpf(result.value), "lattice-qmc", mp.mpf(result.error_estimate)
 
 
-def _quantity_ap(tokens: Sequence[str], work: int):
+def _quantity_ap(tokens: Sequence[str], work: int, config: RunConfig):
     if len(tokens) != 1:
         raise UsageError("usage: compute ap <n>")
     n = _parse_int(tokens[0], "n")
@@ -504,31 +484,29 @@ def _quantity_ap(tokens: Sequence[str], work: int):
     return newform_coefficient(NEWFORM_F, n), "q-expansion", 0
 
 
+# quantity -> handler(tokens, work bits, config) returning (value, route,
+# error estimate); the order is the one usage errors list.
+_QUANTITIES = {
+    "L": _quantity_l,
+    "zeta": _quantity_zeta,
+    "catalan": _quantity_catalan,
+    "K": _quantity_k,
+    "mahler": _quantity_mahler,
+    "mRk": _quantity_mrk,
+    "ap": _quantity_ap,
+}
+
+
 def cmd_compute(args: argparse.Namespace, out=None) -> int:
     out = sys.stdout if out is None else out
     config = resolve_config(args)
     digits = config.digits
     work = _compute_work(config, digits)
     tokens = list(args.quantity)
-    head, rest = tokens[0], tokens[1:]
-    if head == "L":
-        value, route, err = _quantity_l(rest, work)
-    elif head == "zeta":
-        value, route, err = _quantity_zeta(rest, work)
-    elif head == "catalan":
-        value, route, err = _quantity_catalan(rest, work)
-    elif head == "K":
-        value, route, err = _quantity_k(rest, work)
-    elif head == "mRk":
-        value, route, err = _quantity_mrk(rest, work, digits)
-    elif head == "mahler":
-        value, route, err = _quantity_mahler(rest, config)
-    elif head == "ap":
-        value, route, err = _quantity_ap(rest, work)
-    else:
-        raise UsageError(
-            f"unknown quantity {head!r}; valid: L, zeta, catalan, K, mahler, mRk, ap"
-        )
+    head = tokens[0]
+    if head not in _QUANTITIES:
+        raise UsageError(f"unknown quantity {head!r}; valid: {', '.join(_QUANTITIES)}")
+    value, route, err = _QUANTITIES[head](tokens[1:], work, config)
 
     if isinstance(value, int):
         rendered = str(value)

@@ -19,7 +19,7 @@ The hypergeometric values use the character-sum definition
 
 evaluated in complex double arithmetic and rounded to a rational with
 denominator p^n under an integrality assertion, so a normalization slip
-cannot pass silently.  verify_4_1 closes the loop against brute-force
+cannot pass silently.  verify_4_1 closes the loop against direct point
 counting.
 """
 
@@ -40,13 +40,11 @@ __all__ = [
     "Eq41Report",
     "legendre",
     "count_points",
-    "count_points_exhaustive",
     "greene_nfn",
     "verify_4_1",
 ]
 
 _COUNT_P_MAX = 199
-_EXHAUSTIVE_P_MAX = 13
 _VERIFY_P_MAX = 50
 
 
@@ -155,27 +153,6 @@ def count_points(p: int, t: int) -> PointCount:
         total += int(np.count_nonzero(deg & (b != 0)))
         disc = (b * b - 4 * a * a) % p
         total += int(np.sum((1 + leg[disc])[~deg]))
-    return PointCount(prime=p, parameter=t, count=total)
-
-
-def count_points_exhaustive(p: int, t: int) -> PointCount:
-    """Independent O(p^4) brute-force count, kept as an oracle for small p."""
-    _check_odd_prime(p)
-    if p > _EXHAUSTIVE_P_MAX:
-        raise ResourceLimitError(
-            f"count_points_exhaustive limited to p <= {_EXHAUSTIVE_P_MAX}"
-        )
-    t %= p
-    sq1 = [(x * x + 1) % p for x in range(p)]
-    total = 0
-    for x in range(p):
-        for y in range(p):
-            for z in range(p):
-                lhs3 = sq1[x] * sq1[y] * sq1[z]
-                rhs3 = 16 * t * x * y * z
-                for w in range(p):
-                    if (lhs3 * sq1[w] - rhs3 * w) % p == 0:
-                        total += 1
     return PointCount(prime=p, parameter=t, count=total)
 
 

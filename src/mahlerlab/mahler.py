@@ -172,44 +172,53 @@ def _product_terms(nvars: int, k: int) -> Dict[Exponents, int]:
     return terms
 
 
-def _ralpha_terms() -> Dict[Exponents, int]:
+def _ralpha_terms(nvars: int, k: int) -> Dict[Exponents, int]:
     terms: Dict[Exponents, int] = {}
     for s1 in (1, -1):
         for s2 in (1, -1):
-            terms[(s1, s2, 0, 0)] = 1
+            terms[(s1, s2, 0, 0)] = k
             terms[(0, 0, s1, s2)] = 1
     return terms
 
 
+# kind -> term builder; the kind also picks the cosine form of log|P|
+_TERMS = {"sum": _sum_terms, "product": _product_terms, "ralpha": _ralpha_terms}
+# named instance -> (kind, variables, k); for ralpha k weights the first pair
+_NAMED = {
+    "p4": ("sum", 2, 4),
+    "q8": ("product", 3, 8),
+    "r16": ("product", 4, 16),
+    "s0": ("sum", 4, 0),
+    "ralpha": ("ralpha", 4, 1),
+}
+# family prefix -> (kind, variables); the name "prefix:k" carries k
+_FAMILIES = {"p": ("sum", 2), "q": ("sum", 3), "r": ("product", 4), "s": ("sum", 4)}
+
+
 def builtin_names() -> Tuple[str, ...]:
-    return ("p4", "q8", "r16", "s0", "ralpha", "p:k", "q:k", "r:k", "s:k")
+    return tuple(_NAMED) + tuple(f"{prefix}:k" for prefix in _FAMILIES)
 
 
-def builtin_descriptor(name: str) -> LaurentDescriptor:
-    """Look up a catalogue polynomial by name ("r16", "r:k" with integer k)."""
+def _catalogue_entry(name: str) -> Tuple[str, str, int, int]:
+    """(canonical name, kind, variables, k) of a catalogue name."""
     key = name.strip().lower()
-    fixed = {
-        "p4": (2, _sum_terms, 4),
-        "q8": (3, _product_terms, 8),
-        "r16": (4, _product_terms, 16),
-        "s0": (4, _sum_terms, 0),
-    }
-    if key == "ralpha":
-        return LaurentDescriptor(name="ralpha", dimension=4, terms=_ralpha_terms())
-    if key in fixed:
-        nvars, build, k = fixed[key]
-        return LaurentDescriptor(name=key, dimension=nvars, terms=build(nvars, k))
+    if key in _NAMED:
+        return (key,) + _NAMED[key]
     if ":" in key:
         prefix, _, tail = key.partition(":")
         try:
             k = int(tail)
         except ValueError:
             raise ValueError(f"bad family parameter in {name!r}") from None
-        families = {"p": (2, _sum_terms), "q": (3, _sum_terms), "s": (4, _sum_terms), "r": (4, _product_terms)}
-        if prefix in families:
-            nvars, build = families[prefix]
-            return LaurentDescriptor(name=f"{prefix}:{k}", dimension=nvars, terms=build(nvars, k))
+        if prefix in _FAMILIES:
+            return (f"{prefix}:{k}",) + _FAMILIES[prefix] + (k,)
     raise ValueError(f"unknown built-in descriptor {name!r}; known: {', '.join(builtin_names())}")
+
+
+def builtin_descriptor(name: str) -> LaurentDescriptor:
+    """Look up a catalogue polynomial by name ("r16", "r:k" with integer k)."""
+    key, kind, nvars, k = _catalogue_entry(name)
+    return LaurentDescriptor(name=key, dimension=nvars, terms=_TERMS[kind](nvars, k))
 
 
 # ---------------------------------------------------------------------------
@@ -249,22 +258,13 @@ def _generic_block(desc: LaurentDescriptor):
 
 def _classify_builtin(desc: LaurentDescriptor) -> Optional[Tuple[str, float]]:
     """(kind, k) when desc is byte-for-byte a catalogue polynomial, else None."""
-    name = desc.name
     try:
-        reference = builtin_descriptor(name)
+        key, kind, _, k = _catalogue_entry(desc.name)
     except ValueError:
         return None
-    if reference != desc:
+    if builtin_descriptor(key) != desc:
         return None
-    if name == "ralpha":
-        return ("ralpha", 1.0)
-    if name in ("p4", "q8", "r16", "s0"):
-        k = {"p4": 4.0, "q8": 8.0, "r16": 16.0, "s0": 0.0}[name]
-        kind = "product" if name in ("q8", "r16") else "sum"
-        return (kind, k)
-    prefix = name.partition(":")[0]
-    k = float(name.partition(":")[2])
-    return ("product" if prefix == "r" else "sum", k)
+    return (kind, float(k))
 
 
 def torus_integrand(desc: LaurentDescriptor) -> TorusIntegrand:

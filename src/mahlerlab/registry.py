@@ -8,8 +8,14 @@ deviation against a tolerance determined by the check's kind:
 
     exact           tolerance 0, values are Rationals or integers
     high-precision  max(10^-(0.3 E - 10), per-check floor), E the effective
-                    precision in bits
+                    precision in bits; the two Lambda-symmetry checks use
+                    the Fricke threshold 2^(20-E) instead
     statistical     max(5e-3, 6 sigma) with sigma the QMC shift dispersion
+
+The kind alone supplies the tolerance floor, the precision cap and the
+zero a residual check compares against (see _KIND_POLICY); a check
+declares only what departs from that: a high-precision floor, the lower
+Lambda cap, the Fricke rule.
 
 Effective precision E is min(requested, per-check cap).  The caps exist
 because each accelerated series and each completed-L quadrature has a
@@ -132,7 +138,6 @@ class RunContext:
     """
 
     check_id: str
-    precision: int
     effective: int
     seed: int
     samples: int
@@ -160,10 +165,11 @@ Plan = Callable[[RunContext], PlanResult]
 class IdentityCheck:
     """A named identity with two computation plans.
 
-    tolerance is the floor for the high-precision formula (exactly zero for
-    exact checks); tolerance_at gives the effective tolerance.  The fricke
-    rule replaces the decimal formula with the 2^(20-E) threshold used by
-    the functional-equation validator itself.
+    tolerance is the floor: exactly zero for exact checks, the per-check
+    floor of the high-precision formula, 5e-3 for statistical checks;
+    tolerance_at gives the effective tolerance.  The fricke rule replaces
+    the decimal formula with the 2^(20-E) threshold used by the
+    functional-equation validator itself.
     """
 
     id: str
@@ -179,16 +185,14 @@ class IdentityCheck:
         return min(precision, self.precision_cap)
 
     def tolerance_at(self, precision: int, error_estimate=None):
-        e = self.effective_precision(precision)
         if self.kind == "exact":
-            return Fraction(0)
-        if self.kind == "statistical":
-            with mp.workprec(64):
-                floor = mp.mpf("5e-3")
-                if error_estimate is None:
-                    return floor
-                return max(floor, 6 * mp.mpf(error_estimate))
+            return self.tolerance
         with mp.workprec(64):
+            if self.kind == "statistical":
+                if error_estimate is None:
+                    return self.tolerance
+                return max(self.tolerance, 6 * mp.mpf(error_estimate))
+            e = self.effective_precision(precision)
             if self.tolerance_rule == "fricke":
                 return mp.mpf(2) ** (20 - e)
             return max(_hp_tolerance(e), mp.mpf(self.tolerance))
@@ -308,16 +312,19 @@ def _swapped_double_sum(e: int):
     return result.value, n_terms
 
 
-def _plan_theorem_series(ctx: RunContext) -> PlanResult:
-    e = ctx.effective
-    with mp.workprec(e + 64):
-        tail, n = _quartic_series(lambda k: Fraction(1, 2 * k), e, start=1)
-        value = 4 * mp.log(2) - tail
-    return PlanResult((value,), n)
+def _series_plan(coef: Callable[[int], Fraction], start: int = 0, outer=None) -> Plan:
+    """outer(work, series) for series = sum_{n>=start} coef(n) C(2n,n)^4 /
+    2^(8n), Levin-accelerated from exact partials (the bare series when
+    outer is None)."""
 
+    def plan(ctx: RunContext) -> PlanResult:
+        e = ctx.effective
+        with mp.workprec(e + 64):
+            series, n = _quartic_series(coef, e, start)
+            value = series if outer is None else outer(e + 64, series)
+        return PlanResult((value,), n)
 
-def _plan_theorem_lvalue(ctx: RunContext) -> PlanResult:
-    return PlanResult((_theorem_value(ctx.effective + 32),), 0)
+    return plan
 
 
 def _plan_6f5_series(ctx: RunContext) -> PlanResult:
@@ -332,56 +339,8 @@ def _plan_6f5_series(ctx: RunContext) -> PlanResult:
     return PlanResult((value,), 0)
 
 
-def _plan_6f5_closed(ctx: RunContext) -> PlanResult:
-    work = ctx.effective + 32
-    with mp.workprec(work):
-        value = (
-            128 * mp.log(2)
-            - 6144 * _l_f4(work) / mp.pi ** 4
-            - 224 * _zeta3(work) / mp.pi ** 2
-        )
-    return PlanResult((value,), 0)
-
-
-def _plan_eq_2_11_series(ctx: RunContext) -> PlanResult:
-    e = ctx.effective
-    with mp.workprec(e + 64):
-        series, n = _quartic_series(lambda k: Fraction(1, 2 * k + 1), e)
-        value = 14 * _zeta3(e + 64) / mp.pi ** 2 + series
-    return PlanResult((value,), n)
-
-
 def _plan_swap_sum(ctx: RunContext) -> PlanResult:
     value, n = _swapped_double_sum(ctx.effective)
-    return PlanResult((value,), n)
-
-
-def _plan_eq_3_2_closed(ctx: RunContext) -> PlanResult:
-    work = ctx.effective + 32
-    with mp.workprec(work):
-        value = -14 * _zeta3(work) / mp.pi ** 2 + 4 * mp.log(2)
-    return PlanResult((value,), 0)
-
-
-def _plan_eq_3_2_series(ctx: RunContext) -> PlanResult:
-    e = ctx.effective
-    with mp.workprec(e + 64):
-        series, n = _quartic_series(
-            lambda k: Fraction(4 * k + 1, 2 * k * (2 * k + 1)), e, start=1
-        )
-        value = 1 + series
-    return PlanResult((value,), n)
-
-
-def _plan_eq_4_3_closed(ctx: RunContext) -> PlanResult:
-    work = ctx.effective + 32
-    with mp.workprec(work):
-        value = 192 / mp.pi ** 4 * _l_f4(work) - 7 * _zeta3(work) / mp.pi ** 2
-    return PlanResult((value,), 0)
-
-
-def _plan_eq_4_3_series(ctx: RunContext) -> PlanResult:
-    value, n = _quartic_series(lambda k: Fraction(1, 2 * k + 1), ctx.effective)
     return PlanResult((value,), n)
 
 
@@ -403,9 +362,11 @@ def _quad_plan(integrand, prefactor=None) -> Plan:
     return plan
 
 
-def _const_plan(maker) -> Plan:
+def _const_plan(maker, guard: int = 32) -> Plan:
+    """maker(work) evaluated at work = effective + guard bits."""
+
     def plan(ctx: RunContext) -> PlanResult:
-        work = ctx.effective + 32
+        work = ctx.effective + guard
         with mp.workprec(work):
             value = maker(work)
         return PlanResult((value,), 0)
@@ -415,14 +376,6 @@ def _const_plan(maker) -> Plan:
 
 # ---------------------------------------------------------------------------
 # Residual-style plans (largest residual vs. zero)
-
-
-def _zero_plan(ctx: RunContext) -> PlanResult:
-    return PlanResult((Fraction(0),), 0)
-
-
-def _zero_real_plan(ctx: RunContext) -> PlanResult:
-    return PlanResult((mp.mpf(0),), 0)
 
 
 def _plan_wz_pair(pair) -> Plan:
@@ -524,26 +477,23 @@ def _plan_qexp_hecke(ctx: RunContext) -> PlanResult:
 # Suite plans built on mahler-module checkers
 
 
-def _plan_wan_suite(ctx: RunContext) -> PlanResult:
-    e = min(ctx.effective, 96)
-    with mp.workprec(e + 32):
-        target = max(_hp_tolerance(e), mp.mpf("1e-14"))
-        worst = mp.mpf(0)
-        for m in range(7):
-            worst = max(worst, wan_moment_check(m, tolerance=target / 8, precision=e))
-    return PlanResult((worst,), 7)
+def _suite_plan(checker, count: int) -> Plan:
+    """Largest checker(m) deviation over m < count, at most 96 bits.
 
+    checker is a lambda that names the mahler-module function, so the call
+    resolves the module global at run time and sees any rebinding of it.
+    """
 
-def _plan_density_suite(ctx: RunContext) -> PlanResult:
-    e = min(ctx.effective, 96)
-    with mp.workprec(e + 32):
-        target = max(_hp_tolerance(e), mp.mpf("1e-14"))
-        worst = mp.mpf(0)
-        for m in range(5):
-            worst = max(
-                worst, density_integral_check(m, tolerance=target / 8, precision=e)
-            )
-    return PlanResult((worst,), 5)
+    def plan(ctx: RunContext) -> PlanResult:
+        e = min(ctx.effective, 96)
+        with mp.workprec(e + 32):
+            target = max(_hp_tolerance(e), mp.mpf("1e-14"))
+            worst = mp.mpf(0)
+            for m in range(count):
+                worst = max(worst, checker(m, tolerance=target / 8, precision=e))
+        return PlanResult((worst,), count)
+
+    return plan
 
 
 _R_ALPHA_POINTS = (0.3, 0.7, 1.0)
@@ -600,109 +550,69 @@ def _plan_qmc(name: str) -> Plan:
     return plan
 
 
-def _plan_catalan_ref(ctx: RunContext) -> PlanResult:
-    work = ctx.effective + 16
-    with mp.workprec(work):
-        value = 4 * catalan(work) / mp.pi
-    return PlanResult((value,), 0)
-
-
-def _plan_h_lprime_ref(ctx: RunContext) -> PlanResult:
-    return PlanResult((4 * l_prime_at_0(NEWFORM_H, ctx.effective + 16),), 0)
-
-
-def _plan_theorem_ref(ctx: RunContext) -> PlanResult:
-    return PlanResult((_theorem_value(ctx.effective + 16),), 0)
-
-
-def _plan_s0_ref(ctx: RunContext) -> PlanResult:
-    work = ctx.effective + 16
-    with mp.workprec(work):
-        value = 7 * _zeta3(work) / (2 * mp.pi ** 2)
-    return PlanResult((value,), 0)
-
-
-def _plan_r32_ref(ctx: RunContext) -> PlanResult:
-    e = ctx.effective
-    with mp.workprec(e + 16):
-        value = m_rk_hypergeometric(32, target_abs_error=mp.mpf(2) ** (-e), precision=e + 16)
-    return PlanResult((value,), 0)
-
-
 # ---------------------------------------------------------------------------
 # The registry
 
 
-def _hp(id_, description, lhs, rhs, floor="0", cap=_CAP_HIGH_PRECISION, rule="default"):
+# kind -> (tolerance floor, precision cap, zero of a residual check).  Built
+# at 64 bits, the precision tolerance_at works at; the zero's type decides
+# whether a report prints 0 or 0.0.
+with mp.workprec(64):
+    _KIND_POLICY = {
+        "exact": (Fraction(0), DEFAULT_PRECISION, Fraction(0)),
+        "high-precision": (mp.mpf(0), _CAP_HIGH_PRECISION, mp.mpf(0)),
+        "statistical": (mp.mpf("5e-3"), _CAP_STATISTICAL, mp.mpf(0)),
+    }
+
+
+def _check(kind, id_, description, lhs, rhs=None, floor=None, cap=None, rule="default"):
+    """One registry entry; rhs defaults to the kind's zero (residual checks).
+
+    A floor string is parsed at mpmath's default 53 bits, the registry's
+    build precision, so "1e-8" reports as 1.000000000000000020922561e-8.
+    """
+    tolerance, kind_cap, zero = _KIND_POLICY[kind]
     return IdentityCheck(
         id=id_,
-        kind="high-precision",
+        kind=kind,
         description=description,
         lhs_plan=lhs,
-        rhs_plan=rhs,
-        tolerance=mp.mpf(floor),
-        precision_cap=cap,
+        rhs_plan=rhs or (lambda ctx: PlanResult((zero,), 0)),
+        tolerance=tolerance if floor is None else mp.mpf(floor),
+        precision_cap=cap or kind_cap,
         tolerance_rule=rule,
-    )
-
-
-def _exact(id_, description, lhs, rhs):
-    return IdentityCheck(
-        id=id_,
-        kind="exact",
-        description=description,
-        lhs_plan=lhs,
-        rhs_plan=rhs,
-        tolerance=Fraction(0),
-        precision_cap=DEFAULT_PRECISION,
-    )
-
-
-def _stat(id_, description, lhs, rhs):
-    return IdentityCheck(
-        id=id_,
-        kind="statistical",
-        description=description,
-        lhs_plan=lhs,
-        rhs_plan=rhs,
-        tolerance=mp.mpf("5e-3"),
-        precision_cap=_CAP_STATISTICAL,
-        tolerance_rule="statistical",
     )
 
 
 def _build_registry() -> Dict[str, IdentityCheck]:
     checks: List[IdentityCheck] = [
         # -- exact ----------------------------------------------------------
-        _exact(
-            "wz-pair-1",
+        _check(
+            "exact", "wz-pair-1",
             "F(n+1,k)-F(n,k) = G(n,k+1)-G(n,k) exactly on 0 <= k <= n <= 500 "
             "for F = T(n,k)(2n+1)^2/(2n-2k+1), "
             "G = -T(n,k) k^2 (2n+1)^2/((n+1)^2 (2n-2k+3)), "
             "T(n,k) = 2^(-4n-4k) C(2k,k)^2 C(2n,n)^2; "
             "largest residual vs 0",
             _plan_wz_pair(PAIR_ONE),
-            _zero_plan,
         ),
-        _exact(
-            "wz-pair-2",
+        _check(
+            "exact", "wz-pair-2",
             "F(n+1,k)-F(n,k) = G(n,k+1)-G(n,k) exactly on 0 <= k <= n <= 500 "
             "for F = T(n,k)(2n+1)^2/(n+k+1), "
             "G = T(n,k) k^2 (2n+1)^2/((n+1)^2 (n+k+1)); "
             "largest residual vs 0",
             _plan_wz_pair(PAIR_TWO),
-            _zero_plan,
         ),
-        _exact(
-            "wz-telescope",
+        _check(
+            "exact", "wz-telescope",
             "h(n) = h(0) + sum_{j<=n} (F(j,j) + G(j-1,j) - G(j-1,0)) "
             "reconstructs the row sums h(n) = sum_{k<=n} F(n,k) exactly for "
             "both certificate pairs, n <= 500; largest residual vs 0",
             _plan_wz_telescope,
-            _zero_plan,
         ),
-        _exact(
-            "wz-2.8-2.9",
+        _check(
+            "exact", "wz-2.8-2.9",
             "sum_{k<=n} 2^(-4k) C(2k,k)^2/(2n-2k+1) "
             "= sum_{k<=n} 2^(-4k) C(2k,k)^2/(n+k+1) "
             "= 2^(4n)/((2n+1)^2 C(2n,n)^2) sum_{k<=n} (4k+1) 2^(-8k) C(2k,k)^4 "
@@ -710,60 +620,61 @@ def _build_registry() -> Dict[str, IdentityCheck]:
             _plan_wz_triple_lhs,
             _plan_wz_triple_rhs,
         ),
-        _exact(
-            "ff-4.1",
+        _check(
+            "exact", "ff-4.1",
             "affine point count of (x^2+1)(y^2+1)(z^2+1)(w^2+1) = 16 t xyzw "
             "over F_p equals p^3 4F3(t^2) + 4 phi(-1) p^2 2F1(t^2) "
             "- 3 eps(t^2-1) p^2 + p^3 + 8(phi(-1)+1) p^2 - 16(phi(-1)+1) p "
             "- 3p - 8(phi(-1)+1) + 1 for all t in F_p*, p in {3,5,7,11,13}; "
             "largest residual vs 0",
             _plan_ff_counts,
-            _zero_plan,
         ),
-        _exact(
-            "ff-ahlgren-ono",
+        _check(
+            "exact", "ff-ahlgren-ono",
             "p^3 4F3(1) = -a_p - p for p in {3,5,7,11,13}, with 4F3 the "
             "finite-field hypergeometric sum (all upper phi, all lower eps) "
             "and a_p the p-th coefficient of eta(2t)^4 eta(4t)^4",
             _plan_ao_lhs,
             _plan_ao_rhs,
         ),
-        _exact(
-            "qexp-ramanujan",
+        _check(
+            "exact", "qexp-ramanujan",
             "q psi(q^2)^4 = sum over odd m of sigma(m) q^m through q^200, "
             "psi the triangular-number theta series; largest coefficient "
             "residual vs 0",
             _plan_qexp_ramanujan,
-            _zero_plan,
         ),
-        _exact(
-            "qexp-f-coeffs",
+        _check(
+            "exact", "qexp-f-coeffs",
             "coefficients of eta(2t)^4 eta(4t)^4 satisfy a_mn = a_m a_n for "
             "coprime m,n <= 20, a_p^2 = a_{p^2} + p^3 for odd p <= 37, and "
             "a_p^2 <= 4 p^3; largest violation vs 0",
             _plan_qexp_hecke,
-            _zero_plan,
         ),
         # -- high-precision --------------------------------------------------
-        _hp(
-            "thm-1.1",
+        _check(
+            "high-precision", "thm-1.1",
             "4 log 2 - sum_{n>=1} (1/(2n)) C(2n,n)^4 2^(-8n) "
             "= (192/pi^4) L(f,4) + 7 zeta(3)/pi^2, "
             "f the weight-4 level-8 newform eta(2t)^4 eta(4t)^4; series side "
             "Levin-accelerated from exact partials, L-side by Mellin-split "
             "incomplete gammas (no machinery shared between the routes)",
-            _plan_theorem_series,
-            _plan_theorem_lvalue,
+            _series_plan(lambda k: Fraction(1, 2 * k), 1, lambda w, s: 4 * mp.log(2) - s),
+            _const_plan(_theorem_value),
         ),
-        _hp(
-            "eq-1.5",
+        _check(
+            "high-precision", "eq-1.5",
             "6F5(3/2,3/2,3/2,3/2,1,1; 2,2,2,2,2; 1) "
             "= 128 log 2 - 6144 L(f,4)/pi^4 - 224 zeta(3)/pi^2",
             _plan_6f5_series,
-            _plan_6f5_closed,
+            _const_plan(
+                lambda w: 128 * mp.log(2)
+                - 6144 * _l_f4(w) / mp.pi ** 4
+                - 224 * _zeta3(w) / mp.pi ** 2
+            ),
         ),
-        _hp(
-            "eq-2.4",
+        _check(
+            "high-precision", "eq-2.4",
             "-8 int_0^1 ((1+k^2)/(1-k^2)) K(k) K'(k) log k dk = (192/pi) L(f,4)",
             _quad_plan(
                 lambda k: (1 + k * k) / (1 - k * k) * ell_k(k) * ell_kprime(k) * mp.log(k),
@@ -771,8 +682,8 @@ def _build_registry() -> Dict[str, IdentityCheck]:
             ),
             _const_plan(lambda w: 192 / mp.pi * _l_f4(w)),
         ),
-        _hp(
-            "eq-2.5",
+        _check(
+            "high-precision", "eq-2.5",
             "-8 int_0^1 (2k/(1-k^2)) K(k) K'(k) log k dk = 7 pi zeta(3)",
             _quad_plan(
                 lambda k: 2 * k / (1 - k * k) * ell_k(k) * ell_kprime(k) * mp.log(k),
@@ -780,16 +691,16 @@ def _build_registry() -> Dict[str, IdentityCheck]:
             ),
             _const_plan(lambda w: 7 * mp.pi * _zeta3(w)),
         ),
-        _hp(
-            "e-wan",
+        _check(
+            "high-precision", "e-wan",
             "int_0^1 (-log(1-k^2)/k) K(k) K'(k) dk = (7/8) pi zeta(3)",
             _quad_plan(
                 lambda k: -mp.log((1 - k) * (1 + k)) / k * ell_k(k) * ell_kprime(k)
             ),
             _const_plan(lambda w: mp.mpf(7) / 8 * mp.pi * _zeta3(w)),
         ),
-        _hp(
-            "eq-2.6",
+        _check(
+            "high-precision", "eq-2.6",
             "(8/pi^3) int_0^1 K(k) K'(k) log((1+k)/(1-k)) dk/k "
             "= (192/pi^4) L(f,4) + 7 zeta(3)/pi^2",
             _quad_plan(
@@ -798,14 +709,14 @@ def _build_registry() -> Dict[str, IdentityCheck]:
             ),
             _const_plan(_theorem_value),
         ),
-        _hp(
-            "eq-2.7",
+        _check(
+            "high-precision", "eq-2.7",
             "int_0^1 K(k) K'(k) log(1+k) dk/k = (12/pi) L(f,4)",
             _quad_plan(lambda k: ell_k(k) * ell_kprime(k) * mp.log(1 + k) / k),
             _const_plan(lambda w: 12 / mp.pi * _l_f4(w)),
         ),
-        _hp(
-            "eq-2.8-analytic",
+        _check(
+            "high-precision", "eq-2.8-analytic",
             "int_0^1 K(k) K'(k) log(1-k) dk/k "
             "= -(12/pi) L(f,4) - (7/8) pi zeta(3)",
             _quad_plan(lambda k: ell_k(k) * ell_kprime(k) * mp.log(1 - k) / k),
@@ -813,8 +724,8 @@ def _build_registry() -> Dict[str, IdentityCheck]:
                 lambda w: -12 / mp.pi * _l_f4(w) - mp.mpf(7) / 8 * mp.pi * _zeta3(w)
             ),
         ),
-        _hp(
-            "eq-2.10",
+        _check(
+            "high-precision", "eq-2.10",
             "(8/pi^3) int_0^1 K(k) K'(k) log((1+k)/(1-k)) dk/k "
             "= 2 sum_{n>=0} S_n/(2n+1)^2, "
             "S_n = sum_{k<=n} (4k+1) 2^(-8k) C(2k,k)^4 exact; the double sum "
@@ -825,34 +736,37 @@ def _build_registry() -> Dict[str, IdentityCheck]:
             ),
             _plan_swap_sum,
         ),
-        _hp(
-            "eq-2.11",
+        _check(
+            "high-precision", "eq-2.11",
             "14 zeta(3)/pi^2 + sum_{n>=0} 2^(-8n) C(2n,n)^4/(2n+1) "
             "= 2 sum_{n>=0} S_n/(2n+1)^2 with exact inner partial sums S_n;  "
             "right side via summation by parts: "
             "2 sum_j (S_j - S_{j-1}) (pi^2/8 - sum_{n<j} (2n+1)^-2)",
-            _plan_eq_2_11_series,
+            _series_plan(
+                lambda k: Fraction(1, 2 * k + 1), 0, lambda w, s: 14 * _zeta3(w) / mp.pi ** 2 + s
+            ),
             _plan_swap_sum,
         ),
-        _hp(
-            "wan-moments",
+        _check(
+            "high-precision", "wan-moments",
             "int_0^1 k^m K(k) K'(k) dk = (pi^2/8) "
             "[Gamma((m+1)/2)/Gamma((m+2)/2)]^2 "
             "4F3(1/2,1/2,(m+1)/2,(m+1)/2; 1,(m+2)/2,(m+2)/2; 1) "
             "for m = 0..6; largest quadrature-vs-series deviation vs 0",
-            _plan_wan_suite,
-            _zero_real_plan,
+            _suite_plan(lambda m, **kw: wan_moment_check(m, **kw), 7),
             floor="1e-8",
         ),
-        _hp(
-            "eq-3.2",
+        _check(
+            "high-precision", "eq-3.2",
             "-14 zeta(3)/pi^2 + 4 log 2 "
             "= 1 + sum_{n>=1} ((4n+1)/((2n)(2n+1))) C(2n,n)^4 2^(-8n)",
-            _plan_eq_3_2_closed,
-            _plan_eq_3_2_series,
+            _const_plan(lambda w: -14 * _zeta3(w) / mp.pi ** 2 + 4 * mp.log(2)),
+            _series_plan(
+                lambda k: Fraction(4 * k + 1, 2 * k * (2 * k + 1)), 1, lambda w, s: 1 + s
+            ),
         ),
-        _hp(
-            "eq-3.5-vs-3.6",
+        _check(
+            "high-precision", "eq-3.5-vs-3.6",
             "route agreement for R(alpha) "
             "= m(alpha(u+1/u)(z+1/z) + (x+1/x)(y+1/y)) at "
             "alpha in {0.3, 0.7, 1}: polylog route (4/pi^2) chi_3(alpha) vs "
@@ -862,110 +776,109 @@ def _build_registry() -> Dict[str, IdentityCheck]:
             _plan_r_alpha("k-integral"),
             floor="1e-8",
         ),
-        _hp(
-            "eq-3.7",
+        _check(
+            "high-precision", "eq-3.7",
             "int int F(|cos pi s cos pi t|) ds dt "
             "= (4/pi^2) int_0^1 F(k) K'(k) dk for F = k^m, m = 0..4; "
             "largest deviation vs 0 (left side factors as a squared cosine "
             "moment)",
-            _plan_density_suite,
-            _zero_real_plan,
+            _suite_plan(lambda m, **kw: density_integral_check(m, **kw), 5),
             floor="1e-8",
         ),
-        _hp(
-            "fourier-3.8",
+        _check(
+            "high-precision", "fourier-3.8",
             "K(sin t) cos t = (pi/2) sum_{n>=0} a_n (sin 4nt + sin(4n+2)t), "
             "a_n = 2^(-4n) C(2n,n)^2, truncated at 400 terms and compared at "
             "t = pi/6; deviation vs 0 within the Abel/Dirichlet tail bound "
             "pi a_N / |sin 2t|",
             _plan_fourier("3.8", 1, 6),
-            _zero_real_plan,
             floor="1e-3",
         ),
-        _hp(
-            "fourier-3.9",
+        _check(
+            "high-precision", "fourier-3.9",
             "K(cos t) cos t = (pi/2) sum_{n>=0} a_n (cos 4nt + cos(4n+2)t), "
             "a_n = 2^(-4n) C(2n,n)^2, truncated at 400 terms and compared at "
             "t = pi/4; deviation vs 0",
             _plan_fourier("3.9", 1, 4),
-            _zero_real_plan,
             floor="1e-3",
         ),
-        _hp(
-            "fourier-3.10",
+        _check(
+            "high-precision", "fourier-3.10",
             "m(4 sin t) = log 2 - sum_{n>=1} a_n cos(4nt)/(4n) "
             "- sum_{n>=0} a_n cos((4n+2)t)/(4n+2) truncated at 400 terms and "
             "compared at t = pi/3 against the arithmetic-geometric-mean "
             "route; deviation vs 0 within the absolute tail bound "
             "1/(2 pi (N-1))",
             _plan_fourier("3.10", 1, 3),
-            _zero_real_plan,
             floor="1e-3",
         ),
-        _hp(
-            "eq-4.3",
+        _check(
+            "high-precision", "eq-4.3",
             "(192/pi^4) L(f,4) - 7 zeta(3)/pi^2 "
             "= sum_{n>=0} 2^(-8n) C(2n,n)^4/(2n+1)",
-            _plan_eq_4_3_closed,
-            _plan_eq_4_3_series,
+            _const_plan(lambda w: 192 / mp.pi ** 4 * _l_f4(w) - 7 * _zeta3(w) / mp.pi ** 2),
+            _series_plan(lambda k: Fraction(1, 2 * k + 1)),
         ),
-        _hp(
-            "lambda-symmetry-f",
+        _check(
+            "high-precision", "lambda-symmetry-f",
             "Lambda(s) = (sqrt(8)/(2 pi))^s Gamma(s) L(f,s) satisfies "
             "Lambda(s) = Lambda(4-s) on a probe grid, measured without "
             "assuming the functional equation; largest asymmetry vs 0",
             _plan_lambda(NEWFORM_F),
-            _zero_real_plan,
             cap=_CAP_LAMBDA,
             rule="fricke",
         ),
-        _hp(
-            "lambda-symmetry-h",
+        _check(
+            "high-precision", "lambda-symmetry-h",
             "Lambda(s) = (4/pi)^s Gamma(s) L(h,s) satisfies "
             "Lambda(s) = Lambda(3-s) on a probe grid for the weight-3 "
             "level-16 form h = eta(4t)^6; largest asymmetry vs 0",
             _plan_lambda(NEWFORM_H),
-            _zero_real_plan,
             cap=_CAP_LAMBDA,
             rule="fricke",
         ),
         # -- statistical ------------------------------------------------------
-        _stat(
-            "eq-1.1",
+        _check(
+            "statistical", "eq-1.1",
             "m(x + 1/x + y + 1/y - 4) = 4G/pi, G Catalan's constant; "
             "lattice QMC vs Levin-accelerated series",
             _plan_qmc("p4"),
-            _plan_catalan_ref,
+            _const_plan(lambda w: 4 * catalan(w) / mp.pi, guard=16),
         ),
-        _stat(
-            "eq-1.2",
+        _check(
+            "statistical", "eq-1.2",
             "m((x+1/x)(y+1/y)(z+1/z) - 8) = 4 L'(h,0) for the weight-3 "
             "level-16 newform h = eta(4t)^6; lattice QMC vs completed-L "
             "derivative",
             _plan_qmc("q8"),
-            _plan_h_lprime_ref,
+            _const_plan(lambda w: 4 * l_prime_at_0(NEWFORM_H, w), guard=16),
         ),
-        _stat(
-            "thm-1.1-torus",
+        _check(
+            "statistical", "thm-1.1-torus",
             "m((x+1/x)(y+1/y)(z+1/z)(w+1/w) - 16) "
             "= (192/pi^4) L(f,4) + 7 zeta(3)/pi^2; 4-D lattice QMC vs L-route",
             _plan_qmc("r16"),
-            _plan_theorem_ref,
+            _const_plan(_theorem_value, guard=16),
         ),
-        _stat(
-            "eq-4.4",
+        _check(
+            "statistical", "eq-4.4",
             "m(x + 1/x + y + 1/y + z + 1/z + w + 1/w) = 7 zeta(3)/(2 pi^2); "
             "4-D lattice QMC vs Euler-Maclaurin zeta",
             _plan_qmc("s0"),
-            _plan_s0_ref,
+            _const_plan(lambda w: 7 * _zeta3(w) / (2 * mp.pi ** 2), guard=16),
         ),
-        _stat(
-            "m-r32",
+        _check(
+            "statistical", "m-r32",
             "m((x+1/x)(y+1/y)(z+1/z)(w+1/w) - 32) = Re(log 32 "
             "- (8/32^2) 6F5(3/2,3/2,3/2,3/2,1,1; 2,2,2,2,2; 256/32^2)); "
             "4-D lattice QMC vs hypergeometric series",
             _plan_qmc("r:32"),
-            _plan_r32_ref,
+            _const_plan(
+                lambda w: m_rk_hypergeometric(
+                    32, target_abs_error=mp.mpf(2) ** (16 - w), precision=w
+                ),
+                guard=16,
+            ),
         ),
     ]
     registry: Dict[str, IdentityCheck] = {}
@@ -1032,7 +945,6 @@ def run_check(
     _validate_run_args(precision, samples, shifts)
     ctx = RunContext(
         check_id=check_id,
-        precision=precision,
         effective=check.effective_precision(precision),
         seed=seed,
         samples=samples,

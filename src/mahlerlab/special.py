@@ -173,20 +173,16 @@ def catalan(precision: int = 128):
     n_terms = max(24, int(0.4 * precision) + 12)
     work = precision + int(1.2 * n_terms) + 48
     with mp.workprec(work):
-        sums = []
-        tot = mp.mpf(0)
-        for n in range(n_terms):
-            tot += mp.mpf((-1) ** n) / (2 * n + 1) ** 2
-            sums.append(tot)
-        res = accelerate(sums, precision=precision + 8)
-        if res.error_estimate > mp.mpf(2) ** (-(precision + 4)):
-            # one retry with twice the terms; alternating series gain fast
+        # one retry with twice the terms; alternating series gain fast
+        for count in (n_terms, 2 * n_terms):
             sums = []
             tot = mp.mpf(0)
-            for n in range(2 * n_terms):
+            for n in range(count):
                 tot += mp.mpf((-1) ** n) / (2 * n + 1) ** 2
                 sums.append(tot)
             res = accelerate(sums, precision=precision + 8)
+            if res.error_estimate <= mp.mpf(2) ** (-(precision + 4)):
+                break
     with mp.workprec(precision):
         return +res.value
 

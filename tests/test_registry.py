@@ -107,7 +107,75 @@ class TestCatalogue:
             get_check(junk)
 
 
+# The tolerance policy, frozen: per id the precision cap and
+# mp.nstr(tolerance_at(P), 25) at P = 64, 96, 128 and 4096 bits.
+_ZERO = ("0",) * 4
+_HP = (
+    "6.309573444801932484450655e-10",
+    "1.584893192461113481447051e-19",
+    "3.981071705534972495046447e-29",
+    "1.00000000000000000002616e-38",
+)
+_FLOOR_8 = ("1.000000000000000020922561e-8",) * 4
+_FLOOR_3 = ("0.001000000000000000020816682",) * 4
+_FRICKE = (
+    "5.684341886080801486968994e-14",
+    "1.323488980084844279794254e-23",
+    "3.081487911019577364889565e-33",
+    "3.081487911019577364889565e-33",
+)
+_STAT = ("0.004999999999999999999898356",) * 4
+TOLERANCE_POLICY = {
+    "wz-pair-1": (128, _ZERO),
+    "wz-pair-2": (128, _ZERO),
+    "wz-telescope": (128, _ZERO),
+    "wz-2.8-2.9": (128, _ZERO),
+    "ff-4.1": (128, _ZERO),
+    "ff-ahlgren-ono": (128, _ZERO),
+    "qexp-ramanujan": (128, _ZERO),
+    "qexp-f-coeffs": (128, _ZERO),
+    "thm-1.1": (160, _HP),
+    "eq-1.5": (160, _HP),
+    "eq-2.4": (160, _HP),
+    "eq-2.5": (160, _HP),
+    "e-wan": (160, _HP),
+    "eq-2.6": (160, _HP),
+    "eq-2.7": (160, _HP),
+    "eq-2.8-analytic": (160, _HP),
+    "eq-2.10": (160, _HP),
+    "eq-2.11": (160, _HP),
+    "wan-moments": (160, _FLOOR_8),
+    "eq-3.2": (160, _HP),
+    "eq-3.5-vs-3.6": (160, _FLOOR_8),
+    "eq-3.7": (160, _FLOOR_8),
+    "fourier-3.8": (160, _FLOOR_3),
+    "fourier-3.9": (160, _FLOOR_3),
+    "fourier-3.10": (160, _FLOOR_3),
+    "eq-4.3": (160, _HP),
+    "lambda-symmetry-f": (128, _FRICKE),
+    "lambda-symmetry-h": (128, _FRICKE),
+    "eq-1.1": (128, _STAT),
+    "eq-1.2": (128, _STAT),
+    "thm-1.1-torus": (128, _STAT),
+    "eq-4.4": (128, _STAT),
+    "m-r32": (128, _STAT),
+}
+
+
 class TestToleranceRules:
+    def test_policy_table(self):
+        policy = {
+            cid: (
+                get_check(cid).precision_cap,
+                tuple(
+                    mp.nstr(get_check(cid).tolerance_at(p), 25)
+                    for p in (64, 96, 128, 4096)
+                ),
+            )
+            for cid in check_ids()
+        }
+        assert policy == TOLERANCE_POLICY
+
     def test_formula_at_96_bits(self):
         tol = get_check("eq-2.4").tolerance_at(96)
         with mp.workprec(64):
@@ -179,6 +247,15 @@ class TestRunCheck:
         assert result.evaluations == (1 << 14) * 8
         assert float(result.tolerance) >= 5e-3
         assert result.passed
+
+    def test_statistical_reference_keeps_its_precision(self):
+        # 4 L'(h,0) to 40 digits (bench/reference.json, from mpmath); the
+        # reference side is computed at effective + 16 bits, so at 128 bits
+        # it must agree far past double precision
+        result = run_check("eq-1.2", samples=1 << 10, shifts=8)
+        with mp.workprec(160):
+            m8 = mp.mpf("1.990191418271940771710519085433364992945")
+            assert abs(result.rhs - m8) < mp.mpf(10) ** -36
 
     def test_statistical_seed_moves_qmc_side_only(self):
         a = run_check("eq-1.1", samples=1 << 12, seed=1)
