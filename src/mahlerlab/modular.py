@@ -18,13 +18,15 @@ q-series along the imaginary axis directly on [delta, T] and compares
 Lambda(s) against sign * Lambda(weight - s).  Under modularity the neglected
 piece below delta is ~ exp(-2 pi / (level delta)); if the form were not
 modular the main parts would disagree loudly, which is the point of the
-check.
+check.  Each node's f(iu) = sum a_n exp(-2 pi n u) is a Horner sum over
+ints scaled by 2^w (precision.py's fixed-point layer, w = working precision
++ 32 guard bits) in x^step, where step is the stride of the support
+(2 for f, 4 for h).
 """
 
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Dict, List, Tuple
@@ -32,7 +34,7 @@ from typing import Callable, Dict, List, Tuple
 import numpy as np
 from mpmath import mp
 
-from .precision import ResourceLimitError
+from .precision import ResourceLimitError, fixed_bits, from_fixed, to_fixed
 from .quadrature import tanh_sinh_interval
 from .special import gamma_upper_int
 
@@ -177,7 +179,7 @@ class NewformSpec:
 
     recipe(order) must return the normalized expansion sum a_n q^n through
     q^order (so coeffs[1] = 1).  The coefficient cache grows by amortized
-    doubling under a lock; reads of the grown prefix are immutable.
+    doubling; a regrown cache must agree with the prefix already held.
     """
 
     name: str
@@ -187,23 +189,21 @@ class NewformSpec:
     recipe: Callable[[int], QSeries]
     character_note: str = ""
     _coeffs: List[int] = field(default_factory=list, repr=False)
-    _lock: threading.Lock = field(default_factory=threading.Lock, repr=False)
 
     def ensure(self, n: int) -> None:
         if n >= _COEFF_LIMIT:
             raise ResourceLimitError(
                 f"{self.name}: coefficient demand {n} exceeds limit {_COEFF_LIMIT}"
             )
-        with self._lock:
-            if len(self._coeffs) > n:
-                return
-            new_order = max(2 * len(self._coeffs), n, 16)
-            series = self.recipe(new_order)
-            if series[1] != 1:
-                raise ValueError(f"{self.name}: recipe is not normalized (a_1 != 1)")
-            if self._coeffs and tuple(self._coeffs) != series.coeffs[: len(self._coeffs)]:
-                raise ValueError(f"{self.name}: recipe changed already-cached coefficients")
-            self._coeffs = list(series.coeffs)
+        if len(self._coeffs) > n:
+            return
+        new_order = max(2 * len(self._coeffs), n, 16)
+        series = self.recipe(new_order)
+        if series[1] != 1:
+            raise ValueError(f"{self.name}: recipe is not normalized (a_1 != 1)")
+        if self._coeffs and tuple(self._coeffs) != series.coeffs[: len(self._coeffs)]:
+            raise ValueError(f"{self.name}: recipe changed already-cached coefficients")
+        self._coeffs = list(series.coeffs)
 
     def coefficient(self, n: int) -> int:
         if n < 1:
@@ -214,15 +214,14 @@ class NewformSpec:
     def cached_order(self) -> int:
         """Largest index currently held by the coefficient cache (0 when
         nothing has been computed yet)."""
-        with self._lock:
-            return max(0, len(self._coeffs) - 1)
+        return max(0, len(self._coeffs) - 1)
 
-    def support_step(self) -> int:
-        """Exponent stride of the nonzero support (2 for odd-only, 4 for
-        n = 1 mod 4), used to walk powers cheaply."""
-        self.ensure(64)
+    def support_step(self, n_max: int = 64) -> int:
+        """Exponent stride of the nonzero support through a_n_max (2 for
+        odd-only, 4 for n = 1 mod 4), used to walk powers cheaply."""
+        self.ensure(n_max)
         step = 0
-        for n in range(2, 65):
+        for n in range(2, n_max + 1):
             if self._coeffs[n]:
                 step = math.gcd(step, n - 1)
         return step or 1
@@ -334,6 +333,25 @@ def l_prime_at_0(spec: NewformSpec, precision: int = 64):
 # ---------------------------------------------------------------------------
 # Functional equation check (no functional equation assumed)
 
+
+def _axis_series(coeffs: List[int], step: int, x):
+    """sum_i coeffs[i] x^(1 + i step) at mp.prec, for an mpf 0 < x < 1.
+
+    Horner in xs = x^step over ints with w = fixed_bits() fraction bits:
+    acc <- (acc * xs >> w) + (a << w).  xs is off by at most step + 1 units
+    of 2^-w, each Horner step truncates by less than one, and |xs| < 1 damps
+    earlier errors; so before the single rounding to mp.prec the sum is off
+    by less than 2^-w (len(coeffs) + (step + 1) |P'(xs)|) for the
+    polynomial P in xs.  The cancelling sums near u = delta need that
+    absolute accuracy, which mpf operations rounded to mp.prec lack."""
+    w = fixed_bits()
+    xs = to_fixed(x, w) ** step >> (w * (step - 1))
+    acc = 0
+    for a in reversed(coeffs):
+        acc = ((acc * xs) >> w) + (a << w)
+    return from_fixed(acc, w) * x
+
+
 _FRICKE_S = ("2.25", "2.5", "3.0")
 
 
@@ -358,30 +376,17 @@ def fricke_check(spec: NewformSpec, precision: int = 64):
             n_terms += 64
         if n_terms >= _COEFF_LIMIT:
             raise ResourceLimitError(f"fricke_check needs {n_terms} coefficients")
-        spec.ensure(n_terms)
-        step = spec.support_step()
-        support = [
-            (n, spec._coeffs[n]) for n in range(1, n_terms + 1) if spec._coeffs[n]
-        ]
-
+        # the stride is taken over every coefficient used, so the dense list
+        # a_1, a_(1+step), ... skips no nonzero a_n
+        step = spec.support_step(n_terms)
+        coeffs = spec._coeffs[1 : n_terms + 1 : step]
         memo: Dict[object, object] = {}
         two_pi = 2 * mp.pi
 
         def f_iu(u):
             v = memo.get(u)
             if v is None:
-                x = mp.exp(-two_pi * u)
-                xs = x ** step
-                pw = mp.mpf(1)
-                at = 1
-                v = mp.mpf(0)
-                for n, a in support:
-                    while at < n:
-                        pw *= xs
-                        at += step
-                    v += a * pw
-                v *= x  # support walks n-1 in units of step; x^1 prefactor
-                memo[u] = v
+                v = memo[u] = _axis_series(coeffs, step, mp.exp(-two_pi * u))
             return v
 
         tol = mp.mpf(2) ** (-(p + 16))

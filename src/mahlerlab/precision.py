@@ -9,6 +9,14 @@ Series with algebraic tails (1/n^2, 1/n^3, log n/n^2 ...) go through
 `accelerate`, which extrapolates a sequence of partial sums with the Levin
 u-transform.  Raw summation of an n^(-3) tail to twenty digits would need
 ~10^10 terms, so acceleration is not optional here.
+
+mpmath runs on its pure-Python backend, so every mpf operation costs
+microseconds.  The hot loops therefore run on a small fixed-point layer: an
+int v with w fraction bits stands for v * 2^-w, `to_fixed`/`from_fixed`
+convert at the loop's ends, and `fixed_bits` applies the guard-bit rule
+w = mp.prec + FIXED_GUARD_BITS.  The Levin table is exact integer
+arithmetic on that layer; modular.fricke_check's q-series Horner is the
+other user.
 """
 
 from __future__ import annotations
@@ -16,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from mpmath import mp
+from mpmath import libmp, mp
 
 __all__ = [
     "NoConvergence",
@@ -43,6 +51,36 @@ class NoConvergence(ArithmeticError):
         super().__init__(message)
         self.best = best
         self.terms = terms
+
+
+# ---------------------------------------------------------------------------
+# Fixed-point layer: an int v with w fraction bits stands for v * 2^-w.
+
+FIXED_GUARD_BITS = 32
+
+
+def fixed_bits() -> int:
+    """Fraction bits for int work whose result rounds to mp.prec bits: the
+    guard-bit rule, mp.prec + FIXED_GUARD_BITS."""
+    return mp.prec + FIXED_GUARD_BITS
+
+
+def to_fixed(x, w: int) -> int:
+    """floor(x * 2^w) for an mpf x, exactly (x is not rounded to mp.prec)."""
+    return libmp.to_fixed(x._mpf_, w)
+
+
+def from_fixed(v: int, w: int):
+    """v * 2^-w as an mpf, rounded once to mp.prec."""
+    return mp.ldexp(v, -w)
+
+
+def fixed_ratio(num: int, den: int):
+    """num / den as an mpf, rounded once to mp.prec; the two ints share
+    whatever scale they carry."""
+    return mp.make_mpf(
+        libmp.mpf_div(libmp.from_int(num), libmp.from_int(den), mp.prec, libmp.round_nearest)
+    )
 
 
 @dataclass(frozen=True)
@@ -100,25 +138,38 @@ def accelerate(partial_sums: Sequence, precision: Optional[int] = None) -> Accel
 
 
 def _levin_u_diagonal(s):
-    """Diagonal of the Levin u-transform table (beta = 1)."""
-    beta = mp.mpf(1)
+    """Diagonal of the Levin u-transform table (beta = 1), over fixed-point ints.
+
+    The textbook recursion N[k+1](n) = N[k](n+1) - c(n,k) N[k](n) has
+    c(n,k) = (1+n)/(j+1) * (j/(j+1))^(k-1) with j = n+k+1.  Storing
+    T[k](n) = j^(k-1) N[k](n) instead carries that power along, one
+    small-int factor per column:
+
+        T[k+1](n) = (j+1) T[k](n+1) - (1+n) T[k](n),
+
+    and T[0](n) = N[0](n)/(1+n).  The scaling is the same for the
+    numerator and denominator tables, so each diagonal entry is still the
+    ratio T_num[k](0)/T_den[k](0).  Once T[0] is in fixed point the table is
+    exact integer arithmetic; the entries grow by log2(j+1) bits a column.
+    """
     a = [s[0]] + [s[i] - s[i - 1] for i in range(1, len(s))]
     # exact termination: a zero difference means the sum is already exact
     for i, ai in enumerate(a):
         if ai == 0 and i > 0:
             return [s[i]]
-    num = [s[i] / ((beta + i) * a[i]) for i in range(len(s))]
-    den = [1 / ((beta + i) * a[i]) for i in range(len(s))]
-    diag = [num[0] / den[0]]
+    den0 = [1 / ((1 + i) ** 2 * a[i]) for i in range(len(s))]
+    num0 = [s[i] * den0[i] for i in range(len(s))]
+    # the common scale cancels in num/den: give the smallest entry the
+    # guard-bit rule's width, so no entry keeps fewer bits than its mpf
+    w = fixed_bits() - min(mp.mag(x) for x in num0 + den0 if x)
+    num = [to_fixed(x, w) for x in num0]
+    den = [to_fixed(x, w) for x in den0]
+    diag = [s[0]]
     m = len(s)
-    # column k -> k+1 uses c = (b+n)(b+n+k)^(k-1) / (b+n+k+1)^k
     for k in range(m - 1):
-        for n in range(m - 1 - k):
-            bn = beta + n
-            c = bn * (bn + k) ** (k - 1) / (bn + k + 1) ** k
-            num[n] = num[n + 1] - c * num[n]
-            den[n] = den[n + 1] - c * den[n]
+        num = [(n + k + 2) * num[n + 1] - (n + 1) * num[n] for n in range(m - 1 - k)]
+        den = [(n + k + 2) * den[n + 1] - (n + 1) * den[n] for n in range(m - 1 - k)]
         if den[0] == 0:
             break
-        diag.append(num[0] / den[0])
+        diag.append(fixed_ratio(num[0], den[0]))
     return diag

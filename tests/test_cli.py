@@ -9,6 +9,7 @@ import csv
 import io
 import json
 import os
+from pathlib import Path
 
 import jsonschema
 import pytest
@@ -157,6 +158,20 @@ class TestVerifyFormats:
         doc = json.loads(out)
         assert len(doc["results"]) == 5
         assert {r["kind"] for r in doc["results"]} == {"statistical"}
+
+
+class TestFrozenReport:
+    def test_highprec_96_report_is_byte_identical(self, capsys, tmp_path, monkeypatch):
+        # tests/data/highprec_96.json was written by the mpf Levin table and
+        # the mpf q-series walk; the integer kernels must reproduce every byte
+        expected = (Path(__file__).parent / "data" / "highprec_96.json").read_text()
+        monkeypatch.chdir(tmp_path)  # no mahlerlab.cfg
+        code, out, err = run_cli(
+            capsys, "verify", "--all", "--filter", "high-precision",
+            "--precision", "96", "--format", "json",
+        )
+        assert (code, err) == (0, "")
+        assert out == expected
 
 
 class TestCompute:

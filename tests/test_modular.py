@@ -18,6 +18,7 @@ from mahlerlab.modular import (
     NewformSpec,
     QSeries,
     ResourceLimitError,
+    _axis_series,
     _recipe_f,
     _recipe_h,
     _sigma_sieve,
@@ -420,6 +421,90 @@ class TestFrickeCheck:
             fricke_check(bad, 64)
         assert exc.value.asymmetry > exc.value.threshold
 
+    @pytest.mark.parametrize("precision", [64, 96])
+    @pytest.mark.parametrize(
+        "name,weight,level,recipe,index",
+        [("f", 4, 8, _recipe_f, 3), ("h", 3, 16, _recipe_h, 5)],
+    )
+    def test_perturbed_coefficient_fails(self, precision, name, weight, level, recipe, index):
+        # a_index + 1 keeps the support stride, so only the symmetry can object
+        bad = NewformSpec(name=f"{name}-a{index}+1", weight=weight, level=level,
+                          fricke_sign=1, recipe=_bumped(recipe, index))
+        with pytest.raises(FunctionalEquationViolation) as exc:
+            fricke_check(bad, precision)
+        assert exc.value.asymmetry > exc.value.threshold
+
     def test_support_step(self):
         assert NEWFORM_F.support_step() == 2
         assert NEWFORM_H.support_step() == 4
+
+    def test_stride_covers_every_coefficient_used(self):
+        bad = NewformSpec(name="f-a100+1", weight=4, level=8, fricke_sign=1,
+                          recipe=_bumped(_recipe_f, 100))
+        # the first 64 coefficients alone would give stride 2 and skip a_100
+        assert bad.support_step() == 2
+        assert bad.support_step(200) == 1
+
+
+def _bumped(recipe, index):
+    """recipe with a_index raised by one."""
+
+    def bumped(order):
+        series = recipe(order)
+        coeffs = list(series.coeffs)
+        if index <= series.order:
+            coeffs[index] += 1
+        return QSeries(tuple(coeffs), series.order)
+
+    return bumped
+
+
+def _axis_series_mpf(spec, n_terms, x):
+    """sum_{n <= n_terms} a_n x^n by the mpf power walk over the nonzero
+    support: the oracle for modular._axis_series."""
+    step = spec.support_step(n_terms)
+    support = [(n, spec._coeffs[n]) for n in range(1, n_terms + 1) if spec._coeffs[n]]
+    xs = x ** step
+    pw = mp.mpf(1)
+    at = 1
+    v = mp.mpf(0)
+    for n, a in support:
+        while at < n:
+            pw *= xs
+            at += step
+        v += a * pw
+    return v * x
+
+
+class TestAxisSeries:
+    """f(iu) by the integer Horner against the mpf walk run 64 bits higher,
+    at nodes spread geometrically over fricke_check's [delta, T].
+
+    At P bits, with w = P + 32 and P(xs) = sum_i c_i xs^i the polynomial
+    the Horner runs over, _axis_series promises
+    |got - want| <= 2^(1-P) |want| + x 2^-w (len(c) + (step + 1) |P'(xs)|);
+    the test allows twice the second term, with |P'| summed from |c_i|."""
+
+    @pytest.mark.parametrize("p", [64, 96])
+    @pytest.mark.parametrize("spec", [NEWFORM_F, NEWFORM_H], ids=["f", "h"])
+    def test_matches_mpf_walk(self, spec, p):
+        n_terms = 1600
+        work = p + 64  # the precision fricke_check's quadrature runs f_iu at
+        step = spec.support_step(n_terms)
+        coeffs = spec._coeffs[1 : n_terms + 1 : step]
+        with mp.workprec(work):
+            ln2 = mp.log(2)
+            delta = min(mp.mpf("0.008"), 2 * mp.pi / (spec.level * (p + 30) * ln2))
+            t_hi = ((p + 20) * ln2 + 10) / (2 * mp.pi)
+            nodes = [delta * (t_hi / delta) ** (mp.mpf(i) / 11) for i in range(12)]
+        for u in nodes:
+            with mp.workprec(work):
+                x = mp.exp(-2 * mp.pi * u)
+                got = _axis_series(coeffs, step, x)
+            with mp.workprec(work + 64):
+                want = _axis_series_mpf(spec, n_terms, x)
+                xs = x ** step
+                slope = sum(i * abs(c) * xs ** (i - 1) for i, c in enumerate(coeffs) if c and i)
+                fixed = len(coeffs) + (step + 1) * slope
+                bound = 2 * abs(want) * mp.mpf(2) ** -work + x * fixed * mp.mpf(2) ** -(work + 31)
+                assert abs(got - want) <= bound, (spec.name, p, mp.nstr(u, 5))

@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, strategies as st
 from mpmath import mp
 
-from mahlerlab.precision import AccelResult, accelerate
+import mahlerlab.precision as precision
+from mahlerlab.precision import AccelResult, accelerate, fixed_bits, from_fixed, to_fixed
 
 
 def _partial_sums(term, count, work_bits=400):
@@ -64,6 +65,104 @@ class TestAccelerate:
         r = accelerate(vals, precision=64)
         assert isinstance(r, AccelResult)
         assert r.low_confidence
+
+
+def _levin_u_diagonal_mpf(s):
+    """The mpf Levin-u table (beta = 1) with the textbook column factor
+    c = (b+n)(b+n+k)^(k-1) / (b+n+k+1)^k: the oracle for the integer table
+    in precision._levin_u_diagonal."""
+    beta = mp.mpf(1)
+    a = [s[0]] + [s[i] - s[i - 1] for i in range(1, len(s))]
+    for i, ai in enumerate(a):
+        if ai == 0 and i > 0:
+            return [s[i]]
+    num = [s[i] / ((beta + i) * a[i]) for i in range(len(s))]
+    den = [1 / ((beta + i) * a[i]) for i in range(len(s))]
+    diag = [num[0] / den[0]]
+    m = len(s)
+    for k in range(m - 1):
+        for n in range(m - 1 - k):
+            bn = beta + n
+            c = bn * (bn + k) ** (k - 1) / (bn + k + 1) ** k
+            num[n] = num[n + 1] - c * num[n]
+            den[n] = den[n + 1] - c * den[n]
+        if den[0] == 0:
+            break
+        diag.append(num[0] / den[0])
+    return diag
+
+
+def _6f5_partial_sums(count, work_bits):
+    """Partial sums of 6F5(3/2,3/2,3/2,3/2,1,1; 2,2,2,2,2; 1), thm-1.1's
+    series, from exact rational terms."""
+    t = Fraction(1)
+    tot = Fraction(0)
+    out = []
+    for n in range(count):
+        tot += t
+        out.append(tot)
+        t = t * (Fraction(3, 2) + n) ** 4 * (1 + n) ** 2 / ((2 + n) ** 5 * (n + 1))
+    with mp.workprec(work_bits):
+        return [mp.mpf(x.numerator) / x.denominator for x in out]
+
+
+_SERIES = {
+    "n^-2": lambda count, bits: _partial_sums(lambda n: mp.mpf(n + 1) ** -2, count, bits),
+    "n^-3": lambda count, bits: _partial_sums(lambda n: mp.mpf(n + 1) ** -3, count, bits),
+    "alternating": lambda count, bits: _partial_sums(
+        lambda n: mp.mpf(-1) ** n / (2 * n + 1) ** 2, count, bits
+    ),
+    "6F5": _6f5_partial_sums,
+}
+
+
+class TestLevinAgainstMpfOracle:
+    """accelerate on the integer table against accelerate on the mpf table.
+
+    The integer table is exact once its first column is rounded; the mpf one
+    rounds every entry.  So the values agree to well inside the error
+    estimate, and the estimates agree to within a factor 4 once both are
+    clamped at 2^-(base+8) |value|: below the precision accelerate returns,
+    an estimate measures only the rounding noise of the deepest columns."""
+
+    @pytest.mark.parametrize("name", sorted(_SERIES))
+    @pytest.mark.parametrize("base,count", [(96, 40), (96, 120), (540, 160), (1800, 96)])
+    def test_matches_oracle(self, monkeypatch, name, base, count):
+        s = _SERIES[name](count, base + int(1.2 * count) + 96)
+        got = accelerate(s, precision=base)
+        monkeypatch.setattr(precision, "_levin_u_diagonal", _levin_u_diagonal_mpf)
+        want = accelerate(s, precision=base)
+        assert got.low_confidence == want.low_confidence
+        with mp.workprec(base + 64):
+            gap = abs(got.value - want.value)
+            assert gap <= want.error_estimate / 8 + abs(want.value) * mp.mpf(2) ** -base
+            floor = abs(want.value) * mp.mpf(2) ** -(base + 8)
+            ratio = max(got.error_estimate, floor) / max(want.error_estimate, floor)
+            assert mp.mpf(1) / 4 <= ratio <= 4, (name, base, count, mp.nstr(ratio, 4))
+
+    def test_low_confidence_matches_oracle(self, monkeypatch):
+        vals = [mp.mpf(x) for x in (1, 5, 2, 7, 1, 6, 2, 8, 1, 7, 3, 9)]
+        got = accelerate(vals, precision=64)
+        monkeypatch.setattr(precision, "_levin_u_diagonal", _levin_u_diagonal_mpf)
+        want = accelerate(vals, precision=64)
+        assert got.low_confidence and want.low_confidence
+        assert got.value == want.value
+
+
+class TestFixedPoint:
+    def test_round_trip(self):
+        with mp.workprec(200):
+            x = mp.pi / 7
+            w = fixed_bits()
+            assert w == 200 + precision.FIXED_GUARD_BITS
+            assert from_fixed(to_fixed(x, w), w) == x
+            assert to_fixed(x, w) == mp.floor(x * mp.mpf(2) ** w)
+            assert to_fixed(-x, 100) == -to_fixed(x, 100) - 1  # floor, not truncation
+
+    def test_ratio_rounds_once(self):
+        with mp.workprec(80):
+            assert precision.fixed_ratio(1, 3) == mp.mpf(1) / 3
+            assert precision.fixed_ratio(-(10 ** 400), 7 * 10 ** 399) == mp.mpf(-10) / 7
 
 
 _rationals = st.fractions(
