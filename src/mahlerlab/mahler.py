@@ -231,7 +231,8 @@ def builtin_descriptor(name: str) -> LaurentDescriptor:
 
 def _cosine_block(kind: str, k: float):
     def block(pts: np.ndarray) -> np.ndarray:
-        c = np.cos(2.0 * np.pi * pts)
+        c = np.multiply(pts, 2.0 * np.pi)
+        np.cos(c, out=c)
         if kind == "sum":
             inner = 2.0 * c.sum(axis=1) - k
         elif kind == "product":

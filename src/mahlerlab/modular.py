@@ -11,7 +11,9 @@ u0 = 1/sqrt(level),
     G(s) = level^(s/2) * sum_n a_n (2 pi n)^(-s) Gamma(s, 2 pi n u0),
 
 which converges like exp(-2 pi u0 n).  At the integer arguments the artifact
-needs, Gamma(s, x) is an elementary finite sum and Gamma(0, x) = E1(x).
+needs, Gamma(s, x) is an elementary finite sum and Gamma(0, x) = E1(x),
+which special.exp_integral_e1 evaluates on precision.py's fixed-point layer
+(an int series or continued fraction per term).
 
 fricke_check never assumes the functional equation: it integrates the
 q-series along the imaginary axis directly on [delta, T] and compares

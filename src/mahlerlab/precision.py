@@ -15,8 +15,10 @@ microseconds.  The hot loops therefore run on a small fixed-point layer: an
 int v with w fraction bits stands for v * 2^-w, `to_fixed`/`from_fixed`
 convert at the loop's ends, and `fixed_bits` applies the guard-bit rule
 w = mp.prec + FIXED_GUARD_BITS.  The Levin table is exact integer
-arithmetic on that layer; modular.fricke_check's q-series Horner is the
-other user.
+arithmetic on that layer.  The other users are modular.fricke_check's
+q-series Horner, special.agm (the AGM behind ell_k/ell_kprime at every
+tanh-sinh node) and special.exp_integral_e1 (the Mellin split's E1 terms),
+each an int loop whose docstring states its error bound.
 """
 
 from __future__ import annotations
@@ -70,9 +72,12 @@ def to_fixed(x, w: int) -> int:
     return libmp.to_fixed(x._mpf_, w)
 
 
-def from_fixed(v: int, w: int):
-    """v * 2^-w as an mpf, rounded once to mp.prec."""
-    return mp.ldexp(v, -w)
+def from_fixed(v: int, w: int, prec: Optional[int] = None):
+    """v * 2^-w as an mpf: exact (the next mpf operation rounds it), or
+    rounded once to prec bits when prec is given, with no context switch."""
+    if prec is None:
+        return mp.ldexp(v, -w)
+    return mp.make_mpf(libmp.from_man_exp(v, -w, prec, libmp.round_nearest))
 
 
 def fixed_ratio(num: int, den: int):

@@ -196,14 +196,19 @@ def torus_qmc(
     d = f.dimension
     rng = np.random.default_rng(seed if not isinstance(seed, int) else [seed])
     z = np.array(QMC_LATTICE_Z[:d], dtype=np.int64)
-    j = np.arange(samples, dtype=np.int64)
-    base = (j[:, None] * z[None, :]) % samples
+    base = np.multiply.outer(np.arange(samples, dtype=np.int64), z)
+    np.remainder(base, samples, out=base)
+    lattice = base / samples
+    del base
+    # one point buffer for every shift: no per-shift temporaries
+    pts = np.empty_like(lattice)
 
     means = []
     discarded = 0
     for _ in range(shifts):
         shift = rng.random(d)
-        pts = (base / samples + shift) % 1.0
+        np.add(lattice, shift, out=pts)
+        np.mod(pts, 1.0, out=pts)
         vals = f.block(pts)
         bad = np.isnan(vals) | (np.isposinf(vals))
         if bad.any():

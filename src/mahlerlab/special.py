@@ -4,6 +4,13 @@ the exponential integral, and generalized hypergeometric summation.
 Gamma is only provided at integer and half-integer arguments; that is all the
 identities here require.  Everything real-valued is an mpf computed inside a
 local working-precision context.
+
+The two kernels called per node or per term run on precision.py's
+fixed-point layer: `agm` is the int loop a, b <- (a+b)/2, isqrt(a b) on
+arguments normalised by a common power of two, and `exp_integral_e1` sums
+its power series or runs its continued fraction's convergent recurrence on
+ints, choosing per call whichever needs fewer long multiplies at that x and
+precision.  Each converts its inputs once and rounds its result once.
 """
 
 from __future__ import annotations
@@ -15,7 +22,14 @@ from typing import List, Optional
 
 from mpmath import mp
 
-from .precision import MIN_PRECISION_BITS, NoConvergence, accelerate
+from .precision import (
+    MIN_PRECISION_BITS,
+    NoConvergence,
+    accelerate,
+    fixed_ratio,
+    from_fixed,
+    to_fixed,
+)
 
 __all__ = [
     "PFQSpec",
@@ -38,21 +52,35 @@ def _ambient(precision: Optional[int]) -> int:
 
 
 def agm(a, b, precision: Optional[int] = None):
-    """Arithmetic-geometric mean of two positive reals.
+    """Arithmetic-geometric mean of two positive reals, as an int loop.
 
-    Quadratic convergence: the iteration count is bounded by ~2 log2(P).
+    Both arguments are scaled by one power of two so that the larger lies
+    in [1/2, 1); the smaller then lies about 2^-gap below it.  The loop
+    keeps w = p + 16 + gap fraction bits (p the precision), so both keep
+    p + 16 significant bits: exactly for the moduli ell_k and ell_kprime
+    pass, floored for longer inputs.  Near k = 0 the mean is that sensitive
+    to the smaller argument.
+
+    Each step a, b <- (a+b) >> 1, isqrt(a b) truncates by at most one unit,
+    and neither falls below the smaller argument, so a step adds under
+    2^-(p+15) relative error.  The mean passes relative errors on with weights in
+    [0, 1] that sum to 1 (it is homogeneous of degree 1), so n steps add
+    under n 2^-(p+15).  The loop stops once |a - b| <= 2^-(p+8) a, and the
+    mean lies between b and a, so the returned a is within 2^-(p+8)
+    relative before its one rounding to p bits.  Quadratic convergence:
+    about log2(p) + log2(gap) steps.
     """
     p = _ambient(precision)
-    with mp.workprec(p + 16):
-        x = mp.mpf(a)
-        y = mp.mpf(b)
-        if x <= 0 or y <= 0:
-            raise ValueError("agm requires positive arguments")
-        eps = mp.mpf(2) ** (-(p + 8))
-        while abs(x - y) > eps * abs(x):
-            x, y = (x + y) / 2, mp.sqrt(x * y)
-    with mp.workprec(p):
-        return +x
+    x, y = mp.convert(a), mp.convert(b)
+    if x <= 0 or y <= 0:
+        raise ValueError("agm requires positive arguments")
+    mags = mp.mag(x), mp.mag(y)
+    top = max(mags)
+    w = p + 16 + top - min(mags)
+    x, y = to_fixed(x, w - top), to_fixed(y, w - top)
+    while abs(x - y) > x >> (p + 8):
+        x, y = (x + y) >> 1, math.isqrt(x * y)
+    return from_fixed(x, w - top, p)
 
 
 def ell_k(k, precision: Optional[int] = None):
@@ -68,8 +96,7 @@ def ell_k(k, precision: Optional[int] = None):
             raise ValueError(f"ell_k needs 0 <= k < 1, got {k}")
         kc = mp.sqrt((1 - kk) * (1 + kk))
         v = mp.pi / (2 * agm(mp.mpf(1), kc, precision=p + 8))
-    with mp.workprec(p):
-        return +v
+    return mp.mpf(v, prec=p)
 
 
 def ell_kprime(k, precision: Optional[int] = None):
@@ -80,8 +107,7 @@ def ell_kprime(k, precision: Optional[int] = None):
         if kk <= 0 or kk > 1:
             raise ValueError(f"ell_kprime needs 0 < k <= 1, got {k}")
         v = mp.pi / (2 * agm(mp.mpf(1), kk, precision=p + 8))
-    with mp.workprec(p):
-        return +v
+    return mp.mpf(v, prec=p)
 
 
 def gamma_half_int(twice_s: int, precision: int = 128):
@@ -339,52 +365,114 @@ def _pfq_unit(spec: PFQSpec, target, base: int):
 # ---------------------------------------------------------------------------
 # Exponential integral
 
-_E1_CROSSOVER = 4  # series below, continued fraction above
+
+def _e1_cancel_bits(x: float) -> int:
+    """Extra fraction bits the series needs: it sums to E1(x) + euler + ln x,
+    of order ln x, while E1(x) > e^-x / (x+2)."""
+    return int(x / math.log(2) + math.log2(x + 2)) + 8
+
+
+def _e1_uses_series(x: float, bits: int) -> bool:
+    """Route for E1(x) at a 2^-bits target, from estimated step counts.
+
+    The series needs K terms, x^K / K! < 2^-(bits + cancellation bits):
+    Newton on K ln(K / (e x)) = that many bits times ln 2, started to the
+    right of the root.  Successive continued-fraction convergents differ by
+    about exp(x - 4 sqrt(n x)) (Perron's asymptotics of the Laguerre
+    denominators L_n(-x)), so it needs n = (bits ln 2 + x)^2 / (16 x)
+    steps.  A series term costs one long multiply and a step two, so the
+    series wins while K <= 2n."""
+    target = (bits + _e1_cancel_bits(x)) * math.log(2)
+    k = math.e * x + target
+    for _ in range(6):
+        k -= (k * math.log(k / (math.e * x)) - target) / math.log(k / x)
+    return k <= 2 * (bits * math.log(2) + x) ** 2 / (16 * x)
+
+
+def _e1_series(x, bits: int):
+    """E1(x) = -euler - ln x + sum_k (-1)^(k+1) x^k / (k k!), summed on ints
+    with w = bits + cancellation bits + 16 fraction bits.
+
+    The term t_k = x^k / k! is carried as floor(t_(k-1) x) // k, so a
+    truncation at step j passes on to every later term in proportion.  Its
+    effect on the sum is therefore a multiple of the tail
+    sum_(k>=j) (-1)^(k+1) x^k / (k k!) = int_0^x R_j(t) dt / t, with R_j
+    the Taylor remainder of e^-t, and that tail is below its first term
+    x^j / (j j!) even where the terms still grow.  So although the terms
+    reach e^x / x, each of the K truncations moves the sum by under 2/j
+    units of 2^-w and each term's // k by under one, and the loop stops at
+    the first zero term, past which the tail is below one unit: the int sum
+    is off by under 2K units.  The sum is about ln x, so subtracting euler
+    and ln x at w bits adds three roundings of that size, and since
+    E1(x) > e^-x / (x+2) the cancellation bits leave a relative error below
+    (2K + 3 ln(x+3)) 2^-(bits+23) before the caller's rounding."""
+    w = bits + _e1_cancel_bits(float(x)) + 16
+    xs = to_fixed(x, w)
+    t = total = xs
+    k = 1
+    while t:
+        k += 1
+        t = ((t * xs) >> w) // k
+        total += t // k if k & 1 else -(t // k)
+    with mp.workprec(w):
+        return from_fixed(total, w) - mp.euler - mp.log(x)
+
+
+def _e1_fraction(x, bits: int):
+    """e^x E1(x) = 1/(x+1 - 1/(x+3 - 4/(x+5 - ...))), b_i = x+2i+1 and
+    a_i = -i^2, as the ratio B_n / A_n of the convergents' three-term int
+    recurrence C_i = b_i C_(i-1) + a_i C_(i-2), with w = bits + 32 fraction
+    bits.
+
+    A and B are shifted right together whenever A passes 2^(w+32), so A
+    keeps at least w bits and each step's truncation is below 2^(2-w)
+    relative; both are dominant solutions, so n steps add under n 2^(3-w).
+    The stop is the cross-multiplied test |A_n B_(n-1) - A_(n-1) B_n| <
+    2^-bits |A_n B_(n-1)|, i.e. successive convergents agree to 2^-bits,
+    with the left side the Wronskian prod_i i^2 (times the shifts' scale)
+    carried in log2.  The convergents approach monotonically with
+    difference ratio about exp(-2 sqrt(x/n)), so the truncation error is
+    within sqrt(n/x) of the last difference."""
+    w = bits + 32
+    coef = to_fixed(x, w) + (1 << w)  # b_0
+    den_prev, den = 1 << w, coef  # A_(-1), A_0
+    num_prev, num = 0, 1 << w  # B_(-1), B_0
+    wronskian_bits = 2.0 * w
+    i = 0
+    while True:
+        i += 1
+        coef += 2 << w
+        den_prev, den = den, ((coef * den) >> w) - i * i * den_prev
+        num_prev, num = num, ((coef * num) >> w) - i * i * num_prev
+        wronskian_bits += 2 * math.log2(i)
+        size = den.bit_length()
+        if wronskian_bits + bits < size + num_prev.bit_length() - 2:
+            return fixed_ratio(num, den)
+        if size > w + 32:
+            r = size - w
+            den_prev, den, num_prev, num = den_prev >> r, den >> r, num_prev >> r, num >> r
+            wronskian_bits -= 2 * r
 
 
 def exp_integral_e1(x, precision: Optional[int] = None):
-    """E1(x) = integral_x^inf exp(-t)/t dt for x > 0."""
+    """E1(x) = integral_x^inf exp(-t)/t dt for x > 0.
+
+    Each call takes the cheaper int kernel for its x and precision p: the
+    power series where it needs at most twice the continued fraction's
+    steps (small x, or high p), else the continued fraction times e^-x.
+    Both aim at 2^-(p+24) relative; the result is rounded once to p bits.
+    """
     p = _ambient(precision)
     with mp.workprec(p + 32):
         xx = mp.mpf(x)
         if xx <= 0:
             raise ValueError(f"exp_integral_e1 needs x > 0, got {x}")
-        if xx <= _E1_CROSSOVER:
-            # E1 = -euler - log x + sum (-1)^(n+1) x^n / (n n!)
-            eps = mp.mpf(2) ** (-(p + 24))
-            acc = mp.mpf(0)
-            t = mp.mpf(1)
-            n = 1
-            while True:
-                t *= xx / n
-                term = t / n
-                acc += term if n % 2 else -term
-                if t < eps:
-                    break
-                n += 1
-            v = -mp.euler - mp.log(xx) + acc
+        bits = p + 24
+        # the route estimates run on floats; clamp x into their range
+        if _e1_uses_series(min(max(float(xx), 1e-300), 1e100), bits):
+            v = _e1_series(xx, bits)
         else:
-            # modified Lentz on E1(x) = e^-x / (x + 1/(1 + 1/(x + 2/(1 + ...))))
-            tiny = mp.mpf(2) ** (-(p + 64))
-            eps = mp.mpf(2) ** (-(p + 16))
-            b = xx + 1
-            c = 1 / tiny
-            d = 1 / b
-            h = d
-            i = 1
-            while True:
-                a = -mp.mpf(i) ** 2
-                b += 2
-                d = 1 / (a * d + b)
-                c = b + a / c
-                delta = c * d
-                h *= delta
-                if abs(delta - 1) < eps:
-                    break
-                i += 1
-                if i > 10 ** 6:
-                    raise ValueError("E1 continued fraction failed to converge")
-            v = h * mp.exp(-xx)
+            v = _e1_fraction(xx, bits) * mp.exp(-xx)
     with mp.workprec(p):
         return +v
 

@@ -173,6 +173,18 @@ class TestFrozenReport:
         assert (code, err) == (0, "")
         assert out == expected
 
+    @pytest.mark.parametrize("quantity", ["mRk 16", "L f 4", "zeta 3", "catalan", "L h 3"])
+    def test_headline_300_digits_is_byte_identical(self, capsys, tmp_path, monkeypatch, quantity):
+        # tests/data/headline_300.json holds each command's stdout as the mpf
+        # E1 and AGM loops wrote it; the int kernels must reproduce every byte
+        expected = json.loads((Path(__file__).parent / "data" / "headline_300.json").read_text())
+        monkeypatch.chdir(tmp_path)  # no mahlerlab.cfg
+        code, out, err = run_cli(
+            capsys, "compute", *quantity.split(), "--digits", "300", "--format", "json",
+        )
+        assert (code, err) == (0, "")
+        assert out == expected[quantity]
+
 
 class TestCompute:
     def test_zeta_three_thirty_digits(self, capsys):

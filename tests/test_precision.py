@@ -159,6 +159,19 @@ class TestFixedPoint:
             assert to_fixed(x, w) == mp.floor(x * mp.mpf(2) ** w)
             assert to_fixed(-x, 100) == -to_fixed(x, 100) - 1  # floor, not truncation
 
+    def test_from_fixed_exact_or_rounded_once(self):
+        # without prec the conversion is exact; with it, one rounding to
+        # prec bits whatever the ambient precision
+        v = 3 ** 200 + 1
+        with mp.workprec(400):
+            exact = from_fixed(v, 300)
+            assert exact * mp.mpf(2) ** 300 == v
+        for prec in (53, 96, 160):
+            with mp.workprec(prec):
+                want = +exact
+                assert -from_fixed(-v, 300, prec) == want
+            assert from_fixed(v, 300, prec) == want
+
     def test_ratio_rounds_once(self):
         with mp.workprec(80):
             assert precision.fixed_ratio(1, 3) == mp.mpf(1) / 3

@@ -6,8 +6,10 @@ from hypothesis import given, settings, strategies as st
 from mpmath import mp
 import scipy.special
 
+from mahlerlab.modular import NEWFORM_F, NEWFORM_H, _term_count
 from mahlerlab.special import (
     PFQSpec,
+    _e1_uses_series,
     agm,
     catalan,
     ell_k,
@@ -20,6 +22,80 @@ from mahlerlab.special import (
     zeta_int,
     zeta_prime_minus2,
 )
+
+
+# The mpf loops the int kernels replaced, kept as oracles: the kernels must
+# round to the same values.
+
+
+def _agm_mpf(a, b, precision):
+    with mp.workprec(precision + 16):
+        x = mp.mpf(a)
+        y = mp.mpf(b)
+        eps = mp.mpf(2) ** (-(precision + 8))
+        while abs(x - y) > eps * abs(x):
+            x, y = (x + y) / 2, mp.sqrt(x * y)
+    with mp.workprec(precision):
+        return +x
+
+
+def _e1_mpf(x, precision):
+    # series below 4, modified Lentz on the continued fraction above
+    p = precision
+    with mp.workprec(p + 32):
+        xx = mp.mpf(x)
+        if xx <= 4:
+            eps = mp.mpf(2) ** (-(p + 24))
+            acc = mp.mpf(0)
+            t = mp.mpf(1)
+            n = 1
+            while True:
+                t *= xx / n
+                term = t / n
+                acc += term if n % 2 else -term
+                if t < eps:
+                    break
+                n += 1
+            v = -mp.euler - mp.log(xx) + acc
+        else:
+            tiny = mp.mpf(2) ** (-(p + 64))
+            eps = mp.mpf(2) ** (-(p + 16))
+            b = xx + 1
+            c = 1 / tiny
+            d = 1 / b
+            h = d
+            i = 1
+            while True:
+                a = -mp.mpf(i) ** 2
+                b += 2
+                d = 1 / (a * d + b)
+                c = b + a / c
+                delta = c * d
+                h *= delta
+                if abs(delta - 1) < eps:
+                    break
+                i += 1
+            v = h * mp.exp(-xx)
+    with mp.workprec(p):
+        return +v
+
+
+def _close_to(value, ref, precision):
+    """value is ref rounded to precision bits, up to 2^-8 of an ulp's slack."""
+    return abs(value - ref) <= abs(ref) * mp.mpf(2) ** -precision * (1 + mp.mpf(2) ** -8)
+
+
+def _mellin_nodes(precision):
+    """Every x = 2 pi n / sqrt(level) at which l_value evaluates E1 for f and
+    h with work = precision bits, formed as _g_split forms it."""
+    nodes = []
+    with mp.workprec(precision):
+        for spec in (NEWFORM_F, NEWFORM_H):
+            n_terms = _term_count(spec.level, spec.weight, precision)
+            spec.ensure(n_terms)
+            u0 = 1 / mp.sqrt(spec.level)
+            nodes += [2 * mp.pi * n * u0 for n in range(1, n_terms + 1) if spec._coeffs[n]]
+    return nodes
 
 
 class TestAgm:
@@ -61,6 +137,35 @@ class TestAgm:
         with mp.workprec(128):
             v = agm(1, mp.mpf(2) ** -40, precision=128)
             assert 0 < v < 1
+
+    @pytest.mark.parametrize("precision", [64, 128])
+    def test_tiny_argument_vs_mpmath(self, precision):
+        # tanh-sinh nodes push k to within 2^-p of 0: the int loop must keep
+        # the small argument's bits all the way to 2^-2p
+        for e in range(0, 2 * precision + 1):
+            with mp.workprec(precision + 64):
+                ref = mp.agm(1, mp.mpf(2) ** -e)
+            assert _close_to(agm(1, mp.mpf(2) ** -e, precision=precision), ref, precision), e
+
+    def test_scale_is_exact(self):
+        # both arguments scaled by 2^s: the kernel's own normalisation must
+        # give back exactly 2^s times the mean
+        with mp.workprec(128):
+            a, b = mp.mpf("0.37"), mp.mpf("2.91")
+            base = agm(a, b, precision=128)
+            for s in (-300, -64, -1, 1, 64, 300):
+                assert agm(mp.ldexp(a, s), mp.ldexp(b, s), precision=128) == mp.ldexp(base, s)
+
+    def test_matches_mpf_route(self):
+        # the int loop rounds to the same p-bit values as the mpf loop it
+        # replaced, on moduli spread from 1 down to ~2^-120
+        import random
+
+        rng = random.Random(20261018)
+        for _ in range(200):
+            with mp.workprec(136):
+                k = mp.mpf(rng.random()) ** rng.randint(1, 40)
+            assert agm(1, k, precision=136) == _agm_mpf(1, k, 136)
 
 
 class TestEllipticK:
@@ -382,13 +487,59 @@ class TestExpIntegral:
                 assert abs(exp_integral_e1(xx, 192) - mp.e1(xx)) < mp.mpf(2) ** -185
 
     def test_crossover_consistency(self):
-        # series route just below 4, continued fraction just above: both must
-        # agree to the derivative-gap level
-        with mp.workprec(160):
-            h = mp.mpf(2) ** -60
-            lo = exp_integral_e1(4 - h, 160)
-            hi = exp_integral_e1(4 + h, 160)
-            assert abs(lo - hi) < mp.mpf(10) ** -17
+        # the route switch at 160 bits: lo takes the series and hi, the next
+        # float up, the continued fraction.  Their E1 values must differ by
+        # the integral of e^-t / t between them (midpoint rule, off by
+        # under 2^-148 relative), to within the two roundings.
+        bits = 160 + 24
+        lo, hi = 1.0, 1000.0
+        assert _e1_uses_series(lo, bits) and not _e1_uses_series(hi, bits)
+        while math.nextafter(lo, hi) < hi:
+            mid = (lo + hi) / 2
+            lo, hi = (mid, hi) if _e1_uses_series(mid, bits) else (lo, mid)
+        with mp.workprec(192):
+            below = exp_integral_e1(lo, 160)
+            above = exp_integral_e1(hi, 160)
+            m = (mp.mpf(lo) + hi) / 2
+            gap = (mp.mpf(hi) - lo) * mp.exp(-m) / m
+            assert abs(below - above - gap) < below * mp.mpf(2) ** -140
+            for x, v in ((lo, below), (hi, above)):
+                assert _close_to(v, mp.e1(x), 160), x
+
+    @pytest.mark.parametrize("precision", [64, 96, 192])
+    def test_mellin_nodes(self, precision):
+        # every E1 argument of L(f,s) and L(h,s) at this precision, against
+        # mpmath 64 bits higher and bit for bit against the mpf route
+        for x in _mellin_nodes(precision):
+            v = exp_integral_e1(x, precision)
+            with mp.workprec(precision + 64):
+                assert _close_to(v, mp.e1(x), precision), x
+            assert v == _e1_mpf(x, precision), x
+
+    def test_mellin_nodes_headline_precision(self):
+        # L(f,4) at 300 digits runs E1 at 1103 bits
+        nodes = _mellin_nodes(1103)
+        for x in nodes:
+            with mp.workprec(1103 + 64):
+                assert _close_to(exp_integral_e1(x, 1103), mp.e1(x), 1103), x
+        for x in nodes[::8]:
+            assert exp_integral_e1(x, 1103) == _e1_mpf(x, 1103), x
+
+    def test_both_routes_at_high_precision(self):
+        # x on both sides of the 1103-bit switch, against mpmath
+        for x in ("0.001", "2.5", "40", "100", "130", "600"):
+            with mp.workprec(1103 + 64):
+                xx = mp.mpf(x)
+                assert _close_to(exp_integral_e1(xx, 1103), mp.e1(xx), 1103), x
+        assert _e1_uses_series(100.0, 1103 + 24) and not _e1_uses_series(130.0, 1103 + 24)
+
+    def test_extreme_arguments(self):
+        # outside the float range of the route estimates; powers of two, so
+        # that rounding x to the working precision does not move E1(x)
+        for e in (-1330, 1330):
+            with mp.workprec(192):
+                xx = mp.ldexp(1, e)
+                assert _close_to(exp_integral_e1(xx, 128), mp.e1(xx), 128), e
 
     def test_domain(self):
         with pytest.raises(ValueError):
