@@ -13,7 +13,14 @@ derivative), so their agreement to dozens of digits is the whole point.
 
 A seeded lattice-QMC estimate of the defining 4-dimensional torus integral
 is appended as a sanity anchor at Monte Carlo accuracy.
+
+The script exits 1 when two routes differ by more than 1e-40, or when the
+anchor misses the series value by more than max(5e-3, 6 sigma), the
+statistical checks' tolerance; so a wrong headline fails wherever the demo
+runs.
 """
+
+import sys
 
 from mpmath import mp
 
@@ -30,9 +37,10 @@ from mahlerlab.special import zeta_prime_minus2
 
 PRECISION = 160
 DIGITS = 42
+ROUTE_GAP = mp.mpf("1e-40")
 
 
-def main() -> None:
+def main() -> int:
     with mp.workprec(PRECISION):
         series = m_rk_hypergeometric(16, target_abs_error=mp.mpf("1e-40"),
                                      precision=PRECISION)
@@ -50,10 +58,14 @@ def main() -> None:
         print("  L(f,4) route   %s" % mp.nstr(l_route, DIGITS))
         print("  L'(f,0) route  %s" % mp.nstr(lprime_route, DIGITS))
         print()
+        gaps = {
+            "|series - L(f,4)| ": abs(series - l_route),
+            "|series - L'(f,0)|": abs(series - lprime_route),
+            "|L(f,4) - L'(f,0)|": abs(l_route - lprime_route),
+        }
         print("pairwise disagreement:")
-        print("  |series - L(f,4)|  = %s" % mp.nstr(abs(series - l_route), 3))
-        print("  |series - L'(f,0)| = %s" % mp.nstr(abs(series - lprime_route), 3))
-        print("  |L(f,4) - L'(f,0)| = %s" % mp.nstr(abs(l_route - lprime_route), 3))
+        for label, gap in gaps.items():
+            print("  %s = %s" % (label, mp.nstr(gap, 3)))
 
     qmc = mahler_numeric(builtin_descriptor("r16"), samples=1 << 18, seed=[2024, 0])
     err = abs(mp.mpf(qmc.value) - series)
@@ -62,6 +74,13 @@ def main() -> None:
     print("  estimate %s  sigma %s  |error| %s"
           % (mp.nstr(qmc.value, 10), mp.nstr(qmc.error_estimate, 3), mp.nstr(err, 3)))
 
+    failures = [label for label, gap in gaps.items() if gap > ROUTE_GAP]
+    if err > max(5e-3, 6 * qmc.error_estimate):
+        failures.append("torus QMC anchor")
+    for label in failures:
+        print("FAILED: %s beyond its bound" % label.strip(), file=sys.stderr)
+    return 1 if failures else 0
+
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -26,6 +26,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass, replace
@@ -43,6 +44,7 @@ from .mahler import (
     parse_descriptor,
 )
 from .modular import NEWFORM_F, NEWFORM_H, l_value, newform_coefficient
+from .precision import ResourceLimitError
 from .registry import UnknownCheckError
 from .special import catalan, ell_k, zeta_int
 
@@ -120,21 +122,12 @@ class RunConfig:
     digits: int = 30
 
     def validate(self) -> "RunConfig":
-        if not 32 <= self.precision <= 4096:
-            raise UsageError(
-                f"precision must lie in [32, 4096], got {self.precision}"
-            )
         if not 0 <= self.seed < 1 << 64:
             raise UsageError(f"seed must be a 64-bit integer, got {self.seed}")
-        if self.qmc_samples < 1 << 10 or self.qmc_samples & (self.qmc_samples - 1):
-            raise UsageError(
-                f"samples must be a power of two >= 1024, got {self.qmc_samples}"
-            )
-        bad = set(self.filter) - set(registry.KINDS)
-        if bad:
-            raise UsageError(
-                f"unknown filter tags {sorted(bad)}; valid: {', '.join(registry.KINDS)}"
-            )
+        try:
+            registry.validate_run_args(self.precision, self.qmc_samples, self.filter)
+        except ValueError as exc:
+            raise UsageError(str(exc)) from None
         if self.output_format not in _FORMATS:
             raise UsageError(
                 f"unknown format {self.output_format!r}; valid: {', '.join(_FORMATS)}"
@@ -216,51 +209,35 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
 # Value formatting
 
 
-def _is_rational(value) -> bool:
-    return isinstance(value, (int, Fraction))
+def _render(value, digits: int, width: int) -> Optional[str]:
+    """value to digits significant digits, or exactly when it is rational
+    and width allows: zero always, any other int whenever width > 0, p/q
+    while it fits in width characters.  None stays None."""
+    if value is None:
+        return None
+    if isinstance(value, (int, Fraction)):
+        frac = Fraction(value)
+        if not frac or (width and frac.denominator == 1):
+            return str(frac.numerator)
+        text = f"{frac.numerator}/{frac.denominator}"
+        if len(text) <= width:
+            return text
+        with mp.workprec(4 * _MACHINE_DIGITS):
+            value = mp.mpf(frac.numerator) / mp.mpf(frac.denominator)
+    return mp.nstr(value, digits)
 
 
 def _machine_value(value) -> Optional[str]:
     """Deterministic decimal rendering for json/csv fields."""
-    if value is None:
-        return None
-    if _is_rational(value):
-        frac = Fraction(value)
-        if frac.denominator == 1:
-            return str(frac.numerator)
-        text = f"{frac.numerator}/{frac.denominator}"
-        if len(text) <= 64:
-            return text
-        return mp.nstr(_frac_to_mpf(frac), _MACHINE_DIGITS)
-    return mp.nstr(value, _MACHINE_DIGITS)
-
-
-def _frac_to_mpf(frac: Fraction):
-    with mp.workprec(4 * _MACHINE_DIGITS):
-        return mp.mpf(frac.numerator) / mp.mpf(frac.denominator)
+    return _render(value, _MACHINE_DIGITS, 64)
 
 
 def _text_value(value, digits: int) -> str:
-    if value is None:
-        return "-"
-    if _is_rational(value):
-        frac = Fraction(value)
-        if frac.denominator == 1:
-            return str(frac.numerator)
-        if len(f"{frac.numerator}/{frac.denominator}") <= 32:
-            return f"{frac.numerator}/{frac.denominator}"
-        return mp.nstr(_frac_to_mpf(frac), digits)
-    return mp.nstr(value, digits)
+    return _render(value, digits, 32) or "-"
 
 
 def _sci_value(value) -> str:
-    if value is None:
-        return "-"
-    if _is_rational(value):
-        if value == 0:
-            return "0"
-        return mp.nstr(_frac_to_mpf(Fraction(value)), 3)
-    return mp.nstr(value, 3)
+    return _render(value, 3, 0) or "-"
 
 
 def _fixed_decimal(value, places: int) -> str:
@@ -382,13 +359,7 @@ def cmd_verify(args: argparse.Namespace, out=None) -> int:
 # compute
 
 
-def _compute_work(config: RunConfig, digits: int) -> int:
-    return max(config.precision, int(3.33 * digits) + 48)
-
-
 def _quantity_l(tokens: Sequence[str], work: int, config: RunConfig):
-    if len(tokens) != 2:
-        raise UsageError("usage: compute L <f|h> <s>")
     forms = {"f": NEWFORM_F, "h": NEWFORM_H}
     if tokens[0] not in forms:
         raise UsageError(f"unknown form {tokens[0]!r}; valid: f, h")
@@ -401,8 +372,6 @@ def _quantity_l(tokens: Sequence[str], work: int, config: RunConfig):
 
 
 def _quantity_zeta(tokens: Sequence[str], work: int, config: RunConfig):
-    if len(tokens) != 1:
-        raise UsageError("usage: compute zeta <s>")
     s = _parse_int(tokens[0], "s")
     if s < 2:
         raise UsageError(f"zeta needs integer s >= 2, got {s}")
@@ -410,14 +379,10 @@ def _quantity_zeta(tokens: Sequence[str], work: int, config: RunConfig):
 
 
 def _quantity_catalan(tokens: Sequence[str], work: int, config: RunConfig):
-    if tokens:
-        raise UsageError("usage: compute catalan")
     return catalan(work), "levin-accelerated series", mp.mpf(2) ** (8 - work)
 
 
 def _quantity_k(tokens: Sequence[str], work: int, config: RunConfig):
-    if len(tokens) != 1:
-        raise UsageError("usage: compute K <k>")
     with mp.workprec(work):
         try:
             k = mp.mpf(tokens[0])
@@ -435,14 +400,15 @@ def _parse_k_token(token: str):
     except ValueError:
         pass
     try:
-        return float(token)
+        k = float(token)
     except ValueError:
         raise UsageError(f"k must be a number, got {token!r}") from None
+    if not math.isfinite(k):
+        raise UsageError(f"k must be a finite number, got {token!r}")
+    return k
 
 
 def _quantity_mrk(tokens: Sequence[str], work: int, config: RunConfig):
-    if len(tokens) != 1:
-        raise UsageError("usage: compute mRk <k>")
     k = _parse_k_token(tokens[0])
     with mp.workprec(work + 16):
         target = mp.mpf(10) ** (-(config.digits + 4))
@@ -454,8 +420,6 @@ def _quantity_mrk(tokens: Sequence[str], work: int, config: RunConfig):
 
 
 def _quantity_mahler(tokens: Sequence[str], work: int, config: RunConfig):
-    if len(tokens) != 1:
-        raise UsageError("usage: compute mahler <descriptor>")
     name = tokens[0]
     try:
         if os.path.isfile(name):
@@ -476,24 +440,26 @@ def _quantity_mahler(tokens: Sequence[str], work: int, config: RunConfig):
 
 
 def _quantity_ap(tokens: Sequence[str], work: int, config: RunConfig):
-    if len(tokens) != 1:
-        raise UsageError("usage: compute ap <n>")
     n = _parse_int(tokens[0], "n")
     if n < 1:
         raise UsageError(f"n must be >= 1, got {n}")
-    return newform_coefficient(NEWFORM_F, n), "q-expansion", 0
+    try:
+        return newform_coefficient(NEWFORM_F, n), "q-expansion", 0
+    except ResourceLimitError as exc:
+        raise UsageError(str(exc)) from None
 
 
-# quantity -> handler(tokens, work bits, config) returning (value, route,
-# error estimate); the order is the one usage errors list.
+# quantity -> (handler(tokens, work bits, config) returning (value, route,
+# error estimate), usage with one word per token); the order is the one
+# usage errors list.
 _QUANTITIES = {
-    "L": _quantity_l,
-    "zeta": _quantity_zeta,
-    "catalan": _quantity_catalan,
-    "K": _quantity_k,
-    "mahler": _quantity_mahler,
-    "mRk": _quantity_mrk,
-    "ap": _quantity_ap,
+    "L": (_quantity_l, "<f|h> <s>"),
+    "zeta": (_quantity_zeta, "<s>"),
+    "catalan": (_quantity_catalan, ""),
+    "K": (_quantity_k, "<k>"),
+    "mahler": (_quantity_mahler, "<descriptor>"),
+    "mRk": (_quantity_mrk, "<k>"),
+    "ap": (_quantity_ap, "<n>"),
 }
 
 
@@ -501,12 +467,15 @@ def cmd_compute(args: argparse.Namespace, out=None) -> int:
     out = sys.stdout if out is None else out
     config = resolve_config(args)
     digits = config.digits
-    work = _compute_work(config, digits)
+    work = max(config.precision, int(3.33 * digits) + 48)
     tokens = list(args.quantity)
     head = tokens[0]
     if head not in _QUANTITIES:
         raise UsageError(f"unknown quantity {head!r}; valid: {', '.join(_QUANTITIES)}")
-    value, route, err = _QUANTITIES[head](tokens[1:], work, config)
+    handler, usage = _QUANTITIES[head]
+    if len(tokens) - 1 != len(usage.split()):
+        raise UsageError(f"usage: compute {head} {usage}".rstrip())
+    value, route, err = handler(tokens[1:], work, config)
 
     if isinstance(value, int):
         rendered = str(value)

@@ -416,14 +416,12 @@ def r_alpha(
     if route not in _R_ROUTES:
         raise ValueError(f"route must be one of {_R_ROUTES}, got {route!r}")
     base = _base(precision)
+    if route != "torus":
+        a = _check_alpha_unit(alpha, f"the {route} route")
     if route == "polylog":
-        a = _check_alpha_unit(alpha, "the polylog route")
         with mp.workprec(base + 16):
             return 4 / mp.pi ** 2 * legendre_chi3(a, precision=base + 8)
     if route == "k-integral":
-        a = mp.mpf(alpha)
-        if not 0 <= a <= 1:
-            raise ValueError(f"the k-integral route needs 0 <= alpha <= 1, got {alpha}")
         with mp.workprec(base + 24):
             if a == 0:
                 return mp.mpf(0)
@@ -458,24 +456,8 @@ def r_alpha(
 _FOURIER_IDS = ("3.8", "3.9", "3.10")
 
 
-def _normalize_fourier_id(which) -> str:
-    if isinstance(which, str):
-        key = which.strip()
-    else:
-        x = float(which)
-        for candidate in _FOURIER_IDS:
-            if abs(x - float(candidate)) < 1e-9:
-                key = candidate
-                break
-        else:
-            key = repr(which)
-    if key not in _FOURIER_IDS:
-        raise ValueError(f"which must be one of {_FOURIER_IDS}, got {which!r}")
-    return key
-
-
-def _fourier_tail_bound(key: str, theta, n_terms: int):
-    """Rigorous bound on the dropped tail, of order 1/N.
+def _fourier_tail_bound(key: str, theta, n_terms: int, a_n):
+    """Rigorous bound on the dropped tail, of order 1/N, given a_N.
 
     For the two K expansions the coefficients a_n decrease to zero and the
     partial sums of sin((4n+c)t) or cos((4n+c)t) are bounded by
@@ -484,23 +466,21 @@ def _fourier_tail_bound(key: str, theta, n_terms: int):
     For the measure expansion the tail is absolutely summable:
     sum_{n>=N} a_n/(4n) <= sum 1/(4 pi n^2) <= 1/(4 pi (N-1)).
     """
-    n = n_terms
     if key == "3.10":
-        return 1 / (2 * mp.pi * (n - 1))
-    a_n = mp.mpf(1)
-    for j in range(n):
-        a_n *= mp.mpf((2 * j + 1) ** 2) / (4 * (j + 1) ** 2)
+        return 1 / (2 * mp.pi * (n_terms - 1))
     return 2 * (mp.pi / 2) * a_n / abs(mp.sin(2 * theta))
 
 
-def fourier_check(which, theta, terms: int, precision: Optional[int] = None):
+def fourier_check(which: str, theta, terms: int, precision: Optional[int] = None):
     """Absolute deviation between a truncated expansion and its closed form.
 
-    terms is the number of retained n values.  The deviation is checked
-    against the explicit tail bound before being returned; exceeding the
-    bound means the expansion itself is wrong and raises ArithmeticError.
+    which is one of "3.8", "3.9", "3.10"; terms is the number of retained n
+    values.  The deviation is checked against the explicit tail bound
+    before being returned; exceeding the bound means the expansion itself
+    is wrong and raises ArithmeticError.
     """
-    key = _normalize_fourier_id(which)
+    if which not in _FOURIER_IDS:
+        raise ValueError(f"which must be one of {_FOURIER_IDS}, got {which!r}")
     if terms < 8:
         raise ValueError(f"terms must be >= 8, got {terms}")
     base = _base(precision)
@@ -512,32 +492,32 @@ def fourier_check(which, theta, terms: int, precision: Optional[int] = None):
         a_n = mp.mpf(1)
         series = mp.mpf(0)
         for n in range(terms):
-            if key == "3.8":
+            if which == "3.8":
                 series += a_n * (mp.sin(4 * n * t) + mp.sin((4 * n + 2) * t))
-            elif key == "3.9":
+            elif which == "3.9":
                 series += a_n * (mp.cos(4 * n * t) + mp.cos((4 * n + 2) * t))
             else:
                 if n >= 1:
                     series -= a_n * mp.cos(4 * n * t) / (4 * n)
                 series -= a_n * mp.cos((4 * n + 2) * t) / (4 * n + 2)
             a_n *= mp.mpf((2 * n + 1) ** 2) / (4 * (n + 1) ** 2)
-        if key in ("3.8", "3.9"):
+        if which in ("3.8", "3.9"):
             series *= mp.pi / 2
         else:
             series += mp.log(2)
 
-        if key == "3.8":
+        if which == "3.8":
             direct = ell_kprime(mp.cos(t)) * mp.cos(t)
-        elif key == "3.9":
+        elif which == "3.9":
             direct = ell_kprime(mp.sin(t)) * mp.cos(t)
         else:
             direct = m_alpha(mp.sin(t), route="integral", precision=base + 16)
 
         deviation = abs(series - direct)
-        bound = _fourier_tail_bound(key, t, terms)
+        bound = _fourier_tail_bound(which, t, terms, a_n)
         if deviation > bound * mp.mpf("1.000001") + mp.mpf(2) ** (-base + 8):
             raise ArithmeticError(
-                f"expansion {key} deviates by {mp.nstr(deviation, 8)} at theta = "
+                f"expansion {which} deviates by {mp.nstr(deviation, 8)} at theta = "
                 f"{mp.nstr(t, 8)}, beyond its tail bound {mp.nstr(bound, 8)}"
             )
         return deviation

@@ -83,14 +83,6 @@ class QSeries:
     def __getitem__(self, i: int) -> int:
         return self.coeffs[i] if 0 <= i <= self.order else 0
 
-    def __add__(self, other: "QSeries") -> "QSeries":
-        n = min(self.order, other.order)
-        return QSeries(tuple(self[i] + other[i] for i in range(n + 1)), n)
-
-    def __sub__(self, other: "QSeries") -> "QSeries":
-        n = min(self.order, other.order)
-        return QSeries(tuple(self[i] - other[i] for i in range(n + 1)), n)
-
     def __mul__(self, other: "QSeries") -> "QSeries":
         n = min(self.order, other.order)
         out = [0] * (n + 1)

@@ -90,6 +90,7 @@ __all__ = [
     "run_check",
     "run_all",
     "summarize",
+    "validate_run_args",
 ]
 
 KINDS = ("exact", "high-precision", "statistical")
@@ -141,7 +142,6 @@ class RunContext:
     effective: int
     seed: int
     samples: int
-    shifts: int
 
     def rng_seed(self) -> List[int]:
         """Per-check QMC seed: the run seed joined with a stable hash of the
@@ -283,7 +283,7 @@ def _quartic_series(coef: Callable[[int], Fraction], e: int, start: int = 0):
     return result.value, len(partials)
 
 
-def _swapped_double_sum(e: int):
+def _plan_swap_sum(ctx: RunContext) -> PlanResult:
     """2 sum_n S_n/(2n+1)^2 with S_n the exact partial sums of
     sum (4k+1) 2^(-8k) C(2k,k)^4 = 8/pi^2 (so S_n -> (4/pi^2) log n
     divergence never enters: summation by parts turns the double sum into
@@ -293,8 +293,8 @@ def _swapped_double_sum(e: int):
     The rearrangement is legitimate: every t_j is positive and the inner
     tail factors are bounded, so absolute convergence carries over.
     """
-    n_terms = _series_terms(e)
-    work = e + 64
+    n_terms = _series_terms(ctx.effective)
+    work = ctx.effective + 64
     s = ramanujan_partial_sums(n_terms)
     with mp.workprec(work):
         pi2_8 = mp.pi ** 2 / 8
@@ -309,7 +309,7 @@ def _swapped_double_sum(e: int):
         result = accelerate(partials, precision=work)
     if result.low_confidence:
         raise NoConvergence("double-sum acceleration lost confidence")
-    return result.value, n_terms
+    return PlanResult((result.value,), n_terms)
 
 
 def _series_plan(coef: Callable[[int], Fraction], start: int = 0, outer=None) -> Plan:
@@ -337,11 +337,6 @@ def _plan_6f5_series(ctx: RunContext) -> PlanResult:
     with mp.workprec(e + 48):
         value = pfq(spec, target_abs_error=_hp_tolerance(e) / 8, precision=e + 48)
     return PlanResult((value,), 0)
-
-
-def _plan_swap_sum(ctx: RunContext) -> PlanResult:
-    value, n = _swapped_double_sum(ctx.effective)
-    return PlanResult((value,), n)
 
 
 # ---------------------------------------------------------------------------
@@ -407,14 +402,14 @@ def _wz_triples(n_max: int) -> Tuple[Tuple[Fraction, Fraction, Fraction], ...]:
     return tuple(identity_rows(n_max))
 
 
-def _plan_wz_triple_lhs(ctx: RunContext) -> PlanResult:
-    values = [s for s1, _, _ in _wz_triples(_WZ_RANGE) for s in (s1, s1)]
-    return PlanResult(tuple(values), 2 * (_WZ_RANGE + 1))
+def _plan_wz_triples(pick) -> Plan:
+    """The pair pick(s1, s2, s3) of every row of the shared sweep."""
 
+    def plan(ctx: RunContext) -> PlanResult:
+        values = [s for row in _wz_triples(_WZ_RANGE) for s in pick(*row)]
+        return PlanResult(tuple(values), 2 * (_WZ_RANGE + 1))
 
-def _plan_wz_triple_rhs(ctx: RunContext) -> PlanResult:
-    values = [s for _, s2, s3 in _wz_triples(_WZ_RANGE) for s in (s2, s3)]
-    return PlanResult(tuple(values), 2 * (_WZ_RANGE + 1))
+    return plan
 
 
 def _plan_ff_counts(ctx: RunContext) -> PlanResult:
@@ -427,19 +422,14 @@ def _plan_ff_counts(ctx: RunContext) -> PlanResult:
     return PlanResult((Fraction(worst),), evaluations)
 
 
-def _plan_ao_lhs(ctx: RunContext) -> PlanResult:
-    return PlanResult(
-        tuple(p ** 3 * greene_nfn(p, 3, 1) for p in _FF_PRIMES), len(_FF_PRIMES)
-    )
+def _prime_plan(value) -> Plan:
+    """value(p) for each p in _FF_PRIMES; value is a lambda naming module
+    globals, so the call sees any rebinding of them."""
 
+    def plan(ctx: RunContext) -> PlanResult:
+        return PlanResult(tuple(value(p) for p in _FF_PRIMES), len(_FF_PRIMES))
 
-def _plan_ao_rhs(ctx: RunContext) -> PlanResult:
-    return PlanResult(
-        tuple(
-            Fraction(-newform_coefficient(NEWFORM_F, p) - p) for p in _FF_PRIMES
-        ),
-        len(_FF_PRIMES),
-    )
+    return plan
 
 
 def _plan_qexp_ramanujan(ctx: RunContext) -> PlanResult:
@@ -521,14 +511,6 @@ def _plan_fourier(key: str, theta_num: int, theta_den: int) -> Plan:
     return plan
 
 
-def _plan_lambda(spec) -> Plan:
-    def plan(ctx: RunContext) -> PlanResult:
-        asymmetry = fricke_check(spec, precision=ctx.effective)
-        return PlanResult((asymmetry,), 0)
-
-    return plan
-
-
 # ---------------------------------------------------------------------------
 # Statistical plans
 
@@ -538,7 +520,7 @@ def _plan_qmc(name: str) -> Plan:
         result = mahler_numeric(
             builtin_descriptor(name),
             samples=ctx.samples,
-            shifts=ctx.shifts,
+            shifts=DEFAULT_SHIFTS,
             seed=ctx.rng_seed(),
         )
         return PlanResult(
@@ -617,8 +599,8 @@ def _build_registry() -> Dict[str, IdentityCheck]:
             "= sum_{k<=n} 2^(-4k) C(2k,k)^2/(n+k+1) "
             "= 2^(4n)/((2n+1)^2 C(2n,n)^2) sum_{k<=n} (4k+1) 2^(-8k) C(2k,k)^4 "
             "exactly for every n <= 500",
-            _plan_wz_triple_lhs,
-            _plan_wz_triple_rhs,
+            _plan_wz_triples(lambda s1, s2, s3: (s1, s1)),
+            _plan_wz_triples(lambda s1, s2, s3: (s2, s3)),
         ),
         _check(
             "exact", "ff-4.1",
@@ -634,8 +616,8 @@ def _build_registry() -> Dict[str, IdentityCheck]:
             "p^3 4F3(1) = -a_p - p for p in {3,5,7,11,13}, with 4F3 the "
             "finite-field hypergeometric sum (all upper phi, all lower eps) "
             "and a_p the p-th coefficient of eta(2t)^4 eta(4t)^4",
-            _plan_ao_lhs,
-            _plan_ao_rhs,
+            _prime_plan(lambda p: p ** 3 * greene_nfn(p, 3, 1)),
+            _prime_plan(lambda p: Fraction(-newform_coefficient(NEWFORM_F, p) - p)),
         ),
         _check(
             "exact", "qexp-ramanujan",
@@ -824,7 +806,7 @@ def _build_registry() -> Dict[str, IdentityCheck]:
             "Lambda(s) = (sqrt(8)/(2 pi))^s Gamma(s) L(f,s) satisfies "
             "Lambda(s) = Lambda(4-s) on a probe grid, measured without "
             "assuming the functional equation; largest asymmetry vs 0",
-            _plan_lambda(NEWFORM_F),
+            _const_plan(lambda w: fricke_check(NEWFORM_F, precision=w), guard=0),
             cap=_CAP_LAMBDA,
             rule="fricke",
         ),
@@ -833,7 +815,7 @@ def _build_registry() -> Dict[str, IdentityCheck]:
             "Lambda(s) = (4/pi)^s Gamma(s) L(h,s) satisfies "
             "Lambda(s) = Lambda(3-s) on a probe grid for the weight-3 "
             "level-16 form h = eta(4t)^6; largest asymmetry vs 0",
-            _plan_lambda(NEWFORM_H),
+            _const_plan(lambda w: fricke_check(NEWFORM_H, precision=w), guard=0),
             cap=_CAP_LAMBDA,
             rule="fricke",
         ),
@@ -885,8 +867,6 @@ def _build_registry() -> Dict[str, IdentityCheck]:
     for check in checks:
         if check.id in registry:
             raise ValueError(f"duplicate check id {check.id}")
-        if check.kind not in KINDS:
-            raise ValueError(f"bad kind {check.kind} for {check.id}")
         registry[check.id] = check
     return registry
 
@@ -916,13 +896,18 @@ _PLAN_FAILURES = (
 )
 
 
-def _validate_run_args(precision: int, samples: int, shifts: int) -> None:
+def validate_run_args(precision: int, samples: int, tags: Iterable[str] = ()) -> None:
+    """Raise ValueError for a precision, sample count or kind tag that no
+    run accepts; the CLI reports the same messages as usage errors."""
     if not 32 <= precision <= 4096:
         raise ValueError(f"precision must lie in [32, 4096], got {precision}")
     if samples < 1 << 10 or samples & (samples - 1):
         raise ValueError(f"samples must be a power of two >= 1024, got {samples}")
-    if shifts < 8:
-        raise ValueError(f"shifts must be >= 8, got {shifts}")
+    unknown = set(tags) - set(KINDS)
+    if unknown:
+        raise ValueError(
+            f"unknown filter tags {sorted(unknown)}; valid: {', '.join(KINDS)}"
+        )
 
 
 def run_check(
@@ -931,7 +916,6 @@ def run_check(
     *,
     seed: int = DEFAULT_SEED,
     samples: int = DEFAULT_SAMPLES,
-    shifts: int = DEFAULT_SHIFTS,
 ) -> CheckResult:
     """Execute both plans of one check and score the deviation.
 
@@ -942,13 +926,12 @@ def run_check(
     an exception; only an unknown id or invalid arguments raise.
     """
     check = get_check(check_id)
-    _validate_run_args(precision, samples, shifts)
+    validate_run_args(precision, samples)
     ctx = RunContext(
         check_id=check_id,
         effective=check.effective_precision(precision),
         seed=seed,
         samples=samples,
-        shifts=shifts,
     )
     start = time.perf_counter()
     note = ""
@@ -1021,21 +1004,16 @@ def run_all(
     *,
     seed: int = DEFAULT_SEED,
     samples: int = DEFAULT_SAMPLES,
-    shifts: int = DEFAULT_SHIFTS,
 ) -> List[CheckResult]:
     """Run every check whose kind is in tags (all kinds when tags is None),
-    in registry order.  Unknown tags raise before any check runs."""
+    in registry order.  Invalid arguments raise before any check runs."""
     if tags is None:
         wanted = set(KINDS)
     else:
         wanted = {tags} if isinstance(tags, str) else set(tags)
-        unknown = wanted - set(KINDS)
-        if unknown:
-            raise ValueError(
-                f"unknown filter tags {sorted(unknown)}; valid: {', '.join(KINDS)}"
-            )
+    validate_run_args(precision, samples, wanted)
     return [
-        run_check(check_id, precision, seed=seed, samples=samples, shifts=shifts)
+        run_check(check_id, precision, seed=seed, samples=samples)
         for check_id, check in _REGISTRY.items()
         if check.kind in wanted
     ]

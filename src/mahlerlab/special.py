@@ -207,8 +207,14 @@ def catalan(precision: int = 128):
                 tot += mp.mpf((-1) ** n) / (2 * n + 1) ** 2
                 sums.append(tot)
             res = accelerate(sums, precision=precision + 8)
-            if res.error_estimate <= mp.mpf(2) ** (-(precision + 4)):
+            if not res.low_confidence and res.error_estimate <= mp.mpf(2) ** (-(precision + 4)):
                 break
+        else:
+            raise NoConvergence(
+                "Catalan series acceleration missed its error target",
+                best=res.value,
+                terms=count,
+            )
     with mp.workprec(precision):
         return +res.value
 
@@ -275,6 +281,17 @@ def _arg_mpf(val):
     return mp.mpf(val)
 
 
+def _term_ratio(upper, lower, n: int):
+    """prod (a + n) / prod (b + n) over mpf parameters, at mp.prec: the
+    ratio t_(n+1) / t_n of a pFq series without its x / (n + 1)."""
+    ratio = mp.mpf(1)
+    for a in upper:
+        ratio *= a + n
+    for b in lower:
+        ratio /= b + n
+    return ratio
+
+
 def pfq(spec: PFQSpec, target_abs_error, precision: Optional[int] = None):
     """Evaluate pFq to the requested absolute error.
 
@@ -307,17 +324,14 @@ def _pfq_direct(spec: PFQSpec, target, base: int, terminates: bool):
             est = mp.log(target) / mp.log(abs(x))
             if est > 10 ** 8:
                 raise ValueError("pFq argument too close to 1 for direct summation")
+        upper = [_arg_mpf(a) for a in spec.upper]
+        lower = [_arg_mpf(b) for b in spec.lower]
         total = mp.mpf(0)
         t = mp.mpf(1)
         n = 0
         while True:
             total += t
-            ratio = mp.mpf(1)
-            for a in spec.upper:
-                ratio *= mp.mpf(a.numerator) / a.denominator + n
-            for b in spec.lower:
-                ratio /= mp.mpf(b.numerator) / b.denominator + n
-            ratio *= x / (n + 1)
+            ratio = _term_ratio(upper, lower, n) * (x / (n + 1))
             t = t * ratio
             if t == 0 and terminates:
                 break
@@ -337,18 +351,15 @@ def _pfq_unit(spec: PFQSpec, target, base: int):
     while True:
         work = base + int(1.2 * n_terms) + 48
         with mp.workprec(work):
+            upper = [_arg_mpf(a) for a in spec.upper]
+            lower = [_arg_mpf(b) for b in spec.lower]
             sums = []
             tot = mp.mpf(0)
             t = mp.mpf(1)
             for n in range(n_terms):
                 tot += t
                 sums.append(tot)
-                ratio = mp.mpf(1)
-                for a in spec.upper:
-                    ratio *= mp.mpf(a.numerator) / a.denominator + n
-                for b in spec.lower:
-                    ratio /= mp.mpf(b.numerator) / b.denominator + n
-                t = t * ratio / (n + 1)
+                t = t * _term_ratio(upper, lower, n) / (n + 1)
             res = accelerate(sums, precision=base)
         if not res.low_confidence and res.error_estimate <= target:
             with mp.workprec(base):

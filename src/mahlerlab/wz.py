@@ -26,20 +26,21 @@ row when identity_rows computes all rows together.  C(2k,k)^2 comes from
 the recurrence C(2k,k) = C(2k-2,k-1) 2(2k-1)/k, never from binom.
 
 Certificates.  The two certificate pairs share the common factor
-T(n,k) = 2^(-4k-4n) C(2k,k)^2 C(2n,n)^2; the fast verification route
-divides the pair relation through by T, which cancels every binomial
-coefficient and every power of two symbolically and leaves a relation
-between O(1)-size rationals:
+T(n,k) = 2^(-4k-4n) C(2k,k)^2 C(2n,n)^2, and each is declared once, by its
+reduced forms f/T and g/T; f and g are T times those.  The fast
+verification route divides the pair relation through by T, which cancels
+every binomial coefficient and every power of two symbolically and leaves
+a relation between O(1)-size rationals:
 
     T(n+1,k)/T(n,k) = (2n+1)^2 / (4(n+1)^2)
     T(n,k+1)/T(n,k) = (2k+1)^2 / (4(k+1)^2)
 
 Both sides are compared by cross-multiplying their small integer numerators
 and denominators; the exact Fraction residual (times T) is built only for a
-violation.  The certificates themselves (f, g) take their binomials from
-binom, and the telescope's reconstruction side sums f(n,n) + g(n-1,n) -
-g(n-1,0) from them, so it shares no arithmetic with the row-sum kernel it
-is checked against.
+violation.  The certificates f and g take T's binomials from binom, and
+the telescope's reconstruction side sums f(n,n) + g(n-1,n) - g(n-1,0)
+from them, so it shares no arithmetic with the row-sum kernel it is
+checked against.
 """
 
 from __future__ import annotations
@@ -117,44 +118,29 @@ def _t_factor(n: int, k: int) -> Fraction:
     return Fraction(binom(2 * k, k) ** 2 * binom(2 * n, n) ** 2, 1 << (4 * k + 4 * n))
 
 
-def _f_one(n: int, k: int) -> Fraction:
-    return _t_factor(n, k) * Fraction((2 * n + 1) ** 2, 2 * n - 2 * k + 1)
-
-
-def _g_one(n: int, k: int) -> Fraction:
-    return _t_factor(n, k) * Fraction(
-        -(k ** 2) * (2 * n + 1) ** 2, (1 + n) ** 2 * (2 * n - 2 * k + 3)
+def _reduced_pair(name: str, reduced_f, reduced_g) -> WZPair:
+    """The pair f = T reduced_f, g = T reduced_g, with T from binom."""
+    return WZPair(
+        name=name,
+        f=lambda n, k: _t_factor(n, k) * reduced_f(n, k),
+        g=lambda n, k: _t_factor(n, k) * reduced_g(n, k),
+        reduced_f=reduced_f,
+        reduced_g=reduced_g,
     )
 
 
-def _f_two(n: int, k: int) -> Fraction:
-    return _t_factor(n, k) * Fraction((2 * n + 1) ** 2, n + k + 1)
-
-
-def _g_two(n: int, k: int) -> Fraction:
-    return _t_factor(n, k) * Fraction(
-        k ** 2 * (2 * n + 1) ** 2, (n + 1) ** 2 * (n + k + 1)
-    )
-
-
-PAIR_ONE = WZPair(
-    name="pair-2n-2k+1",
-    f=_f_one,
-    g=_g_one,
-    reduced_f=lambda n, k: Fraction((2 * n + 1) ** 2, 2 * n - 2 * k + 1),
-    reduced_g=lambda n, k: Fraction(
+PAIR_ONE = _reduced_pair(
+    "pair-2n-2k+1",
+    lambda n, k: Fraction((2 * n + 1) ** 2, 2 * n - 2 * k + 1),
+    lambda n, k: Fraction(
         -(k ** 2) * (2 * n + 1) ** 2, (1 + n) ** 2 * (2 * n - 2 * k + 3)
     ),
 )
 
-PAIR_TWO = WZPair(
-    name="pair-n+k+1",
-    f=_f_two,
-    g=_g_two,
-    reduced_f=lambda n, k: Fraction((2 * n + 1) ** 2, n + k + 1),
-    reduced_g=lambda n, k: Fraction(
-        k ** 2 * (2 * n + 1) ** 2, (n + 1) ** 2 * (n + k + 1)
-    ),
+PAIR_TWO = _reduced_pair(
+    "pair-n+k+1",
+    lambda n, k: Fraction((2 * n + 1) ** 2, n + k + 1),
+    lambda n, k: Fraction(k ** 2 * (2 * n + 1) ** 2, (n + 1) ** 2 * (n + k + 1)),
 )
 
 

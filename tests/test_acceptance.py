@@ -183,7 +183,7 @@ class TestAcceptance:
     def test_08_statistical_suite(self, capsys):
         t0 = time.perf_counter()
         results = registry.run_all(
-            ("statistical",), 128, seed=0x5EED, samples=1 << 20, shifts=16
+            ("statistical",), 128, seed=0x5EED, samples=1 << 20
         )
         dt = time.perf_counter() - t0
         ok = len(results) == 5 and all(r.passed for r in results) and dt < 600

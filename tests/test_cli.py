@@ -9,6 +9,7 @@ import csv
 import io
 import json
 import os
+from fractions import Fraction
 from pathlib import Path
 
 import jsonschema
@@ -173,6 +174,18 @@ class TestFrozenReport:
         assert (code, err) == (0, "")
         assert out == expected
 
+    def test_exact_report_is_byte_identical(self, capsys, tmp_path, monkeypatch):
+        # tests/data/exact_128.json freezes the exact kind's report: the WZ,
+        # finite-field and q-expansion plans and the rational rendering of
+        # their values must reproduce every byte
+        expected = (Path(__file__).parent / "data" / "exact_128.json").read_text()
+        monkeypatch.chdir(tmp_path)  # no mahlerlab.cfg
+        code, out, err = run_cli(
+            capsys, "verify", "--all", "--filter", "exact", "--format", "json",
+        )
+        assert (code, err) == (0, "")
+        assert out == expected
+
     @pytest.mark.parametrize("quantity", ["mRk 16", "L f 4", "zeta 3", "catalan", "L h 3"])
     def test_headline_300_digits_is_byte_identical(self, capsys, tmp_path, monkeypatch, quantity):
         # tests/data/headline_300.json holds each command's stdout as the mpf
@@ -217,6 +230,30 @@ class TestCompute:
         code, _, err = run_cli(capsys, "compute", "mRk", "8")
         assert code == 2
         assert "16" in err
+
+    @pytest.mark.parametrize("k", ["inf", "1e400", "nan"])
+    def test_mrk_non_finite_rejected(self, capsys, k):
+        code, out, err = run_cli(capsys, "compute", "mRk", k)
+        assert (code, out) == (2, "")
+        assert err == f"mahlerlab: k must be a finite number, got {k!r}\n"
+
+    def test_ap_beyond_coefficient_limit_rejected(self, capsys):
+        code, out, err = run_cli(capsys, "compute", "ap", "10000000")
+        assert (code, out) == (2, "")
+        assert err.startswith("mahlerlab: f: coefficient demand 10000000 exceeds limit")
+
+    @pytest.mark.parametrize("argv, message", [
+        (["L", "f"], "usage: compute L <f|h> <s>"),
+        (["zeta"], "usage: compute zeta <s>"),
+        (["catalan", "2"], "usage: compute catalan"),
+        (["K", "0.1", "0.2"], "usage: compute K <k>"),
+        (["mahler"], "usage: compute mahler <descriptor>"),
+        (["mRk"], "usage: compute mRk <k>"),
+        (["ap", "1", "2"], "usage: compute ap <n>"),
+    ])
+    def test_wrong_token_count(self, capsys, argv, message):
+        code, _, err = run_cli(capsys, "compute", *argv)
+        assert (code, err) == (2, f"mahlerlab: {message}\n")
 
     def test_catalan_and_l_value(self, capsys):
         _, out, _ = run_cli(capsys, "compute", "catalan", "--digits", "20")
@@ -373,7 +410,53 @@ class TestFlagScope:
         assert compute.digits == 300 and compute.quantity == ["mRk", "16"]
 
 
+with mp.workprec(128):
+    _MPF_A = mp.sqrt(2) / 3
+    _MPF_B = -mp.pi * mp.mpf(10) ** -30
+
+# value -> (json/csv field, text field at 20 digits, text deviation and
+# tolerance field): an int prints in full except in the 3-digit field, a
+# fraction as p/q while that fits (64 characters, 32), else in decimal
+RENDER_TABLE = [
+    (None, None, "-", "-"),
+    (0, "0", "0", "0"),
+    (5, "5", "5", "5.0"),
+    (-7, "-7", "-7", "-7.0"),
+    (10 ** 80, str(10 ** 80), str(10 ** 80), "1.0e+80"),
+    (Fraction(0), "0", "0", "0"),
+    (Fraction(3, 64), "3/64", "3/64", "0.0469"),
+    (Fraction(-1, 3), "-1/3", "-1/3", "-0.333"),
+    (Fraction(10 ** 40, 3), f"{10 ** 40}/3", "3.3333333333333333333e+39", "3.33e+39"),
+    (Fraction(1, 10 ** 40), f"1/{10 ** 40}", "1.0e-40", "1.0e-40"),
+    (Fraction(1, 3 ** 70), f"1/{3 ** 70}", "3.9949575565929530678e-34", "3.99e-34"),
+    (
+        Fraction(2, 3 ** 140),
+        "3.191937175795827562710428902923240947573e-67",
+        "3.1919371757958275627e-67",
+        "3.19e-67",
+    ),
+    (
+        _MPF_A,
+        "0.4714045207910316829338962414032326928568",
+        "0.47140452079103168293",
+        "0.471",
+    ),
+    (
+        _MPF_B,
+        "-3.141592653589793238462643383279502884196e-30",
+        "-3.1415926535897932385e-30",
+        "-3.14e-30",
+    ),
+]
+
+
 class TestHelpers:
+    @pytest.mark.parametrize("value, machine, text, sci", RENDER_TABLE)
+    def test_renderers(self, value, machine, text, sci):
+        assert cli._machine_value(value) == machine
+        assert cli._text_value(value, 20) == text
+        assert cli._sci_value(value) == sci
+
     def test_fixed_decimal_padding_and_sign(self):
         assert cli._fixed_decimal(mp.mpf("1.5"), 3) == "1.500"
         assert cli._fixed_decimal(mp.mpf("-0.0625"), 2) == "-0.06"

@@ -341,14 +341,6 @@ class TestFourier:
             for n in (50, 100, 200, 400):
                 fourier_check(which, theta, n, precision=64)
 
-    def test_float_ids_accepted(self):
-        a = fourier_check(3.8, mp.pi / 5, 64)
-        b = fourier_check("3.8", mp.pi / 5, 64)
-        assert a == b
-        c = fourier_check(3.10, mp.pi / 5, 64)
-        d = fourier_check("3.10", mp.pi / 5, 64)
-        assert c == d
-
     def test_domain(self):
         with pytest.raises(ValueError):
             fourier_check("3.7", mp.pi / 6, 100)

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from mpmath import mp
 
 from mahlerlab import registry, wz
+from mahlerlab.modular import QSeries
 from mahlerlab.precision import NoConvergence
 from mahlerlab.registry import (
     CheckResult,
@@ -241,10 +242,10 @@ class TestRunCheck:
             assert 0 <= result.deviation < mp.mpf("1e-6")
 
     def test_statistical_fields(self):
-        result = run_check("eq-1.1", samples=1 << 14, shifts=8, seed=7)
+        result = run_check("eq-1.1", samples=1 << 14, seed=7)
         assert result.kind == "statistical"
         assert result.seed_used == 7
-        assert result.evaluations == (1 << 14) * 8
+        assert result.evaluations == (1 << 14) * registry.DEFAULT_SHIFTS
         assert float(result.tolerance) >= 5e-3
         assert result.passed
 
@@ -252,7 +253,7 @@ class TestRunCheck:
         # 4 L'(h,0) to 40 digits (bench/reference.json, from mpmath); the
         # reference side is computed at effective + 16 bits, so at 128 bits
         # it must agree far past double precision
-        result = run_check("eq-1.2", samples=1 << 10, shifts=8)
+        result = run_check("eq-1.2", samples=1 << 10)
         with mp.workprec(160):
             m8 = mp.mpf("1.990191418271940771710519085433364992945")
             assert abs(result.rhs - m8) < mp.mpf(10) ** -36
@@ -289,8 +290,6 @@ class TestRunCheck:
             run_check("eq-2.4", precision=8192)
         with pytest.raises(ValueError):
             run_check("eq-1.1", samples=3000)
-        with pytest.raises(ValueError):
-            run_check("eq-1.1", shifts=4)
 
     def test_plan_failure_reports_instead_of_raising(self, monkeypatch):
         def exploding_plan(ctx):
@@ -397,6 +396,71 @@ class TestWZNegativeControls:
         self._assert_flips(
             "wz-telescope", lambda: monkeypatch.setattr(registry, "PAIR_TWO", bad)
         )
+
+
+class TestPlanNegativeControls:
+    """One perturbed input must flip each check whose plans come from a
+    shared builder (per-prime, Fricke, summation by parts) to FAIL; the
+    unperturbed check passes at the same precision."""
+
+    def _assert_flips(self, check_id, perturb, precision=64):
+        clean = run_check(check_id, precision)
+        assert clean.passed, clean.note
+        perturb()
+        result = run_check(check_id, precision)
+        assert not result.passed
+        return result
+
+    def test_ahlgren_ono_a7_off_by_one(self, monkeypatch):
+        exact = registry.newform_coefficient
+
+        def off_by_one(spec, n):
+            return exact(spec, n) + (n == 7)
+
+        result = self._assert_flips(
+            "ff-ahlgren-ono",
+            lambda: monkeypatch.setattr(registry, "newform_coefficient", off_by_one),
+        )
+        assert result.deviation == 1
+        assert result.note == ""
+
+    @pytest.mark.parametrize("check_id, name, index", [
+        ("lambda-symmetry-f", "NEWFORM_F", 3),
+        ("lambda-symmetry-h", "NEWFORM_H", 5),
+    ])
+    def test_lambda_coefficient_perturbed(self, monkeypatch, check_id, name, index):
+        # index lies on the form's support (odd n for f, n = 1 mod 4 for h),
+        # so the q-series stride is unchanged and only the value is wrong
+        spec = getattr(registry, name)
+
+        def recipe(order):
+            series = spec.recipe(order)
+            coeffs = list(series.coeffs)
+            coeffs[index] += 1
+            return QSeries(tuple(coeffs), series.order)
+
+        bad = dataclasses.replace(spec, recipe=recipe, _coeffs=[])
+        result = self._assert_flips(
+            check_id, lambda: monkeypatch.setattr(registry, name, bad)
+        )
+        assert result.deviation is None
+        assert result.note.startswith("FunctionalEquationViolation: ")
+
+    @pytest.mark.parametrize("check_id", ["eq-2.10", "eq-2.11"])
+    def test_partial_sum_perturbed(self, monkeypatch, check_id):
+        exact = registry.ramanujan_partial_sums
+
+        def perturbed(m_max):
+            sums = exact(m_max)
+            sums[5] += Fraction(1, 1000)
+            return sums
+
+        result = self._assert_flips(
+            check_id,
+            lambda: monkeypatch.setattr(registry, "ramanujan_partial_sums", perturbed),
+        )
+        assert result.deviation > result.tolerance
+        assert result.note == ""
 
 
 class TestRunAll:

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -6,7 +7,9 @@ from hypothesis import given, settings, strategies as st
 from mpmath import mp
 import scipy.special
 
+from mahlerlab import special
 from mahlerlab.modular import NEWFORM_F, NEWFORM_H, _term_count
+from mahlerlab.precision import AccelResult, NoConvergence
 from mahlerlab.special import (
     PFQSpec,
     _e1_uses_series,
@@ -330,6 +333,28 @@ class TestCatalan:
     def test_precision_scaling(self):
         with mp.workprec(300):
             assert abs(catalan(128) - catalan(256)) < mp.mpf(2) ** -120
+
+    def test_missed_target_raises(self, monkeypatch):
+        # an accelerator that never meets the target: both passes (63 and
+        # 126 terms at 128 bits) must end in NoConvergence, not a value
+        def stalled(sums, precision=None):
+            return AccelResult(value=sums[-1], error_estimate=mp.mpf(1), low_confidence=True)
+
+        monkeypatch.setattr(special, "accelerate", stalled)
+        with pytest.raises(NoConvergence) as info:
+            catalan(128)
+        assert info.value.terms == 126
+        assert abs(info.value.best - mp.mpf("0.91596559")) < 1e-3
+
+    def test_low_confidence_alone_raises(self, monkeypatch):
+        exact = special.accelerate
+
+        def doubtful(sums, precision=None):
+            return dataclasses.replace(exact(sums, precision), low_confidence=True)
+
+        monkeypatch.setattr(special, "accelerate", doubtful)
+        with pytest.raises(NoConvergence):
+            catalan(128)
 
 
 class TestLegendreChi3:
