@@ -331,8 +331,9 @@ def m_rk_hypergeometric(k, target_abs_error=mp.mpf("1e-12"), precision: Optional
 
     argument = Fraction(256) / (kq * kq)
     scale = Fraction(8) / (kq * kq)
-    # the 6F5 error enters scaled by 8/k^2 <= 1/32
-    series_target = target / mp.mpf(float(scale)) / 4
+    # the 6F5 error enters scaled by 8/k^2 <= 1/32; divide by the exact
+    # scale, which underflows a float once |k| passes about 1.3e162
+    series_target = target * scale.denominator / scale.numerator / 4
     spec = PFQSpec(upper=_SIX_F_FIVE_UPPER, lower=_SIX_F_FIVE_LOWER, argument=argument)
     value = pfq(spec, series_target, precision=base)
     with mp.workprec(base + 16):

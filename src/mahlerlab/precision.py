@@ -16,9 +16,12 @@ int v with w fraction bits stands for v * 2^-w, `to_fixed`/`from_fixed`
 convert at the loop's ends, and `fixed_bits` applies the guard-bit rule
 w = mp.prec + FIXED_GUARD_BITS.  The Levin table is exact integer
 arithmetic on that layer.  The other users are modular.fricke_check's
-q-series Horner, special.agm (the AGM behind ell_k/ell_kprime at every
-tanh-sinh node) and special.exp_integral_e1 (the Mellin split's E1 terms),
-each an int loop whose docstring states its error bound.
+q-series Horner; special.agm and the ell_k/ell_kprime wrappers around it
+(the AGM and pi / (2 agm) at every tanh-sinh node of the elliptic checks);
+special.pfq's direct sum inside the unit disk (the k-integral route's
+m_alpha series and m(R_k)'s 6F5 for |k| > 16); and
+special.exp_integral_e1 (the Mellin split's E1 terms).  Each is an int
+loop whose docstring states its error bound.
 """
 
 from __future__ import annotations

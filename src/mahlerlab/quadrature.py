@@ -78,13 +78,66 @@ def _check_value(v, x):
     return v
 
 
+# Node cache.  Nodes depend only on the working precision and the abscissa
+# t = k 2^-level, so each precision keeps its levels as lists of raw mpf
+# tuples (w, x_hi, x_lo), None marking a node whose weight is zero or whose
+# abscissa rounds onto an endpoint.  A level is computed whole before any
+# integrand runs on it, so an integrand that raises leaves no partial level.
+# At most _NODE_CACHE_PAIRS node pairs are kept over all precisions; the
+# least recently used precision goes first, and a level that alone would
+# pass the bound is used without being kept (as are the deeper levels,
+# each larger than the one before).
+
+_NODE_CACHE_PAIRS = 1 << 12
+_node_cache: dict = {}
+
+
+def _node_levels(work: int) -> list:
+    """The cached levels of one working precision, marked most recently
+    used."""
+    levels = _node_cache.pop(work, [])
+    _node_cache[work] = levels
+    return levels
+
+
+def _level_nodes(levels: list, level: int, t_max) -> list:
+    """Node triples of one level at the ambient precision (t = k for level
+    0, t = k 2^-level over odd k otherwise), cached if they fit."""
+    if level < len(levels):
+        return levels[level]
+    pi = mp.pi
+    nodes = []
+    k, step = 1, (1 if level == 0 else 2)
+    while True:
+        t = mp.ldexp(k, -level)
+        if t > t_max:
+            break
+        e = mp.exp(-pi * mp.sinh(t))
+        d = 1 + e
+        w = pi * mp.cosh(t) * e / (d * d)
+        x_hi = 1 / d
+        x_lo = e / d
+        if w == 0 or x_hi >= 1 or x_lo <= 0:
+            nodes.append(None)
+        else:
+            nodes.append((w._mpf_, x_hi._mpf_, x_lo._mpf_))
+        k += step
+    kept = sum(len(lv) for entry in _node_cache.values() for lv in entry)
+    while kept + len(nodes) > _NODE_CACHE_PAIRS and len(_node_cache) > 1:
+        kept -= sum(len(lv) for lv in _node_cache.pop(next(iter(_node_cache))))
+    if kept + len(nodes) <= _NODE_CACHE_PAIRS:
+        levels.append(nodes)
+    return nodes
+
+
 def tanh_sinh(f, tolerance, max_levels: int = 12, precision: Optional[int] = None):
     """Integrate f over (0,1), refining until two successive levels differ by
     less than tolerance (absolute).
 
     The substitution is x(t) = 1/(1 + exp(-pi sinh t)); the symmetric node
     x(-t) = 1 - x(t) is formed from the same exponential, so abscissae near 0
-    carry full relative precision.
+    carry full relative precision.  Nodes and weights come from the node
+    cache above, computed by the same mpf formulas at the same precision.
     """
     tol = mp.mpf(tolerance)
     if tol <= 0:
@@ -94,39 +147,32 @@ def tanh_sinh(f, tolerance, max_levels: int = 12, precision: Optional[int] = Non
         # stop where 1 - x(t) reaches ~2^(4-work): closer nodes would round
         # onto the endpoint itself, and their weight is already negligible
         t_max = mp.asinh((work - 4) * mp.log(2) / mp.pi)
-        pi = mp.pi
+        levels = _node_levels(work)
+        make = mp.make_mpf
         evals = 0
 
-        def node_pair(t):
+        def level_sum(level, acc):
             nonlocal evals
-            e = mp.exp(-pi * mp.sinh(t))
-            d = 1 + e
-            w = pi * mp.cosh(t) * e / (d * d)
-            x_hi = 1 / d
-            x_lo = e / d
-            if w == 0 or x_hi >= 1 or x_lo <= 0:
-                return mp.mpf(0)
-            evals += 2
-            return w * (_check_value(f(x_hi), x_hi) + _check_value(f(x_lo), x_lo))
+            for node in _level_nodes(levels, level, t_max):
+                # a zero-weight node adds an exact zero: skipping it
+                # leaves acc unchanged
+                if node is not None:
+                    w, x_hi, x_lo = make(node[0]), make(node[1]), make(node[2])
+                    evals += 2
+                    acc += w * (_check_value(f(x_hi), x_hi) + _check_value(f(x_lo), x_lo))
+            return acc
 
         # level 0: unit step
         evals += 1
-        total = (pi / 4) * _check_value(f(mp.mpf("0.5")), mp.mpf("0.5"))
-        k = 1
-        while k <= t_max:
-            total += node_pair(mp.mpf(k))
-            k += 1
+        half = mp.mpf("0.5")
+        total = level_sum(0, (mp.pi / 4) * _check_value(f(half), half))
         estimates = [total]  # still scaled by h = 1
 
         d1 = mp.inf
         d2 = mp.inf
         for level in range(1, max_levels + 1):
             h = mp.mpf(2) ** (-level)
-            add = mp.mpf(0)
-            k = 1
-            while k * h <= t_max:
-                add += node_pair(k * h)
-                k += 2
+            add = level_sum(level, mp.mpf(0))
             # previous estimate already carries its own step factor
             total = estimates[-1] / 2 + h * add
             estimates.append(total)

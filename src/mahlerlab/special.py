@@ -5,12 +5,15 @@ Gamma is only provided at integer and half-integer arguments; that is all the
 identities here require.  Everything real-valued is an mpf computed inside a
 local working-precision context.
 
-The two kernels called per node or per term run on precision.py's
-fixed-point layer: `agm` is the int loop a, b <- (a+b)/2, isqrt(a b) on
-arguments normalised by a common power of two, and `exp_integral_e1` sums
-its power series or runs its continued fraction's convergent recurrence on
-ints, choosing per call whichever needs fewer long multiplies at that x and
-precision.  Each converts its inputs once and rounds its result once.
+The kernels called per node or per term run on ints, in precision.py's
+fixed-point sense: `agm` is the loop a, b <- (a+b)/2, isqrt(a b) on
+arguments normalised by a common power of two, and ell_k/ell_kprime divide
+a fixed-point pi by its result without leaving ints; the direct pFq sum
+steps its term by the ratio's small-int numerator and denominator; and
+`exp_integral_e1` sums its power series or runs its continued fraction's
+convergent recurrence, choosing per call whichever needs fewer long
+multiplies at that x and precision.  Each converts its inputs once and
+rounds its result once.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional
 
-from mpmath import mp
+from mpmath import libmp, mp
 
 from .precision import (
     MIN_PRECISION_BITS,
@@ -47,67 +50,96 @@ __all__ = [
 ]
 
 
+_NEAREST = libmp.round_nearest
+
+
 def _ambient(precision: Optional[int]) -> int:
     return precision if precision is not None else mp.prec
 
 
-def agm(a, b, precision: Optional[int] = None):
-    """Arithmetic-geometric mean of two positive reals, as an int loop.
+def _agm_fixed(x, y, p: int):
+    """agm of two positive raw mpf tuples as (a, f): the mean is a * 2^-f.
 
-    Both arguments are scaled by one power of two so that the larger lies
-    in [1/2, 1); the smaller then lies about 2^-gap below it.  The loop
-    keeps w = p + 16 + gap fraction bits (p the precision), so both keep
-    p + 16 significant bits: exactly for the moduli ell_k and ell_kprime
-    pass, floored for longer inputs.  Near k = 0 the mean is that sensitive
-    to the smaller argument.
+    Both arguments become ints with f = p + 16 - min(mag) fraction bits,
+    so the smaller keeps p + 16 significant bits and the larger more:
+    exactly for the moduli ell_k and ell_kprime pass, floored for longer
+    inputs.  Near k = 0 the mean is that sensitive to the smaller argument.
 
     Each step a, b <- (a+b) >> 1, isqrt(a b) truncates by at most one unit,
     and neither falls below the smaller argument, so a step adds under
-    2^-(p+15) relative error.  The mean passes relative errors on with weights in
-    [0, 1] that sum to 1 (it is homogeneous of degree 1), so n steps add
-    under n 2^-(p+15).  The loop stops once |a - b| <= 2^-(p+8) a, and the
-    mean lies between b and a, so the returned a is within 2^-(p+8)
-    relative before its one rounding to p bits.  Quadratic convergence:
-    about log2(p) + log2(gap) steps.
+    2^-(p+15) relative error.  The mean passes relative errors on with
+    weights in [0, 1] that sum to 1 (it is homogeneous of degree 1), so n
+    steps add under n 2^-(p+15).  The loop stops once |a - b| <= 2^-(p+8) a,
+    and the mean lies between b and a, so a is within 2^-(p+8) relative.
+    Quadratic convergence: about log2(p) + log2(gap) steps.
     """
+    f = p + 16 - min(x[2] + x[3], y[2] + y[3])
+    a, b = libmp.to_fixed(x, f), libmp.to_fixed(y, f)
+    while abs(a - b) > a >> (p + 8):
+        a, b = (a + b) >> 1, math.isqrt(a * b)
+    return a, f
+
+
+def agm(a, b, precision: Optional[int] = None):
+    """Arithmetic-geometric mean of two positive reals, as an int loop
+    (`_agm_fixed`), rounded once to the precision."""
     p = _ambient(precision)
     x, y = mp.convert(a), mp.convert(b)
     if x <= 0 or y <= 0:
         raise ValueError("agm requires positive arguments")
-    mags = mp.mag(x), mp.mag(y)
-    top = max(mags)
-    w = p + 16 + top - min(mags)
-    x, y = to_fixed(x, w - top), to_fixed(y, w - top)
-    while abs(x - y) > x >> (p + 8):
-        x, y = (x + y) >> 1, math.isqrt(x * y)
-    return from_fixed(x, w - top, p)
+    v, f = _agm_fixed(x._mpf_, y._mpf_, p)
+    return from_fixed(v, f, p)
+
+
+def _modulus(k, prec: int):
+    """k rounded to prec bits, as a raw mpf tuple."""
+    if isinstance(k, mp.mpf):
+        return libmp.mpf_pos(k._mpf_, prec, _NEAREST)
+    return mp.mpf(k, prec=prec)._mpf_
+
+
+def _half_pi_over_agm(kc, p: int):
+    """pi / (2 agm(1, kc)) for a raw mpf tuple 0 < kc <= 1, rounded once to
+    p bits.
+
+    The mean m lies in [kc, 1], so the result is at least pi/2.  The int a
+    is within 2^-(p+16) of m relative (`_agm_fixed` at p + 8), and the
+    quotient floor(pi 2^g) 2^f / (2 a) is taken on ints at g = p + 24
+    fraction bits, against mpmath's cached fixed-point pi; its two floors
+    cost under 2^-(p+23) relative, so the result is within 2^-(p+15)
+    relative before its one rounding to p bits.
+    """
+    a, f = _agm_fixed(libmp.fone, kc, p + 8)
+    g = p + 24
+    v = (libmp.pi_fixed(g) << (f - 1)) // a
+    return mp.make_mpf(libmp.from_man_exp(v, -g, p, _NEAREST))
 
 
 def ell_k(k, precision: Optional[int] = None):
     """Complete elliptic integral K(k) = pi / (2 agm(1, sqrt(1-k^2))).
 
-    The complementary modulus is formed as (1-k)(1+k) so that k extremely
-    close to 1 (quadrature abscissae land there) keeps its full precision.
+    The complementary modulus is formed as (1-k)(1+k), each step rounded to
+    p + 16 bits, so that k extremely close to 1 (quadrature abscissae land
+    there) keeps its full precision.
     """
     p = _ambient(precision)
-    with mp.workprec(p + 16):
-        kk = mp.mpf(k)
-        if kk < 0 or kk >= 1:
-            raise ValueError(f"ell_k needs 0 <= k < 1, got {k}")
-        kc = mp.sqrt((1 - kk) * (1 + kk))
-        v = mp.pi / (2 * agm(mp.mpf(1), kc, precision=p + 8))
-    return mp.mpf(v, prec=p)
+    q = p + 16
+    kk = _modulus(k, q)
+    one = libmp.fone
+    if kk[0] or libmp.mpf_ge(kk, one):
+        raise ValueError(f"ell_k needs 0 <= k < 1, got {k}")
+    below, above = libmp.mpf_sub(one, kk, q, _NEAREST), libmp.mpf_add(one, kk, q, _NEAREST)
+    kc = libmp.mpf_sqrt(libmp.mpf_mul(below, above, q, _NEAREST), q, _NEAREST)
+    return _half_pi_over_agm(kc, p)
 
 
 def ell_kprime(k, precision: Optional[int] = None):
     """Complementary integral K'(k) = K(sqrt(1-k^2)) = pi / (2 agm(1, k))."""
     p = _ambient(precision)
-    with mp.workprec(p + 16):
-        kk = mp.mpf(k)
-        if kk <= 0 or kk > 1:
-            raise ValueError(f"ell_kprime needs 0 < k <= 1, got {k}")
-        v = mp.pi / (2 * agm(mp.mpf(1), kk, precision=p + 8))
-    return mp.mpf(v, prec=p)
+    kk = _modulus(k, p + 16)
+    if kk[0] or kk == libmp.fzero or libmp.mpf_gt(kk, libmp.fone):
+        raise ValueError(f"ell_kprime needs 0 < k <= 1, got {k}")
+    return _half_pi_over_agm(kk, p)
 
 
 def gamma_half_int(twice_s: int, precision: int = 128):
@@ -313,37 +345,108 @@ def pfq(spec: PFQSpec, target_abs_error, precision: Optional[int] = None):
         if rho <= 1:
             raise ValueError("pFq at unit argument needs parameter excess > 0")
         return _pfq_unit(spec, target, base)
-    return _pfq_direct(spec, target, base, terminates)
+    return _pfq_direct(spec, target, base, terminates)[0]
+
+
+# the direct sum's float error bookkeeping rescales past 2^300, so the
+# bound of a series whose terms grow past the float range stays finite
+_FLOAT_CAP_BITS = 300
+_FLOAT_CAP = 2.0 ** _FLOAT_CAP_BITS
+
+
+def _int_factors(params):
+    """(p, q, multiplicity) for each distinct rational parameter p/q."""
+    counts = {}
+    for a in params:
+        counts[a] = counts.get(a, 0) + 1
+    return [(a.numerator, a.denominator, m) for a, m in counts.items()]
+
+
+def _exact_argument(val, prec: int):
+    """The argument as ints (num, den, s) with value num / (den 2^s): a
+    Fraction or int as it stands, anything else as the mpf it rounds to
+    at prec bits (mantissa over a power of two)."""
+    if isinstance(val, (int, Fraction)):
+        q = Fraction(val)
+        return q.numerator, q.denominator, 0
+    sign, man, exp, _ = mp.mpf(val, prec=prec)._mpf_
+    num = -man if sign else man
+    if exp >= 0:
+        return num << exp, 1, 0
+    return num, 1, -exp
 
 
 def _pfq_direct(spec: PFQSpec, target, base: int, terminates: bool):
-    with mp.workprec(base + 32):
-        x = _arg_mpf(spec.argument)
-        if not terminates and abs(x) > mp.mpf("0.999"):
-            # estimated terms-to-target beyond 10^8 is refused by contract
-            est = mp.log(target) / mp.log(abs(x))
-            if est > 10 ** 8:
-                raise ValueError("pFq argument too close to 1 for direct summation")
-        upper = [_arg_mpf(a) for a in spec.upper]
-        lower = [_arg_mpf(b) for b in spec.lower]
-        total = mp.mpf(0)
-        t = mp.mpf(1)
-        n = 0
+    """Sum pFq term by term on ints: (value rounded once to base bits, the
+    index n of the last term ratio taken).
+
+    With the parameters a = p/q rational, the term ratio
+    x prod (a + n) / ((n + 1) prod (b + n)) is x P(n) / Q(n) for products
+    P, Q of small ints, and the argument is an exact num / (den 2^s).  The
+    term t is an int of w = max(base, 8 - mag(target)) + 32 fraction bits,
+    stepped by t <- ((t num P(n)) >> s) // (den Q(n)).  Each step floors
+    under 2 units of 2^-w, and an error in t_n reaches every later t_m in
+    proportion to the exact ratio product t_m / t_n, so term m is off by at
+    most 2 A_m units, with A_0 = 1 and A_m = 1 + r A_(m-1) for r the
+    ratio's modulus at step m - 1.  The loop carries sum A_m in floats and,
+    should 2 sum A_m pass 2^(w-base-8) units (terms that grow after a dip),
+    sums again with that many more bits; so the int total is within
+    2^-(base+8) of the summed terms.  The stop rule is the mpf route's,
+    cross-multiplied over ints: r < 1, |t| r / (1 - r) < target/4 and
+    |t| < target/4.  Non-terminating arguments beyond 0.999 whose estimated
+    term count passes 10^8 are refused, as before.
+    """
+    if not terminates:
+        with mp.workprec(base + 32):
+            x = _arg_mpf(spec.argument)
+            if abs(x) > mp.mpf("0.999"):
+                # estimated terms-to-target beyond 10^8 is refused by contract
+                est = mp.log(target) / mp.log(abs(x))
+                if est > 10 ** 8:
+                    raise ValueError("pFq argument too close to 1 for direct summation")
+    upper, lower = _int_factors(spec.upper), _int_factors(spec.lower)
+    # a + n = (p + n q) / q: the q of the upper parameters go to Q, the
+    # lower ones' to P
+    p_scale = math.prod(q ** m for _, q, m in lower)
+    q_scale = math.prod(q ** m for _, q, m in upper)
+    num, den, s = _exact_argument(spec.argument, base + 32)
+    x_abs = float(min(Fraction(abs(num), den << s), _FLOAT_CAP))
+    w = max(base, 8 - mp.mag(target)) + 32
+    while True:
+        quarter = to_fixed(target, w) >> 2
+        total, t, n = 0, 1 << w, 0
+        # spread * 2^spread_bits is sum A_m; unit is A's 1 in that scale
+        amp = spread = unit = 1.0
+        spread_bits = 0
         while True:
             total += t
-            ratio = _term_ratio(upper, lower, n) * (x / (n + 1))
-            t = t * ratio
-            if t == 0 and terminates:
-                break
-            r = abs(ratio)
-            if r < 1 and abs(t) * r / (1 - r) < target / 4 and abs(t) < target / 4:
-                total += t
-                break
+            pn = p_scale
+            for a, q, m in upper:
+                pn *= (a + n * q) ** m
+            qn = q_scale * (n + 1)
+            for b, q, m in lower:
+                qn *= (b + n * q) ** m
+            step_num, step_den = num * pn, den * qn
+            t = ((t * step_num) >> s) // step_den
+            if pn == 0:
+                break  # a non-positive integer upper parameter: the series ended
+            amp = unit + amp * x_abs * abs(pn / qn)
+            spread += amp
+            if spread > _FLOAT_CAP:
+                amp, spread, unit = amp / _FLOAT_CAP, spread / _FLOAT_CAP, unit / _FLOAT_CAP
+                spread_bits += _FLOAT_CAP_BITS
+            if abs(t) < quarter:
+                r_num, r_den = abs(step_num), abs(step_den) << s  # r = r_num / r_den
+                if r_num < r_den and abs(t) * r_num < quarter * (r_den - r_num):
+                    total += t
+                    break
             n += 1
             if n > 10 ** 7:
                 raise ValueError("pFq direct summation failed to converge")
-    with mp.workprec(base):
-        return +total
+        excess = math.log2(spread) + spread_bits + 1 - (w - base - 8)
+        if excess <= 0:
+            return from_fixed(total, w, base), n
+        w += math.ceil(excess) + 2
 
 
 def _pfq_unit(spec: PFQSpec, target, base: int):

@@ -199,6 +199,20 @@ class TestFrozenReport:
         assert out == expected[quantity]
 
 
+    @pytest.mark.parametrize("quantity", ["K 0.5", "K 0.999999", "mRk 17", "mRk -40"])
+    def test_kernels_300_digits_is_byte_identical(self, capsys, tmp_path, monkeypatch, quantity):
+        # tests/data/kernels_300.json holds each command's stdout as the mpf
+        # ell_k wrapper and the mpf direct pFq sum wrote it; the int kernels
+        # must reproduce every byte
+        expected = json.loads((Path(__file__).parent / "data" / "kernels_300.json").read_text())
+        monkeypatch.chdir(tmp_path)  # no mahlerlab.cfg
+        code, out, err = run_cli(
+            capsys, "compute", *quantity.split(), "--digits", "300", "--format", "json",
+        )
+        assert (code, err) == (0, "")
+        assert out == expected[quantity]
+
+
 class TestCompute:
     def test_zeta_three_thirty_digits(self, capsys):
         code, out, _ = run_cli(capsys, "compute", "zeta", "3", "--digits", "30")
@@ -236,6 +250,34 @@ class TestCompute:
         code, out, err = run_cli(capsys, "compute", "mRk", k)
         assert (code, out) == (2, "")
         assert err == f"mahlerlab: k must be a finite number, got {k!r}\n"
+
+    @pytest.mark.parametrize(
+        "k", ["1e163", "1e200", "9" * 400, "-" + "7" * 400],
+        ids=["1e163", "1e200", "400-digits", "minus-400-digits"],
+    )
+    def test_mrk_huge_k(self, capsys, k):
+        # 8/k^2 underflows a float from |k| ~ 1.3e162 on; the series target
+        # comes from the exact scale, so these print log|k| - (8/k^2) 6F5
+        code, out, err = run_cli(capsys, "compute", "mRk", k)
+        assert (code, err) == (0, "")
+        text = out.splitlines()[0]
+        kq = Fraction(int(k)) if "e" not in k else Fraction(float(k))
+        with mp.workprec(400):
+            kk = mp.mpf(kq.numerator) / kq.denominator
+            six_f_five = mp.hyper([mp.mpf(3) / 2] * 4 + [1, 1], [2] * 5, 256 / kk ** 2)
+            ref = mp.log(abs(kk)) - 8 / kk ** 2 * six_f_five
+            decimals = len(text.split(".")[1])
+            assert abs(mp.mpf(text) - ref) <= mp.mpf(10) ** -decimals / 2
+
+    def test_mrk_1e162_unchanged(self, capsys):
+        # the largest decade that already worked prints the same bytes
+        code, out, err = run_cli(capsys, "compute", "mRk", "1e162", "--format", "json")
+        assert (code, err) == (0, "")
+        assert out == (
+            '{\n  "error_estimate": "1.0e-34",\n  "quantity": "mRk 1e162",\n'
+            '  "route": "hypergeometric-6f5",\n'
+            '  "value": "373.018785065035400748764555296983",\n  "version": "v1"\n}\n'
+        )
 
     def test_ap_beyond_coefficient_limit_rejected(self, capsys):
         code, out, err = run_cli(capsys, "compute", "ap", "10000000")

@@ -4,15 +4,76 @@ import numpy as np
 import pytest
 from mpmath import mp
 
+from mahlerlab import quadrature
 from mahlerlab.precision import NoConvergence
 from mahlerlab.quadrature import (
     IntegrandError,
+    QuadratureResult,
     TorusIntegrand,
+    _check_value,
     tanh_sinh,
     tanh_sinh_interval,
     torus_qmc,
 )
 from mahlerlab.special import catalan, ell_k, ell_kprime, zeta_int
+
+
+def _tanh_sinh_mpf(f, tolerance, max_levels=12, precision=None):
+    # the rule as it computed every node pair afresh, kept as the oracle of
+    # the node cache
+    tol = mp.mpf(tolerance)
+    work = max(int(-mp.log(tol, 2)) + 48, (precision or 0) + 16, 80)
+    with mp.workprec(work):
+        t_max = mp.asinh((work - 4) * mp.log(2) / mp.pi)
+        pi = mp.pi
+        evals = 0
+
+        def node_pair(t):
+            nonlocal evals
+            e = mp.exp(-pi * mp.sinh(t))
+            d = 1 + e
+            w = pi * mp.cosh(t) * e / (d * d)
+            x_hi = 1 / d
+            x_lo = e / d
+            if w == 0 or x_hi >= 1 or x_lo <= 0:
+                return mp.mpf(0)
+            evals += 2
+            return w * (_check_value(f(x_hi), x_hi) + _check_value(f(x_lo), x_lo))
+
+        evals += 1
+        total = (pi / 4) * _check_value(f(mp.mpf("0.5")), mp.mpf("0.5"))
+        k = 1
+        while k <= t_max:
+            total += node_pair(mp.mpf(k))
+            k += 1
+        estimates = [total]
+        d1 = mp.inf
+        d2 = mp.inf
+        for level in range(1, max_levels + 1):
+            h = mp.mpf(2) ** (-level)
+            add = mp.mpf(0)
+            k = 1
+            while k * h <= t_max:
+                add += node_pair(k * h)
+                k += 2
+            total = estimates[-1] / 2 + h * add
+            estimates.append(total)
+            if level >= 2:
+                d2 = d1
+                d1 = abs(estimates[-1] - estimates[-2])
+                if d1 <= tol:
+                    err = d1 if d2 == mp.inf or d2 == 0 else min(d1, d1 * d1 / d2)
+                    err = max(err, abs(estimates[-1]) * mp.mpf(2) ** (8 - work))
+                    err = min(err, d1)
+                    with mp.workprec(max(precision or 0, work - 48) + 8):
+                        return QuadratureResult(
+                            value=+estimates[-1],
+                            error_estimate=+err,
+                            evaluations=evals,
+                            converged=True,
+                            levels=level,
+                        )
+        raise NoConvergence("oracle did not converge", best=+estimates[-1], terms=evals)
 
 
 class TestTanhSinh:
@@ -97,6 +158,70 @@ class TestTanhSinh:
     def test_interval_needs_ordering(self):
         with pytest.raises(ValueError):
             tanh_sinh_interval(lambda x: x, 2, 1, mp.mpf(10) ** -10)
+
+
+class TestNodeCache:
+    # integrands of the elliptic checks at two working precisions
+    CASES = [
+        (lambda k: ell_k(k) * ell_kprime(k) * mp.log(1 + k) / k, mp.mpf(10) ** -20, 128),
+        (lambda x: mp.log(x) * mp.log(1 - x), mp.mpf(10) ** -30, None),
+        (lambda k: k ** 3 * ell_k(k) * ell_kprime(k), mp.mpf(10) ** -20, 128),
+        (lambda x: mp.sqrt(x), mp.mpf(10) ** -30, None),
+    ]
+
+    def test_cold_and_warm_match_the_oracle(self, monkeypatch):
+        monkeypatch.setattr(quadrature, "_node_cache", {})
+        works = set()
+        for rounds in range(2):  # cold, then warm
+            for f, tol, precision in self.CASES:
+                got = tanh_sinh(f, tol, precision=precision)
+                assert got == _tanh_sinh_mpf(f, tol, precision=precision), (rounds, tol)
+                works |= set(quadrature._node_cache)
+        assert len(works) == 2  # the cases interleave two working precisions
+
+    def test_interval_matches_the_oracle(self, monkeypatch):
+        monkeypatch.setattr(quadrature, "_node_cache", {})
+        for _ in range(2):
+            # the affine map u -> 1 + 2u, then the width 2, as the wrapper
+            # forms them
+            got = tanh_sinh_interval(lambda x: 1 / x, 1, 3, mp.mpf(10) ** -30)
+            ref = _tanh_sinh_mpf(lambda u: 1 / (1 + 2 * u) * 2, mp.mpf(10) ** -30)
+            assert got == ref
+
+    def test_integrand_error_mid_level_leaves_the_cache_whole(self, monkeypatch):
+        monkeypatch.setattr(quadrature, "_node_cache", {})
+        calls = []
+
+        def failing(x):
+            # raise half way through level 3, after levels 0-2 were summed
+            calls.append(x)
+            if len(calls) == 60:
+                return mp.nan
+            return mp.log(x)
+
+        with pytest.raises(IntegrandError):
+            tanh_sinh(failing, mp.mpf(10) ** -30)
+        # levels 0-3 are cached whole: 9 + 8 + 16 calls, then 34 at level 3
+        levels = next(iter(quadrature._node_cache.values()))
+        assert [len(lv) for lv in levels] == [4, 4, 8, 17]
+        f = lambda x: mp.log(x) * x  # noqa: E731
+        assert tanh_sinh(f, mp.mpf(10) ** -30) == _tanh_sinh_mpf(f, mp.mpf(10) ** -30)
+        with pytest.raises(IntegrandError):
+            calls.clear()
+            tanh_sinh(failing, mp.mpf(10) ** -30)
+        assert tanh_sinh(f, mp.mpf(10) ** -30) == _tanh_sinh_mpf(f, mp.mpf(10) ** -30)
+
+    def test_cache_is_bounded(self, monkeypatch):
+        monkeypatch.setattr(quadrature, "_node_cache", {})
+        monkeypatch.setattr(quadrature, "_NODE_CACHE_PAIRS", 300)
+        f = lambda x: mp.sqrt(x)  # noqa: E731
+        for digits in (20, 30, 40, 50, 30):
+            tol = mp.mpf(10) ** -digits
+            assert tanh_sinh(f, tol) == _tanh_sinh_mpf(f, tol)
+            kept = sum(len(lv) for entry in quadrature._node_cache.values() for lv in entry)
+            assert kept <= 300
+        # the precision used last is kept; the least recently used went first
+        assert list(quadrature._node_cache)[-1] == max(int(30 * math.log2(10)) + 48, 80)
 
 
 def _p4_integrand():

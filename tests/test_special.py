@@ -83,6 +83,47 @@ def _e1_mpf(x, precision):
         return +v
 
 
+def _ell_k_mpf(k, precision):
+    p = precision
+    with mp.workprec(p + 16):
+        kk = mp.mpf(k)
+        kc = mp.sqrt((1 - kk) * (1 + kk))
+        v = mp.pi / (2 * agm(mp.mpf(1), kc, precision=p + 8))
+    return mp.mpf(v, prec=p)
+
+
+def _ell_kprime_mpf(k, precision):
+    p = precision
+    with mp.workprec(p + 16):
+        v = mp.pi / (2 * agm(mp.mpf(1), mp.mpf(k), precision=p + 8))
+    return mp.mpf(v, prec=p)
+
+
+def _pfq_direct_mpf(spec, target, base):
+    # the mpf sum the int kernel replaced (t == 0 only where a terminating
+    # series ends); returns the value and the ratio index at which it stopped
+    with mp.workprec(base + 32):
+        x = special._arg_mpf(spec.argument)
+        upper = [special._arg_mpf(a) for a in spec.upper]
+        lower = [special._arg_mpf(b) for b in spec.lower]
+        total = mp.mpf(0)
+        t = mp.mpf(1)
+        n = 0
+        while True:
+            total += t
+            ratio = special._term_ratio(upper, lower, n) * (x / (n + 1))
+            t = t * ratio
+            if t == 0:
+                break
+            r = abs(ratio)
+            if r < 1 and abs(t) * r / (1 - r) < target / 4 and abs(t) < target / 4:
+                total += t
+                break
+            n += 1
+    with mp.workprec(base):
+        return +total, n
+
+
 def _close_to(value, ref, precision):
     """value is ref rounded to precision bits, up to 2^-8 of an ulp's slack."""
     return abs(value - ref) <= abs(ref) * mp.mpf(2) ** -precision * (1 + mp.mpf(2) ** -8)
@@ -221,6 +262,68 @@ class TestEllipticK:
             ell_kprime(0)
         with pytest.raises(ValueError):
             ell_kprime(1.5)
+
+
+class TestEllipticKAgainstMpfOracle:
+    # the int wrappers keep the moduli's roundings and round pi / (2 agm)
+    # once, 2^-(p+15) from K: each value is K correctly rounded to p bits
+    # unless K lies that close to a rounding boundary, which none of these
+    # moduli does; the mpf wrappers were within an ulp
+    @staticmethod
+    def _moduli(precision):
+        import random
+
+        rng = random.Random(20261019)
+        with mp.workprec(precision + 16):
+            ks = [mp.mpf(i) / 16 for i in range(1, 16)]
+            ks += [1 - mp.mpf(2) ** -40, mp.mpf(2) ** -40, mp.mpf("0.999999")]
+            ks += [mp.mpf(rng.random()) ** rng.randint(1, 8) for _ in range(24)]
+        return ks
+
+    @pytest.mark.parametrize("precision", [64, 128, 1100])
+    def test_ell_k_against_mpmath(self, precision):
+        # 1 - 2^-200 rounds to 1 below 184 bits, which both routes refuse;
+        # there the edge is the last modulus below 1 at p + 16 bits
+        with mp.workprec(240):
+            edge = 1 - mp.mpf(2) ** -200
+            if precision + 16 < 200:
+                for ell in (ell_k, _ell_k_mpf):
+                    with pytest.raises(ValueError):
+                        ell(edge, precision)
+                edge = 1 - mp.mpf(2) ** -(precision + 16)
+        for k in self._moduli(precision) + [edge]:
+            with mp.workprec(precision + 280):
+                ref = mp.ellipk(k * k)
+            value = ell_k(k, precision)
+            assert value == mp.mpf(ref, prec=precision), k
+            assert _close_to(_ell_k_mpf(k, precision), ref, precision), k
+
+    @pytest.mark.parametrize("precision", [64, 128, 1100])
+    def test_ell_kprime_against_mpmath(self, precision):
+        with mp.workprec(precision + 16):
+            edge = mp.mpf(2) ** -300
+        for k in self._moduli(precision) + [edge, mp.mpf(1)]:
+            # 1 - k^2 keeps every bit of k^2 at 64 + 600 extra bits
+            with mp.workprec(precision + 664):
+                ref = mp.ellipk(1 - k * k)
+            value = ell_kprime(k, precision)
+            assert value == mp.mpf(ref, prec=precision), k
+            assert _close_to(_ell_kprime_mpf(k, precision), ref, precision), k
+
+    def test_ambient_precision_and_inputs(self):
+        # precision=None takes mp.prec; ints, floats and strings round to
+        # p + 16 bits as mp.mpf did under workprec(p + 16)
+        with mp.workprec(96):
+            assert ell_k(mp.mpf("0.25")) == ell_k(mp.mpf("0.25"), 96)
+            assert ell_kprime(mp.mpf("0.25")) == ell_kprime(mp.mpf("0.25"), 96)
+        for k in (0, 0.5, "0.3", "0.999999"):
+            with mp.workprec(144):
+                kk = mp.mpf(k)
+            with mp.workprec(192):
+                ref_k, ref_kprime = mp.ellipk(kk * kk), mp.ellipk(1 - kk * kk) if kk else None
+            assert _close_to(ell_k(k, 128), ref_k, 128), k
+            if kk:
+                assert _close_to(ell_kprime(k, 128), ref_kprime, 128), k
 
 
 class TestGammaHalfInt:
@@ -496,6 +599,85 @@ class TestPfq:
         spec = PFQSpec([Fraction(1, 2), Fraction(1, 2)], [Fraction(1)], 1)
         with pytest.raises(ValueError):
             pfq(spec, 1e-10)
+
+
+class TestPfqDirectAgainstMpfOracle:
+    # the int sum takes the same terms as the mpf sum it replaced and
+    # rounds to the same base-bit value
+    @staticmethod
+    def _cases(base):
+        with mp.workprec(base + 40):
+            near = mp.mpf("0.979") ** 2  # m_alpha's series route near 0.98
+            neg = -mp.mpf("0.7")
+        six = [Fraction(3, 2)] * 4 + [Fraction(1)] * 2
+        return [
+            (six, [Fraction(2)] * 5, Fraction(256, 17 ** 2)),
+            (six, [Fraction(2)] * 5, Fraction(256, 40 ** 2)),
+            ([Fraction(1, 2)] * 3, [Fraction(1), Fraction(3, 2)], near),
+            ([Fraction(1, 2)] * 3, [Fraction(1), Fraction(3, 2)], neg),
+            ([Fraction(1, 3), Fraction(-7, 2)], [Fraction(5, 4)], Fraction(-9, 10)),
+            ([Fraction(1, 2), Fraction(1)], [Fraction(-5, 2)], Fraction(1, 2)),
+            # repeated non-integer parameters on both sides
+            ([Fraction(1, 3)] * 2 + [Fraction(1, 2)], [Fraction(5, 4)] * 2, Fraction(-1, 2)),
+            ([Fraction(-5), Fraction(1, 2)], [Fraction(3, 2)], Fraction(7, 3)),
+            # (1 - 1000)^150: terms up to 10^450, past the float range of
+            # the error bookkeeping
+            ([Fraction(-150), Fraction(1)], [Fraction(1)], Fraction(1000)),
+        ]
+
+    @pytest.mark.parametrize("base", [96, 1100])
+    def test_matches_oracle(self, base):
+        target = mp.mpf(2) ** -(base + 8)
+        for upper, lower, x in self._cases(base):
+            spec = PFQSpec(upper, lower, x)
+            terminates = any(a <= 0 and a.denominator == 1 for a in spec.upper)
+            value, n = special._pfq_direct(spec, target, base, terminates)
+            ref, n_ref = _pfq_direct_mpf(spec, target, base)
+            assert n == n_ref, (upper, lower, x)
+            assert value == ref, (upper, lower, x)
+            with mp.workprec(base + 64):
+                xx = x if not isinstance(x, Fraction) else mp.mpf(x.numerator) / x.denominator
+                exact = mp.hyper(
+                    [mp.mpf(a.numerator) / a.denominator for a in upper],
+                    [mp.mpf(b.numerator) / b.denominator for b in lower],
+                    xx,
+                )
+            assert _close_to(value, exact, base), (upper, lower, x)
+
+    def test_public_route_and_ambient_width(self):
+        # pfq rounds the int sum to the caller's precision, and without one
+        # to the target's bits plus 48
+        spec = PFQSpec([Fraction(3, 2)] * 4 + [Fraction(1)] * 2, [Fraction(2)] * 5, Fraction(256, 289))
+        target = mp.mpf(2) ** -100
+        assert pfq(spec, target, precision=96) == _pfq_direct_mpf(spec, target, 96)[0]
+        assert pfq(spec, target) == _pfq_direct_mpf(spec, target, 148)[0]
+
+    def test_too_close_to_one_refused(self):
+        # 1 - 10^-9 at a 1e-10 target needs ~2.3e10 terms, beyond 10^8
+        spec = PFQSpec([Fraction(1, 2), Fraction(1, 2)], [Fraction(1)], Fraction(10 ** 9 - 1, 10 ** 9))
+        with pytest.raises(ValueError, match="^pFq argument too close to 1 for direct summation$"):
+            pfq(spec, mp.mpf("1e-10"), precision=96)
+        # the same argument at a target 10^8 terms allow is summed
+        spec = PFQSpec([Fraction(1, 2), Fraction(1, 2)], [Fraction(1)], Fraction(999, 1000) + Fraction(1, 10 ** 6))
+        assert pfq(spec, mp.mpf("1e-3"), precision=64) > 1
+
+    def test_growth_after_a_dip_widens_the_sum(self, monkeypatch):
+        # an upper parameter of 1e-18 drops t_1 to ~2^-52, then the terms
+        # grow by ~2^660: the error bound must force a wider second pass,
+        # and the value is still the exact one rounded to base bits
+        passes = []
+        to_fixed = special.to_fixed
+        monkeypatch.setattr(special, "to_fixed", lambda *a: passes.append(a) or to_fixed(*a))
+        spec = PFQSpec([Fraction(1, 10 ** 18), Fraction(200)], [Fraction(1)], Fraction(9, 10))
+        value, _ = special._pfq_direct(spec, mp.mpf(2) ** -104, 96, False)
+        assert len(passes) == 2
+        with mp.workprec(1200):
+            exact = mp.hyper([mp.mpf(1) / 10 ** 18, 200], [1], mp.mpf(9) / 10)
+        assert _close_to(value, exact, 96)
+        # a decreasing series is summed in one pass
+        passes.clear()
+        special._pfq_direct(PFQSpec([Fraction(1, 2)], [Fraction(3, 2)], Fraction(1, 2)), mp.mpf(2) ** -104, 96, False)
+        assert len(passes) == 1
 
 
 class TestExpIntegral:
