@@ -233,24 +233,37 @@ def _cosine_block(kind: str, k: float):
     def block(pts: np.ndarray) -> np.ndarray:
         c = np.multiply(pts, 2.0 * np.pi)
         np.cos(c, out=c)
-        if kind == "sum":
-            inner = 2.0 * c.sum(axis=1) - k
-        elif kind == "product":
-            inner = float(2 ** pts.shape[1]) * c.prod(axis=1) - k
-        else:  # ralpha with weight k on the first cosine pair
-            inner = 4.0 * (k * c[:, 0] * c[:, 1] + c[:, 2] * c[:, 3])
+        cols = [c[:, j] for j in range(c.shape[1])]
+        # the columns are combined left to right in place, the order in which
+        # sum and prod reduce a row, so every float is theirs
+        if kind == "ralpha":  # weight k on the first cosine pair
+            inner = np.multiply(cols[0], k)
+            np.multiply(inner, cols[1], out=inner)
+            np.multiply(cols[2], cols[3], out=cols[2])
+            np.add(inner, cols[2], out=inner)
+            np.multiply(inner, 4.0, out=inner)
+        else:
+            op = np.add if kind == "sum" else np.multiply
+            inner = op(cols[0], cols[1])
+            for col in cols[2:]:
+                op(inner, col, out=inner)
+            np.multiply(inner, 2.0 if kind == "sum" else float(2 ** len(cols)), out=inner)
+            np.subtract(inner, k, out=inner)
+        np.abs(inner, out=inner)
         with np.errstate(divide="ignore"):
-            return np.log(np.abs(inner))
+            return np.log(inner, out=inner)
 
     return block
 
 
 def _generic_block(desc: LaurentDescriptor):
     vecs, coeffs = desc.exponent_matrix()
+    vecs_t = vecs.T.astype(np.float64)
+    coeffs_c = coeffs.astype(np.complex128)
 
     def block(pts: np.ndarray) -> np.ndarray:
-        phases = pts @ vecs.T.astype(np.float64)
-        values = np.exp(2j * np.pi * phases) @ coeffs.astype(np.complex128)
+        phases = pts @ vecs_t
+        values = np.exp(2j * np.pi * phases) @ coeffs_c
         with np.errstate(divide="ignore"):
             return np.log(np.abs(values))
 

@@ -5,7 +5,10 @@ tanh-sinh absorbs endpoint logarithmic singularities because the substituted
 weight decays like exp(-c exp |t|) while log-type integrands grow only
 linearly in t.  The torus rule exists for integrands of the form log|P| whose
 singular set has measure zero; sampled exact zeros are discarded and counted
-rather than clamped.
+rather than clamped.  It walks each shift of the lattice in blocks of 2^13
+rows through two preallocated buffers, so the points, their cosines and
+their values stay in cache; only the shift's values are kept whole, and its
+mean is taken over them as one array.
 """
 
 from __future__ import annotations
@@ -55,7 +58,11 @@ class TorusIntegrand:
 
     evaluate_block takes an (n, dimension) float64 array of points and
     returns their n values; evaluating whole blocks is what makes 10^6-point
-    runs affordable.
+    runs affordable.  Each value must depend only on its own row (the point
+    it is evaluated at), not on n or on the other rows: torus_qmc passes a
+    shift's points in blocks of at most 2^13 rows (_QMC_BLOCK_ROWS), which
+    gives the floats of one call on all of them only under that contract.
+    The block passed is a buffer that the next call overwrites.
     """
 
     dimension: int
@@ -222,6 +229,11 @@ QMC_LATTICE_Z = (1, 182667, 469891, 498753)
 DEFAULT_QMC_SEED = 0x5EED
 
 
+# rows per block of the lattice rule: a block of points, its cosines and its
+# values stay in cache, where whole-shift arrays of 2^20 rows would not
+_QMC_BLOCK_ROWS = 1 << 13
+
+
 def torus_qmc(
     f: TorusIntegrand,
     samples: int,
@@ -234,6 +246,11 @@ def torus_qmc(
     value is the median of the per-shift means and error-estimate their
     standard deviation scaled by 1/sqrt(shifts).  Points where the integrand
     is -inf (exact zeros of |P|) are discarded and the fraction reported.
+
+    A shift is evaluated in blocks of _QMC_BLOCK_ROWS rows into one array of
+    all its values, and the mean is taken over that array; since each value
+    depends only on its own point, the floats are those of one whole-shift
+    evaluation.
     """
     if samples < 2 ** 10:
         raise ValueError(f"samples must be >= 2^10, got {samples}")
@@ -242,25 +259,40 @@ def torus_qmc(
     d = f.dimension
     rng = np.random.default_rng(seed if not isinstance(seed, int) else [seed])
     z = np.array(QMC_LATTICE_Z[:d], dtype=np.int64)
-    base = np.multiply.outer(np.arange(samples, dtype=np.int64), z)
-    np.remainder(base, samples, out=base)
-    lattice = base / samples
-    del base
-    # one point buffer for every shift: no per-shift temporaries
-    pts = np.empty_like(lattice)
+    rows = min(samples, _QMC_BLOCK_ROWS)
+    # the lattice (i z mod samples) / samples, built a block at a time
+    lattice = np.empty((samples, d))
+    for start in range(0, samples, rows):
+        base = np.multiply.outer(np.arange(start, min(start + rows, samples), dtype=np.int64), z)
+        np.remainder(base, samples, out=base)
+        np.divide(base, samples, out=lattice[start : start + len(base)])
+    pts, floors = np.empty((rows, d)), np.empty((rows, d))
+    vals = np.empty(samples)
 
     means = []
     discarded = 0
     for _ in range(shifts):
-        shift = rng.random(d)
-        np.add(lattice, shift, out=pts)
-        np.mod(pts, 1.0, out=pts)
-        vals = f.block(pts)
-        bad = np.isnan(vals) | (np.isposinf(vals))
+        # the shift tiled over a block's rows: adding equal shapes runs as one
+        # flat loop, where broadcasting the (d,) vector loops once per row
+        shift = np.tile(rng.random(d), (rows, 1))
+        for start in range(0, samples, rows):
+            stop = min(start + rows, samples)
+            block, floor = pts[: stop - start], floors[: stop - start]
+            np.add(lattice[start:stop], shift[: stop - start], out=block)
+            # the points lie in [0, 2), where x - floor(x) is exact and so
+            # equals fmod(x, 1) bit for bit
+            np.floor(block, out=floor)
+            np.subtract(block, floor, out=block)
+            vals[start:stop] = f.block(block)
+        if np.isfinite(vals).all():
+            means.append(float(np.mean(vals)))
+            continue
+        bad = np.isnan(vals) | np.isposinf(vals)
         if bad.any():
-            where = pts[int(np.argmax(bad))]
+            idx = int(np.argmax(bad))
+            where = np.mod(lattice[idx] + shift[0], 1.0)
             raise IntegrandError(
-                f"integrand returned {vals[np.argmax(bad)]} at theta = {where}",
+                f"integrand returned {vals[idx]} at theta = {where}",
                 abscissa=tuple(where),
             )
         keep = ~np.isneginf(vals)

@@ -376,6 +376,54 @@ def _exact_argument(val, prec: int):
     return num, 1, -exp
 
 
+def _first_stop(spec: PFQSpec, x_num: int, x_den: int):
+    """The first n at which the direct sum may take its stop rule, or None
+    if no n may: n has passed every negative parameter, and a bound on the
+    term ratio's modulus over all m >= n, taken at x = x_num / x_den, is
+    below 1.
+
+    Past every negative parameter each a + m and b + m is non-negative, so
+    each factor (a + m) / (b + m) is monotone in m and tends to 1.  Pairing
+    the sorted upper parameters with the largest sorted lower ones, the
+    (m + 1) of the ratio counting as a lower parameter 1, bounds the ratio
+    over m >= n by x prod max((a + n) / (b + n), 1) prod 1 / (b + n) over
+    the unpaired b.  The bound does not grow with n and tends to x
+    (p = q + 1), to 0 (p < q + 1) or past every bound (p > q + 1), so the
+    first n comes from doubling and bisection, in ints.
+    """
+    upper = sorted(spec.upper)
+    lower = sorted(spec.lower + [Fraction(1)])
+    if len(upper) > len(lower):
+        return 0 if x_num == 0 else None
+    paired = lower[len(lower) - len(upper):]
+    pairs = [(a.numerator, a.denominator, b.numerator, b.denominator) for a, b in zip(upper, paired)]
+    alone = [(b.numerator, b.denominator) for b in lower[: len(lower) - len(upper)]]
+
+    def below_one(n):
+        num, den = x_num, x_den
+        for pa, qa, pb, qb in pairs:
+            u, v = (pa + n * qa) * qb, (pb + n * qb) * qa
+            if u > v:
+                num, den = num * u, den * v
+        for pb, qb in alone:
+            num, den = num * qb, den * (pb + n * qb)
+        return num < den
+
+    # ceil(-c) for the most negative parameter c
+    lo = max(0, max(-(c.numerator // c.denominator) for c in upper + lower))
+    if below_one(lo):
+        return lo
+    if not alone and x_num >= x_den:
+        return None
+    hi = lo + 1
+    while not below_one(hi):
+        lo, hi = hi, 2 * hi
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if below_one(mid) else (mid, hi)
+    return hi
+
+
 def _pfq_direct(spec: PFQSpec, target, base: int, terminates: bool):
     """Sum pFq term by term on ints: (value rounded once to base bits, the
     index n of the last term ratio taken).
@@ -393,8 +441,11 @@ def _pfq_direct(spec: PFQSpec, target, base: int, terminates: bool):
     sums again with that many more bits; so the int total is within
     2^-(base+8) of the summed terms.  The stop rule is the mpf route's,
     cross-multiplied over ints: r < 1, |t| r / (1 - r) < target/4 and
-    |t| < target/4.  Non-terminating arguments beyond 0.999 whose estimated
-    term count passes 10^8 are refused, as before.
+    |t| < target/4, taken only from the index _first_stop gives, so a ratio
+    that is small at one step and passes 1 later does not end the sum.  A
+    parameter -M < 0 thus costs at least M terms.  A non-terminating
+    series that no such index serves diverges and is refused, as are
+    arguments beyond 0.999 whose estimated term count passes 10^8.
     """
     if not terminates:
         with mp.workprec(base + 32):
@@ -411,6 +462,11 @@ def _pfq_direct(spec: PFQSpec, target, base: int, terminates: bool):
     q_scale = math.prod(q ** m for _, q, m in upper)
     num, den, s = _exact_argument(spec.argument, base + 32)
     x_abs = float(min(Fraction(abs(num), den << s), _FLOAT_CAP))
+    first_stop = _first_stop(spec, abs(num), den << s)
+    if first_stop is None:
+        if not terminates:
+            raise ValueError("pFq diverges: its term ratio does not stay below 1")
+        first_stop = math.inf
     w = max(base, 8 - mp.mag(target)) + 32
     while True:
         quarter = to_fixed(target, w) >> 2
@@ -435,7 +491,7 @@ def _pfq_direct(spec: PFQSpec, target, base: int, terminates: bool):
             if spread > _FLOAT_CAP:
                 amp, spread, unit = amp / _FLOAT_CAP, spread / _FLOAT_CAP, unit / _FLOAT_CAP
                 spread_bits += _FLOAT_CAP_BITS
-            if abs(t) < quarter:
+            if n >= first_stop and abs(t) < quarter:
                 r_num, r_den = abs(step_num), abs(step_den) << s  # r = r_num / r_den
                 if r_num < r_den and abs(t) * r_num < quarter * (r_den - r_num):
                     total += t

@@ -1,0 +1,123 @@
+"""tools/bench_pairs.py's summary code on canned bench/run.py result lines;
+no benchmark runs."""
+
+import importlib.util
+import json
+import os
+
+import pytest
+
+_PATH = os.path.join(os.path.dirname(__file__), os.pardir, "tools", "bench_pairs.py")
+_spec = importlib.util.spec_from_file_location("bench_pairs", _PATH)
+bench_pairs = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(bench_pairs)
+
+SPECS = [
+    {"name": "wall_s", "unit": "s", "better": "lower", "bound": 0.25},
+    {"name": "peak_rss_mb", "unit": "MB", "better": "lower", "bound": 0.05},
+    {"name": "relations", "unit": "count", "better": "higher", "bound": 0.1},
+]
+
+
+def _line(wall, rss, relations=100, correct=True, failed=0, attempted=5):
+    return {
+        "correct": correct,
+        "attempted": attempted,
+        "failed": failed,
+        "metrics": {
+            "wall_s": {"value": wall, "unit": "s"},
+            "peak_rss_mb": {"value": rss, "unit": "MB"},
+            "relations": {"value": relations, "unit": "count"},
+        },
+    }
+
+
+class TestSummary:
+    def test_quartiles_inclusive(self):
+        assert bench_pairs.quartiles([1.0, 2.0, 3.0, 4.0, 5.0]) == (2.0, 3.0, 4.0)
+        assert bench_pairs.quartiles([7.0]) == (7.0, 7.0, 7.0)
+
+    def test_metric_wins_losses_ties_and_bound(self):
+        m = bench_pairs.summarize_metric([8.0, 7.0, 9.0, 8.0], [4.0, 7.0, 10.0, 3.0], "lower", 0.25, "s")
+        assert (m["change_wins"], m["change_losses"]) == (2, 1)  # the tie counts for neither
+        assert m["parent"]["median"] == 8.0 and m["change"]["median"] == 5.5
+        assert m["parent"]["runs"] == [8.0, 7.0, 9.0, 8.0]
+        assert m["parent_iqr"] == 0.5  # q1 7.75, q3 8.25
+        assert m["median_ratio_change_over_parent"] == 0.6875
+        assert m["within_bound"] is True
+        # 10.1 > 8 (1 + 0.25)
+        assert bench_pairs.summarize_metric([8.0], [10.1], "lower", 0.25)["within_bound"] is False
+        assert bench_pairs.summarize_metric([8.0], [10.0], "lower", 0.25)["within_bound"] is True
+
+    def test_higher_is_better(self):
+        m = bench_pairs.summarize_metric([100, 100], [120, 89], "higher", 0.1)
+        assert (m["change_wins"], m["change_losses"]) == (1, 1)
+        assert m["within_bound"] is True  # median 104.5 >= 90
+        assert bench_pairs.summarize_metric([100], [89], "higher", 0.1)["within_bound"] is False
+
+    def test_workload_and_claim(self):
+        runs = [
+            {"pair": i, "seed": 100 + i, "first": bench_pairs.order(i)[0],
+             "parent": _line(7.5 + 0.1 * i, 110.6), "change": _line(4.0 + 0.1 * i, 82.0)}
+            for i in range(10)
+        ]
+        runs[3]["change"] = _line(8.0, 82.0)  # one pair lost
+        s = bench_pairs.summarize_workload(runs, SPECS)
+        assert s["pairs"] == 10 and s["seeds"] == list(range(100, 110))
+        assert s["all_correct"] is True
+        assert s["attempted_ops"] == {"parent": 50, "change": 50}
+        assert s["metrics"]["wall_s"]["change_wins"] == 9
+        assert s["metrics"]["peak_rss_mb"]["change_wins"] == 10
+        assert s["runs"] is runs  # every result line is kept
+        c = bench_pairs.claim({"statistical": s}, "statistical", "wall_s")
+        assert c["met"] is True and c["change_wins"] == 9
+        assert c["median_gain"] == pytest.approx(7.95 - 4.55, abs=1e-4)
+        # eight wins of ten is not nine tenths
+        runs[5]["change"] = _line(9.0, 82.0)
+        s = bench_pairs.summarize_workload(runs, SPECS)
+        assert bench_pairs.claim({"w": s}, "w", "wall_s")["met"] is False
+
+    def test_claim_needs_more_than_the_parent_spread(self):
+        runs = [{"pair": i, "seed": 1, "first": "parent",
+                 "parent": _line(v, 1.0), "change": _line(v - 0.1, 1.0)}
+                for i, v in enumerate([5.0, 6.0, 7.0, 8.0, 9.0, 5.0, 6.0, 7.0, 8.0, 9.0])]
+        s = bench_pairs.summarize_workload(runs, SPECS)
+        c = bench_pairs.claim({"w": s}, "w", "wall_s")
+        assert c["change_wins"] == 10 and c["met"] is False  # 0.1 < IQR 2.0
+
+    def test_missing_and_failed_runs(self):
+        runs = [
+            {"pair": 0, "seed": 1, "first": "parent", "parent": _line(5.0, 80.0), "change": None},
+            {"pair": 1, "seed": 2, "first": "change",
+             "parent": _line(5.0, 80.0), "change": _line(4.0, 80.0, correct=False, failed=1)},
+        ]
+        s = bench_pairs.summarize_workload(runs, SPECS)
+        assert s["all_correct"] is False
+        assert s["failed_ops"] == {"parent": 0, "change": 1}
+        assert s["metrics"]["wall_s"]["parent"]["runs"] == [5.0]  # the pair with no result is left out
+
+
+class TestRunPairs:
+    def test_pairs_alternate_and_cycle_seeds(self):
+        calls = []
+
+        def run(side, workload, seed):
+            calls.append((side, workload, seed))
+            return _line(1.0, 1.0)
+
+        runs = bench_pairs.run_pairs(run, "headline", [7, 8, 9], 4)
+        assert calls == [
+            ("parent", "headline", 7), ("change", "headline", 7),
+            ("change", "headline", 8), ("parent", "headline", 8),
+            ("parent", "headline", 9), ("change", "headline", 9),
+            ("change", "headline", 7), ("parent", "headline", 7),
+        ]
+        assert [r["first"] for r in runs] == ["parent", "change", "parent", "change"]
+
+    def test_result_line(self):
+        line = _line(3.9, 82.1)
+        out = "note: outputs not compared\n" + json.dumps(line) + "\n\n"
+        assert bench_pairs.result_line(out) == line
+        assert bench_pairs.result_line("") is None
+        assert bench_pairs.result_line("problem: x\nnot json\n") is None
+        assert bench_pairs.result_line('{"correct": true}\n') is None

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from mpmath import mp
 
-from mahlerlab import quadrature
+from mahlerlab import mahler, quadrature
 from mahlerlab.precision import NoConvergence
 from mahlerlab.quadrature import (
     IntegrandError,
@@ -343,3 +343,134 @@ class TestTorusQmc:
             TorusIntegrand(dimension=0, evaluate_block=np.ones)
         with pytest.raises(ValueError):
             TorusIntegrand(dimension=5, evaluate_block=np.ones)
+
+
+# The lattice rule as it evaluated each shift whole, and the integrand blocks
+# as they were before the rule went to blocks of rows: the oracles of the
+# blocked loop, which must give the same floats.
+
+
+def _torus_qmc_whole(f, samples, shifts, seed=quadrature.DEFAULT_QMC_SEED):
+    d = f.dimension
+    rng = np.random.default_rng(seed if not isinstance(seed, int) else [seed])
+    z = np.array(quadrature.QMC_LATTICE_Z[:d], dtype=np.int64)
+    base = np.multiply.outer(np.arange(samples, dtype=np.int64), z)
+    np.remainder(base, samples, out=base)
+    lattice = base / samples
+    pts = np.empty_like(lattice)
+    means = []
+    discarded = 0
+    for _ in range(shifts):
+        shift = rng.random(d)
+        np.add(lattice, shift, out=pts)
+        np.mod(pts, 1.0, out=pts)
+        vals = f.block(pts)
+        bad = np.isnan(vals) | (np.isposinf(vals))
+        if bad.any():
+            where = pts[int(np.argmax(bad))]
+            raise IntegrandError(
+                f"integrand returned {vals[np.argmax(bad)]} at theta = {where}",
+                abscissa=tuple(where),
+            )
+        keep = ~np.isneginf(vals)
+        discarded += int(len(vals) - keep.sum())
+        means.append(float(np.mean(vals[keep])))
+    arr = np.array(means)
+    with mp.workprec(64):
+        return QuadratureResult(
+            value=mp.mpf(float(np.median(arr))),
+            error_estimate=mp.mpf(float(np.std(arr, ddof=1)) / math.sqrt(shifts)),
+            evaluations=samples * shifts,
+            converged=True,
+            discarded_fraction=discarded / (samples * shifts),
+        )
+
+
+def _cosine_block_whole(kind, k):
+    def block(pts):
+        c = np.multiply(pts, 2.0 * np.pi)
+        np.cos(c, out=c)
+        if kind == "sum":
+            inner = 2.0 * c.sum(axis=1) - k
+        elif kind == "product":
+            inner = float(2 ** pts.shape[1]) * c.prod(axis=1) - k
+        else:
+            inner = 4.0 * (k * c[:, 0] * c[:, 1] + c[:, 2] * c[:, 3])
+        with np.errstate(divide="ignore"):
+            return np.log(np.abs(inner))
+
+    return block
+
+
+def _generic_block_whole(desc):
+    vecs, coeffs = desc.exponent_matrix()
+
+    def block(pts):
+        phases = pts @ vecs.T.astype(np.float64)
+        values = np.exp(2j * np.pi * phases) @ coeffs.astype(np.complex128)
+        with np.errstate(divide="ignore"):
+            return np.log(np.abs(values))
+
+    return block
+
+
+# below the 2^13-row block: 2^10 and 5000; two whole blocks and a partial
+# one: 20000; eight whole blocks: 2^16
+_ORACLE_SAMPLES = (2 ** 10, 5000, 20000, 2 ** 16)
+
+
+class TestBlockedTorusQmc:
+    @pytest.mark.parametrize("samples", _ORACLE_SAMPLES)
+    @pytest.mark.parametrize(
+        "name",
+        ["p4", "q8", "r16", "s0", "ralpha", "r:32", "p:3", "p:-6", "q:2", "q:7", "s:1", "s:-9"],
+    )
+    def test_builtins_match_the_whole_shift_oracle(self, name, samples):
+        desc = mahler.builtin_descriptor(name)
+        kind, k = mahler._classify_builtin(desc)
+        whole = TorusIntegrand(dimension=desc.dimension, evaluate_block=_cosine_block_whole(kind, k))
+        got = torus_qmc(mahler.torus_integrand(desc), samples, 16)
+        assert got == _torus_qmc_whole(whole, samples, 16)
+
+    @pytest.mark.parametrize("samples", _ORACLE_SAMPLES)
+    def test_r_alpha_torus_route_matches_the_oracle(self, samples):
+        whole = TorusIntegrand(dimension=4, evaluate_block=_cosine_block_whole("ralpha", 0.3))
+        got = mahler.r_alpha(0.3, route="torus", samples=samples)
+        assert got == _torus_qmc_whole(whole, samples, 16).value
+
+    @pytest.mark.parametrize("samples", _ORACLE_SAMPLES)
+    def test_parsed_descriptor_matches_the_oracle(self, samples):
+        desc = mahler.parse_descriptor("1 1 0 2 0\n1 -1 0 0 0\n3 0 1 -1 1\n-2 0 0 0 -1\n-5 0 0 0 0")
+        assert mahler._classify_builtin(desc) is None
+        whole = TorusIntegrand(dimension=4, evaluate_block=_generic_block_whole(desc))
+        got = torus_qmc(mahler.torus_integrand(desc), samples, 8, seed=[3, 4])
+        assert got == _torus_qmc_whole(whole, samples, 8, seed=[3, 4])
+
+    @pytest.mark.parametrize("samples", _ORACLE_SAMPLES)
+    def test_discarded_zeros_match_the_oracle(self, samples):
+        # -inf on a slab, finite and varying elsewhere, one value per row
+        def block(p):
+            with np.errstate(divide="ignore"):
+                return np.where(p[:, 0] < 0.125, -np.inf, np.log(1.5 + np.cos(2 * np.pi * p[:, 1])))
+
+        ti = TorusIntegrand(dimension=2, evaluate_block=block)
+        got = torus_qmc(ti, samples, 8)
+        assert got.discarded_fraction > 0.1
+        assert got == _torus_qmc_whole(ti, samples, 8)
+
+    @pytest.mark.parametrize("samples", _ORACLE_SAMPLES)
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_integrand_error_matches_the_oracle(self, samples, bad):
+        # bad on a slab of the first coordinate (lattice component 1), which
+        # the first shift reaches after about 81 % of its rows: in the last
+        # block at 20000 and 2^16 samples
+        def block(p):
+            return np.where(np.abs(p[:, 0] - 0.952) < 0.002, bad, np.cos(2 * np.pi * p[:, 1]))
+
+        ti = TorusIntegrand(dimension=3, evaluate_block=block)
+        with pytest.raises(IntegrandError) as got:
+            torus_qmc(ti, samples, 8)
+        with pytest.raises(IntegrandError) as ref:
+            _torus_qmc_whole(ti, samples, 8)
+        assert str(got.value) == str(ref.value)
+        assert got.value.abscissa == ref.value.abscissa

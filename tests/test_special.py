@@ -679,6 +679,36 @@ class TestPfqDirectAgainstMpfOracle:
         special._pfq_direct(PFQSpec([Fraction(1, 2)], [Fraction(3, 2)], Fraction(1, 2)), mp.mpf(2) ** -104, 96, False)
         assert len(passes) == 1
 
+    def test_tiny_first_ratio_does_not_stop_the_sum(self):
+        # t_1 = 2.7e-58 is far below the target, but the ratio then exceeds 1
+        # for about 2,700 terms and the sum reaches 3.7e236
+        spec = PFQSpec([Fraction(1, 10 ** 60), Fraction(300)], [Fraction(1)], Fraction(9, 10))
+        value = pfq(spec, mp.mpf(2) ** -100, precision=96)
+        with mp.workprec(1500):
+            exact = mp.hyper([mp.mpf(1) / 10 ** 60, 300], [1], mp.mpf(9) / 10)
+        assert _close_to(value, exact, 96)
+
+    def test_first_stop_index(self):
+        # past every negative parameter, and where the ratio's bound falls
+        # below 1: (1/2) (n + 1/2) / (n - 5/2) < 1 from n = 6, and
+        # (9/10) (300 + n) / (n + 1) < 1 from n = 2691
+        assert special._first_stop(PFQSpec([Fraction(1, 2)] * 3, [Fraction(1), Fraction(3, 2)], 0), 1, 2) == 0
+        assert special._first_stop(PFQSpec([Fraction(1, 3), Fraction(-7, 2)], [Fraction(5, 4)], 0), 9, 10) == 4
+        assert special._first_stop(PFQSpec([Fraction(1, 2), Fraction(1)], [Fraction(-5, 2)], 0), 1, 2) == 6
+        assert special._first_stop(PFQSpec([Fraction(1, 10 ** 60), Fraction(300)], [Fraction(1)], 0), 9, 10) == 2691
+        # |x| >= 1 with p = q + 1, or p > q + 1: no index serves
+        assert special._first_stop(PFQSpec([Fraction(1, 2)] * 2, [Fraction(1)], 0), 1, 1) is None
+        assert special._first_stop(PFQSpec([Fraction(1, 2)] * 3, [Fraction(1)], 0), 1, 10 ** 9) is None
+
+    def test_more_upper_than_lower_plus_one_refused(self):
+        # 3F1 has radius of convergence 0; its terms shrink at first only
+        spec = PFQSpec([Fraction(1, 2)] * 3, [Fraction(1)], Fraction(1, 10 ** 9))
+        with pytest.raises(ValueError, match="^pFq diverges"):
+            pfq(spec, mp.mpf(2) ** -100, precision=96)
+        # unless the series terminates: 1 - 3/2 + 81/32
+        spec = PFQSpec([Fraction(-2), Fraction(1, 2), Fraction(1, 2)], [Fraction(1)], Fraction(3))
+        assert pfq(spec, mp.mpf(2) ** -100, precision=96) == mp.mpf(65) / 32
+
 
 class TestExpIntegral:
     def test_scipy_grid(self):
