@@ -1,4 +1,4 @@
-"""The headline identity, computed three independent ways.
+"""The headline identity, computed three ways.
 
 m((x+1/x)(y+1/y)(z+1/z)(w+1/w) - 16) has three faces:
 
@@ -6,10 +6,15 @@ m((x+1/x)(y+1/y)(z+1/z)(w+1/w) - 16) has three faces:
   L(f,4) route   (192/pi^4) L(f,4) + 7 zeta(3)/pi^2
   L'(f,0) route  8 L'(f,0) - 28 zeta'(-2)
 
-where f is the weight-4 level-8 eta-product newform.  The three pipelines
-share no nontrivial machinery (accelerated unit-argument series; Mellin
-split of the q-expansion plus Euler-Maclaurin zeta; completed-L-function
-derivative), so their agreement to dozens of digits is the whole point.
+where f is the weight-4 level-8 eta-product newform.  The series route
+(accelerated unit-argument series) shares no nontrivial machinery with the
+other two (Mellin split of the q-expansion plus Euler-Maclaurin zeta), so
+their agreement to dozens of digits is evidence.  The L'(f,0) route is not
+yet independent of the L(f,4) route: l_prime_at_0 is the same Mellin-split
+L(f,4) rescaled by the functional equation, (sqrt 8/(2 pi))^4 3!, and
+zeta_prime_minus2 is -zeta(3)/(4 pi^2) from the same zeta(3).  So the gap
+|L(f,4) - L'(f,0)| measures rounding, not agreement, until that route gets
+an integral for Lambda_f(0) and a zeta'(-2) of its own.
 
 A seeded lattice-QMC estimate of the defining 4-dimensional torus integral
 is appended as a sanity anchor at Monte Carlo accuracy.

@@ -20,7 +20,10 @@ The hypergeometric values use the character-sum definition
 evaluated in complex double arithmetic and rounded to a rational with
 denominator p^n under an integrality assertion, so a normalization slip
 cannot pass silently.  verify_4_1 closes the loop against direct point
-counting.
+counting: count_points solves the quadratic in w through its
+discriminant's Legendre symbol, and since (x, y, z) enters only through
+A = (x^2+1)(y^2+1)(z^2+1) and u = xyz, one O(p^3) histogram of (A, u) per
+prime serves every t with an O(p^2) weighted sum.
 """
 
 from __future__ import annotations
@@ -130,30 +133,46 @@ def _legendre_table(p: int) -> np.ndarray:
     return leg
 
 
+@functools.lru_cache(maxsize=1)
+def _count_histogram(p: int) -> np.ndarray:
+    """hist[A, u] = #{(x, y, z) in F_p^3 : (x^2+1)(y^2+1)(z^2+1) = A, xyz = u},
+    one bincount per x over a p x p slice, so memory stays O(p^2).
+
+    One entry is kept: verify_4_1 walks every t of one prime in turn."""
+    idx = np.arange(p, dtype=np.int64)
+    sq1 = (idx ** 2 + 1) % p
+    yz_sq = (sq1[:, None] * sq1[None, :]) % p         # (y^2+1)(z^2+1)
+    yz = (idx[:, None] * idx[None, :]) % p            # y z
+    hist = np.zeros(p * p, dtype=np.int64)
+    for x in range(p):
+        a = (int(sq1[x]) * yz_sq) % p
+        u = (x * yz) % p
+        hist += np.bincount((a * p + u).ravel(), minlength=p * p)
+    hist.flags.writeable = False  # the cached table is shared by every caller
+    return hist.reshape(p, p)
+
+
 def count_points(p: int, t: int) -> PointCount:
-    """Exact number of affine points on H_t over F_p by an O(p^3) sweep:
-    for each (x, y, z) the equation is a quadratic in w, counted through
-    the discriminant's Legendre symbol."""
+    """Exact number of affine points on H_t over F_p.
+
+    For fixed (x, y, z) the equation is A(w^2+1) = B w with
+    A = (x^2+1)(y^2+1)(z^2+1) and B = 16 t xyz, a quadratic in w with
+    1 + leg(B^2 - 4A^2) roots when A != 0; when A = 0 it is B w = 0, with p
+    roots if B = 0 and one otherwise.  The count depends on (x, y, z) only
+    through A and u = xyz, so it is a p x p weighted sum over the prime's
+    histogram of (A, u), built once by an O(p^3) sweep and shared by every
+    t."""
     _check_odd_prime(p)
     if p > _COUNT_P_MAX:
         raise ResourceLimitError(f"count_points limited to p <= {_COUNT_P_MAX}")
     t %= p
-    sq1 = (np.arange(p, dtype=np.int64) ** 2 + 1) % p
+    hist = _count_histogram(p)
     leg = _legendre_table(p)
     idx = np.arange(p, dtype=np.int64)
-    yz_sq = (sq1[:, None] * sq1[None, :]) % p          # (y^2+1)(z^2+1)
-    yz = (idx[:, None] * idx[None, :]) % p             # y z
-    total = 0
-    for x in range(p):
-        a = (int(sq1[x]) * yz_sq) % p                  # full cubic coefficient A
-        b = (16 * t * x * yz) % p                      # linear coefficient B
-        deg = a == 0
-        # A = 0: A(w^2+1) = B w reduces to B w = 0
-        total += int(np.count_nonzero(deg & (b == 0))) * p
-        total += int(np.count_nonzero(deg & (b != 0)))
-        disc = (b * b - 4 * a * a) % p
-        total += int(np.sum((1 + leg[disc])[~deg]))
-    return PointCount(prime=p, parameter=t, count=total)
+    b = (16 * t * idx) % p                            # B for each u
+    weights = 1 + leg[(b[None, :] ** 2 - 4 * idx[:, None] ** 2) % p]
+    weights[0] = np.where(b == 0, p, 1)               # the A = 0 row
+    return PointCount(prime=p, parameter=t, count=int(np.sum(hist * weights)))
 
 
 @functools.lru_cache(maxsize=64)

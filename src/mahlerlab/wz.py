@@ -10,14 +10,13 @@ Row sums.  Every sum of (2.8)-(2.9) and every telescoping row has the shape
 
 with small integer weights: 1/(2n-2k+1) for s1, 1/(n+k+1) for s2, and a
 pair's reduced_f(n,k) for the direct side of telescope_reconstruct.
-_row_sum clears every denominator before it adds anything: with D the lcm
-of the row's den_k it sums the plain integers
-
-    C(2k,k)^2 16^(n-k) num_k (D // den_k)
-
-and its caller builds one Fraction over D 16^n from that sum, so each value
-pays a single gcd instead of one per term.  The inner sums of s3 and
-ramanujan_partial_sums come from the integer prefix
+_row_sum adds the terms C(2k,k)^2 16^(n-k) num_k / den_k by binary
+splitting: neighbouring partial sums P1/Q1 and P2/Q2 merge into
+(P1 Q2 + P2 Q1) / (Q1 Q2) with no gcd, level by level, so a numerator of
+about 4n bits is only ever multiplied by a product of small denominators,
+never by their lcm.  Its caller builds one Fraction over Q 16^n from the
+result, so each value pays a single gcd instead of one per term.  The
+inner sums of s3 and ramanujan_partial_sums come from the integer prefix
 
     I(n) = 256 I(n-1) + (4n+1) C(2n,n)^4,   I(n) / 2^(8n) = sum_{k<=n} (4k+1) 2^(-8k) C(2k,k)^4,
 
@@ -27,20 +26,23 @@ the recurrence C(2k,k) = C(2k-2,k-1) 2(2k-1)/k, never from binom.
 
 Certificates.  The two certificate pairs share the common factor
 T(n,k) = 2^(-4k-4n) C(2k,k)^2 C(2n,n)^2, and each is declared once, by its
-reduced forms f/T and g/T; f and g are T times those.  The fast
-verification route divides the pair relation through by T, which cancels
-every binomial coefficient and every power of two symbolically and leaves
-a relation between O(1)-size rationals:
+reduced forms f/T and g/T; f and g are T times those.  A reduced form
+returns an integer pair (num, den) with den != 0, not necessarily in lowest
+terms, so the verifier builds no Fraction and pays no gcd per value.  The
+fast verification route divides the pair relation through by T, which
+cancels every binomial coefficient and every power of two symbolically and
+leaves a relation between O(1)-size rationals:
 
     T(n+1,k)/T(n,k) = (2n+1)^2 / (4(n+1)^2)
     T(n,k+1)/T(n,k) = (2k+1)^2 / (4(k+1)^2)
 
 Both sides are compared by cross-multiplying their small integer numerators
-and denominators; the exact Fraction residual (times T) is built only for a
-violation.  The certificates f and g take T's binomials from binom, and
-the telescope's reconstruction side sums f(n,n) + g(n-1,n) - g(n-1,0)
-from them, so it shares no arithmetic with the row-sum kernel it is
-checked against.
+and denominators; a zero den raises ZeroDivisionError as Fraction would,
+and the exact Fraction residual (times T) is built only for a violation.
+The certificates f and g are Fractions, T (its binomials from binom) times
+Fraction(*reduced), and the telescope's reconstruction side sums
+f(n,n) + g(n-1,n) - g(n-1,0) from them, so it shares no arithmetic with
+the row-sum kernel it is checked against.
 """
 
 from __future__ import annotations
@@ -48,7 +50,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, lcm
+from operator import itemgetter
 from typing import Callable, List, Optional, Sequence, Tuple
 
 __all__ = [
@@ -67,26 +69,24 @@ __all__ = [
 
 @lru_cache(maxsize=None)
 def binom(n: int, k: int) -> int:
-    """C(n,k) by the multiplicative formula with running gcd reduction."""
+    """C(n,k) by the multiplicative formula; step i leaves C(n-k+i, i), so
+    every division is exact and no gcd is needed."""
     if k < 0 or n < 0 or k > n:
         raise ValueError(f"binom needs 0 <= k <= n, got n={n}, k={k}")
     k = min(k, n - k)
-    num = 1
-    den = 1
+    value = 1
     for i in range(1, k + 1):
-        num *= n - k + i
-        den *= i
-        g = gcd(num, den)
-        num //= g
-        den //= g
-    return num // den
+        value = value * (n - k + i) // i
+    return value
 
 
 @dataclass(frozen=True)
 class WZPair:
     """Certificate pair with the relation f(n+1,k)-f(n,k) = g(n,k+1)-g(n,k).
 
-    reduced_f/reduced_g are f/T and g/T for the shared factor T above; when
+    reduced_f/reduced_g are f/T and g/T for the shared factor T above, each
+    returned as an integer pair (num, den) with den != 0, in lowest terms or
+    not (either sign of den); the verifier needs no gcd per value.  When
     both are present the verifier uses them and never touches a binomial,
     and a reduced_f alone lets telescope_reconstruct use the row-sum kernel.
     """
@@ -94,8 +94,8 @@ class WZPair:
     name: str
     f: Callable[[int, int], Fraction]
     g: Callable[[int, int], Fraction]
-    reduced_f: Optional[Callable[[int, int], Fraction]] = None
-    reduced_g: Optional[Callable[[int, int], Fraction]] = None
+    reduced_f: Optional[Callable[[int, int], Tuple[int, int]]] = None
+    reduced_g: Optional[Callable[[int, int], Tuple[int, int]]] = None
 
 
 @dataclass(frozen=True)
@@ -122,8 +122,8 @@ def _reduced_pair(name: str, reduced_f, reduced_g) -> WZPair:
     """The pair f = T reduced_f, g = T reduced_g, with T from binom."""
     return WZPair(
         name=name,
-        f=lambda n, k: _t_factor(n, k) * reduced_f(n, k),
-        g=lambda n, k: _t_factor(n, k) * reduced_g(n, k),
+        f=lambda n, k: _t_factor(n, k) * Fraction(*reduced_f(n, k)),
+        g=lambda n, k: _t_factor(n, k) * Fraction(*reduced_g(n, k)),
         reduced_f=reduced_f,
         reduced_g=reduced_g,
     )
@@ -131,16 +131,14 @@ def _reduced_pair(name: str, reduced_f, reduced_g) -> WZPair:
 
 PAIR_ONE = _reduced_pair(
     "pair-2n-2k+1",
-    lambda n, k: Fraction((2 * n + 1) ** 2, 2 * n - 2 * k + 1),
-    lambda n, k: Fraction(
-        -(k ** 2) * (2 * n + 1) ** 2, (1 + n) ** 2 * (2 * n - 2 * k + 3)
-    ),
+    lambda n, k: ((2 * n + 1) ** 2, 2 * n - 2 * k + 1),
+    lambda n, k: (-(k ** 2) * (2 * n + 1) ** 2, (1 + n) ** 2 * (2 * n - 2 * k + 3)),
 )
 
 PAIR_TWO = _reduced_pair(
     "pair-n+k+1",
-    lambda n, k: Fraction((2 * n + 1) ** 2, n + k + 1),
-    lambda n, k: Fraction(k ** 2 * (2 * n + 1) ** 2, (n + 1) ** 2 * (n + k + 1)),
+    lambda n, k: ((2 * n + 1) ** 2, n + k + 1),
+    lambda n, k: (k ** 2 * (2 * n + 1) ** 2, (n + 1) ** 2 * (n + k + 1)),
 )
 
 
@@ -167,15 +165,24 @@ def _ramanujan_prefix(csq: Sequence[int]) -> List[int]:
 def _row_sum(
     csq: Sequence[int], n: int, weights: Sequence[Tuple[int, int]]
 ) -> Tuple[int, int]:
-    """(N, D 16^n) with N / (D 16^n) = sum_{k<=n} csq[k] 16^(-k) num_k/den_k
-    for weights[k] = (num_k, den_k), den_k > 0 and D = lcm of the den_k.
+    """(N, Q 16^n) with N / (Q 16^n) = sum_{k<=n} csq[k] 16^(-k) num_k/den_k
+    for weights[k] = (num_k, den_k), den_k != 0 of either sign and Q the
+    product of the den_k; a zero den_k makes Q zero, so the caller's
+    Fraction raises ZeroDivisionError.
 
-    Plain integer additions only; the caller reduces the value once."""
-    d = lcm(*(den for _, den in weights))
-    total = 0
-    for k, (num, den) in enumerate(weights):
-        total += (csq[k] * num * (d // den)) << (4 * (n - k))
-    return total, d << (4 * n)
+    Integer products and sums only, merged pairwise; the caller reduces the
+    value once."""
+    level = [((csq[k] * num) << (4 * (n - k)), den) for k, (num, den) in enumerate(weights)]
+    while len(level) > 1:
+        merged = [
+            (p1 * q2 + p2 * q1, q1 * q2)
+            for (p1, q1), (p2, q2) in zip(level[0::2], level[1::2])
+        ]
+        if len(level) % 2:
+            merged.append(level[-1])
+        level = merged
+    total, den = level[0]
+    return total, den << (4 * n)
 
 
 def wz_pair_verify(pair: WZPair, n_max: int) -> WZReport:
@@ -206,6 +213,16 @@ def wz_pair_verify(pair: WZPair, n_max: int) -> WZReport:
     )
 
 
+def _reduced_row(fn, n: int, stop: int) -> List[Tuple[int, int]]:
+    """fn(n, k) for k < stop as (num, den) pairs; a zero den raises here, as
+    Fraction(num, 0) would, so a 0-against-0 cross-multiplication never
+    reads as a pass."""
+    row = [fn(n, k) for k in range(stop)]
+    if not all(map(itemgetter(1), row)):
+        raise ZeroDivisionError(f"reduced certificate has a zero denominator in row n = {n}")
+    return row
+
+
 def _reduced_violations(
     pair: WZPair, n_max: int
 ) -> List[Tuple[int, Optional[int], Fraction]]:
@@ -214,25 +231,21 @@ def _reduced_violations(
         rf(n+1,k) a_n/b_n - rf(n,k) = rg(n,k+1) c_k/d_k - rg(n,k)
 
     with a_n/b_n = T(n+1,k)/T(n,k) and c_k/d_k = T(n,k+1)/T(n,k), compared
-    as cross-multiplied integers.  Row n+1's reduced_f values serve as the
-    next row's, so each certificate value is evaluated once."""
-
-    def parts(values):
-        return [(v.numerator, v.denominator) for v in values]
-
+    as cross-multiplied integers straight from the (num, den) pairs.  Row
+    n+1's reduced_f values serve as the next row's, so each certificate
+    value is evaluated once."""
     rf, rg = pair.reduced_f, pair.reduced_g
+    ratios_k = [((2 * k + 1) ** 2, 4 * (k + 1) ** 2) for k in range(n_max + 1)]
     violations: List[Tuple[int, Optional[int], Fraction]] = []
-    f_next = parts([rf(0, 0)])
+    f_next = _reduced_row(rf, 0, 1)
     for n in range(n_max + 1):
         f_row = f_next
-        f_next = parts([rf(n + 1, k) for k in range(n + 2)])
-        g_row = parts([rg(n, k) for k in range(n + 2)])
+        f_next = _reduced_row(rf, n + 1, n + 2)
+        g_row = _reduced_row(rg, n, n + 2)
         a, b = (2 * n + 1) ** 2, 4 * (n + 1) ** 2
-        for k in range(n + 1):
-            (p1, q1), (p0, q0) = f_next[k], f_row[k]
+        cells = zip(f_next, f_row, g_row[1:], g_row, ratios_k)
+        for k, ((p1, q1), (p0, q0), (u1, v1), (u0, v0), (c, d)) in enumerate(cells):
             lhs_num, lhs_den = p1 * a * q0 - p0 * q1 * b, q1 * b * q0
-            c, d = (2 * k + 1) ** 2, 4 * (k + 1) ** 2
-            (u1, v1), (u0, v0) = g_row[k + 1], g_row[k]
             rhs_num, rhs_den = u1 * c * v0 - u0 * v1 * d, v1 * d * v0
             if lhs_num * rhs_den != rhs_num * lhs_den:
                 residual = Fraction(lhs_num, lhs_den) - Fraction(rhs_num, rhs_den)
@@ -278,8 +291,7 @@ def _direct_row(pair: WZPair, csq: Sequence[int], n: int) -> Fraction:
     kernel's row sum of reduced_f(n,k), T_n = C(2n,n)^2 / 16^n."""
     if pair.reduced_f is None:
         return sum((pair.f(n, k) for k in range(n + 1)), Fraction(0))
-    weights = [pair.reduced_f(n, k) for k in range(n + 1)]
-    total, den = _row_sum(csq, n, [(w.numerator, w.denominator) for w in weights])
+    total, den = _row_sum(csq, n, [pair.reduced_f(n, k) for k in range(n + 1)])
     return Fraction(csq[n] * total, den << (4 * n))
 
 

@@ -18,6 +18,7 @@ from mahlerlab.ffield import (
     legendre,
     verify_4_1,
 )
+from mahlerlab.ffield import _COUNT_P_MAX, _count_histogram
 from mahlerlab.modular import NEWFORM_F, newform_coefficient
 from mahlerlab.precision import ResourceLimitError
 
@@ -38,6 +39,30 @@ def count_points_exhaustive(p, t):
                 for w in range(p):
                     if (lhs3 * sq1[w] - rhs3 * w) % p == 0:
                         total += 1
+    return total
+
+
+def count_points_sweep(p, t):
+    """The per-x O(p^3) sweep count_points ran before its histogram: for
+    each (x, y, z) the equation is a quadratic in w, counted through the
+    discriminant's Legendre symbol.  The oracle for count_points up to
+    p = 199, where the O(p^4) count is too slow."""
+    t %= p
+    idx = np.arange(p, dtype=np.int64)
+    sq1 = (idx ** 2 + 1) % p
+    leg = np.array([legendre(int(v), p) for v in idx], dtype=np.int64)
+    yz_sq = (sq1[:, None] * sq1[None, :]) % p
+    yz = (idx[:, None] * idx[None, :]) % p
+    total = 0
+    for x in range(p):
+        a = (int(sq1[x]) * yz_sq) % p
+        b = (16 * t * x * yz) % p
+        deg = a == 0
+        # A = 0: A(w^2+1) = B w reduces to B w = 0
+        total += int(np.count_nonzero(deg & (b == 0))) * p
+        total += int(np.count_nonzero(deg & (b != 0)))
+        disc = (b * b - 4 * a * a) % p
+        total += int(np.sum((1 + leg[disc])[~deg]))
     return total
 
 
@@ -139,6 +164,24 @@ class TestPointCount:
                 a = count_points(p, t).count
                 b = count_points_exhaustive(p, t)
                 assert a == b, (p, t)
+
+    def test_histogram_matches_sweep_every_t(self):
+        for p in PRIMES_TO_50:
+            for t in range(p):
+                assert count_points(p, t).count == count_points_sweep(p, t), (p, t)
+
+    def test_histogram_matches_sweep_at_the_limit(self):
+        p = _COUNT_P_MAX
+        assert p == 199
+        for t in (0, 1, 2, p - 1):
+            assert count_points(p, t).count == count_points_sweep(p, t), t
+
+    def test_histogram_counts_every_triple(self):
+        for p in PRIMES_TO_50 + (_COUNT_P_MAX,):
+            hist = _count_histogram(p)
+            assert hist.shape == (p, p)
+            assert int(hist.sum()) == p ** 3
+            assert hist.min() >= 0
 
     def test_count_range_invariant(self):
         with pytest.raises(ValueError):

@@ -340,6 +340,17 @@ def _scaled_at(fn, cell):
     return lambda n, k: fn(n, k) * (2 if (n, k) == cell else 1)
 
 
+def _pair_scaled_at(fn, cell):
+    """_scaled_at for a reduced form, which returns (num, den): the numerator
+    doubles at cell."""
+
+    def scaled(n, k):
+        num, den = fn(n, k)
+        return (2 * num if (n, k) == cell else num), den
+
+    return scaled
+
+
 class TestWZNegativeControls:
     """One perturbed input must flip each WZ check to FAIL with a nonzero
     residual; the unperturbed check passes on the same range."""
@@ -363,7 +374,7 @@ class TestWZNegativeControls:
         bad = dataclasses.replace(
             pair,
             f=_scaled_at(pair.f, cell),
-            reduced_f=_scaled_at(pair.reduced_f, cell),
+            reduced_f=_pair_scaled_at(pair.reduced_f, cell),
         )
         check = get_check(check_id)
 

@@ -15,7 +15,7 @@ from mahlerlab.wz import (
     telescope_reconstruct,
     wz_pair_verify,
 )
-from mahlerlab.wz import _central_squares, _direct_row, _t_factor, identity_rows
+from mahlerlab.wz import _central_squares, _direct_row, _reduced_pair, _t_factor, identity_rows
 
 
 def _pascal_oracle(n, k):
@@ -60,16 +60,33 @@ def _ramanujan_oracle(m_max):
 
 def _reduced_fraction_route(pair, n_max):
     """wz_pair_verify's reduced route with every quantity a Fraction."""
+    rf = lambda n, k: Fraction(*pair.reduced_f(n, k))
+    rg = lambda n, k: Fraction(*pair.reduced_g(n, k))
     violations = []
     for n in range(n_max + 1):
         r_n = Fraction((2 * n + 1) ** 2, 4 * (n + 1) ** 2)
         for k in range(n + 1):
-            lhs = pair.reduced_f(n + 1, k) * r_n - pair.reduced_f(n, k)
+            lhs = rf(n + 1, k) * r_n - rf(n, k)
             r_k = Fraction((2 * k + 1) ** 2, 4 * (k + 1) ** 2)
-            rhs = pair.reduced_g(n, k + 1) * r_k - pair.reduced_g(n, k)
+            rhs = rg(n, k + 1) * r_k - rg(n, k)
             if lhs != rhs:
                 violations.append((n, k, (lhs - rhs) * _t_factor(n, k)))
     return violations
+
+
+def _scaled_pair(fn, factor, cell=None):
+    """A reduced form, (num, den), with num times factor at cell (at every
+    cell when cell is None)."""
+
+    def scaled(n, k):
+        num, den = fn(n, k)
+        return (num * factor, den) if cell in (None, (n, k)) else (num, den)
+
+    return scaled
+
+
+def _with_reduced(pair, reduced_f, reduced_g):
+    return WZPair(name=pair.name, f=pair.f, g=pair.g, reduced_f=reduced_f, reduced_g=reduced_g)
 
 
 ORACLE_ROWS = list(range(61)) + [100, 250, 500]
@@ -104,10 +121,10 @@ class TestReducedForms:
     def test_reduction_is_exact(self, n, data):
         k = data.draw(st.integers(min_value=0, max_value=n))
         t = _t_factor(n, k)
-        assert PAIR_ONE.f(n, k) == PAIR_ONE.reduced_f(n, k) * t
-        assert PAIR_ONE.g(n, k) == PAIR_ONE.reduced_g(n, k) * t
-        assert PAIR_TWO.f(n, k) == PAIR_TWO.reduced_f(n, k) * t
-        assert PAIR_TWO.g(n, k) == PAIR_TWO.reduced_g(n, k) * t
+        assert PAIR_ONE.f(n, k) == Fraction(*PAIR_ONE.reduced_f(n, k)) * t
+        assert PAIR_ONE.g(n, k) == Fraction(*PAIR_ONE.reduced_g(n, k)) * t
+        assert PAIR_TWO.f(n, k) == Fraction(*PAIR_TWO.reduced_f(n, k)) * t
+        assert PAIR_TWO.g(n, k) == Fraction(*PAIR_TWO.reduced_g(n, k)) * t
 
     @given(st.integers(min_value=0, max_value=40), st.integers(min_value=0, max_value=40))
     @settings(max_examples=40, deadline=None)
@@ -142,7 +159,7 @@ class TestPairVerify:
             f=PAIR_ONE.f,
             g=lambda n, k: 2 * PAIR_ONE.g(n, k),
             reduced_f=PAIR_ONE.reduced_f,
-            reduced_g=lambda n, k: 2 * PAIR_ONE.reduced_g(n, k),
+            reduced_g=_scaled_pair(PAIR_ONE.reduced_g, 2),
         )
         report = wz_pair_verify(bad, 5)
         assert not report.ok
@@ -154,14 +171,11 @@ class TestPairVerify:
     @pytest.mark.parametrize("scaled", ["f", "g"])
     def test_integer_route_matches_fraction_route(self, scaled):
         # one certificate value scaled at one cell: same cells, same residuals
-        def bump(fn, cell):
-            return lambda n, k: fn(n, k) * (3 if (n, k) == cell else 1)
-
         rf, rg = PAIR_TWO.reduced_f, PAIR_TWO.reduced_g
         if scaled == "f":
-            rf = bump(rf, (9, 4))
+            rf = _scaled_pair(rf, 3, (9, 4))
         else:
-            rg = bump(rg, (12, 7))
+            rg = _scaled_pair(rg, 3, (12, 7))
         bad = WZPair(name="bad", f=PAIR_TWO.f, g=PAIR_TWO.g, reduced_f=rf, reduced_g=rg)
         report = wz_pair_verify(bad, 20)
         expected = _reduced_fraction_route(bad, 20)
@@ -175,6 +189,72 @@ class TestPairVerify:
     def test_domain(self):
         with pytest.raises(ValueError):
             wz_pair_verify(PAIR_ONE, 0)
+
+
+class TestCertificateDenominators:
+    """Reduced forms are unreduced (num, den) pairs: a zero den must raise
+    as Fraction(num, 0) did, and the sign of den must not matter."""
+
+    @staticmethod
+    def _zero_den_at(fn, cell):
+        return lambda n, k: (fn(n, k)[0], 0) if (n, k) == cell else fn(n, k)
+
+    @staticmethod
+    def _negated(fn, cells):
+        """fn with num and den both negated at the cells that cells(n, k)
+        picks; a checkerboard mixes the signs inside one relation."""
+        return lambda n, k: tuple(-v for v in fn(n, k)) if cells(n, k) else fn(n, k)
+
+    @pytest.mark.parametrize("which", ["f", "g"])
+    def test_zero_den_at_one_cell_raises(self, which):
+        # cells that both routes evaluate: the telescope takes g only at
+        # (n-1, n) and (n-1, 0)
+        rf, rg = PAIR_ONE.reduced_f, PAIR_ONE.reduced_g
+        if which == "f":
+            rf = self._zero_den_at(rf, (7, 3))
+        else:
+            rg = self._zero_den_at(rg, (6, 7))
+        bad = _with_reduced(PAIR_ONE, rf, rg)
+        with pytest.raises(ZeroDivisionError):
+            wz_pair_verify(bad, 20)
+        with pytest.raises(ZeroDivisionError):
+            telescope_reconstruct(_reduced_pair("bad", rf, rg), 20)
+
+    def test_zero_den_in_telescope_row_sum_raises(self):
+        # f keeps its Fraction values, so only the row-sum kernel sees the 0
+        rf = self._zero_den_at(PAIR_TWO.reduced_f, (9, 4))
+        with pytest.raises(ZeroDivisionError):
+            telescope_reconstruct(_with_reduced(PAIR_TWO, rf, PAIR_TWO.reduced_g), 20)
+
+    def test_zero_against_zero_is_not_a_pass(self):
+        # every cross-multiplied product would read 0 == 0
+        zero = lambda n, k: (0, 0)
+        with pytest.raises(ZeroDivisionError):
+            wz_pair_verify(_with_reduced(PAIR_ONE, zero, zero), 5)
+        with pytest.raises(ZeroDivisionError):
+            telescope_reconstruct(_with_reduced(PAIR_ONE, zero, zero), 5)
+
+    @pytest.mark.parametrize("cells", [
+        pytest.param(lambda n, k: True, id="everywhere"),
+        pytest.param(lambda n, k: (n + k) % 2, id="checkerboard"),
+    ])
+    @pytest.mark.parametrize("pair", [PAIR_ONE, PAIR_TWO], ids=lambda p: p.name)
+    def test_negated_pairs_give_the_same_report(self, pair, cells):
+        neg = _with_reduced(
+            pair, self._negated(pair.reduced_f, cells), self._negated(pair.reduced_g, cells)
+        )
+        assert wz_pair_verify(neg, 60) == wz_pair_verify(pair, 60)
+        assert telescope_reconstruct(neg, 60) == telescope_reconstruct(pair, 60)
+        # and for a broken pair, the same cells and the same exact residuals
+        rg = _scaled_pair(pair.reduced_g, 3, (12, 7))
+        bad = _with_reduced(pair, pair.reduced_f, rg)
+        bad_neg = _with_reduced(
+            pair, self._negated(pair.reduced_f, cells), self._negated(rg, cells)
+        )
+        report = wz_pair_verify(bad, 30)
+        assert not report.ok
+        assert wz_pair_verify(bad_neg, 30) == report
+        assert report.violations == tuple(_reduced_fraction_route(bad, 30))
 
 
 class TestIdentity:
