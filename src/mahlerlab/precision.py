@@ -18,10 +18,12 @@ w = mp.prec + FIXED_GUARD_BITS.  The Levin table is exact integer
 arithmetic on that layer.  The other users are modular.fricke_check's
 q-series Horner; special.agm and the ell_k/ell_kprime wrappers around it
 (the AGM and pi / (2 agm) at every tanh-sinh node of the elliptic checks);
-special.pfq's direct sum inside the unit disk (the k-integral route's
-m_alpha series and m(R_k)'s 6F5 for |k| > 16); and
-special.exp_integral_e1 (the Mellin split's E1 terms).  Each is an int
-loop whose docstring states its error bound.
+special.pfq, whose direct sum inside the unit disk (the k-integral route's
+m_alpha series and m(R_k)'s 6F5 for |k| > 16) and partial sums at |x| = 1
+(the 6F5 of m(R_16), the wan-moments 4F3s, and special.catalan as the 3F2
+at -1) step one int term ratio; and special.exp_integral_e1 (the Mellin
+split's E1 terms).  Each is an int loop whose docstring states its error
+bound.
 """
 
 from __future__ import annotations

@@ -1,5 +1,5 @@
-"""Elliptic integrals via AGM, zeta values, Catalan's constant, Legendre chi,
-the exponential integral, and generalized hypergeometric summation.
+"""Elliptic integrals via AGM, zeta values, Catalan's constant (a 3F2 at -1),
+Legendre chi, the exponential integral, and generalized pFq summation.
 
 Gamma is only provided at integer and half-integer arguments; that is all the
 identities here require.  Everything real-valued is an mpf computed inside a
@@ -8,8 +8,8 @@ local working-precision context.
 The kernels called per node or per term run on ints, in precision.py's
 fixed-point sense: `agm` is the loop a, b <- (a+b)/2, isqrt(a b) on
 arguments normalised by a common power of two, and ell_k/ell_kprime divide
-a fixed-point pi by its result without leaving ints; the direct pFq sum
-steps its term by the ratio's small-int numerator and denominator; and
+a fixed-point pi by its result without leaving ints; both pFq branches,
+direct and Levin-accelerated at |x| = 1, step one small-int term ratio; and
 `exp_integral_e1` sums its power series or runs its continued fraction's
 convergent recurrence, choosing per call whichever needs fewer long
 multiplies at that x and precision.  Each converts its inputs once and
@@ -227,35 +227,20 @@ def zeta_prime_minus2(precision: int = 128):
 
 
 def catalan(precision: int = 128):
-    """Catalan's constant G = sum (-1)^n / (2n+1)^2, Levin-accelerated."""
-    n_terms = max(24, int(0.4 * precision) + 12)
-    work = precision + int(1.2 * n_terms) + 48
-    with mp.workprec(work):
-        # one retry with twice the terms; alternating series gain fast
-        for count in (n_terms, 2 * n_terms):
-            sums = []
-            tot = mp.mpf(0)
-            for n in range(count):
-                tot += mp.mpf((-1) ** n) / (2 * n + 1) ** 2
-                sums.append(tot)
-            res = accelerate(sums, precision=precision + 8)
-            if not res.low_confidence and res.error_estimate <= mp.mpf(2) ** (-(precision + 4)):
-                break
-        else:
-            raise NoConvergence(
-                "Catalan series acceleration missed its error target",
-                best=res.value,
-                terms=count,
-            )
-    with mp.workprec(precision):
-        return +res.value
+    """Catalan's constant G = sum (-1)^n / (2n+1)^2 = 3F2(1, 1/2, 1/2;
+    3/2, 3/2; -1): pfq's Levin-accelerated unit-argument path at
+    precision + 8 bits and target 2^-(precision+4), rounded to precision."""
+    spec = PFQSpec([1, Fraction(1, 2), Fraction(1, 2)], [Fraction(3, 2)] * 2, -1)
+    value = pfq(spec, mp.mpf(2) ** (-(precision + 4)), precision=precision + 8)
+    return mp.mpf(value, prec=precision)
 
 
 def legendre_chi3(alpha, precision: int = 128):
     """Legendre chi_3(alpha) = sum_{n>=0} alpha^(2n+1) / (2n+1)^3 on [0, 1].
 
-    At alpha = 1 the closed form chi_3(1) = 7 zeta(3) / 8 is used; the series
-    ratio alpha^2 makes direct summation useless there.
+    Within 2^-(precision/2) of 1 the closed form chi_3(1) = 7 zeta(3) / 8 is
+    used; the series ratio alpha^2 makes direct summation useless there, and
+    an alpha whose estimated term count passes 10^8 raises ValueError.
     """
     with mp.workprec(precision + 16):
         a = mp.mpf(alpha)
@@ -268,6 +253,8 @@ def legendre_chi3(alpha, precision: int = 128):
         else:
             eps = mp.mpf(2) ** (-(precision + 8))
             ratio = a * a
+            if mp.log(eps) / mp.log(ratio) > 10 ** 8:
+                raise ValueError("legendre_chi3 argument too close to 1 for direct summation")
             v = mp.mpf(0)
             pw = a
             n = 0
@@ -307,40 +294,23 @@ class PFQSpec:
         return 1 + sum(Fraction(b) for b in self.lower) - sum(Fraction(a) for a in self.upper)
 
 
-def _arg_mpf(val):
-    if isinstance(val, Fraction):
-        return mp.mpf(val.numerator) / val.denominator
-    return mp.mpf(val)
-
-
-def _term_ratio(upper, lower, n: int):
-    """prod (a + n) / prod (b + n) over mpf parameters, at mp.prec: the
-    ratio t_(n+1) / t_n of a pFq series without its x / (n + 1)."""
-    ratio = mp.mpf(1)
-    for a in upper:
-        ratio *= a + n
-    for b in lower:
-        ratio /= b + n
-    return ratio
-
-
 def pfq(spec: PFQSpec, target_abs_error, precision: Optional[int] = None):
     """Evaluate pFq to the requested absolute error.
 
-    Inside the unit disk the series is summed directly with a geometric tail
-    estimate.  At |x| = 1 a Levin-u pass over at least 64 partial sums is
-    mandatory (the series here decay like n^(-2) or n^(-3), so direct
-    summation to 10 digits would need ~10^8 terms, which is refused).
+    |x| is compared with 1 exactly, on _exact_argument's ints.  Inside the
+    unit disk the series is summed directly with a geometric tail estimate.
+    At |x| = 1 a Levin-u pass over at least 128 partial sums is mandatory
+    (the series here decay like n^(-2) or n^(-3), so direct summation to 10
+    digits would need ~10^8 terms, which is refused).
     """
-    with mp.workprec(64):
-        x = _arg_mpf(spec.argument)
     target = mp.mpf(target_abs_error)
     base = precision if precision is not None else int(-mp.log(target, 2)) + 48
+    num, den, s = _exact_argument(spec.argument, base + 32)
 
     terminates = any(Fraction(a) <= 0 and Fraction(a).denominator == 1 for a in spec.upper)
-    if abs(x) > 1 and not terminates:
-        raise ValueError(f"pFq diverges for |argument| = {abs(x)} > 1")
-    if abs(x) == 1 and not terminates:
+    if abs(num) > den << s and not terminates:
+        raise ValueError(f"pFq diverges for |argument| > 1, got {spec.argument}")
+    if abs(num) == den << s and not terminates:
         rho = spec.tail_exponent()
         if rho <= 1:
             raise ValueError("pFq at unit argument needs parameter excess > 0")
@@ -374,6 +344,26 @@ def _exact_argument(val, prec: int):
     if exp >= 0:
         return num << exp, 1, 0
     return num, 1, -exp
+
+
+def _ratio_ints(spec: PFQSpec):
+    """n -> (P(n), Q(n)), small ints with P(n) / Q(n) = t_(n+1) / (x t_n) =
+    prod (a + n) / ((n + 1) prod (b + n)).  As a + n = (p + n q) / q for
+    a = p/q, the q of the upper parameters go to Q, the lower ones' to P."""
+    upper, lower = _int_factors(spec.upper), _int_factors(spec.lower)
+    p_scale = math.prod(q ** m for _, q, m in lower)
+    q_scale = math.prod(q ** m for _, q, m in upper)
+
+    def ratio(n: int):
+        pn = p_scale
+        for a, q, m in upper:
+            pn *= (a + n * q) ** m
+        qn = q_scale * (n + 1)
+        for b, q, m in lower:
+            qn *= (b + n * q) ** m
+        return pn, qn
+
+    return ratio
 
 
 def _first_stop(spec: PFQSpec, x_num: int, x_den: int):
@@ -447,20 +437,13 @@ def _pfq_direct(spec: PFQSpec, target, base: int, terminates: bool):
     series that no such index serves diverges and is refused, as are
     arguments beyond 0.999 whose estimated term count passes 10^8.
     """
-    if not terminates:
-        with mp.workprec(base + 32):
-            x = _arg_mpf(spec.argument)
-            if abs(x) > mp.mpf("0.999"):
-                # estimated terms-to-target beyond 10^8 is refused by contract
-                est = mp.log(target) / mp.log(abs(x))
-                if est > 10 ** 8:
-                    raise ValueError("pFq argument too close to 1 for direct summation")
-    upper, lower = _int_factors(spec.upper), _int_factors(spec.lower)
-    # a + n = (p + n q) / q: the q of the upper parameters go to Q, the
-    # lower ones' to P
-    p_scale = math.prod(q ** m for _, q, m in lower)
-    q_scale = math.prod(q ** m for _, q, m in upper)
     num, den, s = _exact_argument(spec.argument, base + 32)
+    if not terminates and 1000 * abs(num) > 999 * (den << s):
+        with mp.workprec(base + 32):
+            # estimated terms-to-target beyond 10^8 is refused by contract
+            if mp.log(target) / mp.log(mp.mpf(abs(num)) / (den << s)) > 10 ** 8:
+                raise ValueError("pFq argument too close to 1 for direct summation")
+    ratio = _ratio_ints(spec)
     x_abs = float(min(Fraction(abs(num), den << s), _FLOAT_CAP))
     first_stop = _first_stop(spec, abs(num), den << s)
     if first_stop is None:
@@ -476,12 +459,7 @@ def _pfq_direct(spec: PFQSpec, target, base: int, terminates: bool):
         spread_bits = 0
         while True:
             total += t
-            pn = p_scale
-            for a, q, m in upper:
-                pn *= (a + n * q) ** m
-            qn = q_scale * (n + 1)
-            for b, q, m in lower:
-                qn *= (b + n * q) ** m
+            pn, qn = ratio(n)
             step_num, step_den = num * pn, den * qn
             t = ((t * step_num) >> s) // step_den
             if pn == 0:
@@ -506,20 +484,22 @@ def _pfq_direct(spec: PFQSpec, target, base: int, terminates: bool):
 
 
 def _pfq_unit(spec: PFQSpec, target, base: int):
+    """Levin-u over 128 partial sums (320 for targets <= 1e-15), doubled up
+    to 1280 until the estimate meets the target.  Terms are stepped as in
+    _pfq_direct, on ints of w = base + int(1.2 n_terms) + 48 fraction bits
+    (1.2 bits a term for the Levin table's cancellation)."""
+    ratio = _ratio_ints(spec)
+    num, den, s = _exact_argument(spec.argument, base + 32)
     n_terms = 128 if target > mp.mpf("1e-15") else 320
     while True:
-        work = base + int(1.2 * n_terms) + 48
-        with mp.workprec(work):
-            upper = [_arg_mpf(a) for a in spec.upper]
-            lower = [_arg_mpf(b) for b in spec.lower]
-            sums = []
-            tot = mp.mpf(0)
-            t = mp.mpf(1)
-            for n in range(n_terms):
-                tot += t
-                sums.append(tot)
-                t = t * _term_ratio(upper, lower, n) / (n + 1)
-            res = accelerate(sums, precision=base)
+        w = base + int(1.2 * n_terms) + 48
+        sums, total, t = [], 0, 1 << w
+        for n in range(n_terms):
+            total += t
+            sums.append(from_fixed(total, w))
+            pn, qn = ratio(n)
+            t = ((t * num * pn) >> s) // (den * qn)
+        res = accelerate(sums, precision=base)
         if not res.low_confidence and res.error_estimate <= target:
             with mp.workprec(base):
                 return +res.value

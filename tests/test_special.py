@@ -8,8 +8,10 @@ from mpmath import mp
 import scipy.special
 
 from mahlerlab import special
+from mahlerlab.mahler import r_alpha
 from mahlerlab.modular import NEWFORM_F, NEWFORM_H, _term_count
-from mahlerlab.precision import AccelResult, NoConvergence
+from mahlerlab.precision import AccelResult, NoConvergence, accelerate
+from mahlerlab.registry import _hp_tolerance
 from mahlerlab.special import (
     PFQSpec,
     _e1_uses_series,
@@ -99,19 +101,36 @@ def _ell_kprime_mpf(k, precision):
     return mp.mpf(v, prec=p)
 
 
+def _arg_mpf(val):
+    if isinstance(val, Fraction):
+        return mp.mpf(val.numerator) / val.denominator
+    return mp.mpf(val)
+
+
+def _term_ratio(upper, lower, n):
+    """prod (a + n) / prod (b + n) over mpf parameters, at mp.prec: the
+    ratio t_(n+1) / t_n of a pFq series without its x / (n + 1)."""
+    ratio = mp.mpf(1)
+    for a in upper:
+        ratio *= a + n
+    for b in lower:
+        ratio /= b + n
+    return ratio
+
+
 def _pfq_direct_mpf(spec, target, base):
     # the mpf sum the int kernel replaced (t == 0 only where a terminating
     # series ends); returns the value and the ratio index at which it stopped
     with mp.workprec(base + 32):
-        x = special._arg_mpf(spec.argument)
-        upper = [special._arg_mpf(a) for a in spec.upper]
-        lower = [special._arg_mpf(b) for b in spec.lower]
+        x = _arg_mpf(spec.argument)
+        upper = [_arg_mpf(a) for a in spec.upper]
+        lower = [_arg_mpf(b) for b in spec.lower]
         total = mp.mpf(0)
         t = mp.mpf(1)
         n = 0
         while True:
             total += t
-            ratio = special._term_ratio(upper, lower, n) * (x / (n + 1))
+            ratio = _term_ratio(upper, lower, n) * (x / (n + 1))
             t = t * ratio
             if t == 0:
                 break
@@ -122,6 +141,30 @@ def _pfq_direct_mpf(spec, target, base):
             n += 1
     with mp.workprec(base):
         return +total, n
+
+
+def _pfq_unit_mpf(spec, target, base):
+    # the mpf partial sums the int unit-argument path replaced, now with the
+    # argument's factor (+-1, so exact); the same terms, widths and retries
+    n_terms = 128 if target > mp.mpf("1e-15") else 320
+    while True:
+        with mp.workprec(base + int(1.2 * n_terms) + 48):
+            x = _arg_mpf(spec.argument)
+            upper = [_arg_mpf(a) for a in spec.upper]
+            lower = [_arg_mpf(b) for b in spec.lower]
+            sums = []
+            tot = mp.mpf(0)
+            t = mp.mpf(1)
+            for n in range(n_terms):
+                tot += t
+                sums.append(tot)
+                t = t * _term_ratio(upper, lower, n) * x / (n + 1)
+            res = accelerate(sums, precision=base)
+        if not res.low_confidence and res.error_estimate <= target:
+            with mp.workprec(base):
+                return +res.value
+        assert n_terms < 1280, "the mpf oracle stalled"
+        n_terms *= 2
 
 
 def _close_to(value, ref, precision):
@@ -438,15 +481,16 @@ class TestCatalan:
             assert abs(catalan(128) - catalan(256)) < mp.mpf(2) ** -120
 
     def test_missed_target_raises(self, monkeypatch):
-        # an accelerator that never meets the target: both passes (63 and
-        # 126 terms at 128 bits) must end in NoConvergence, not a value
+        # an accelerator that never meets the target: every pass of pfq's
+        # unit-argument path (320, 640 and 1280 terms at 128 bits) must end
+        # in NoConvergence, not a value
         def stalled(sums, precision=None):
             return AccelResult(value=sums[-1], error_estimate=mp.mpf(1), low_confidence=True)
 
         monkeypatch.setattr(special, "accelerate", stalled)
         with pytest.raises(NoConvergence) as info:
             catalan(128)
-        assert info.value.terms == 126
+        assert info.value.terms == 1280
         assert abs(info.value.best - mp.mpf("0.91596559")) < 1e-3
 
     def test_low_confidence_alone_raises(self, monkeypatch):
@@ -482,6 +526,16 @@ class TestLegendreChi3:
             a = 1 - mp.mpf(2) ** -70
             ref = 7 * zeta_int(3, 160) / 8
             assert abs(legendre_chi3(a, 128) - ref) < mp.mpf(10) ** -20
+
+    def test_just_below_the_closed_form_window_refused(self):
+        # 1 - 2^-30 is outside the 2^-48 window at 96 bits, and its series
+        # needs ~4e10 terms: refused at once, as pfq refuses its argument
+        with mp.workprec(96):
+            a = 1 - mp.mpf(2) ** -30
+        with pytest.raises(ValueError, match="too close to 1"):
+            legendre_chi3(a, 96)
+        with pytest.raises(ValueError, match="too close to 1"):
+            r_alpha(a, route="polylog", precision=96)
 
     def test_domain(self):
         with pytest.raises(ValueError):
@@ -708,6 +762,102 @@ class TestPfqDirectAgainstMpfOracle:
         # unless the series terminates: 1 - 3/2 + 81/32
         spec = PFQSpec([Fraction(-2), Fraction(1, 2), Fraction(1, 2)], [Fraction(1)], Fraction(3))
         assert pfq(spec, mp.mpf(2) ** -100, precision=96) == mp.mpf(65) / 32
+
+
+_SIX_F_FIVE = PFQSpec([Fraction(3, 2)] * 4 + [Fraction(1)] * 2, [Fraction(2)] * 5, Fraction(1))
+_CATALAN_3F2 = PFQSpec([1, Fraction(1, 2), Fraction(1, 2)], [Fraction(3, 2)] * 2, -1)
+
+
+def _wan_4f3(m):
+    half = Fraction(m + 1, 2)
+    lower = [Fraction(1), half + Fraction(1, 2), half + Fraction(1, 2)]
+    return PFQSpec([Fraction(1, 2), Fraction(1, 2), half, half], lower, 1)
+
+
+def _hyper(spec, precision):
+    with mp.workprec(precision):
+        upper, lower = [_arg_mpf(a) for a in spec.upper], [_arg_mpf(b) for b in spec.lower]
+        return mp.hyper(upper, lower, _arg_mpf(spec.argument))
+
+
+class TestPfqArgument:
+    @pytest.mark.parametrize("precision", [96, 300])
+    def test_minus_one_is_summed_at_minus_one(self, precision):
+        # 3F2(1, 1/2, 1/2; 3/2, 3/2; -1) is Catalan's G, not the pi^2/8 of +1
+        target = mp.mpf(2) ** -(precision - 6)
+        value = pfq(_CATALAN_3F2, target, precision=precision)
+        assert abs(value - _hyper(_CATALAN_3F2, precision + 64)) <= target
+        with mp.workprec(precision + 64):
+            assert abs(value - mp.catalan) <= target
+
+    def test_argument_just_below_one_is_not_one(self):
+        # 1 - 2^-80 must not be summed as x = 1 (mpmath puts that value
+        # 7.3e-24 away): it meets the target or is refused as too close to 1
+        with mp.workprec(160):
+            x = 1 - mp.mpf(2) ** -80
+        spec = PFQSpec([Fraction(1, 2)] * 3, [Fraction(1), Fraction(3, 2)], x)
+        target = mp.mpf(2) ** -100
+        try:
+            value = pfq(spec, target, precision=160)
+        except ValueError as exc:
+            assert str(exc) == "pFq argument too close to 1 for direct summation"
+        else:
+            # mpmath needs tens of seconds this close to 1
+            assert abs(value - _hyper(spec, 168)) <= target
+
+    def test_argument_rounds_at_the_working_width(self):
+        # past base + 32 bits the argument rounds to 1 and takes the unit path
+        with mp.workprec(400):
+            x = 1 - mp.mpf(2) ** -300
+        spec = PFQSpec([Fraction(1, 2)] * 3, [Fraction(1), Fraction(3, 2)], x)
+        target = mp.mpf(2) ** -60
+        at_one = pfq(dataclasses.replace(spec, argument=1), target, precision=96)
+        assert pfq(spec, target, precision=96) == at_one
+
+
+class TestPfqUnitAgainstMpfOracle:
+    # the int partial sums round to the same base-bit value as the mpf ones
+    # they replaced for every call a report makes, and agree within the
+    # requested target elsewhere
+
+    @pytest.mark.parametrize("e", [64, 96, 128, 160])
+    def test_eq_1_5_bits(self, e):
+        with mp.workprec(e + 48):
+            target = _hp_tolerance(e) / 8
+            assert pfq(_SIX_F_FIVE, target, precision=e + 48) == _pfq_unit_mpf(_SIX_F_FIVE, target, e + 48)
+
+    def test_wan_moments_bits(self):
+        # _suite_plan at 96 bits: wan_moment_check's tolerance / 16, at 104 bits
+        with mp.workprec(128):
+            target = max(_hp_tolerance(96), mp.mpf("1e-14")) / 8 / 16
+        for m in range(7):
+            spec = _wan_4f3(m)
+            with mp.workprec(112):
+                assert pfq(spec, target, precision=104) == _pfq_unit_mpf(spec, target, 104), m
+
+    @pytest.mark.parametrize("precision", [144, 1047])
+    def test_catalan_bits(self, precision):
+        # eq-1.1 calls catalan(144); compute catalan --digits 300 calls 1047
+        ref = _pfq_unit_mpf(_CATALAN_3F2, mp.mpf(2) ** -(precision + 4), precision + 8)
+        assert catalan(precision) == mp.mpf(ref, prec=precision)
+
+    @pytest.mark.parametrize("precision", [64, 200, 400, 700])
+    def test_within_target(self, precision):
+        for slack in (40, 48):
+            target = mp.mpf(2) ** -(precision - slack)
+            for spec in (_SIX_F_FIVE, _wan_4f3(0), _wan_4f3(5), _CATALAN_3F2):
+                value = pfq(spec, target, precision=precision)
+                assert abs(value - _pfq_unit_mpf(spec, target, precision)) <= target, (spec, slack)
+            with mp.workprec(precision + 64):
+                assert abs(value - mp.catalan) <= target, slack
+
+    @pytest.mark.parametrize("precision", [32, 175, 437, 535, 600])
+    def test_catalan_against_mpmath(self, precision):
+        # within half an ulp of G plus the 2^-(p+4) target; at 175, 437 and
+        # 535 bits G sits near a rounding tie
+        with mp.workprec(precision + 64):
+            bound = mp.mpf(2) ** -(precision + 1) + mp.mpf(2) ** -(precision + 4)
+            assert abs(catalan(precision) - mp.catalan) <= bound
 
 
 class TestExpIntegral:
