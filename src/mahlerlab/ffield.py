@@ -24,6 +24,9 @@ counting: count_points solves the quadratic in w through its
 discriminant's Legendre symbol, and since (x, y, z) enters only through
 A = (x^2+1)(y^2+1)(z^2+1) and u = xyz, one O(p^3) histogram of (A, u) per
 prime serves every t with an O(p^2) weighted sum.
+
+numpy is imported by the functions that build these arrays, on their first
+call, not with the module.
 """
 
 from __future__ import annotations
@@ -32,8 +35,6 @@ import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Tuple
-
-import numpy as np
 
 from .precision import ResourceLimitError
 
@@ -125,6 +126,8 @@ class PointCount:
 
 
 def _legendre_table(p: int) -> np.ndarray:
+    import numpy as np
+
     leg = np.zeros(p, dtype=np.int64)
     for x in range(1, p):
         leg[x] = -1
@@ -139,6 +142,8 @@ def _count_histogram(p: int) -> np.ndarray:
     one bincount per x over a p x p slice, so memory stays O(p^2).
 
     One entry is kept: verify_4_1 walks every t of one prime in turn."""
+    import numpy as np
+
     idx = np.arange(p, dtype=np.int64)
     sq1 = (idx ** 2 + 1) % p
     yz_sq = (sq1[:, None] * sq1[None, :]) % p         # (y^2+1)(z^2+1)
@@ -165,6 +170,8 @@ def count_points(p: int, t: int) -> PointCount:
     _check_odd_prime(p)
     if p > _COUNT_P_MAX:
         raise ResourceLimitError(f"count_points limited to p <= {_COUNT_P_MAX}")
+    import numpy as np
+
     t %= p
     hist = _count_histogram(p)
     leg = _legendre_table(p)
@@ -178,6 +185,8 @@ def count_points(p: int, t: int) -> PointCount:
 @functools.lru_cache(maxsize=64)
 def _greene_binomials(p: int) -> np.ndarray:
     """binom(phi chi_j, chi_j) for j = 0..p-2 via Jacobi sums."""
+    import numpy as np
+
     table = CharTable.build(p)
     q = table.legendre_index
     ind = np.asarray(table.index, dtype=np.int64)
@@ -205,6 +214,8 @@ def greene_nfn(p: int, n: int, x: int) -> Fraction:
     x %= p
     if x == 0:
         return Fraction(0)
+    import numpy as np
+
     table = CharTable.build(p)
     binoms = _greene_binomials(p)
     m = p - 1

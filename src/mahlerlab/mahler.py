@@ -17,6 +17,10 @@ This module evaluates m(P) three ways and cross-checks the routes:
 It also hosts three self-contained identity checks (Fourier expansions
 of K(sin t)cos t and friends, the cos*cos density integral, and the
 moments of K(k)K'(k)) that the verification registry wraps.
+
+numpy is imported only where arrays are built (exponent_matrix and the
+torus integrand builders), so the hypergeometric and tanh-sinh routes
+never load it.
 """
 
 from __future__ import annotations
@@ -26,7 +30,6 @@ from fractions import Fraction
 from types import MappingProxyType
 from typing import Dict, Mapping, Optional, Tuple, Union
 
-import numpy as np
 from mpmath import mp
 
 from .quadrature import (
@@ -95,6 +98,8 @@ class LaurentDescriptor:
 
     def exponent_matrix(self) -> Tuple[np.ndarray, np.ndarray]:
         """(terms x dimension) int64 exponent matrix and the coefficient vector."""
+        import numpy as np
+
         vecs = np.array(list(self.terms.keys()), dtype=np.int64)
         coeffs = np.array(list(self.terms.values()), dtype=np.float64)
         return vecs, coeffs
@@ -230,6 +235,8 @@ def builtin_descriptor(name: str) -> LaurentDescriptor:
 
 
 def _cosine_block(kind: str, k: float):
+    import numpy as np
+
     def block(pts: np.ndarray) -> np.ndarray:
         c = np.multiply(pts, 2.0 * np.pi)
         np.cos(c, out=c)
@@ -257,6 +264,8 @@ def _cosine_block(kind: str, k: float):
 
 
 def _generic_block(desc: LaurentDescriptor):
+    import numpy as np
+
     vecs, coeffs = desc.exponent_matrix()
     vecs_t = vecs.T.astype(np.float64)
     coeffs_c = coeffs.astype(np.complex128)

@@ -24,6 +24,10 @@ check.  Each node's f(iu) = sum a_n exp(-2 pi n u) is a Horner sum over
 ints scaled by 2^w (precision.py's fixed-point layer, w = working precision
 + 32 guard bits) in x^step, where step is the stride of the support
 (2 for f, 4 for h).
+
+q-series products use Kronecker substitution: one int product per
+multiplication.  numpy is imported only by the divisor sieve _sigma_sieve,
+on its first call, so coefficients and L-values never load it.
 """
 
 from __future__ import annotations
@@ -33,7 +37,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Dict, List, Tuple
 
-import numpy as np
 from mpmath import mp
 
 from .precision import ResourceLimitError, fixed_bits, from_fixed, to_fixed
@@ -84,17 +87,26 @@ class QSeries:
         return self.coeffs[i] if 0 <= i <= self.order else 0
 
     def __mul__(self, other: "QSeries") -> "QSeries":
+        # Kronecker substitution: each operand becomes one int with its
+        # coefficients in slots of `width` bytes, one int product gives every
+        # convolution sum, and the slots are read back signed.  A product
+        # coefficient is at most (n + 1) max|a| max|b| in absolute value, so
+        # with a sign bit on top it fits its slot and no slot carries.
         n = min(self.order, other.order)
-        out = [0] * (n + 1)
-        # iterate the sparser factor's support on the outside
-        a, b = (self, other) if self.nnz() <= other.nnz() else (other, self)
-        for i, ca in enumerate(a.coeffs):
-            if ca == 0 or i > n:
-                continue
-            lim = n - i
-            for j, cb in enumerate(b.coeffs[: lim + 1]):
-                if cb:
-                    out[i + j] += ca * cb
+        a, b = self.coeffs[: n + 1], other.coeffs[: n + 1]
+        bound = max(map(abs, a)) * max(map(abs, b)) * (n + 1)
+        if not bound:
+            return QSeries((0,) * (n + 1), n)
+        width = (bound.bit_length() + 8) // 8
+        packed = _pack(a, width)
+        product = packed * (packed if other is self else _pack(b, width))
+        # half a slot added to every slot makes each one nonnegative; the
+        # mask cuts off the slots past q^n
+        size = width * (n + 1)
+        half = int.from_bytes((bytes(width - 1) + b"\x80") * (n + 1), "little")
+        raw = ((product + half) & ((1 << 8 * size) - 1)).to_bytes(size, "little")
+        offset = 1 << (8 * width - 1)
+        out = [int.from_bytes(raw[i : i + width], "little") - offset for i in range(0, size, width)]
         return QSeries(tuple(out), n)
 
     def __pow__(self, e: int) -> "QSeries":
@@ -127,8 +139,14 @@ class QSeries:
                 out[i * scale] = c
         return QSeries(tuple(out), n)
 
-    def nnz(self) -> int:
-        return sum(1 for c in self.coeffs if c)
+
+def _pack(coeffs: Tuple[int, ...], width: int) -> int:
+    """sum coeffs[i] 2^(8 width i), for |coeffs[i]| < 2^(8 width - 1): the
+    positive and the negative coefficients are packed apart as bytes."""
+    zero = bytes(width)
+    pos = b"".join(c.to_bytes(width, "little") if c > 0 else zero for c in coeffs)
+    neg = b"".join((-c).to_bytes(width, "little") if c < 0 else zero for c in coeffs)
+    return int.from_bytes(pos, "little") - int.from_bytes(neg, "little")
 
 
 def eta_qexp(scale: int, order: int) -> Tuple[QSeries, Fraction]:
@@ -173,7 +191,8 @@ class NewformSpec:
 
     recipe(order) must return the normalized expansion sum a_n q^n through
     q^order (so coeffs[1] = 1).  The coefficient cache grows by amortized
-    doubling; a regrown cache must agree with the prefix already held.
+    doubling, capped below _COEFF_LIMIT; a regrown cache must agree with
+    the prefix already held.
     """
 
     name: str
@@ -191,7 +210,8 @@ class NewformSpec:
             )
         if len(self._coeffs) > n:
             return
-        new_order = max(2 * len(self._coeffs), n, 16)
+        # doubling stops below the limit that the demand was checked against
+        new_order = min(max(2 * len(self._coeffs), n, 16), _COEFF_LIMIT - 1)
         series = self.recipe(new_order)
         if series[1] != 1:
             raise ValueError(f"{self.name}: recipe is not normalized (a_1 != 1)")
@@ -425,6 +445,8 @@ def fricke_check(spec: NewformSpec, precision: int = 64):
 
 def _sigma_sieve(n: int) -> np.ndarray:
     """sigma(m) = sum of the divisors of m, for every m <= n (entry 0 is 0)."""
+    import numpy as np
+
     sig = np.zeros(n + 1, dtype=np.int64)
     for d in range(1, n + 1):
         sig[d::d] += d

@@ -9,6 +9,9 @@ rather than clamped.  It walks each shift of the lattice in blocks of 2^13
 rows through two preallocated buffers, so the points, their cosines and
 their values stay in cache; only the shift's values are kept whole, and its
 mean is taken over them as one array.
+
+numpy is imported by torus_qmc and TorusIntegrand.block when they run, not
+with the module, so the tanh-sinh routes never load it.
 """
 
 from __future__ import annotations
@@ -17,7 +20,6 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence, Union
 
-import numpy as np
 from mpmath import mp
 
 from .precision import NoConvergence
@@ -74,6 +76,8 @@ class TorusIntegrand:
             raise ValueError(f"dimension must be 1..4, got {self.dimension}")
 
     def block(self, pts: np.ndarray) -> np.ndarray:
+        import numpy as np
+
         return np.asarray(self.evaluate_block(pts), dtype=np.float64)
 
 
@@ -256,6 +260,8 @@ def torus_qmc(
         raise ValueError(f"samples must be >= 2^10, got {samples}")
     if shifts < 8:
         raise ValueError(f"shifts must be >= 8, got {shifts}")
+    import numpy as np
+
     d = f.dimension
     rng = np.random.default_rng(seed if not isinstance(seed, int) else [seed])
     z = np.array(QMC_LATTICE_Z[:d], dtype=np.int64)

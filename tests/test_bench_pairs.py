@@ -1,9 +1,11 @@
-"""tools/bench_pairs.py's summary code on canned bench/run.py result lines;
-no benchmark runs."""
+"""tools/bench_pairs.py's summary code on canned bench/run.py result lines,
+and its record of the code each side ran on small git trees; no benchmark
+runs."""
 
 import importlib.util
 import json
 import os
+import subprocess
 
 import pytest
 
@@ -121,3 +123,55 @@ class TestRunPairs:
         assert bench_pairs.result_line("") is None
         assert bench_pairs.result_line("problem: x\nnot json\n") is None
         assert bench_pairs.result_line('{"correct": true}\n') is None
+
+
+def _tree(root, text="x = 1\n"):
+    """A checkout-shaped directory: one file each in src/ and bench/."""
+    for rel, body in (("src/pkg/mod.py", text), ("bench/run.py", "print()\n")):
+        path = os.path.join(root, rel)
+        os.makedirs(os.path.dirname(path), exist_ok=True)
+        with open(path, "w") as fh:
+            fh.write(body)
+    return str(root)
+
+
+def _commit(root):
+    git = ["git", "-c", "user.name=t", "-c", "user.email=t@t", "-c", "commit.gpgsign=false"]
+    subprocess.run(["git", "init", "-q", root], check=True)
+    subprocess.run(git + ["-C", root, "add", "-A"], check=True)
+    subprocess.run(git + ["-C", root, "commit", "-q", "-m", "c"], check=True)
+    return subprocess.run(["git", "-C", root, "rev-parse", "HEAD"], check=True,
+                          capture_output=True, text=True).stdout.strip()
+
+
+class TestRevision:
+    @pytest.fixture(autouse=True)
+    def _no_enclosing_repo(self, tmp_path, monkeypatch):
+        # git looks no higher than tmp_path for a repository
+        monkeypatch.setenv("GIT_CEILING_DIRECTORIES", str(tmp_path))
+
+    def test_own_work_tree_records_its_commit(self, tmp_path):
+        checkout = _tree(tmp_path / "repo")
+        head = _commit(checkout)
+        assert bench_pairs.revision(checkout) == head
+        # an edited file is no longer that commit
+        _tree(checkout, "x = 2\n")
+        assert bench_pairs.revision(checkout) == "sha256:" + bench_pairs.content_hash(checkout)
+
+    def test_export_records_a_content_hash(self, tmp_path):
+        # an export inside another work tree must not take that tree's HEAD
+        outer = _tree(tmp_path / "outer")
+        head = _commit(outer)
+        inside = _tree(tmp_path / "outer" / "export")
+        alone = _tree(tmp_path / "alone")
+        got = bench_pairs.revision(inside)
+        assert got != head and got.startswith("sha256:")
+        assert bench_pairs.revision(alone) == got  # the same files, the same hash
+        # bytecode and earlier run outputs do not count; a changed source does
+        os.makedirs(os.path.join(alone, "src", "pkg", "__pycache__"))
+        open(os.path.join(alone, "src", "pkg", "__pycache__", "mod.pyc"), "wb").close()
+        os.makedirs(os.path.join(alone, "bench", "runs"))
+        open(os.path.join(alone, "bench", "runs", "out.json"), "w").close()
+        assert bench_pairs.revision(alone) == got
+        _tree(alone, "x = 2\n")
+        assert bench_pairs.revision(alone) != got

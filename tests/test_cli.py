@@ -1,6 +1,7 @@
 """CLI tests: exit codes, report formats, config layering, quantities.
 
-Everything drives main(argv) in-process; stdout/stderr go through capsys.
+Everything drives main(argv) in-process; stdout/stderr go through capsys,
+except TestImports, which needs a fresh interpreter.
 QMC-backed paths use small sample counts to stay fast; statistical
 accuracy at full defaults is the acceptance suite's job.
 """
@@ -9,6 +10,8 @@ import csv
 import io
 import json
 import os
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -517,3 +520,41 @@ class TestHelpers:
         with pytest.raises(UsageError):
             RunConfig(digits=0).validate()
         assert RunConfig().validate() == RunConfig()
+
+
+# One fresh interpreter: the commands that compute with mpmath and ints, then
+# two that evaluate arrays.  Each step prints its exit code and whether
+# numpy has been imported by then.
+_IMPORT_PROBE = """
+import contextlib, io, json, sys
+from mahlerlab import cli
+
+def step(*argv):
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = cli.main(list(argv))
+    return [" ".join(argv), code, "numpy" in sys.modules]
+
+steps = [["import mahlerlab.cli", 0, "numpy" in sys.modules]]
+for quantity in (["catalan"], ["zeta", "3"], ["L", "f", "4"], ["mRk", "16"]):
+    steps.append(step("compute", *quantity, "--digits", "30"))
+steps.append(step("compute", "ap", "7"))
+steps.append(step("verify", "eq-1.5", "lambda-symmetry-h", "--precision", "64"))
+steps.append(step("verify", "qexp-ramanujan"))
+steps.append(step("compute", "mahler", "p4", "--samples", "1024"))
+print(json.dumps(steps))
+"""
+
+
+class TestImports:
+    def test_numpy_loads_only_for_array_work(self, tmp_path):
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = dict(os.environ, PYTHONPATH=src)
+        proc = subprocess.run([sys.executable, "-c", _IMPORT_PROBE], cwd=tmp_path, env=env,
+                              capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        steps = json.loads(proc.stdout)
+        assert [code for _, code, _ in steps] == [0] * len(steps)
+        # the high-precision and compute paths never build an array ...
+        assert [name for name, _, numpy in steps[:7] if numpy] == []
+        # ... the q-expansion sieve and the lattice rule do
+        assert [numpy for _, _, numpy in steps[7:]] == [True, True]

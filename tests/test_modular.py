@@ -114,9 +114,36 @@ def psi4_phi4_coefficients(n_max: int) -> np.ndarray:
     return (hi.astype(np.int64) << 9) + lo.astype(np.int64)
 
 
+def loop_mul(a, b):
+    """The truncated product as a nested loop over the sparser factor's
+    support (test oracle for QSeries.__mul__'s Kronecker substitution)."""
+    n = min(a.order, b.order)
+    out = [0] * (n + 1)
+    nnz = lambda s: sum(1 for c in s.coeffs if c)
+    a, b = (a, b) if nnz(a) <= nnz(b) else (b, a)
+    for i, ca in enumerate(a.coeffs):
+        if ca == 0 or i > n:
+            continue
+        for j, cb in enumerate(b.coeffs[: n - i + 1]):
+            if cb:
+                out[i + j] += ca * cb
+    return QSeries(tuple(out), n)
+
+
 small_series = st.builds(
     lambda cs: QSeries(tuple(cs), len(cs) - 1),
     st.lists(st.integers(-9, 9), min_size=1, max_size=12),
+)
+
+# signed coefficients, some past 2^64, sparse runs of zeros and the zero
+# series; orders 0 to 39, drawn apart for the two factors
+wide_series = st.builds(
+    lambda cs: QSeries(tuple(cs), len(cs) - 1),
+    st.lists(
+        st.one_of(st.just(0), st.integers(-9, 9), st.integers(-(2 ** 80), 2 ** 80)),
+        min_size=1,
+        max_size=40,
+    ),
 )
 
 
@@ -153,6 +180,28 @@ class TestQSeries:
         assert lhs.coeffs == rhs.coeffs
         n = min(a.order, b.order)
         assert list((a * b).coeffs) == naive_mul(list(a.coeffs), list(b.coeffs), n)
+
+    @given(wide_series, wide_series)
+    @settings(max_examples=300, deadline=None)
+    def test_mul_matches_nested_loop(self, a, b):
+        assert (a * b).coeffs == loop_mul(a, b).coeffs
+        assert (a * a).coeffs == loop_mul(a, a).coeffs
+
+    @pytest.mark.parametrize(
+        "a, b",
+        [
+            ((0,), (5,)),                            # order 0, zero series
+            ((-3,), (2 ** 64 + 1,)),                 # order 0, past 2^64
+            ((0, 0, 0), (1, -1, 1, -1, 1)),          # zero series, unequal orders
+            ((2 ** 64, -(2 ** 64)), (2 ** 64 - 1, 7, 9)),
+            ((-1,) * 30, (-(2 ** 90),) * 20),        # every slot negative
+            ((1, 0, 0, 0, -(2 ** 70)), (0, 0, 0, 0, 3)),
+        ],
+    )
+    def test_mul_edge_cases(self, a, b):
+        a, b = QSeries(a, len(a) - 1), QSeries(b, len(b) - 1)
+        assert (a * b).coeffs == loop_mul(a, b).coeffs
+        assert (b * a).coeffs == loop_mul(a, b).coeffs
 
     def test_bad_construction(self):
         with pytest.raises(ValueError):
@@ -293,6 +342,25 @@ class TestNewformF:
         assert spec.coefficient(3) == -4
         assert spec.coefficient(500) == a500
         assert newform_coefficient(NEWFORM_F, 500) == a500
+
+    def test_cache_growth_stops_below_the_limit(self, monkeypatch):
+        # doubling from the 62 entries that ensure(60) caches would ask the
+        # recipe for order 124 under a limit of 100; it asks for 99
+        monkeypatch.setattr("mahlerlab.modular._COEFF_LIMIT", 100)
+        orders = []
+
+        def recipe(order):
+            orders.append(order)
+            return _recipe_f(order)
+
+        spec = NewformSpec(name="f3", weight=4, level=8, fricke_sign=1, recipe=recipe)
+        spec.ensure(60)
+        spec.ensure(90)
+        assert orders == [60, 99]
+        assert spec.cached_order() == 100  # _recipe_f's factor q adds one
+        assert spec.coefficient(99) == _recipe_f(99)[99]
+        with pytest.raises(ResourceLimitError):
+            spec.ensure(100)
 
     def test_coefficient_domain(self):
         with pytest.raises(ValueError):

@@ -23,11 +23,18 @@ traced run (--trace 1) per side and workload.  --cold ID ... times each
 `mahlerlab verify ID --format json` in one fresh process per side (the id
 `all` stands for `verify --all`), sides alternated, and compares their
 stdout and stderr with each check's wall_ms removed.
+
+The report's parent and change fields name the code each side ran: the
+HEAD commit when the checkout is the top of its own git work tree with
+src/ and bench/ as committed, and otherwise (a `git archive` export, inside
+another work tree or in none, or edited files) "sha256:" and a hash of the
+files under its src/ and bench/.
 """
 
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import math
 import os
@@ -175,9 +182,41 @@ def cold_run(checkout, check_id):
     return round(wall, 3), proc.returncode, _WALL_MS.sub("", proc.stdout + proc.stderr)
 
 
-def _revision(checkout):
-    proc = subprocess.run(["git", "rev-parse", "HEAD"], cwd=checkout, capture_output=True, text=True)
+def _git(checkout, *args):
+    proc = subprocess.run(["git", *args], cwd=checkout, capture_output=True, text=True)
     return proc.stdout.strip() if proc.returncode == 0 else None
+
+
+def content_hash(checkout):
+    """sha256 over the relative path and bytes of every file under the
+    checkout's src/ and bench/, in sorted order; bytecode caches and
+    bench/runs/ (outputs of earlier runs) are left out."""
+    digest = hashlib.sha256()
+    for top in ("src", "bench"):
+        for root, dirs, files in os.walk(os.path.join(checkout, top)):
+            rel_root = os.path.relpath(root, checkout).replace(os.sep, "/")
+            skip = {"__pycache__", "runs"} if rel_root == "bench" else {"__pycache__"}
+            dirs[:] = sorted(d for d in dirs if d not in skip)
+            for name in sorted(files):
+                rel = f"{rel_root}/{name}"
+                with open(os.path.join(root, name), "rb") as fh:
+                    data = fh.read()
+                digest.update(f"{rel}\0{len(data)}\0".encode())
+                digest.update(data)
+    return digest.hexdigest()
+
+
+def revision(checkout):
+    """The code a checkout runs: its HEAD commit when the checkout is the top
+    of its own git work tree and its src/ and bench/ match that commit;
+    otherwise (an export, inside another work tree or none, or edited files)
+    "sha256:" and the content_hash of its src/ and bench/."""
+    top = _git(checkout, "rev-parse", "--show-toplevel")
+    if top and os.path.realpath(top) == os.path.realpath(checkout):
+        head = _git(checkout, "rev-parse", "HEAD")
+        if head and _git(checkout, "status", "--porcelain", "--", "src", "bench") == "":
+            return head
+    return "sha256:" + content_hash(checkout)
 
 
 def main(argv=None):
@@ -205,8 +244,8 @@ def main(argv=None):
                  "neither); every run's result line under runs"),
         "host": f"{os.cpu_count()}-core {platform.machine()} {platform.system()}, "
                 f"{platform.python_implementation()} {platform.python_version()}",
-        "parent": _revision(checkouts["parent"]),
-        "change": _revision(checkouts["change"]),
+        "parent": revision(checkouts["parent"]),
+        "change": revision(checkouts["change"]),
         "workloads": {},
     }
 
