@@ -12,21 +12,19 @@ with phi the Legendre symbol, eps the trivial character (value 0 at 0),
 and nFn the finite-field hypergeometric sums with all upper parameters phi
 and all lower parameters eps.
 
-The hypergeometric values use the character-sum definition
+The hypergeometric values follow Greene's recursion (Greene 1987,
+Trans. AMS 301, section 3): starting from 1F0(x) = eps(x) phi(1-x),
 
-    (n+1)Fn(x) = p/(p-1) * sum over chi of binom(phi chi, chi)^(n+1) chi(x),
-    binom(A, B) = B(-1)/p * J(A, conj(B)),   J(A, B) = sum A(u) B(1-u),
+    (n+1)Fn(x) = phi(-1)/p * sum over y of phi(y) phi(1-y) nF(n-1)(x y),
 
-evaluated in complex double arithmetic and rounded to a rational with
-denominator p^n under an integrality assertion, so a normalization slip
-cannot pass silently.  verify_4_1 closes the loop against direct point
+so p^n (n+1)Fn(x) is an integer built from Legendre symbols alone, one
+table per prime.  verify_4_1 closes the loop against direct point
 counting: count_points solves the quadratic in w through its
 discriminant's Legendre symbol, and since (x, y, z) enters only through
 A = (x^2+1)(y^2+1)(z^2+1) and u = xyz, one O(p^3) histogram of (A, u) per
 prime serves every t with an O(p^2) weighted sum.
 
-numpy is imported by the functions that build these arrays, on their first
-call, not with the module.
+numpy is imported by count_points, on its first call, not with the module.
 """
 
 from __future__ import annotations
@@ -39,7 +37,6 @@ from typing import Tuple
 from .precision import ResourceLimitError
 
 __all__ = [
-    "CharTable",
     "PointCount",
     "Eq41Report",
     "legendre",
@@ -68,50 +65,6 @@ def legendre(a: int, p: int) -> int:
     _check_odd_prime(p)
     r = pow(a % p, (p - 1) // 2, p)
     return -1 if r == p - 1 else r
-
-
-def _primitive_root(p: int) -> int:
-    factors = set()
-    m = p - 1
-    d = 2
-    while d * d <= m:
-        while m % d == 0:
-            factors.add(d)
-            m //= d
-        d += 1
-    if m > 1:
-        factors.add(m)
-    for g in range(2, p):
-        if all(pow(g, (p - 1) // q, p) != 1 for q in factors):
-            return g
-    raise ArithmeticError(f"no primitive root found for {p}")
-
-
-@dataclass(frozen=True)
-class CharTable:
-    """Multiplicative characters of F_p* indexed by j = 0..p-2 against a
-    fixed primitive root g: chi_j(g^a) = omega^(j a), omega = exp(2 pi i/(p-1)).
-    All characters take the value 0 at 0."""
-
-    prime: int
-    generator: int
-    index: Tuple[int, ...]  # discrete log base g; entry 0 is unused
-
-    @classmethod
-    @functools.lru_cache(maxsize=64)
-    def build(cls, p: int) -> "CharTable":
-        _check_odd_prime(p)
-        g = _primitive_root(p)
-        ind = [0] * p
-        v = 1
-        for a in range(p - 1):
-            ind[v] = a
-            v = v * g % p
-        return cls(prime=p, generator=g, index=tuple(ind))
-
-    @property
-    def legendre_index(self) -> int:
-        return (self.prime - 1) // 2
 
 
 @dataclass(frozen=True)
@@ -183,26 +136,21 @@ def count_points(p: int, t: int) -> PointCount:
 
 
 @functools.lru_cache(maxsize=64)
-def _greene_binomials(p: int) -> np.ndarray:
-    """binom(phi chi_j, chi_j) for j = 0..p-2 via Jacobi sums."""
-    import numpy as np
+def _greene_table(p: int) -> Tuple[Tuple[int, ...], ...]:
+    """(T_1, T_2, T_3) over x = 0..p-1 with T_k(x) = p^k (k+1)Fk(x):
 
-    table = CharTable.build(p)
-    q = table.legendre_index
-    ind = np.asarray(table.index, dtype=np.int64)
-    m = p - 1
-    u = np.arange(2, p, dtype=np.int64)        # u != 0 and 1-u != 0
-    ind_u = ind[u]
-    ind_1mu = ind[(1 - u) % p]
-    out = np.empty(m, dtype=np.complex128)
-    omega = np.exp(2j * np.pi * np.arange(m) / m)
-    for j in range(m):
-        # J(phi chi_j, conj(chi_j)) with conj(chi_j) = chi_{m-j}
-        e = ((q + j) * ind_u + (m - j) % m * ind_1mu) % m
-        jac = omega[e].sum()
-        chi_j_m1 = omega[(j * ind[p - 1]) % m]  # chi_j(-1)
-        out[j] = chi_j_m1 / p * jac
-    return out
+        T_0(x) = eps(x) phi(1-x),   T_(k+1)(x) = s sum_y w(y) T_k(x y),
+
+    s = phi(-1) and w(y) = phi(y) phi(1-y)."""
+    leg = [legendre(y, p) for y in range(p)]
+    s = leg[p - 1]
+    w = [(y, leg[y] * leg[(1 - y) % p]) for y in range(2, p)]  # w(0) = w(1) = 0
+    level = [0] + [leg[(1 - x) % p] for x in range(1, p)]
+    table = []
+    for _ in range(3):
+        level = [0] + [s * sum(wy * level[x * y % p] for y, wy in w) for x in range(1, p)]
+        table.append(tuple(level))
+    return tuple(table)
 
 
 def greene_nfn(p: int, n: int, x: int) -> Fraction:
@@ -211,27 +159,7 @@ def greene_nfn(p: int, n: int, x: int) -> Fraction:
     _check_odd_prime(p)
     if n not in (1, 3):
         raise ValueError(f"n must be 1 or 3, got {n}")
-    x %= p
-    if x == 0:
-        return Fraction(0)
-    import numpy as np
-
-    table = CharTable.build(p)
-    binoms = _greene_binomials(p)
-    m = p - 1
-    ind = table.index
-    omega = np.exp(2j * np.pi * np.arange(m) / m)
-    chi_x = omega[(np.arange(m) * ind[x]) % m]
-    total = p / m * np.sum(binoms ** (n + 1) * chi_x)
-    scaled = total * p ** n
-    nearest = round(scaled.real)
-    resid = abs(scaled - nearest)
-    if resid > 1e-6:
-        raise ArithmeticError(
-            f"character sum for {n + 1}F{n}({x}) mod {p} is {resid:.3g} from "
-            "an integer multiple of p^-n; normalization broken"
-        )
-    return Fraction(nearest, p ** n)
+    return Fraction(_greene_table(p)[n - 1][x % p], p ** n)
 
 
 @dataclass(frozen=True)

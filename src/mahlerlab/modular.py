@@ -26,8 +26,7 @@ ints scaled by 2^w (precision.py's fixed-point layer, w = working precision
 (2 for f, 4 for h).
 
 q-series products use Kronecker substitution: one int product per
-multiplication.  numpy is imported only by the divisor sieve _sigma_sieve,
-on its first call, so coefficients and L-values never load it.
+multiplication.
 """
 
 from __future__ import annotations
@@ -443,11 +442,10 @@ def fricke_check(spec: NewformSpec, precision: int = 64):
 # Divisor sums
 
 
-def _sigma_sieve(n: int) -> np.ndarray:
+def _sigma_sieve(n: int) -> List[int]:
     """sigma(m) = sum of the divisors of m, for every m <= n (entry 0 is 0)."""
-    import numpy as np
-
-    sig = np.zeros(n + 1, dtype=np.int64)
+    sig = [0] * (n + 1)
     for d in range(1, n + 1):
-        sig[d::d] += d
+        for m in range(d, n + 1, d):
+            sig[m] += d
     return sig

@@ -438,7 +438,7 @@ def _plan_qexp_ramanujan(ctx: RunContext) -> PlanResult:
     sig = _sigma_sieve(_QEXP_ORDER)
     worst = 0
     for m in range(_QEXP_ORDER + 1):
-        expected = int(sig[m]) if m % 2 == 1 else 0
+        expected = sig[m] if m % 2 == 1 else 0
         worst = max(worst, abs(series[m] - expected))
     return PlanResult((Fraction(worst),), _QEXP_ORDER + 1)
 

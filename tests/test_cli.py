@@ -523,7 +523,7 @@ class TestHelpers:
 
 
 # One fresh interpreter: the commands that compute with mpmath and ints, then
-# two that evaluate arrays.  Each step prints its exit code and whether
+# one that evaluates arrays.  Each step prints its exit code and whether
 # numpy has been imported by then.
 _IMPORT_PROBE = """
 import contextlib, io, json, sys
@@ -540,6 +540,7 @@ for quantity in (["catalan"], ["zeta", "3"], ["L", "f", "4"], ["mRk", "16"]):
 steps.append(step("compute", "ap", "7"))
 steps.append(step("verify", "eq-1.5", "lambda-symmetry-h", "--precision", "64"))
 steps.append(step("verify", "qexp-ramanujan"))
+steps.append(step("verify", "ff-ahlgren-ono"))
 steps.append(step("compute", "mahler", "p4", "--samples", "1024"))
 print(json.dumps(steps))
 """
@@ -554,7 +555,8 @@ class TestImports:
         assert proc.returncode == 0, proc.stderr
         steps = json.loads(proc.stdout)
         assert [code for _, code, _ in steps] == [0] * len(steps)
-        # the high-precision and compute paths never build an array ...
-        assert [name for name, _, numpy in steps[:7] if numpy] == []
-        # ... the q-expansion sieve and the lattice rule do
-        assert [numpy for _, _, numpy in steps[7:]] == [True, True]
+        # the high-precision, compute, sieve and Greene paths never build
+        # an array ...
+        assert [name for name, _, numpy in steps[:9] if numpy] == []
+        # ... the lattice rule does
+        assert [numpy for _, _, numpy in steps[9:]] == [True]

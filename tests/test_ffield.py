@@ -1,6 +1,7 @@
-"""Tests for Legendre symbols, character tables, Greene hypergeometric
-values, and the hypersurface point-count identity."""
+"""Tests for Legendre symbols, Greene hypergeometric values against a
+character-sum oracle, and the hypersurface point-count identity."""
 
+import functools
 import math
 from fractions import Fraction
 
@@ -10,7 +11,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mahlerlab.ffield import (
-    CharTable,
     Eq41Report,
     PointCount,
     count_points,
@@ -66,14 +66,56 @@ def count_points_sweep(p, t):
     return total
 
 
-def chi_row(table, j):
-    """chi_j over x = 0..p-1 as complex128 (0 at x = 0), from the table's
-    discrete logarithms."""
-    p = table.prime
-    ind = np.asarray(table.index, dtype=np.int64)
-    row = np.exp(2j * np.pi * ((j * ind) % (p - 1)) / (p - 1))
-    row[0] = 0
-    return row
+@functools.lru_cache(maxsize=None)
+def discrete_logs(p):
+    """(g, ind): the least primitive root g mod p and ind[g^a] = a for
+    a = 0..p-2 (entry 0 unused).  The oracle's own table: no Legendre
+    symbol and nothing from mahlerlab."""
+    for g in range(2, p):
+        ind, v = {}, 1
+        for a in range(p - 1):
+            ind.setdefault(v, a)
+            v = v * g % p
+        if len(ind) == p - 1:
+            return g, tuple([0] + [ind[x] for x in range(1, p)])
+    raise ArithmeticError(f"no primitive root mod {p}")
+
+
+@functools.lru_cache(maxsize=None)
+def characters(p):
+    """chi_j(g^a) = exp(2 pi i j a/(p-1)) as a complex128 array, row j for
+    j = 0..p-2 over x = 0..p-1 (0 at x = 0)."""
+    ind = np.asarray(discrete_logs(p)[1], dtype=np.int64)
+    j = np.arange(p - 1)[:, None]
+    rows = np.exp(2j * np.pi * ((j * ind) % (p - 1)) / (p - 1))
+    rows[:, 0] = 0
+    return rows
+
+
+@functools.lru_cache(maxsize=None)
+def greene_binomials(p):
+    """binom(phi chi_j, chi_j) = chi_j(-1)/p J(phi chi_j, conj chi_j) for
+    j = 0..p-2, with J(A, B) = sum over u of A(u) B(1-u)."""
+    rows = characters(p)
+    phi = rows[(p - 1) // 2]
+    u = np.arange(p)
+    jac = (phi * rows * np.conj(rows[:, (1 - u) % p])).sum(axis=1)
+    return rows[:, p - 1] / p * jac
+
+
+def greene_characters(p, n, x):
+    """The character-sum route greene_nfn took before Greene's recursion,
+    kept as its oracle: (n+1)Fn(x) = p/(p-1) sum over j of
+    binom(phi chi_j, chi_j)^(n+1) chi_j(x), in complex128, rounded to a
+    multiple of p^-n under an integrality assertion."""
+    x %= p
+    if x == 0:
+        return Fraction(0)
+    chi_x = characters(p)[:, x]
+    scaled = p ** (n + 1) / (p - 1) * np.sum(greene_binomials(p) ** (n + 1) * chi_x)
+    nearest = round(scaled.real)
+    assert abs(scaled - nearest) < 1e-6, (p, n, x, scaled)
+    return Fraction(nearest, p ** n)
 
 
 def legendre_curve_trace(p, lam):
@@ -115,38 +157,37 @@ class TestLegendre:
 
 
 class TestCharTable:
+    """The oracle's character table."""
+
     def test_orthogonality(self):
         for p in (3, 7, 13, 31, 47):
-            table = CharTable.build(p)
             for j in range(p - 1):
-                s = chi_row(table, j).sum()
+                s = characters(p)[j].sum()
                 want = p - 1 if j == 0 else 0
                 assert abs(s - want) < 1e-9
 
     def test_legendre_character(self):
         for p in (3, 5, 13, 31):
-            table = CharTable.build(p)
-            row = chi_row(table, table.legendre_index)
+            row = characters(p)[(p - 1) // 2]
             for x in range(1, p):
                 assert abs(row[x] - legendre(x, p)) < 1e-12
 
     def test_jacobi_chi_chibar(self):
         # J(chi, conj chi) = -chi(-1) for nontrivial chi
         for p in (5, 13, 31, 47):
-            table = CharTable.build(p)
             for j in range(1, p - 1):
-                row = chi_row(table, j)
+                row = characters(p)[j]
                 jac = sum(row[u] * np.conj(row[(1 - u) % p]) for u in range(2, p))
                 assert abs(jac - (-row[p - 1])) < 1e-9
 
     def test_generator_is_primitive(self):
         for p in (7, 13, 31):
-            table = CharTable.build(p)
+            g = discrete_logs(p)[0]
             seen = set()
             v = 1
             for _ in range(p - 1):
                 seen.add(v)
-                v = v * table.generator % p
+                v = v * g % p
             assert len(seen) == p - 1
 
 
@@ -214,11 +255,22 @@ class TestGreene:
                 got = p * greene_nfn(p, 1, lam)
                 assert got == -phim1 * legendre_curve_trace(p, lam)
 
+    def test_recursion_matches_character_sums(self):
+        cases = 0
+        for p in PRIMES_TO_50:
+            for n in (1, 3):
+                for x in range(p):
+                    assert greene_nfn(p, n, x) == greene_characters(p, n, x), (p, n, x)
+                    cases += 1
+        assert cases == 652
+
     def test_weil_bound_sanity(self):
+        # |p 2F1(x)| is a Legendre-curve trace, at most 2 sqrt(p) by Hasse;
+        # |p^3 4F3(x)| <= p^2 since each binomial has |J| <= sqrt(p)
         for p in PRIMES_TO_50:
             for x in range(1, p):
-                v = abs(p * greene_nfn(p, 1, x))
-                assert v <= 4 * math.sqrt(p)
+                assert abs(p * greene_nfn(p, 1, x)) <= 2 * math.sqrt(p)
+                assert abs(p ** 3 * greene_nfn(p, 3, x)) <= p ** 2
 
     def test_denominator_is_power_of_p(self):
         for p in (7, 11):
@@ -235,7 +287,7 @@ class TestGreene:
 
 class TestVerify41:
     def test_residuals_vanish_small_primes(self):
-        for p in PRIMES_SMALL:
+        for p in PRIMES_TO_50:
             rep = verify_4_1(p)
             assert rep.ok, rep.residuals
             assert len(rep.residuals) == p - 1

@@ -87,7 +87,7 @@ def psi4_phi4_coefficients(n_max: int) -> np.ndarray:
     """
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
-    sig = _sigma_sieve(n_max)
+    sig = np.asarray(_sigma_sieve(n_max))
     a = np.zeros(n_max + 1, dtype=np.int64)
     odd = np.arange(1, n_max + 1, 2)
     a[odd] = sig[odd]

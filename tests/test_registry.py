@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from mpmath import mp
 
-from mahlerlab import registry, wz
+from mahlerlab import ffield, registry, wz
 from mahlerlab.modular import QSeries
 from mahlerlab.precision import NoConvergence
 from mahlerlab.registry import (
@@ -433,6 +433,32 @@ class TestPlanNegativeControls:
             lambda: monkeypatch.setattr(registry, "newform_coefficient", off_by_one),
         )
         assert result.deviation == 1
+        assert result.note == ""
+
+    @pytest.mark.parametrize("check_id, deviation", [
+        ("ff-4.1", 102),
+        ("ff-ahlgren-ono", 46),
+    ])
+    def test_greene_legendre_value_perturbed(self, monkeypatch, check_id, deviation):
+        # phi(3) mod 7 flipped where greene's table reads it; phi(-1), which
+        # verify_4_1 also reads, and count_points' own square table are left
+        # alone, so only the hypergeometric side moves
+        exact = ffield.legendre
+
+        def flipped(a, p):
+            return -exact(a, p) if (p, a % p) == (7, 3) else exact(a, p)
+
+        def perturb():
+            monkeypatch.setattr(ffield, "legendre", flipped)
+            ffield._greene_table.cache_clear()
+
+        ffield._greene_table.cache_clear()
+        try:
+            result = self._assert_flips(check_id, perturb)
+        finally:
+            monkeypatch.undo()
+            ffield._greene_table.cache_clear()
+        assert result.deviation == deviation
         assert result.note == ""
 
     @pytest.mark.parametrize("check_id, name, index", [
