@@ -12,20 +12,25 @@ as a residual of exactly 1 at every t.
 The last block is the trace link: p^3 4F3(1) = -a_p - p, tying the
 character sums to the weight-4 newform coefficients with no analysis in
 between, just integer arithmetic on both sides.
+
+The script exits 1 when it prints BROKEN or MISMATCH, or when the shifted
+identity still holds, so a broken identity fails wherever the demo runs.
 """
+
+import sys
 
 from mahlerlab import NEWFORM_F, greene_nfn, newform_coefficient, verify_4_1
 
 PRIMES = (3, 5, 7, 11, 13)
 
 
-def main() -> None:
+def main() -> int:
     report = verify_4_1(7)
     print("point-count identity residuals over F_7 (t, count - formula):")
     print("  %s" % (report.residuals,))
+    all_zero = all(verify_4_1(p).ok for p in PRIMES)
     print("  all %d primes p <= 13: %s"
-          % (len(PRIMES),
-             "all zero" if all(verify_4_1(p).ok for p in PRIMES) else "BROKEN"))
+          % (len(PRIMES), "all zero" if all_zero else "BROKEN"))
 
     shifted = verify_4_1(7, constant_shift=1)
     print("  with constant_shift=1: max |residual| = %d (sensitivity control)"
@@ -38,12 +43,15 @@ def main() -> None:
 
     print()
     print("trace link p^3 4F3(1) = -a_p - p:")
+    linked = True
     for p in PRIMES:
         lhs = p ** 3 * greene_nfn(p, 3, 1)
         a_p = newform_coefficient(NEWFORM_F, p)
+        linked &= lhs == -a_p - p
         print("  p = %-2d  p^3 4F3(1) = %-5d  -a_p - p = %-5d  %s"
               % (p, lhs, -a_p - p, "ok" if lhs == -a_p - p else "MISMATCH"))
+    return 0 if all_zero and linked and not shifted.ok else 1
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -10,8 +10,10 @@ The completed function Lambda(s) is then computed by direct quadrature of
 the q-series on the imaginary axis and tested for its reflection symmetry
 s -> weight - s.  The symmetry is never assumed anywhere in the library,
 which is what makes the final negative control meaningful: flipping the
-claimed sign must blow up, and does.
+claimed sign must blow up, and does.  The script exits 1 when it does not.
 """
+
+import sys
 
 from mpmath import mp
 
@@ -27,7 +29,7 @@ from mahlerlab import (
 )
 
 
-def main() -> None:
+def main() -> int:
     for spec in (NEWFORM_F, NEWFORM_H):
         coeffs = [newform_coefficient(spec, n) for n in range(1, 20)]
         print("%s (weight %d, level %d): a_1..a_19 = %s"
@@ -69,9 +71,11 @@ def main() -> None:
     try:
         fricke_check(flipped, 64)
         print("  negative control FAILED to fail")
+        return 1
     except FunctionalEquationViolation as exc:
         print("  sign flipped on purpose -> %s" % exc)
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

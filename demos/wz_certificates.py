@@ -9,24 +9,30 @@ turns the relation into a proof scheme for binomial-sum identities: check
 the relation exactly on a triangle of lattice points and the identity
 follows for that range.  Everything below is fractions.Fraction, so a
 passing run is a computation-sized proof, not an approximation.
+
+The script exits 1 on any violation, a BROKEN telescope or three unequal
+sums, so a broken certificate fails wherever the demo runs.
 """
 
+import sys
 from fractions import Fraction
 
 from mahlerlab import PAIR_ONE, PAIR_TWO, identity_2_8_2_9, wz_pair_verify
 from mahlerlab.wz import ramanujan_partial_sums, telescope_reconstruct
 
 
-def main() -> None:
+def main() -> int:
+    violations = 0
     for pair in (PAIR_ONE, PAIR_TWO):
         report = wz_pair_verify(pair, 80)
+        violations += len(report.violations)
         print("pair %-8s n <= %d: %d relations, %d violations"
               % (pair.name, report.n_max, report.relations_checked,
                  len(report.violations)))
 
-    report = telescope_reconstruct(PAIR_ONE, 60)
+    telescope = telescope_reconstruct(PAIR_ONE, 60)
     print("telescoped h(n) vs direct row sums, n <= 60: %d checks, %s"
-          % (report.relations_checked, "exact" if report.ok else "BROKEN"))
+          % (telescope.relations_checked, "exact" if telescope.ok else "BROKEN"))
 
     print()
     print("the three sums the pairs tie together, at n = 6:")
@@ -44,7 +50,8 @@ def main() -> None:
         jump = sums[2 * m] - sums[m]
         print("  S_%-3d -> S_%-3d adds %.10f" % (m, 2 * m, float(jump)))
     print("  (4/pi^2) log 2  =    0.2808600122")
+    return 0 if violations == 0 and telescope.ok and s1 == s2 == s3 else 1
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

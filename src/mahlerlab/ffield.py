@@ -23,8 +23,6 @@ counting: count_points solves the quadratic in w through its
 discriminant's Legendre symbol, and since (x, y, z) enters only through
 A = (x^2+1)(y^2+1)(z^2+1) and u = xyz, one O(p^3) histogram of (A, u) per
 prime serves every t with an O(p^2) weighted sum.
-
-numpy is imported by count_points, on its first call, not with the module.
 """
 
 from __future__ import annotations
@@ -32,6 +30,8 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 from fractions import Fraction
+from math import isqrt
+from operator import add, itemgetter, mul
 from typing import Tuple
 
 from .precision import ResourceLimitError
@@ -47,17 +47,26 @@ __all__ = [
 
 _COUNT_P_MAX = 199
 _VERIFY_P_MAX = 50
+_MR_LIMIT = 3317044064679887385961981  # least strong pseudoprime to the bases 2..41
 
 
 def _check_odd_prime(p: int) -> None:
+    """Trial division below 10^6; above, Miller-Rabin to the thirteen prime
+    bases up to 41, exact below _MR_LIMIT (Sorenson and Webster 2015)."""
     if not isinstance(p, int) or p < 3 or p % 2 == 0:
         raise ValueError(f"p must be an odd prime, got {p}")
     if p < 10 ** 6:
-        d = 3
-        while d * d <= p:
+        for d in range(3, isqrt(p) + 1, 2):
             if p % d == 0:
                 raise ValueError(f"p must be prime; {p} = {d} * {p // d}")
-            d += 2
+        return
+    if p >= _MR_LIMIT:
+        raise ValueError(f"p must be below {_MR_LIMIT}, got {p}")
+    r = ((p - 1) & -(p - 1)).bit_length() - 1         # 2^r exactly divides p - 1
+    for a in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41):
+        powers = [pow(a, (p - 1) >> r << i, p) for i in range(r)]  # a^(d 2^i), d odd
+        if powers[0] != 1 and p - 1 not in powers:
+            raise ValueError(f"p must be prime; {p} fails Miller-Rabin to base {a}")
 
 
 def legendre(a: int, p: int) -> int:
@@ -78,36 +87,35 @@ class PointCount:
             raise ValueError("count out of range for F_p^4")
 
 
-def _legendre_table(p: int) -> np.ndarray:
-    import numpy as np
-
-    leg = np.zeros(p, dtype=np.int64)
-    for x in range(1, p):
-        leg[x] = -1
+@functools.lru_cache(maxsize=1)
+def _count_histogram(p: int) -> Tuple[Tuple[Tuple[int, ...], ...], ...]:
+    """(hist, roots) for count_points, one entry kept: verify_4_1 walks
+    every t of one prime in turn.  hist[u][A] counts the (x, y, z) with
+    xyz = u and (x^2+1)(y^2+1)(z^2+1) = A: the (y, z) pair histogram with
+    each row scattered over x (x yz picks the row, x^2+1 permutes it).
+    roots[B][A] counts the w with A(w^2+1) = B w."""
+    sq1 = [(x * x + 1) % p for x in range(p)]
+    pairs = [[0] * p for _ in range(p)]
+    for y in range(p):
+        for z in range(p):
+            pairs[y * z % p][sq1[y] * sq1[z] % p] += 1
+    hist = [[0] * p for _ in range(p)]
+    for x, s in enumerate(sq1):
+        if s == 0:                                    # A = 0 for every (y, z)
+            for v, row in enumerate(pairs):
+                hist[x * v % p][0] += sum(row)
+            continue
+        inv = pow(s, -1, p)
+        gather = itemgetter(*[a * inv % p for a in range(p)])
+        for v, row in enumerate(pairs):
+            u = x * v % p
+            hist[u] = list(map(add, hist[u], gather(row)))
+    leg = [0] + [-1] * (p - 1)
     for x in range(1, p):
         leg[x * x % p] = 1
-    return leg
-
-
-@functools.lru_cache(maxsize=1)
-def _count_histogram(p: int) -> np.ndarray:
-    """hist[A, u] = #{(x, y, z) in F_p^3 : (x^2+1)(y^2+1)(z^2+1) = A, xyz = u},
-    one bincount per x over a p x p slice, so memory stays O(p^2).
-
-    One entry is kept: verify_4_1 walks every t of one prime in turn."""
-    import numpy as np
-
-    idx = np.arange(p, dtype=np.int64)
-    sq1 = (idx ** 2 + 1) % p
-    yz_sq = (sq1[:, None] * sq1[None, :]) % p         # (y^2+1)(z^2+1)
-    yz = (idx[:, None] * idx[None, :]) % p            # y z
-    hist = np.zeros(p * p, dtype=np.int64)
-    for x in range(p):
-        a = (int(sq1[x]) * yz_sq) % p
-        u = (x * yz) % p
-        hist += np.bincount((a * p + u).ravel(), minlength=p * p)
-    hist.flags.writeable = False  # the cached table is shared by every caller
-    return hist.reshape(p, p)
+    roots = tuple((p if b == 0 else 1, *(1 + leg[(b * b - 4 * a * a) % p] for a in range(1, p)))
+                  for b in range(p))
+    return tuple(map(tuple, hist)), roots
 
 
 def count_points(p: int, t: int) -> PointCount:
@@ -116,23 +124,15 @@ def count_points(p: int, t: int) -> PointCount:
     For fixed (x, y, z) the equation is A(w^2+1) = B w with
     A = (x^2+1)(y^2+1)(z^2+1) and B = 16 t xyz, a quadratic in w with
     1 + leg(B^2 - 4A^2) roots when A != 0; when A = 0 it is B w = 0, with p
-    roots if B = 0 and one otherwise.  The count depends on (x, y, z) only
-    through A and u = xyz, so it is a p x p weighted sum over the prime's
-    histogram of (A, u), built once by an O(p^3) sweep and shared by every
-    t."""
+    roots if B = 0 and one otherwise.  So the count is the prime's O(p^3)
+    histogram of (A, u = xyz) summed against these root counts, O(p^2)
+    per t."""
     _check_odd_prime(p)
     if p > _COUNT_P_MAX:
         raise ResourceLimitError(f"count_points limited to p <= {_COUNT_P_MAX}")
-    import numpy as np
-
-    t %= p
-    hist = _count_histogram(p)
-    leg = _legendre_table(p)
-    idx = np.arange(p, dtype=np.int64)
-    b = (16 * t * idx) % p                            # B for each u
-    weights = 1 + leg[(b[None, :] ** 2 - 4 * idx[:, None] ** 2) % p]
-    weights[0] = np.where(b == 0, p, 1)               # the A = 0 row
-    return PointCount(prime=p, parameter=t, count=int(np.sum(hist * weights)))
+    hist, roots = _count_histogram(p)
+    count = sum(sum(map(mul, row, roots[16 * t * u % p])) for u, row in enumerate(hist))
+    return PointCount(prime=p, parameter=t % p, count=count)
 
 
 @functools.lru_cache(maxsize=64)

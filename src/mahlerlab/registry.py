@@ -69,8 +69,8 @@ from .special import PFQSpec, catalan, ell_k, ell_kprime, pfq, zeta_int
 from .wz import (
     PAIR_ONE,
     PAIR_TWO,
+    _central_squares,
     identity_rows,
-    ramanujan_partial_sums,
     telescope_reconstruct,
     wz_pair_verify,
 )
@@ -261,17 +261,13 @@ def _series_terms(e: int) -> int:
 
 def _quartic_series(coef: Callable[[int], Fraction], e: int, start: int = 0):
     """Accelerated sum of coef(n) * C(2n,n)^4 / 2^(8n) from exact partials."""
-    n_terms = _series_terms(e)
+    csq = _central_squares(_series_terms(e) - 1)
     work = e + 64
-    central = 1
     acc = Fraction(0)
     partials: List[Fraction] = []
-    for n in range(n_terms):
-        if n > 0:
-            central = central * 2 * (2 * n - 1) // n
-        if n >= start:
-            acc += coef(n) * Fraction(central ** 4, 1 << (8 * n))
-            partials.append(acc)
+    for n in range(start, len(csq)):
+        acc += coef(n) * Fraction(csq[n] ** 2, 1 << (8 * n))
+        partials.append(acc)
     with mp.workprec(work):
         sums = [_to_mpf(p) for p in partials]
         result = accelerate(sums, precision=work)
@@ -287,22 +283,23 @@ def _plan_swap_sum(ctx: RunContext) -> PlanResult:
     """2 sum_n S_n/(2n+1)^2 with S_n the exact partial sums of
     sum (4k+1) 2^(-8k) C(2k,k)^4 = 8/pi^2 (so S_n -> (4/pi^2) log n
     divergence never enters: summation by parts turns the double sum into
-    2 sum_j t_j (pi^2/8 - sum_{n<j} (2n+1)^-2) with t_j = S_j - S_{j-1},
-    a pure power tail the accelerator handles).
+    2 sum_j t_j (pi^2/8 - sum_{n<j} (2n+1)^-2) with
+    t_j = S_j - S_{j-1} = (4j+1) 2^(-8j) C(2j,j)^4, a pure power tail the
+    accelerator handles).
 
     The rearrangement is legitimate: every t_j is positive and the inner
     tail factors are bounded, so absolute convergence carries over.
     """
     n_terms = _series_terms(ctx.effective)
     work = ctx.effective + 64
-    s = ramanujan_partial_sums(n_terms)
+    csq = _central_squares(n_terms - 1)
     with mp.workprec(work):
         pi2_8 = mp.pi ** 2 / 8
         acc = mp.mpf(0)
         inner = mp.mpf(0)
         partials: List[mp.mpf] = []
         for j in range(n_terms):
-            t_j = s[j] - (s[j - 1] if j else Fraction(0))
+            t_j = Fraction((4 * j + 1) * csq[j] ** 2, 1 << (8 * j))
             acc += 2 * _to_mpf(t_j) * (pi2_8 - inner)
             partials.append(acc)
             inner += mp.mpf(1) / (2 * j + 1) ** 2

@@ -22,7 +22,8 @@ inner sums of s3 and ramanujan_partial_sums come from the integer prefix
 
 one Fraction (one gcd) per value again, and s3 one step of the prefix per
 row when identity_rows computes all rows together.  C(2k,k)^2 comes from
-the recurrence C(2k,k) = C(2k-2,k-1) 2(2k-1)/k, never from binom.
+the recurrence C(2k,k) = C(2k-2,k-1) 2(2k-1)/k, never from binom; the
+registry's C(2n,n)^4 series plans read the same list.
 
 Certificates.  The two certificate pairs share the common factor
 T(n,k) = 2^(-4k-4n) C(2k,k)^2 C(2n,n)^2, and each is declared once, by its
@@ -323,9 +324,8 @@ def ramanujan_partial_sums(m_max: int) -> List[Fraction]:
     """Exact inner partial sums S_m = sum_{k<=m} (4k+1) 2^(-8k) C(2k,k)^4
     = I(m) / 2^(8m).
 
-    These grow like (4/pi^2) log m + O(1); they feed the double-sum
-    identities, whose numeric checks cross-validate against these exact
-    values.
+    These grow like (4/pi^2) log m + O(1).  The double-sum checks sum
+    their increments S_m - S_(m-1) by parts, straight from _central_squares.
     """
     if m_max < 0:
         raise ValueError(f"m_max must be >= 0, got {m_max}")

@@ -541,6 +541,8 @@ steps.append(step("compute", "ap", "7"))
 steps.append(step("verify", "eq-1.5", "lambda-symmetry-h", "--precision", "64"))
 steps.append(step("verify", "qexp-ramanujan"))
 steps.append(step("verify", "ff-ahlgren-ono"))
+steps.append(step("verify", "ff-4.1"))
+steps.append(step("verify", "--all", "--filter", "exact"))
 steps.append(step("compute", "mahler", "p4", "--samples", "1024"))
 print(json.dumps(steps))
 """
@@ -555,8 +557,8 @@ class TestImports:
         assert proc.returncode == 0, proc.stderr
         steps = json.loads(proc.stdout)
         assert [code for _, code, _ in steps] == [0] * len(steps)
-        # the high-precision, compute, sieve and Greene paths never build
-        # an array ...
-        assert [name for name, _, numpy in steps[:9] if numpy] == []
+        # the high-precision, compute, sieve, Greene and point-count paths,
+        # and with them the whole exact kind, never build an array ...
+        assert [name for name, _, numpy in steps[:11] if numpy] == []
         # ... the lattice rule does
-        assert [numpy for _, _, numpy in steps[9:]] == [True]
+        assert [numpy for _, _, numpy in steps[11:]] == [True]

@@ -352,17 +352,19 @@ def _pair_scaled_at(fn, cell):
 
 
 class TestWZNegativeControls:
-    """One perturbed input must flip each WZ check to FAIL with a nonzero
-    residual; the unperturbed check passes on the same range."""
+    """One perturbed input must flip each WZ check, and each series check
+    that reads the same C(2k,k)^2, to FAIL with a deviation beyond its
+    tolerance; the unperturbed check passes on the same range, at 64 bits
+    where a precision applies."""
 
     def _assert_flips(self, check_id, perturb):
-        clean = run_check(check_id)
-        assert clean.passed and clean.deviation == 0
+        clean = run_check(check_id, 64)
+        assert clean.passed and clean.deviation <= clean.tolerance
         perturb()
         registry._wz_triples.cache_clear()
-        result = run_check(check_id)
+        result = run_check(check_id, 64)
         assert not result.passed
-        assert result.deviation > 0
+        assert result.deviation > result.tolerance
         assert result.note == ""
 
     @pytest.mark.parametrize("check_id, pair", [
@@ -387,10 +389,14 @@ class TestWZNegativeControls:
 
         self._assert_flips(check_id, perturb)
 
-    @pytest.mark.parametrize("check_id", ["wz-telescope", "wz-2.8-2.9"])
+    @pytest.mark.parametrize("check_id", [
+        "wz-telescope", "wz-2.8-2.9", "thm-1.1", "eq-2.10", "eq-2.11", "eq-3.2", "eq-4.3",
+    ])
     def test_central_square_off_by_one(self, small_wz_range, monkeypatch, check_id):
-        # one C(2k,k)^2 of the row-sum kernel; the telescope's certificates
-        # take theirs from binom and so expose it
+        # one C(2k,k)^2, patched where the check's plans read it: in wz for
+        # the row-sum kernel (the telescope's certificates take theirs from
+        # binom and so expose it), in registry for the C(2n,n)^4 series
+        module = wz if check_id.startswith("wz-") else registry
         exact_squares = wz._central_squares
 
         def off_by_one(n):
@@ -399,7 +405,7 @@ class TestWZNegativeControls:
             return squares
 
         self._assert_flips(
-            check_id, lambda: monkeypatch.setattr(wz, "_central_squares", off_by_one)
+            check_id, lambda: monkeypatch.setattr(module, "_central_squares", off_by_one)
         )
 
     def test_telescope_certificate_scaled_at_one_cell(self, small_wz_range, monkeypatch):
@@ -482,22 +488,6 @@ class TestPlanNegativeControls:
         )
         assert result.deviation is None
         assert result.note.startswith("FunctionalEquationViolation: ")
-
-    @pytest.mark.parametrize("check_id", ["eq-2.10", "eq-2.11"])
-    def test_partial_sum_perturbed(self, monkeypatch, check_id):
-        exact = registry.ramanujan_partial_sums
-
-        def perturbed(m_max):
-            sums = exact(m_max)
-            sums[5] += Fraction(1, 1000)
-            return sums
-
-        result = self._assert_flips(
-            check_id,
-            lambda: monkeypatch.setattr(registry, "ramanujan_partial_sums", perturbed),
-        )
-        assert result.deviation > result.tolerance
-        assert result.note == ""
 
 
 class TestRunAll:
