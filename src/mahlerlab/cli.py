@@ -379,7 +379,7 @@ def _quantity_zeta(tokens: Sequence[str], work: int, config: RunConfig):
 
 
 def _quantity_catalan(tokens: Sequence[str], work: int, config: RunConfig):
-    return catalan(work), "levin-accelerated series", mp.mpf(2) ** (8 - work)
+    return catalan(work), "bradley-3f2", mp.mpf(2) ** (8 - work)
 
 
 def _quantity_k(tokens: Sequence[str], work: int, config: RunConfig):

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
 from operator import add, itemgetter, mul
-from typing import Tuple
+from typing import List, Tuple
 
 from .precision import ResourceLimitError
 
@@ -87,6 +87,14 @@ class PointCount:
             raise ValueError("count out of range for F_p^4")
 
 
+def _legendre_table(p: int) -> List[int]:
+    """phi(x) = (x/p) for x = 0..p-1, from the squares of 1..p-1."""
+    leg = [0] + [-1] * (p - 1)
+    for x in range(1, p):
+        leg[x * x % p] = 1
+    return leg
+
+
 @functools.lru_cache(maxsize=1)
 def _count_histogram(p: int) -> Tuple[Tuple[Tuple[int, ...], ...], ...]:
     """(hist, roots) for count_points, one entry kept: verify_4_1 walks
@@ -110,9 +118,7 @@ def _count_histogram(p: int) -> Tuple[Tuple[Tuple[int, ...], ...], ...]:
         for v, row in enumerate(pairs):
             u = x * v % p
             hist[u] = list(map(add, hist[u], gather(row)))
-    leg = [0] + [-1] * (p - 1)
-    for x in range(1, p):
-        leg[x * x % p] = 1
+    leg = _legendre_table(p)
     roots = tuple((p if b == 0 else 1, *(1 + leg[(b * b - 4 * a * a) % p] for a in range(1, p)))
                   for b in range(p))
     return tuple(map(tuple, hist)), roots
@@ -142,7 +148,7 @@ def _greene_table(p: int) -> Tuple[Tuple[int, ...], ...]:
         T_0(x) = eps(x) phi(1-x),   T_(k+1)(x) = s sum_y w(y) T_k(x y),
 
     s = phi(-1) and w(y) = phi(y) phi(1-y)."""
-    leg = [legendre(y, p) for y in range(p)]
+    leg = _legendre_table(p)
     s = leg[p - 1]
     w = [(y, leg[y] * leg[(1 - y) % p]) for y in range(2, p)]  # w(0) = w(1) = 0
     level = [0] + [leg[(1 - x) % p] for x in range(1, p)]

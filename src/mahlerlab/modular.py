@@ -403,30 +403,17 @@ def fricke_check(spec: NewformSpec, precision: int = 64):
             return v
 
         tol = mp.mpf(2) ** (-(p + 16))
-        lam: Dict[str, object] = {}
-        svals = []
-        for s_str in _FRICKE_S:
-            s = mp.mpf(s_str)
-            svals.append(s)
-            svals.append(spec.weight - s)
-        for s in svals:
-            key = mp.nstr(s, 12)
-            if key in lam:
-                continue
-            r = tanh_sinh_interval(
-                lambda u, s=s: f_iu(u) * u ** (s - 1),
-                delta,
-                t_hi,
-                tol,
-                precision=p + 32,
-            )
-            lam[key] = mp.mpf(spec.level) ** (s / 2) * r.value
+
+        def lam(s):
+            r = tanh_sinh_interval(lambda u: f_iu(u) * u ** (s - 1), delta, t_hi, tol,
+                                   precision=p + 32)
+            return mp.mpf(spec.level) ** (s / 2) * r.value
+
         asym = mp.mpf(0)
         for s_str in _FRICKE_S:
             s = mp.mpf(s_str)
-            a = lam[mp.nstr(s, 12)]
-            b = lam[mp.nstr(spec.weight - s, 12)]
-            asym = max(asym, abs(a - spec.fricke_sign * b))
+            a = lam(s)
+            asym = max(asym, abs(a - spec.fricke_sign * lam(spec.weight - s)))
     if asym >= threshold:
         raise FunctionalEquationViolation(
             f"{spec.name}: Lambda asymmetry {mp.nstr(asym, 6)} at {precision} bits "

@@ -19,9 +19,9 @@ arithmetic on that layer.  The other users are modular.fricke_check's
 q-series Horner; special.agm and the ell_k/ell_kprime wrappers around it
 (the AGM and pi / (2 agm) at every tanh-sinh node of the elliptic checks);
 special.pfq, whose direct sum inside the unit disk (the k-integral route's
-m_alpha series and m(R_k)'s 6F5 for |k| > 16) and partial sums at |x| = 1
-(the 6F5 of m(R_16), the wan-moments 4F3s, and special.catalan as the 3F2
-at -1) step one int term ratio; and special.exp_integral_e1 (the Mellin
+m_alpha series, m(R_k)'s 6F5 for |k| > 16 and special.catalan's 3F2 at
+1/4) and partial sums at |x| = 1 (the 6F5 of m(R_16) and the wan-moments
+4F3s) step one int term ratio; and special.exp_integral_e1 (the Mellin
 split's E1 terms).  Each is an int loop whose docstring states its error
 bound.
 """

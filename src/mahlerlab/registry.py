@@ -820,7 +820,7 @@ def _build_registry() -> Dict[str, IdentityCheck]:
         _check(
             "statistical", "eq-1.1",
             "m(x + 1/x + y + 1/y - 4) = 4G/pi, G Catalan's constant; "
-            "lattice QMC vs Levin-accelerated series",
+            "lattice QMC vs Bradley's 3F2 series for G",
             _plan_qmc("p4"),
             _const_plan(lambda w: 4 * catalan(w) / mp.pi, guard=16),
         ),

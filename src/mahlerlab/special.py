@@ -1,5 +1,6 @@
-"""Elliptic integrals via AGM, zeta values, Catalan's constant (a 3F2 at -1),
-Legendre chi, the exponential integral, and generalized pFq summation.
+"""Elliptic integrals via AGM, zeta values, Catalan's constant (Bradley's
+3F2 at 1/4), Legendre chi, the exponential integral, and generalized pFq
+summation.
 
 Gamma is only provided at integer and half-integer arguments; that is all the
 identities here require.  Everything real-valued is an mpf computed inside a
@@ -227,20 +228,41 @@ def zeta_prime_minus2(precision: int = 128):
 
 
 def catalan(precision: int = 128):
-    """Catalan's constant G = sum (-1)^n / (2n+1)^2 = 3F2(1, 1/2, 1/2;
-    3/2, 3/2; -1): pfq's Levin-accelerated unit-argument path at
-    precision + 8 bits and target 2^-(precision+4), rounded to precision."""
-    spec = PFQSpec([1, Fraction(1, 2), Fraction(1, 2)], [Fraction(3, 2)] * 2, -1)
-    value = pfq(spec, mp.mpf(2) ** (-(precision + 4)), precision=precision + 8)
-    return mp.mpf(value, prec=precision)
+    """Catalan's constant by Bradley's series (Bradley 1999, "Representations
+    of Catalan's constant"): G = (pi/8) log(2 + sqrt 3) + (3/8) S with
+    S = sum 1/((2n+1)^2 C(2n,n)) = 3F2(1/2, 1, 1; 3/2, 3/2; 1/4), a
+    geometric series that pfq's direct int path sums.
+
+    With g guard bits S is summed at precision + g bits to target
+    2^-(precision+g-8); pfq's int bound and stop rule keep it within a
+    quarter of that target plus one rounding, and the other six roundings
+    at precision + g bits add a few units of 2^-(precision+g), so the value
+    is within 2^-(precision+g-7) of G.  It is rounded once to precision
+    when both ends of that interval round alike; otherwise G lies that
+    close to a rounding tie and the pass is repeated with g doubled, from
+    g = 16.  So the result is G correctly rounded.
+    """
+    spec = PFQSpec([Fraction(1, 2), 1, 1], [Fraction(3, 2)] * 2, Fraction(1, 4))
+    guard = 16
+    while True:
+        with mp.workprec(precision + guard):
+            s = pfq(spec, mp.mpf(2) ** (8 - precision - guard), precision=precision + guard)
+            value = mp.pi / 8 * mp.log(2 + mp.sqrt(3)) + 3 * s / 8
+        err = mp.mpf(2) ** (7 - precision - guard)
+        low, high = (mp.mpf(mp.fadd(value, e, exact=True), prec=precision) for e in (-err, err))
+        if low == high:
+            return low
+        guard *= 2
 
 
 def legendre_chi3(alpha, precision: int = 128):
     """Legendre chi_3(alpha) = sum_{n>=0} alpha^(2n+1) / (2n+1)^3 on [0, 1].
 
-    Within 2^-(precision/2) of 1 the closed form chi_3(1) = 7 zeta(3) / 8 is
-    used; the series ratio alpha^2 makes direct summation useless there, and
-    an alpha whose estimated term count passes 10^8 raises ValueError.
+    Within 2^-(precision+8) of 1 the closed form chi_3(1) = 7 zeta(3) / 8 is
+    used: chi_3(1) - chi_3(alpha) is about (pi^2/8)(1 - alpha) there, below
+    2^-(precision+7).  The series ratio alpha^2 makes direct summation
+    useless near 1, and an alpha outside that window whose estimated term
+    count passes 10^8 raises ValueError.
     """
     with mp.workprec(precision + 16):
         a = mp.mpf(alpha)
@@ -248,7 +270,7 @@ def legendre_chi3(alpha, precision: int = 128):
             raise ValueError(f"legendre_chi3 needs 0 <= alpha <= 1, got {alpha}")
         if a == 0:
             v = mp.mpf(0)
-        elif 1 - a < mp.mpf(2) ** (-(precision // 2)):
+        elif 1 - a < mp.mpf(2) ** (-(precision + 8)):
             v = 7 * zeta_int(3, precision + 16) / 8
         else:
             eps = mp.mpf(2) ** (-(precision + 8))

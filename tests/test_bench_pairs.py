@@ -1,11 +1,13 @@
 """tools/bench_pairs.py's summary code on canned bench/run.py result lines,
-and its record of the code each side ran on small git trees; no benchmark
-runs."""
+its record of the code each side ran on small git trees, and the
+environment it runs bench/run.py in, seen by a stub; no benchmark runs."""
 
 import importlib.util
 import json
 import os
+import py_compile
 import subprocess
+import sys
 
 import pytest
 
@@ -175,3 +177,45 @@ class TestRevision:
         assert bench_pairs.revision(alone) == got
         _tree(alone, "x = 2\n")
         assert bench_pairs.revision(alone) != got
+
+
+_STUB_RUN = '''\
+import json, os, sys
+sys.path.insert(0, "src")
+import stubmod
+prefix = os.environ.get("PYTHONPYCACHEPREFIX")
+print(json.dumps({"metrics": {}, "argv": sys.argv[1:], "x": stubmod.x,
+                  "dont_write": os.environ.get("PYTHONDONTWRITEBYTECODE"), "prefix": prefix,
+                  "prefix_listing": sorted(os.listdir(prefix)) if prefix else None}))
+'''
+
+
+class TestBenchRun:
+    def test_run_sees_no_bytecode_cache(self, tmp_path):
+        # a stub run.py reports the environment it saw; a stale __pycache__
+        # in the checkout (compiled from x = 2, source now x = 1 with the
+        # same size and mtime) is not read, and nothing is written
+        checkout = tmp_path / "checkout"
+        (checkout / "bench").mkdir(parents=True)
+        (checkout / "src").mkdir()
+        (checkout / "bench" / "run.py").write_text(_STUB_RUN)
+        module = checkout / "src" / "stubmod.py"
+        module.write_text("x = 2\n")
+        stat = module.stat()
+        pyc = py_compile.compile(str(module), cfile=importlib.util.cache_from_source(str(module)))
+        module.write_text("x = 1\n")
+        os.utime(module, ns=(stat.st_atime_ns, stat.st_mtime_ns))
+        plain = {k: v for k, v in os.environ.items() if not k.startswith("PYTHONPYCACHE")}
+        stale = subprocess.run([sys.executable, "bench/run.py"], cwd=checkout, env=plain,
+                               capture_output=True, text=True, check=True)
+        assert json.loads(stale.stdout)["x"] == 2  # a plain run reads the stale cache
+
+        line = bench_pairs.bench_run(str(checkout), "headline", 7, 5)
+        assert line["argv"] == ["--workload", "headline", "--seed", "7", "--seconds", "5",
+                                "--trace", "0"]
+        assert line["x"] == 1
+        assert line["dont_write"] == "1"
+        assert line["prefix_listing"] == []
+        assert not line["prefix"].startswith(str(tmp_path))
+        assert not os.path.exists(line["prefix"])  # removed after the run
+        assert os.listdir(os.path.dirname(pyc)) == [os.path.basename(pyc)]

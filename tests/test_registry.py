@@ -7,6 +7,7 @@ filtered run_all over the exact kind (those checks are precision-free).
 """
 
 import dataclasses
+import functools
 from fractions import Fraction
 
 import pytest
@@ -446,16 +447,23 @@ class TestPlanNegativeControls:
         ("ff-ahlgren-ono", 46),
     ])
     def test_greene_legendre_value_perturbed(self, monkeypatch, check_id, deviation):
-        # phi(3) mod 7 flipped where greene's table reads it; phi(-1), which
-        # verify_4_1 also reads, and count_points' own square table are left
-        # alone, so only the hypergeometric side moves
-        exact = ffield.legendre
+        # phi(3) mod 7 flipped in the Legendre table that greene's table
+        # reads; phi(-1), which verify_4_1 also reads, and count_points'
+        # histogram at p = 7, built before the flip, are left alone, so only
+        # the hypergeometric side moves
+        exact = ffield._legendre_table
 
-        def flipped(a, p):
-            return -exact(a, p) if (p, a % p) == (7, 3) else exact(a, p)
+        def flipped(p):
+            leg = exact(p)
+            if p == 7:
+                leg[3] = -leg[3]
+            return leg
 
         def perturb():
-            monkeypatch.setattr(ffield, "legendre", flipped)
+            clean_counts = functools.lru_cache(maxsize=None)(ffield._count_histogram.__wrapped__)
+            clean_counts(7)
+            monkeypatch.setattr(ffield, "_count_histogram", clean_counts)
+            monkeypatch.setattr(ffield, "_legendre_table", flipped)
             ffield._greene_table.cache_clear()
 
         ffield._greene_table.cache_clear()

@@ -482,14 +482,14 @@ class TestCatalan:
 
     def test_missed_target_raises(self, monkeypatch):
         # an accelerator that never meets the target: every pass of pfq's
-        # unit-argument path (320, 640 and 1280 terms at 128 bits) must end
-        # in NoConvergence, not a value
+        # unit-argument path (320, 640 and 1280 terms at 136 bits) on G's
+        # alternating 3F2 at -1 must end in NoConvergence, not a value
         def stalled(sums, precision=None):
             return AccelResult(value=sums[-1], error_estimate=mp.mpf(1), low_confidence=True)
 
         monkeypatch.setattr(special, "accelerate", stalled)
         with pytest.raises(NoConvergence) as info:
-            catalan(128)
+            pfq(_CATALAN_3F2, mp.mpf(2) ** -132, precision=136)
         assert info.value.terms == 1280
         assert abs(info.value.best - mp.mpf("0.91596559")) < 1e-3
 
@@ -501,7 +501,23 @@ class TestCatalan:
 
         monkeypatch.setattr(special, "accelerate", doubtful)
         with pytest.raises(NoConvergence):
-            catalan(128)
+            pfq(_CATALAN_3F2, mp.mpf(2) ** -132, precision=136)
+
+    def test_correctly_rounded_sweep(self):
+        # every precision from 16 to 600 bits; G lies within 2^-(p+9) of a
+        # rounding tie at 175, 437 and 535 bits
+        with mp.workprec(700):
+            ref = +mp.catalan
+        wrong = [p for p in range(16, 601) if catalan(p) != mp.mpf(ref, prec=p)]
+        assert wrong == []
+
+    def test_needs_no_accelerator(self, monkeypatch):
+        def refused(sums, precision=None):
+            raise AssertionError("catalan reached the accelerator")
+
+        monkeypatch.setattr(special, "accelerate", refused)
+        with mp.workprec(200):
+            assert catalan(144) == mp.mpf(mp.catalan, prec=144)
 
 
 class TestLegendreChi3:
@@ -519,16 +535,23 @@ class TestLegendreChi3:
         ref = (li_pos - li_neg) / 2
         assert abs(float(legendre_chi3(0.7, 96)) - ref) < 1e-13
 
-    def test_near_one_continuity(self):
-        # chi_3 is continuous at 1; a point within 2^-70 of 1 must land
-        # within ~1e-20 of the closed form
-        with mp.workprec(160):
+    def test_closed_form_window_meets_the_precision(self):
+        # chi_3(1) - chi_3(a) is about (pi^2/8)(1 - a): the closed form may
+        # stand in for chi_3(a) only within 2^-(p+8) of 1.  1 - 2^-70 at
+        # 128 bits is outside that window and its series needs ~10^23 terms,
+        # so it is refused; 1 - 2^-140 is inside and lands within 2^-126 of
+        # (Li_3(a) - Li_3(-a)) / 2
+        with mp.workprec(128):
             a = 1 - mp.mpf(2) ** -70
-            ref = 7 * zeta_int(3, 160) / 8
-            assert abs(legendre_chi3(a, 128) - ref) < mp.mpf(10) ** -20
+        with pytest.raises(ValueError, match="too close to 1"):
+            legendre_chi3(a, 128)
+        with mp.workprec(300):
+            a = 1 - mp.mpf(2) ** -140
+            ref = (mp.polylog(3, a) - mp.polylog(3, -a)) / 2
+            assert abs(legendre_chi3(a, 128) - ref) < mp.mpf(2) ** -126
 
     def test_just_below_the_closed_form_window_refused(self):
-        # 1 - 2^-30 is outside the 2^-48 window at 96 bits, and its series
+        # 1 - 2^-30 is outside the 2^-104 window at 96 bits, and its series
         # needs ~4e10 terms: refused at once, as pfq refuses its argument
         with mp.workprec(96):
             a = 1 - mp.mpf(2) ** -30
@@ -837,7 +860,10 @@ class TestPfqUnitAgainstMpfOracle:
 
     @pytest.mark.parametrize("precision", [144, 1047])
     def test_catalan_bits(self, precision):
-        # eq-1.1 calls catalan(144); compute catalan --digits 300 calls 1047
+        # eq-1.1 calls catalan(144); compute catalan --digits 300 calls 1047.
+        # catalan sums Bradley's 3F2 at 1/4; the Levin route on the 3F2 at
+        # -1, at precision + 8 bits and target 2^-(precision+4), rounds to
+        # the same bits
         ref = _pfq_unit_mpf(_CATALAN_3F2, mp.mpf(2) ** -(precision + 4), precision + 8)
         assert catalan(precision) == mp.mpf(ref, prec=precision)
 
@@ -853,8 +879,8 @@ class TestPfqUnitAgainstMpfOracle:
 
     @pytest.mark.parametrize("precision", [32, 175, 437, 535, 600])
     def test_catalan_against_mpmath(self, precision):
-        # within half an ulp of G plus the 2^-(p+4) target; at 175, 437 and
-        # 535 bits G sits near a rounding tie
+        # within half an ulp of G (correctly rounded) plus 2^-(p+4); at 175,
+        # 437 and 535 bits G sits near a rounding tie
         with mp.workprec(precision + 64):
             bound = mp.mpf(2) ** -(precision + 1) + mp.mpf(2) ** -(precision + 4)
             assert abs(catalan(precision) - mp.catalan) <= bound

@@ -7,14 +7,17 @@
 
 Each pair runs `python3 bench/run.py --workload W --seed S --seconds T
 --trace 0` once in each checkout, from its root, so each side runs its own
-bench/ and src/.  Pairs 0, 2, 4, ... run the parent first, pairs 1, 3, 5,
-... the change; pair i takes seed i of --seeds, cycling.  Every run's result
-line (the last line of its stdout) is kept.  Per end-to-end metric of
-BENCHMARK.json the summary gives each side's median and quartiles
-(inclusive method) and every run in pair order, the pairs the change won
-and lost (ties count for neither), the ratio of the medians, the parent's
-quartile spread, and whether the change's median stays within the metric's
-bound.
+bench/ and src/.  Every run, here and under --cold, has bytecode writing
+off (PYTHONDONTWRITEBYTECODE=1) and its bytecode cache in a new empty
+directory (PYTHONPYCACHEPREFIX), so both sides compile from source and
+neither reads a __pycache__ that the other lacks.  Pairs 0, 2, 4, ... run
+the parent first, pairs 1, 3, 5, ... the change; pair i takes seed i of
+--seeds, cycling.  Every run's result line (the last line of its stdout)
+is kept.  Per end-to-end metric of BENCHMARK.json the summary gives each
+side's median and quartiles (inclusive method) and every run in pair
+order, the pairs the change won and lost (ties count for neither), the
+ratio of the medians, the parent's quartile spread, and whether the
+change's median stays within the metric's bound.
 
 --claim W:METRIC states whether the gain on that workload and metric is
 met: the change wins at least nine tenths of the pairs and the medians
@@ -43,6 +46,7 @@ import re
 import statistics
 import subprocess
 import sys
+import tempfile
 import time
 
 SIDES = ("parent", "change")
@@ -148,12 +152,22 @@ def result_line(stdout: str):
     return line if isinstance(line, dict) and "metrics" in line else None
 
 
+def _run_uncached(cmd, checkout, env=None, **kwargs):
+    """subprocess.run in a checkout with bytecode writing off and the bytecode
+    cache in a new empty directory, so that neither side reads a
+    __pycache__ the other lacks; nothing in the checkout is deleted."""
+    with tempfile.TemporaryDirectory() as cache:
+        env = dict(os.environ if env is None else env, PYTHONDONTWRITEBYTECODE="1",
+                   PYTHONPYCACHEPREFIX=cache)
+        return subprocess.run(cmd, cwd=checkout, env=env, capture_output=True, text=True, **kwargs)
+
+
 def bench_run(checkout, workload, seed, seconds, trace=0):
     """One bench/run.py run in a checkout: its result line, or None."""
     cmd = [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed),
            "--seconds", str(seconds), "--trace", str(trace)]
     try:
-        proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True, timeout=seconds + 900)
+        proc = _run_uncached(cmd, checkout, timeout=seconds + 900)
     except subprocess.TimeoutExpired:
         return None
     return result_line(proc.stdout) if proc.returncode == 0 else None
@@ -176,8 +190,8 @@ def cold_run(checkout, check_id):
     args = ["--all"] if check_id == "all" else [check_id]
     env = dict(os.environ, PYTHONPATH=os.path.join(checkout, "src"))
     start = time.perf_counter()
-    proc = subprocess.run([sys.executable, "-m", "mahlerlab.cli", "verify", *args, "--format", "json"],
-                          cwd=checkout, env=env, capture_output=True, text=True)
+    proc = _run_uncached([sys.executable, "-m", "mahlerlab.cli", "verify", *args, "--format", "json"],
+                        checkout, env)
     wall = time.perf_counter() - start
     return round(wall, 3), proc.returncode, _WALL_MS.sub("", proc.stdout + proc.stderr)
 
