@@ -8,7 +8,7 @@ m((x+1/x)(y+1/y)(z+1/z)(w+1/w) - 16) has three faces:
 
 where f is the weight-4 level-8 eta-product newform.  The series route
 (accelerated unit-argument series) shares no nontrivial machinery with the
-other two (Mellin split of the q-expansion plus Euler-Maclaurin zeta), so
+other two (Mellin split of the q-expansion plus Borwein's zeta series), so
 their agreement to dozens of digits is evidence.  The L'(f,0) route is not
 yet independent of the L(f,4) route: l_prime_at_0 is the same Mellin-split
 L(f,4) rescaled by the functional equation, (sqrt 8/(2 pi))^4 3!, and

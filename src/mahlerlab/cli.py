@@ -375,7 +375,7 @@ def _quantity_zeta(tokens: Sequence[str], work: int, config: RunConfig):
     s = _parse_int(tokens[0], "s")
     if s < 2:
         raise UsageError(f"zeta needs integer s >= 2, got {s}")
-    return zeta_int(s, work), "euler-maclaurin", mp.mpf(2) ** (8 - work)
+    return zeta_int(s, work), "borwein", mp.mpf(2) ** (8 - work)
 
 
 def _quantity_catalan(tokens: Sequence[str], work: int, config: RunConfig):

@@ -290,41 +290,35 @@ def _term_count(level: int, weight: int, work: int) -> int:
     return n
 
 
-def _g_split(spec: NewformSpec, s, u0, n_terms: int, work: int):
+def _g_split(spec: NewformSpec, s: int, u0, n_terms: int, work: int):
     """G(s) = level^(s/2) sum a_n (2 pi n)^(-s) Gamma(s, 2 pi n u0)."""
     with mp.workprec(work):
         two_pi = 2 * mp.pi
-        s_int = int(s) if s == int(s) else None
         total = mp.mpf(0)
         for n in range(1, n_terms + 1):
             a = spec._coeffs[n]
             if not a:
                 continue
             x = two_pi * n * u0
-            if s_int is not None:
-                g = gamma_upper_int(s_int, x, work)
-            else:
-                g = mp.gammainc(mp.mpf(s), x)
-            total += a * g / (two_pi * n) ** s
+            total += a * gamma_upper_int(s, x, work) / (two_pi * n) ** s
         return mp.mpf(spec.level) ** (mp.mpf(s) / 2) * total
 
 
-def l_value(spec: NewformSpec, s, precision: int = 64):
-    """L(spec, s) for real s via the exponentially convergent Mellin split."""
+def l_value(spec: NewformSpec, s: int, precision: int = 64):
+    """L(spec, s) for integer s in [1, weight] via the exponentially
+    convergent Mellin split."""
+    if s != int(s) or not 1 <= s <= spec.weight:
+        raise ValueError(f"l_value needs an integer s in [1, {spec.weight}], got {s}")
+    s = int(s)
     work = precision + 24
     with mp.workprec(work):
-        s = mp.mpf(s)
         u0 = 1 / mp.sqrt(spec.level)
         n_terms = _term_count(spec.level, spec.weight, work)
         spec.ensure(n_terms)
         lam = _g_split(spec, s, u0, n_terms, work) + spec.fricke_sign * _g_split(
             spec, spec.weight - s, u0, n_terms, work
         )
-        if s == int(s):
-            gamma_s = mp.mpf(math.factorial(int(s) - 1))
-        else:
-            gamma_s = mp.gamma(s)
-        v = lam * (2 * mp.pi / mp.sqrt(spec.level)) ** s / gamma_s
+        v = lam * (2 * mp.pi / mp.sqrt(spec.level)) ** s / mp.mpf(math.factorial(s - 1))
     with mp.workprec(precision):
         return +v
 

@@ -16,14 +16,14 @@ int v with w fraction bits stands for v * 2^-w, `to_fixed`/`from_fixed`
 convert at the loop's ends, and `fixed_bits` applies the guard-bit rule
 w = mp.prec + FIXED_GUARD_BITS.  The Levin table is exact integer
 arithmetic on that layer.  The other users are modular.fricke_check's
-q-series Horner; special.agm and the ell_k/ell_kprime wrappers around it
-(the AGM and pi / (2 agm) at every tanh-sinh node of the elliptic checks);
-special.pfq, whose direct sum inside the unit disk (the k-integral route's
-m_alpha series, m(R_k)'s 6F5 for |k| > 16 and special.catalan's 3F2 at
-1/4) and partial sums at |x| = 1 (the 6F5 of m(R_16) and the wan-moments
-4F3s) step one int term ratio; and special.exp_integral_e1 (the Mellin
-split's E1 terms).  Each is an int loop whose docstring states its error
-bound.
+q-series Horner; special.ell_k/ell_kprime (the AGM and pi / (2 agm) at
+every tanh-sinh node of the elliptic checks); special.pfq, whose direct
+sum inside the unit disk (the k-integral route's m_alpha series, m(R_k)'s
+6F5 for |k| > 16, special.catalan's 3F2 at 1/4 and special.legendre_chi3's
+4F3) and partial sums at |x| = 1 (the 6F5 of m(R_16) and the wan-moments
+4F3s) step one int term ratio; special.zeta_int (Borwein's
+integer-weighted series); and special.exp_integral_e1 (the Mellin split's
+E1 terms).  Each is an int loop whose docstring states its error bound.
 """
 
 from __future__ import annotations

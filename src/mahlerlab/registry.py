@@ -842,7 +842,7 @@ def _build_registry() -> Dict[str, IdentityCheck]:
         _check(
             "statistical", "eq-4.4",
             "m(x + 1/x + y + 1/y + z + 1/z + w + 1/w) = 7 zeta(3)/(2 pi^2); "
-            "4-D lattice QMC vs Euler-Maclaurin zeta",
+            "4-D lattice QMC vs Borwein zeta",
             _plan_qmc("s0"),
             _const_plan(lambda w: 7 * _zeta3(w) / (2 * mp.pi ** 2), guard=16),
         ),

@@ -1,20 +1,21 @@
-"""Elliptic integrals via AGM, zeta values, Catalan's constant (Bradley's
-3F2 at 1/4), Legendre chi, the exponential integral, and generalized pFq
-summation.
+"""Elliptic integrals via AGM, zeta values (Borwein's alternating series),
+Catalan's constant (Bradley's 3F2 at 1/4), Legendre chi (a 4F3 at
+alpha^2), the exponential integral, and generalized pFq summation.
 
 Gamma is only provided at integer and half-integer arguments; that is all the
 identities here require.  Everything real-valued is an mpf computed inside a
 local working-precision context.
 
-The kernels called per node or per term run on ints, in precision.py's
-fixed-point sense: `agm` is the loop a, b <- (a+b)/2, isqrt(a b) on
-arguments normalised by a common power of two, and ell_k/ell_kprime divide
-a fixed-point pi by its result without leaving ints; both pFq branches,
-direct and Levin-accelerated at |x| = 1, step one small-int term ratio; and
-`exp_integral_e1` sums its power series or runs its continued fraction's
-convergent recurrence, choosing per call whichever needs fewer long
-multiplies at that x and precision.  Each converts its inputs once and
-rounds its result once.
+The kernels run on ints, in precision.py's fixed-point sense: the AGM is
+the loop a, b <- (a+b)/2, isqrt(a b) on arguments normalised by a common
+power of two, and ell_k/ell_kprime divide a fixed-point pi by its result
+without leaving ints; both pFq branches, direct and Levin-accelerated at
+|x| = 1, step one small-int term ratio; `zeta_int` sums Borwein's
+integer-weighted series; and `exp_integral_e1` sums its power series or
+runs its continued fraction's convergent recurrence, choosing per call
+whichever needs fewer long multiplies at that x and precision.  Each
+converts its inputs once and rounds its result once; `zeta_int` and
+`catalan` are correctly rounded.
 """
 
 from __future__ import annotations
@@ -37,7 +38,6 @@ from .precision import (
 
 __all__ = [
     "PFQSpec",
-    "agm",
     "ell_k",
     "ell_kprime",
     "gamma_half_int",
@@ -79,17 +79,6 @@ def _agm_fixed(x, y, p: int):
     while abs(a - b) > a >> (p + 8):
         a, b = (a + b) >> 1, math.isqrt(a * b)
     return a, f
-
-
-def agm(a, b, precision: Optional[int] = None):
-    """Arithmetic-geometric mean of two positive reals, as an int loop
-    (`_agm_fixed`), rounded once to the precision."""
-    p = _ambient(precision)
-    x, y = mp.convert(a), mp.convert(b)
-    if x <= 0 or y <= 0:
-        raise ValueError("agm requires positive arguments")
-    v, f = _agm_fixed(x._mpf_, y._mpf_, p)
-    return from_fixed(v, f, p)
 
 
 def _modulus(k, prec: int):
@@ -162,61 +151,57 @@ def gamma_half_int(twice_s: int, precision: int = 128):
 
 
 # ---------------------------------------------------------------------------
-# Riemann zeta at integers via Euler-Maclaurin
-
-_BERNOULLI: List[Fraction] = [Fraction(1)]
-
-
-def _bernoulli(m: int) -> Fraction:
-    """Exact Bernoulli number B_m (B_1 = -1/2 convention)."""
-    while len(_BERNOULLI) <= m:
-        j = len(_BERNOULLI)
-        acc = Fraction(0)
-        for i in range(j):
-            acc += math.comb(j + 1, i) * _BERNOULLI[i]
-        _BERNOULLI.append(-acc / (j + 1))
-    return _BERNOULLI[m]
+# Riemann zeta at integers by Borwein's alternating series
 
 
 def zeta_int(s: int, precision: int = 128):
-    """zeta(s) for integer s >= 2 by Euler-Maclaurin-corrected truncation."""
+    """zeta(s) for integer s >= 2 by Borwein's Algorithm 2 (P. Borwein, "An
+    efficient algorithm for the Riemann zeta function", 2000), correctly
+    rounded.
+
+    With d_k = e_0 + ... + e_k for the ints e_0 = 1 and
+    e_(i+1) = e_i 2(n+i)(n-i) / ((2i+1)(i+1)), so that d_n = T_n(3) >=
+    (3+sqrt 8)^n / 2,
+        zeta(s) (1 - 2^(1-s)) = sum_(k<n) (-1)^k (d_n - d_k) / (d_n (k+1)^s)
+    up to 3 (3+sqrt 8)^-n; so for n = ceil((p+4) / log2(3+sqrt 8)) and
+    p = precision + g the quotient is within 6 (3+sqrt 8)^-n <= 6 2^-(p+4)
+    of zeta(s).  The terms are the ints floor((d_n - d_k) 2^w / (k+1)^s) at
+    w = p + bitlen(n) + 8 fraction bits.  Each is 0 once (k+1)^s passes
+    d_n 2^w, and so the sum stops where 2^(s floor(log2(k+1))) does, which
+    keeps a large s cheap.  The floors cost under n / d_n units of 2^-w and
+    the quotient three roundings to w bits, so the value is within
+    2^-(p+1) of zeta(s).  It is rounded once to precision when both ends of
+    that interval round alike; otherwise zeta(s) lies that close to a
+    rounding tie and the pass is repeated with g doubled, from g = 16.
+    """
     if s < 2:
         raise ValueError(f"zeta_int needs s >= 2, got {s}")
     if precision < MIN_PRECISION_BITS:
         raise ValueError(f"precision must be >= {MIN_PRECISION_BITS} bits")
-    work = precision + 24
-    with mp.workprec(work):
-        eps = mp.mpf(2) ** (-(precision + 12))
-        n_cut = max(8, int(0.35 * work) + s)
-        while True:
-            total = mp.mpf(0)
-            for n in range(n_cut - 1, 0, -1):
-                total += mp.mpf(n) ** (-s)
-            ncs = mp.mpf(n_cut) ** (-s)
-            total += ncs * n_cut / (s - 1) + ncs / 2
-            # correction terms B_2j/(2j)! * s(s+1)...(s+2j-2) * N^(1-s-2j)
-            rising = mp.mpf(s)
-            npow = ncs / n_cut  # N^(-s-1), i.e. the j = 1 power
-            prev = mp.inf
-            ok = False
-            for j in range(1, 80):
-                b = _bernoulli(2 * j)
-                coef = mp.mpf(b.numerator) / b.denominator / mp.mpf(math.factorial(2 * j))
-                term = coef * rising * npow
-                total += term
-                if abs(term) < eps:
-                    ok = True
-                    break
-                if abs(term) > prev:
-                    break  # asymptotic series turned; need larger N
-                prev = abs(term)
-                rising *= (s + 2 * j - 1) * (s + 2 * j)
-                npow /= n_cut * n_cut
-            if ok:
+    guard = 16
+    while True:
+        p = precision + guard
+        n = math.ceil((p + 4) / math.log2(3 + math.sqrt(8)))
+        d, e = [1], 1
+        for i in range(n):
+            e = e * 2 * (n + i) * (n - i) // ((2 * i + 1) * (i + 1))
+            d.append(d[-1] + e)
+        w = p + n.bit_length() + 8
+        limit = d[n] << w
+        total = 0
+        for k in range(n):
+            # (k+1)^s >= 2^(s floor(log2(k+1))) > limit: zero from here on
+            if s * ((k + 1).bit_length() - 1) >= limit.bit_length():
                 break
-            n_cut *= 2
-    with mp.workprec(precision):
-        return +total
+            t = ((d[n] - d[k]) << w) // (k + 1) ** s
+            total += -t if k & 1 else t
+        with mp.workprec(w):
+            value = fixed_ratio(total, d[n] << w) / (1 - mp.ldexp(1, 1 - s))
+        err = mp.ldexp(1, -p - 1)
+        low, high = (mp.mpf(mp.fadd(value, r, exact=True), prec=precision) for r in (-err, err))
+        if low == high:
+            return low
+        guard *= 2
 
 
 def zeta_prime_minus2(precision: int = 128):
@@ -256,13 +241,15 @@ def catalan(precision: int = 128):
 
 
 def legendre_chi3(alpha, precision: int = 128):
-    """Legendre chi_3(alpha) = sum_{n>=0} alpha^(2n+1) / (2n+1)^3 on [0, 1].
+    """Legendre chi_3(alpha) = sum_{n>=0} alpha^(2n+1) / (2n+1)^3 on [0, 1],
+    as alpha 4F3(1/2, 1/2, 1/2, 1; 3/2, 3/2, 3/2; alpha^2), summed by pfq's
+    direct int path at precision + 16 bits to target 2^-(precision+8).
 
-    Within 2^-(precision+8) of 1 the closed form chi_3(1) = 7 zeta(3) / 8 is
-    used: chi_3(1) - chi_3(alpha) is about (pi^2/8)(1 - alpha) there, below
-    2^-(precision+7).  The series ratio alpha^2 makes direct summation
-    useless near 1, and an alpha outside that window whose estimated term
-    count passes 10^8 raises ValueError.
+    Within 2^-(precision+8) of 1 the closed form chi_3(1) = 7 zeta(3) / 8
+    is used: chi_3(1) - chi_3(alpha) is about (pi^2/8)(1 - alpha) there,
+    below 2^-(precision+7).  The series ratio alpha^2 makes direct
+    summation useless near 1, and pfq refuses an alpha outside that window
+    whose estimated term count passes 10^8.
     """
     with mp.workprec(precision + 16):
         a = mp.mpf(alpha)
@@ -273,20 +260,8 @@ def legendre_chi3(alpha, precision: int = 128):
         elif 1 - a < mp.mpf(2) ** (-(precision + 8)):
             v = 7 * zeta_int(3, precision + 16) / 8
         else:
-            eps = mp.mpf(2) ** (-(precision + 8))
-            ratio = a * a
-            if mp.log(eps) / mp.log(ratio) > 10 ** 8:
-                raise ValueError("legendre_chi3 argument too close to 1 for direct summation")
-            v = mp.mpf(0)
-            pw = a
-            n = 0
-            while True:
-                t = pw / mp.mpf(2 * n + 1) ** 3
-                v += t
-                if t * ratio / (1 - ratio) < eps:
-                    break
-                pw *= ratio
-                n += 1
+            spec = PFQSpec([Fraction(1, 2)] * 3 + [1], [Fraction(3, 2)] * 3, a * a)
+            v = a * pfq(spec, mp.mpf(2) ** (-(precision + 8)), precision=precision + 16)
     with mp.workprec(precision):
         return +v
 

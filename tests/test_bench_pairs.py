@@ -183,39 +183,79 @@ _STUB_RUN = '''\
 import json, os, sys
 sys.path.insert(0, "src")
 import stubmod
+if sys.argv[sys.argv.index("--seconds") + 1] != "0":
+    import latemod  # only timed runs import it
 prefix = os.environ.get("PYTHONPYCACHEPREFIX")
-print(json.dumps({"metrics": {}, "argv": sys.argv[1:], "x": stubmod.x,
+listing = sorted(name for _, _, files in os.walk(prefix) for name in files) if prefix else None
+print(json.dumps({"metrics": {}, "correct": True, "attempted": 1, "failed": 0,
+                  "argv": sys.argv[1:], "x": stubmod.x,
                   "dont_write": os.environ.get("PYTHONDONTWRITEBYTECODE"), "prefix": prefix,
-                  "prefix_listing": sorted(os.listdir(prefix)) if prefix else None}))
+                  "prefix_listing": listing}))
 '''
+
+
+def _stub_checkout(root, x="1"):
+    (root / "bench").mkdir(parents=True)
+    (root / "src").mkdir()
+    (root / "bench" / "run.py").write_text(_STUB_RUN)
+    (root / "src" / "stubmod.py").write_text(f"x = {x}\n")
+    (root / "src" / "latemod.py").write_text("y = 1\n")
+    (root / "BENCHMARK.json").write_text(json.dumps({"end_to_end": []}))
+    return root
 
 
 class TestBenchRun:
     def test_run_sees_no_bytecode_cache(self, tmp_path):
         # a stub run.py reports the environment it saw; a stale __pycache__
         # in the checkout (compiled from x = 2, source now x = 1 with the
-        # same size and mtime) is not read, and nothing is written
-        checkout = tmp_path / "checkout"
-        (checkout / "bench").mkdir(parents=True)
-        (checkout / "src").mkdir()
-        (checkout / "bench" / "run.py").write_text(_STUB_RUN)
+        # same size and mtime) is not read, and a timed run writes nothing
+        # into its cache directory
+        checkout = _stub_checkout(tmp_path / "checkout", x="2")
         module = checkout / "src" / "stubmod.py"
-        module.write_text("x = 2\n")
         stat = module.stat()
         pyc = py_compile.compile(str(module), cfile=importlib.util.cache_from_source(str(module)))
         module.write_text("x = 1\n")
         os.utime(module, ns=(stat.st_atime_ns, stat.st_mtime_ns))
         plain = {k: v for k, v in os.environ.items() if not k.startswith("PYTHONPYCACHE")}
-        stale = subprocess.run([sys.executable, "bench/run.py"], cwd=checkout, env=plain,
-                               capture_output=True, text=True, check=True)
+        stale = subprocess.run([sys.executable, "bench/run.py", "--seconds", "0"], cwd=checkout,
+                               env=plain, capture_output=True, text=True, check=True)
         assert json.loads(stale.stdout)["x"] == 2  # a plain run reads the stale cache
 
-        line = bench_pairs.bench_run(str(checkout), "headline", 7, 5)
+        cache = tmp_path / "cache"
+        line = bench_pairs.bench_run(str(checkout), str(cache), "headline", 7, 5)
         assert line["argv"] == ["--workload", "headline", "--seed", "7", "--seconds", "5",
                                 "--trace", "0"]
         assert line["x"] == 1
         assert line["dont_write"] == "1"
+        assert line["prefix"] == str(cache)
         assert line["prefix_listing"] == []
-        assert not line["prefix"].startswith(str(tmp_path))
-        assert not os.path.exists(line["prefix"])  # removed after the run
+        assert not cache.exists()
         assert os.listdir(os.path.dirname(pyc)) == [os.path.basename(pyc)]
+
+    def test_one_warmed_cache_per_side(self, tmp_path, monkeypatch):
+        # main gives each side its own cache for the whole invocation; the
+        # warm-up (--seconds 0) writes the bytecode of what it imports there,
+        # and the timed runs read it but write none, not even for latemod,
+        # which only they import
+        monkeypatch.setenv("GIT_CEILING_DIRECTORIES", str(tmp_path))
+        parent, change = _stub_checkout(tmp_path / "parent"), _stub_checkout(tmp_path / "change")
+        out = tmp_path / "bench.json"
+        assert bench_pairs.main(["--parent", str(parent), "--change", str(change),
+                                 "--workloads", "headline", "--seeds", "3", "--pairs", "2",
+                                 "--seconds", "1", "--out", str(out)]) == 0
+        runs = json.loads(out.read_text())["workloads"]["headline"]["runs"]
+        prefixes = {}
+        for record in runs:
+            for side in bench_pairs.SIDES:
+                line = record[side]
+                assert line["dont_write"] == "1"
+                # json.decoder's bytecode is there too: the stdlib is cached
+                modules = {n.split(".")[0] for n in line["prefix_listing"]}
+                assert "stubmod" in modules and "decoder" in modules
+                assert "latemod" not in modules
+                prefixes.setdefault(side, set()).add(line["prefix"])
+        assert len(prefixes["parent"]) == len(prefixes["change"]) == 1
+        assert prefixes["parent"] != prefixes["change"]
+        assert not any(os.path.exists(p) for s in prefixes.values() for p in s)
+        for checkout in (parent, change):
+            assert not (checkout / "src" / "__pycache__").exists()

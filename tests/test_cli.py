@@ -222,7 +222,7 @@ class TestCompute:
         assert code == 0
         lines = out.splitlines()
         assert lines[0] == "1.202056903159594285399738161511"
-        assert lines[1] == "route: euler-maclaurin"
+        assert lines[1] == "route: borwein"
         assert lines[2].startswith("error-estimate:")
 
     def test_ap_seven(self, capsys):
@@ -345,7 +345,7 @@ class TestCompute:
         doc = json.loads(out)
         assert doc["version"] == "v1"
         assert doc["value"] == "1.6449340668"
-        assert doc["route"] == "euler-maclaurin"
+        assert doc["route"] == "borwein"
 
 
 class TestConfigLayering:

@@ -457,6 +457,17 @@ class TestLValue:
         assert l_value(NEWFORM_F, 4, 64) > 0
         assert l_value(NEWFORM_H, 3, 64) > 0
 
+    def test_integer_s_in_the_critical_range_only(self):
+        # the Mellin split's Gamma(s, x) terms are elementary or E1 at
+        # integer s; every other s is refused, not sent to a general gamma
+        for s in (2.5, mp.mpf("3.5"), 0, 5, -1):
+            with pytest.raises(ValueError, match="integer s in"):
+                l_value(NEWFORM_F, s, 64)
+        with pytest.raises(ValueError, match=r"\[1, 3\]"):
+            l_value(NEWFORM_H, 4, 64)
+        assert l_value(NEWFORM_F, 4.0, 64) == l_value(NEWFORM_F, 4, 64)
+        assert l_value(NEWFORM_F, 1, 64) > 0
+
 
 class TestLPrimeAtZero:
     def test_f_closed_form(self):

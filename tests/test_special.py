@@ -15,7 +15,6 @@ from mahlerlab.registry import _hp_tolerance
 from mahlerlab.special import (
     PFQSpec,
     _e1_uses_series,
-    agm,
     catalan,
     ell_k,
     ell_kprime,
@@ -31,17 +30,6 @@ from mahlerlab.special import (
 
 # The mpf loops the int kernels replaced, kept as oracles: the kernels must
 # round to the same values.
-
-
-def _agm_mpf(a, b, precision):
-    with mp.workprec(precision + 16):
-        x = mp.mpf(a)
-        y = mp.mpf(b)
-        eps = mp.mpf(2) ** (-(precision + 8))
-        while abs(x - y) > eps * abs(x):
-            x, y = (x + y) / 2, mp.sqrt(x * y)
-    with mp.workprec(precision):
-        return +x
 
 
 def _e1_mpf(x, precision):
@@ -90,14 +78,17 @@ def _ell_k_mpf(k, precision):
     with mp.workprec(p + 16):
         kk = mp.mpf(k)
         kc = mp.sqrt((1 - kk) * (1 + kk))
-        v = mp.pi / (2 * agm(mp.mpf(1), kc, precision=p + 8))
+        if kc == 0:
+            # k rounds to 1 at p + 16 bits: K has a pole there
+            raise ValueError(f"k = {k} rounds to 1")
+        v = mp.pi / (2 * mp.agm(1, kc))
     return mp.mpf(v, prec=p)
 
 
 def _ell_kprime_mpf(k, precision):
     p = precision
     with mp.workprec(p + 16):
-        v = mp.pi / (2 * agm(mp.mpf(1), mp.mpf(k), precision=p + 8))
+        v = mp.pi / (2 * mp.agm(1, mp.mpf(k)))
     return mp.mpf(v, prec=p)
 
 
@@ -186,73 +177,66 @@ def _mellin_nodes(precision):
 
 
 class TestAgm:
+    # the int AGM loop (_agm_fixed) seen through K'(k) = pi / (2 agm(1, k)),
+    # its one public caller besides ell_k
     def test_equal_arguments_fixed_point(self):
-        assert agm(1, 1, precision=128) == 1
+        # agm(1, 1) = 1 is the loop's fixed point: K'(1) is pi/2 rounded once
+        for p in (64, 128, 1100):
+            with mp.workprec(p + 16):
+                half_pi = mp.pi / 2
+            assert ell_kprime(1, p) == mp.mpf(half_pi, prec=p), p
 
     def test_gauss_constant(self):
-        # M(1, sqrt(2)) = sqrt(2) M(1, 1/sqrt(2)) by homogeneity; the frozen
-        # value is Gauss's 1.19814023473559220744...
-        with mp.workprec(160):
-            v = agm(1, mp.sqrt(2), precision=160)
-            ref = mp.mpf("1.1981402347355922074399224922803238782272126632156515582636749529")
-            assert abs(v - ref) < mp.mpf(2) ** -150
+        # agm(1, 1/sqrt 2) = agm(1, sqrt 2) / sqrt 2 by homogeneity, and
+        # agm(1, sqrt 2) is Gauss's 1.19814023473559220744..., so
+        # K'(1/sqrt 2) = pi / (sqrt 2 * 1.198140...)
+        with mp.workprec(176):
+            gauss = mp.mpf("1.1981402347355922074399224922803238782272126632156515582636749529")
+            ref = mp.pi / (mp.sqrt(2) * gauss)
+            assert abs(ell_kprime(1 / mp.sqrt(2), 160) - ref) < mp.mpf(2) ** -150
 
-    def test_homogeneity_against_direct(self):
-        with mp.workprec(128):
-            a, b = mp.mpf("0.37"), mp.mpf("2.91")
-            lam = mp.mpf("5.25")
-            lhs = agm(lam * a, lam * b, precision=128)
-            rhs = lam * agm(a, b, precision=128)
-            assert abs(lhs - rhs) < mp.mpf(2) ** -120
-
-    @given(st.floats(min_value=1e-3, max_value=1e3),
-           st.floats(min_value=1e-3, max_value=1e3))
+    @given(st.floats(min_value=1e-3, max_value=1.0))
     @settings(max_examples=40, deadline=None)
-    def test_mean_inequality(self, a, b):
+    def test_mean_inequality(self, k):
+        # k <= agm(1, k) <= 1, so pi/2 <= K'(k) <= pi / (2k)
         with mp.workprec(96):
-            v = agm(a, b, precision=96)
-            assert min(a, b) * (1 - 1e-20) <= v <= max(a, b) * (1 + 1e-20)
+            v = ell_kprime(k, 96)
+            assert mp.pi / 2 * (1 - 1e-20) <= v <= mp.pi / (2 * mp.mpf(k)) * (1 + 1e-20)
 
     def test_nonpositive_rejected(self):
         with pytest.raises(ValueError):
-            agm(0, 1)
+            ell_kprime(0)
         with pytest.raises(ValueError):
-            agm(1, -2)
+            ell_kprime(-2)
 
     def test_tiny_argument(self):
-        # agm(1, 2^-40) ~ pi / (2 log(4 * 2^40)), still well conditioned
+        # K'(k) = log(4/k) + O(k^2 log k): agm(1, 2^-40) is still well
+        # conditioned
         with mp.workprec(128):
-            v = agm(1, mp.mpf(2) ** -40, precision=128)
-            assert 0 < v < 1
+            v = ell_kprime(mp.mpf(2) ** -40, 128)
+            assert abs(v - 42 * mp.log(2)) < mp.mpf(10) ** -20
 
     @pytest.mark.parametrize("precision", [64, 128])
     def test_tiny_argument_vs_mpmath(self, precision):
         # tanh-sinh nodes push k to within 2^-p of 0: the int loop must keep
         # the small argument's bits all the way to 2^-2p
         for e in range(0, 2 * precision + 1):
-            with mp.workprec(precision + 64):
-                ref = mp.agm(1, mp.mpf(2) ** -e)
-            assert _close_to(agm(1, mp.mpf(2) ** -e, precision=precision), ref, precision), e
-
-    def test_scale_is_exact(self):
-        # both arguments scaled by 2^s: the kernel's own normalisation must
-        # give back exactly 2^s times the mean
-        with mp.workprec(128):
-            a, b = mp.mpf("0.37"), mp.mpf("2.91")
-            base = agm(a, b, precision=128)
-            for s in (-300, -64, -1, 1, 64, 300):
-                assert agm(mp.ldexp(a, s), mp.ldexp(b, s), precision=128) == mp.ldexp(base, s)
+            with mp.workprec(precision + 2 * e + 64):
+                ref = mp.ellipk(1 - mp.mpf(2) ** (-2 * e))
+            assert _close_to(ell_kprime(mp.mpf(2) ** -e, precision), ref, precision), e
 
     def test_matches_mpf_route(self):
-        # the int loop rounds to the same p-bit values as the mpf loop it
-        # replaced, on moduli spread from 1 down to ~2^-120
+        # moduli spread from 1 down to ~2^-120, each K' correctly rounded
         import random
 
         rng = random.Random(20261018)
         for _ in range(200):
             with mp.workprec(136):
                 k = mp.mpf(rng.random()) ** rng.randint(1, 40)
-            assert agm(1, k, precision=136) == _agm_mpf(1, k, 136)
+            with mp.workprec(136 + 320):
+                ref = mp.ellipk(1 - k * k)
+            assert ell_kprime(k, 136) == mp.mpf(ref, prec=136), k
+            assert _close_to(_ell_kprime_mpf(k, 136), ref, 136), k
 
 
 class TestEllipticK:
@@ -441,6 +425,22 @@ class TestZetaInt:
             zeta_int(1)
         with pytest.raises(ValueError):
             zeta_int(0)
+
+    def test_correctly_rounded_sweep(self):
+        # every precision from 32 to 600 bits
+        for s in (2, 3, 4, 5, 7, 12):
+            with mp.workprec(700):
+                ref = mp.zeta(s)
+            wrong = [p for p in range(32, 601) if zeta_int(s, p) != mp.mpf(ref, prec=p)]
+            assert wrong == [], s
+
+    @pytest.mark.parametrize("s", [3, 20000])
+    def test_correctly_rounded_at_headline_precision(self, s):
+        # compute zeta 3 --digits 300 works at 1047 bits; at s = 20000 the
+        # sum stops after its first term, zeta(s) - 1 being below 2^-19999
+        with mp.workprec(1200):
+            ref = mp.zeta(s)
+        assert zeta_int(s, 1047) == mp.mpf(ref, prec=1047)
 
 
 class TestZetaPrimeMinusTwo:

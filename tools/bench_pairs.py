@@ -7,12 +7,15 @@
 
 Each pair runs `python3 bench/run.py --workload W --seed S --seconds T
 --trace 0` once in each checkout, from its root, so each side runs its own
-bench/ and src/.  Every run, here and under --cold, has bytecode writing
-off (PYTHONDONTWRITEBYTECODE=1) and its bytecode cache in a new empty
-directory (PYTHONPYCACHEPREFIX), so both sides compile from source and
-neither reads a __pycache__ that the other lacks.  Pairs 0, 2, 4, ... run
-the parent first, pairs 1, 3, 5, ... the change; pair i takes seed i of
---seeds, cycling.  Every run's result line (the last line of its stdout)
+bench/ and src/.  Each side keeps one bytecode cache (PYTHONPYCACHEPREFIX)
+in a new directory of its own for the whole invocation, so neither reads a
+__pycache__ in its checkout or one the other side wrote.  Before a
+workload's pairs, one untimed warm-up run per side (--seconds 0, one
+round) fills that cache with bytecode writing on; every timed run, here
+and under --cold, then reads it with writing off
+(PYTHONDONTWRITEBYTECODE=1), so no run times the compiler.  Pairs 0, 2,
+4, ... run the parent first, pairs 1, 3, 5, ... the change; pair i takes
+seed i of --seeds, cycling.  Every run's result line (the last line of its stdout)
 is kept.  Per end-to-end metric of BENCHMARK.json the summary gives each
 side's median and quartiles (inclusive method) and every run in pair
 order, the pairs the change won and lost (ties count for neither), the
@@ -24,8 +27,9 @@ met: the change wins at least nine tenths of the pairs and the medians
 differ by more than the parent's quartile spread.  --trace-seed S adds one
 traced run (--trace 1) per side and workload.  --cold ID ... times each
 `mahlerlab verify ID --format json` in one fresh process per side (the id
-`all` stands for `verify --all`), sides alternated, and compares their
-stdout and stderr with each check's wall_ms removed.
+`all` stands for `verify --all`), sides alternated, each after an untimed
+warm-up of the same command, and compares their stdout and stderr with
+each check's wall_ms removed.
 
 The report's parent and change fields name the code each side ran: the
 HEAD commit when the checkout is the top of its own git work tree with
@@ -152,22 +156,27 @@ def result_line(stdout: str):
     return line if isinstance(line, dict) and "metrics" in line else None
 
 
-def _run_uncached(cmd, checkout, env=None, **kwargs):
-    """subprocess.run in a checkout with bytecode writing off and the bytecode
-    cache in a new empty directory, so that neither side reads a
-    __pycache__ the other lacks; nothing in the checkout is deleted."""
-    with tempfile.TemporaryDirectory() as cache:
-        env = dict(os.environ if env is None else env, PYTHONDONTWRITEBYTECODE="1",
-                   PYTHONPYCACHEPREFIX=cache)
-        return subprocess.run(cmd, cwd=checkout, env=env, capture_output=True, text=True, **kwargs)
+def _run_cached(cmd, checkout, cache, warm=False, env=None, **kwargs):
+    """subprocess.run in a checkout with its bytecode cache under the
+    directory cache (PYTHONPYCACHEPREFIX), so that no __pycache__ in the
+    checkout is read; a warm-up (warm) writes bytecode there, any other run
+    only reads it (PYTHONDONTWRITEBYTECODE=1).  Nothing in the checkout is
+    deleted."""
+    env = dict(os.environ if env is None else env, PYTHONPYCACHEPREFIX=cache)
+    if warm:
+        env.pop("PYTHONDONTWRITEBYTECODE", None)
+    else:
+        env["PYTHONDONTWRITEBYTECODE"] = "1"
+    return subprocess.run(cmd, cwd=checkout, env=env, capture_output=True, text=True, **kwargs)
 
 
-def bench_run(checkout, workload, seed, seconds, trace=0):
-    """One bench/run.py run in a checkout: its result line, or None."""
+def bench_run(checkout, cache, workload, seed, seconds, trace=0, warm=False):
+    """One bench/run.py run in a checkout with the bytecode cache cache: its
+    result line, or None."""
     cmd = [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed),
            "--seconds", str(seconds), "--trace", str(trace)]
     try:
-        proc = _run_uncached(cmd, checkout, timeout=seconds + 900)
+        proc = _run_cached(cmd, checkout, cache, warm, timeout=seconds + 900)
     except subprocess.TimeoutExpired:
         return None
     return result_line(proc.stdout) if proc.returncode == 0 else None
@@ -185,13 +194,13 @@ def run_pairs(run, workload, seeds, pairs):
     return out
 
 
-def cold_run(checkout, check_id):
+def cold_run(checkout, cache, check_id, warm=False):
     """Wall time, exit code and wall_ms-free output of one fresh verify."""
     args = ["--all"] if check_id == "all" else [check_id]
     env = dict(os.environ, PYTHONPATH=os.path.join(checkout, "src"))
     start = time.perf_counter()
-    proc = _run_uncached([sys.executable, "-m", "mahlerlab.cli", "verify", *args, "--format", "json"],
-                        checkout, env)
+    proc = _run_cached([sys.executable, "-m", "mahlerlab.cli", "verify", *args, "--format", "json"],
+                       checkout, cache, warm, env)
     wall = time.perf_counter() - start
     return round(wall, 3), proc.returncode, _WALL_MS.sub("", proc.stdout + proc.stderr)
 
@@ -253,9 +262,10 @@ def main(argv=None):
     report = {
         "what": (f"bench/run.py --workload W --seed S --seconds {args.seconds:g} --trace 0 in each "
                  f"checkout, {args.pairs} alternated pairs per workload (pairs 0, 2, 4, ... run the "
-                 "parent first); per metric each side's median and quartiles (inclusive method), "
-                 "every run in pair order, and the pairs the change won or lost (ties count for "
-                 "neither); every run's result line under runs"),
+                 "parent first), after one untimed warm-up run per side that fills that side's "
+                 "bytecode cache, which the timed runs only read; per metric each side's median "
+                 "and quartiles (inclusive method), every run in pair order, and the pairs the "
+                 "change won or lost (ties count for neither); every run's result line under runs"),
         "host": f"{os.cpu_count()}-core {platform.machine()} {platform.system()}, "
                 f"{platform.python_implementation()} {platform.python_version()}",
         "parent": revision(checkouts["parent"]),
@@ -263,31 +273,40 @@ def main(argv=None):
         "workloads": {},
     }
 
-    def run(side, workload, seed):
-        line = bench_run(checkouts[side], workload, seed, args.seconds)
-        print(f"{workload} seed {seed} {side}: "
-              f"{json.dumps(line['metrics']) if line else 'no result line'}", file=sys.stderr)
-        return line
+    # one bytecode cache per side for the whole invocation
+    with tempfile.TemporaryDirectory() as caches_dir:
+        caches = {s: os.path.join(caches_dir, s) for s in SIDES}
 
-    for workload in args.workloads:
-        runs = run_pairs(run, workload, args.seeds, args.pairs)
-        report["workloads"][workload] = summarize_workload(runs, metric_specs)
-    if args.claim:
-        report["claim"] = [claim(report["workloads"], *c.split(":", 1)) for c in args.claim]
-    if args.trace_seed is not None:
-        report["trace"] = {
-            w: {"seed": args.trace_seed,
-                **{s: bench_run(checkouts[s], w, args.trace_seed, args.seconds, trace=1) for s in SIDES}}
-            for w in args.workloads}
-    if args.cold:
-        cold = {}
-        for i, check_id in enumerate(args.cold):
-            entry = {}
-            for side in order(i):
-                entry[f"{side}_s"], entry[f"{side}_exit"], entry[side] = cold_run(checkouts[side], check_id)
-            entry["stdout_same"] = entry.pop("parent") == entry.pop("change")
-            cold[check_id] = entry
-        report["cold"] = cold
+        def run(side, workload, seed):
+            line = bench_run(checkouts[side], caches[side], workload, seed, args.seconds)
+            print(f"{workload} seed {seed} {side}: "
+                  f"{json.dumps(line['metrics']) if line else 'no result line'}", file=sys.stderr)
+            return line
+
+        for workload in args.workloads:
+            for side in SIDES:
+                bench_run(checkouts[side], caches[side], workload, args.seeds[0], 0, warm=True)
+            runs = run_pairs(run, workload, args.seeds, args.pairs)
+            report["workloads"][workload] = summarize_workload(runs, metric_specs)
+        if args.claim:
+            report["claim"] = [claim(report["workloads"], *c.split(":", 1)) for c in args.claim]
+        if args.trace_seed is not None:
+            report["trace"] = {
+                w: {"seed": args.trace_seed,
+                    **{s: bench_run(checkouts[s], caches[s], w, args.trace_seed, args.seconds, trace=1)
+                       for s in SIDES}}
+                for w in args.workloads}
+        if args.cold:
+            cold = {}
+            for i, check_id in enumerate(args.cold):
+                entry = {}
+                for side in order(i):
+                    cold_run(checkouts[side], caches[side], check_id, warm=True)
+                    entry[f"{side}_s"], entry[f"{side}_exit"], entry[side] = cold_run(
+                        checkouts[side], caches[side], check_id)
+                entry["stdout_same"] = entry.pop("parent") == entry.pop("change")
+                cold[check_id] = entry
+            report["cold"] = cold
     with open(args.out, "w") as fh:
         json.dump(report, fh, indent=1)
         fh.write("\n")
