@@ -248,8 +248,8 @@ def legendre_chi3(alpha, precision: int = 128):
     Within 2^-(precision+8) of 1 the closed form chi_3(1) = 7 zeta(3) / 8
     is used: chi_3(1) - chi_3(alpha) is about (pi^2/8)(1 - alpha) there,
     below 2^-(precision+7).  The series ratio alpha^2 makes direct
-    summation useless near 1, and pfq refuses an alpha outside that window
-    whose estimated term count passes 10^8.
+    summation useless near 1: outside that window pfq refuses an alpha whose
+    estimated term count passes 10^8, and gives up after 10^7 terms.
     """
     with mp.workprec(precision + 16):
         a = mp.mpf(alpha)

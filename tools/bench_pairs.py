@@ -15,11 +15,11 @@ round) fills that cache with bytecode writing on; every timed run, here
 and under --cold, then reads it with writing off
 (PYTHONDONTWRITEBYTECODE=1), so no run times the compiler.  Pairs 0, 2,
 4, ... run the parent first, pairs 1, 3, 5, ... the change; pair i takes
-seed i of --seeds, cycling.  Every run's result line (the last line of its stdout)
-is kept.  Per end-to-end metric of BENCHMARK.json the summary gives each
-side's median and quartiles (inclusive method) and every run in pair
-order, the pairs the change won and lost (ties count for neither), the
-ratio of the medians, the parent's quartile spread, and whether the
+seed i of --seeds, cycling.  Every run's result line (the last line of its
+stdout) is kept.  Per end-to-end metric of BENCHMARK.json the summary
+gives each side's median and quartiles (inclusive method) and every run in
+pair order, the pairs the change won and lost (ties count for neither),
+the ratio of the medians, the parent's quartile spread, and whether the
 change's median stays within the metric's bound.
 
 --claim W:METRIC states whether the gain on that workload and metric is
