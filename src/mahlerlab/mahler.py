@@ -229,32 +229,30 @@ def builtin_descriptor(name: str) -> LaurentDescriptor:
 # ---------------------------------------------------------------------------
 # Torus integrands
 #
-# Writing x_j = e^{2 pi i t_j} turns x + 1/x into 2cos(2 pi t), so every
-# catalogue polynomial is real on the torus and log|P| needs no complex
-# arithmetic.  Arbitrary descriptors evaluate P as a complex sum.
+# torus_qmc hands each block the coordinates x_j = e^{2 pi i t_j}, so
+# x + 1/x = 2 Re x = 2cos(2 pi t) and every catalogue polynomial is real on
+# the torus: log|P| needs no complex arithmetic.  Arbitrary descriptors
+# evaluate P as a complex sum of monomials in x.
 
 
 def _cosine_block(kind: str, k: float):
     import numpy as np
 
-    def block(pts: np.ndarray) -> np.ndarray:
-        c = np.multiply(pts, 2.0 * np.pi)
-        np.cos(c, out=c)
-        cols = [c[:, j] for j in range(c.shape[1])]
-        # the columns are combined left to right in place, the order in which
-        # sum and prod reduce a row, so every float is theirs
+    def block(x: np.ndarray) -> np.ndarray:
+        c = x.real
+        # the rows are combined top to bottom into a fresh array, the order
+        # in which sum and prod reduce a column, so every float is theirs
         if kind == "ralpha":  # weight k on the first cosine pair
-            inner = np.multiply(cols[0], k)
-            np.multiply(inner, cols[1], out=inner)
-            np.multiply(cols[2], cols[3], out=cols[2])
-            np.add(inner, cols[2], out=inner)
+            inner = np.multiply(c[0], k)
+            np.multiply(inner, c[1], out=inner)
+            np.add(inner, np.multiply(c[2], c[3]), out=inner)
             np.multiply(inner, 4.0, out=inner)
         else:
             op = np.add if kind == "sum" else np.multiply
-            inner = op(cols[0], cols[1])
-            for col in cols[2:]:
-                op(inner, col, out=inner)
-            np.multiply(inner, 2.0 if kind == "sum" else float(2 ** len(cols)), out=inner)
+            inner = op(c[0], c[1])
+            for row in c[2:]:
+                op(inner, row, out=inner)
+            np.multiply(inner, 2.0 if kind == "sum" else float(2 ** len(c)), out=inner)
             np.subtract(inner, k, out=inner)
         np.abs(inner, out=inner)
         with np.errstate(divide="ignore"):
@@ -267,12 +265,18 @@ def _generic_block(desc: LaurentDescriptor):
     import numpy as np
 
     vecs, coeffs = desc.exponent_matrix()
-    vecs_t = vecs.T.astype(np.float64)
-    coeffs_c = coeffs.astype(np.complex128)
+    terms = [(tuple(int(e) for e in vec), complex(c)) for vec, c in zip(vecs, coeffs)]
 
-    def block(pts: np.ndarray) -> np.ndarray:
-        phases = pts @ vecs_t
-        values = np.exp(2j * np.pi * phases) @ coeffs_c
+    def block(x: np.ndarray) -> np.ndarray:
+        # each monomial c x^v as integer powers of the coordinates (numpy
+        # raises complex arrays to small integer powers by multiplying)
+        values = np.zeros(x.shape[1], dtype=np.complex128)
+        for vec, c in terms:
+            term = np.full(x.shape[1], c)
+            for xj, e in zip(x, vec):
+                if e:
+                    term *= xj ** e
+            values += term
         with np.errstate(divide="ignore"):
             return np.log(np.abs(values))
 

@@ -5,10 +5,14 @@ tanh-sinh absorbs endpoint logarithmic singularities because the substituted
 weight decays like exp(-c exp |t|) while log-type integrands grow only
 linearly in t.  The torus rule exists for integrands of the form log|P| whose
 singular set has measure zero; sampled exact zeros are discarded and counted
-rather than clamped.  It walks each shift of the lattice in blocks of 2^13
-rows through two preallocated buffers, so the points, their cosines and
-their values stay in cache; only the shift's values are kept whole, and its
-mean is taken over them as one array.
+rather than clamped.  It hands the integrand the points' coordinates on the
+unit circle, x = e^(2 pi i theta), never the angles theta: the lattice
+factors each coordinate into a table entry shared by every block and one
+unit scalar per block, so a coordinate costs one complex multiply and no
+cosine.  Each shift is walked in blocks of 2^13 rows through one
+preallocated buffer, so the coordinates and their values stay in cache; the
+table and the buffer take 2 * d * 2^13 complex128 (1 MB at d = 4), only the
+shift's values are kept whole, and its mean is taken over them as one array.
 
 numpy is imported by torus_qmc and TorusIntegrand.block when they run, not
 with the module, so the tanh-sinh routes never load it.
@@ -56,15 +60,18 @@ class QuadratureResult:
 
 @dataclass(frozen=True)
 class TorusIntegrand:
-    """Integrand on [0,1)^dimension.
+    """Integrand on the torus |x_1| = ... = |x_dimension| = 1.
 
-    evaluate_block takes an (n, dimension) float64 array of points and
-    returns their n values; evaluating whole blocks is what makes 10^6-point
-    runs affordable.  Each value must depend only on its own row (the point
-    it is evaluated at), not on n or on the other rows: torus_qmc passes a
-    shift's points in blocks of at most 2^13 rows (_QMC_BLOCK_ROWS), which
-    gives the floats of one call on all of them only under that contract.
-    The block passed is a buffer that the next call overwrites.
+    evaluate_block takes a (dimension, n) complex128 array whose column i
+    holds point i's coordinates x_j = e^(2 pi i theta_j), and returns their
+    n values; evaluating whole blocks is what makes 10^6-point runs
+    affordable.  Row j, coordinate j of every point, is contiguous, and
+    x.real holds the cosines cos(2 pi theta_j).  Each value must depend only on its own column (the point it
+    is evaluated at), not on n or on the other columns: torus_qmc passes a
+    shift's points in blocks of at most 2^13 columns (_QMC_BLOCK_ROWS),
+    which gives the floats of one call on all of them only under that
+    contract.  The block passed is a buffer that the next call overwrites,
+    so an integrand may read it but must keep no reference to it.
     """
 
     dimension: int
@@ -75,10 +82,10 @@ class TorusIntegrand:
         if not 1 <= self.dimension <= 4:
             raise ValueError(f"dimension must be 1..4, got {self.dimension}")
 
-    def block(self, pts: np.ndarray) -> np.ndarray:
+    def block(self, x: np.ndarray) -> np.ndarray:
         import numpy as np
 
-        return np.asarray(self.evaluate_block(pts), dtype=np.float64)
+        return np.asarray(self.evaluate_block(x), dtype=np.float64)
 
 
 def _check_value(v, x):
@@ -227,15 +234,32 @@ def tanh_sinh_interval(f, a, b, tolerance, max_levels: int = 12, precision: Opti
 
 # first four components of a published CBC generating vector for n = 2^20
 # (Kuo's order-2 weighted lattice tables); components are odd, hence valid
-# for every power-of-two point count
+# for every power-of-two point count.  182667 and 498753 are multiples of 3,
+# so torus_qmc refuses point counts divisible by 3.
 QMC_LATTICE_Z = (1, 182667, 469891, 498753)
 
 DEFAULT_QMC_SEED = 0x5EED
 
 
-# rows per block of the lattice rule: a block of points, its cosines and its
-# values stay in cache, where whole-shift arrays of 2^20 rows would not
+# rows per block of the lattice rule: a block of coordinates and its values
+# stay in cache, where whole-shift arrays of 2^20 rows would not
 _QMC_BLOCK_ROWS = 1 << 13
+
+
+def _circle(turns):
+    """e^(2 pi i t) for an array of t in [0, 2), as complex128.
+
+    t - rint(t) is exact (Sterbenz) and lies in [-1/2, 1/2], so the angle
+    handed to cos and sin is at most pi in magnitude.
+    """
+    import numpy as np
+
+    angle = np.subtract(turns, np.rint(turns))
+    np.multiply(angle, 2.0 * np.pi, out=angle)
+    x = np.empty(angle.shape, dtype=np.complex128)
+    np.cos(angle, out=x.real)
+    np.sin(angle, out=x.imag)
+    return x
 
 
 def torus_qmc(
@@ -244,59 +268,72 @@ def torus_qmc(
     shifts: int,
     seed: Union[int, Sequence[int]] = DEFAULT_QMC_SEED,
 ):
-    """Shifted rank-1 lattice rule over [0,1)^d.
+    """Shifted rank-1 lattice rule over the d-torus.
 
     Each shift gets the same lattice offset by an independent uniform vector;
     value is the median of the per-shift means and error-estimate their
     standard deviation scaled by 1/sqrt(shifts).  Points where the integrand
     is -inf (exact zeros of |P|) are discarded and the fraction reported.
+    samples must be coprime to every lattice component used, or the rule
+    would repeat points; ValueError names the component that shares a factor.
 
-    A shift is evaluated in blocks of _QMC_BLOCK_ROWS rows into one array of
-    all its values, and the mean is taken over that array; since each value
-    depends only on its own point, the floats are those of one whole-shift
-    evaluation.
+    Point i of shift Delta has theta_j = frac(Delta_j + (i z_j mod N) / N).
+    With i = i0 + r, i0 the first row of its block of _QMC_BLOCK_ROWS rows,
+    its coordinate factors exactly as
+
+        e^(2 pi i theta_j) = T_j[r] * U_j,
+        T_j[r] = e^(2 pi i (r z_j mod N) / N),
+        U_j    = e^(2 pi i frac(Delta_j + (i0 z_j mod N) / N)),
+
+    with the table T built once per call and the d scalars U once per block
+    and shift, each coordinate within about 1e-15 of its exact value.  A
+    shift is evaluated in blocks into one array of all its values, and the
+    mean is taken over that array; since each value depends only on its own
+    point, the floats are those of one evaluation on the whole shift.
     """
     if samples < 2 ** 10:
         raise ValueError(f"samples must be >= 2^10, got {samples}")
     if shifts < 8:
         raise ValueError(f"shifts must be >= 8, got {shifts}")
+    d = f.dimension
+    for j, zj in enumerate(QMC_LATTICE_Z[:d]):
+        g = math.gcd(zj, samples)
+        if g > 1:
+            raise ValueError(
+                f"samples = {samples} shares the factor {g} with lattice component "
+                f"QMC_LATTICE_Z[{j}] = {zj}, so that coordinate takes only {samples // g} values"
+            )
     import numpy as np
 
-    d = f.dimension
     rng = np.random.default_rng(seed if not isinstance(seed, int) else [seed])
     z = np.array(QMC_LATTICE_Z[:d], dtype=np.int64)
     rows = min(samples, _QMC_BLOCK_ROWS)
-    # the lattice (i z mod samples) / samples, built a block at a time
-    lattice = np.empty((samples, d))
-    for start in range(0, samples, rows):
-        base = np.multiply.outer(np.arange(start, min(start + rows, samples), dtype=np.int64), z)
-        np.remainder(base, samples, out=base)
-        np.divide(base, samples, out=lattice[start : start + len(base)])
-    pts, floors = np.empty((rows, d)), np.empty((rows, d))
+    starts = range(0, samples, rows)
+    # (d, rows) table T and the (blocks, d) lattice offsets of the first rows
+    k = np.multiply.outer(z, np.arange(rows, dtype=np.int64))
+    table = _circle(np.remainder(k, samples, out=k) / samples)
+    offsets = np.multiply.outer(np.arange(0, samples, rows, dtype=np.int64), z)
+    offsets = np.remainder(offsets, samples, out=offsets) / samples
+    x = np.empty((d, rows), dtype=np.complex128)
     vals = np.empty(samples)
 
     means = []
     discarded = 0
     for _ in range(shifts):
-        # the shift tiled over a block's rows: adding equal shapes runs as one
-        # flat loop, where broadcasting the (d,) vector loops once per row
-        shift = np.tile(rng.random(d), (rows, 1))
-        for start in range(0, samples, rows):
-            stop = min(start + rows, samples)
-            block, floor = pts[: stop - start], floors[: stop - start]
-            np.add(lattice[start:stop], shift[: stop - start], out=block)
-            # the points lie in [0, 2), where x - floor(x) is exact and so
-            # equals fmod(x, 1) bit for bit
-            np.floor(block, out=floor)
-            np.subtract(block, floor, out=block)
-            vals[start:stop] = f.block(block)
+        shift = rng.random(d)
+        units = _circle(offsets + shift)
+        for start, unit in zip(starts, units):
+            n = min(rows, samples - start)
+            # (d, n) by a (d, 1) column: one flat loop per coordinate row
+            np.multiply(table[:, :n], unit[:, None], out=x[:, :n])
+            vals[start : start + n] = f.block(x[:, :n])
         if np.isfinite(vals).all():
             means.append(float(np.mean(vals)))
             continue
         bad = np.isnan(vals) | np.isposinf(vals)
         if bad.any():
             idx = int(np.argmax(bad))
-            where = np.mod(lattice[idx] + shift[0], 1.0)
+            where = np.mod(idx * z % samples / samples + shift, 1.0)
             raise IntegrandError(
                 f"integrand returned {vals[idx]} at theta = {where}",
                 abscissa=tuple(where),

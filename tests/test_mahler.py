@@ -156,18 +156,21 @@ class TestCatalogue:
             LaurentDescriptor(name="generic", dimension=desc.dimension, terms=dict(desc.terms))
         )
         pts = np.random.default_rng(seed).random((16, desc.dimension))
+        x = np.exp(2j * np.pi * pts.T)
         # compare |P|, not log|P|: near the zero set log|P| magnifies the
         # few-ulp rounding of either route without bound
         np.testing.assert_allclose(
-            np.exp(fast.block(pts)), np.exp(slow.block(pts)), rtol=0, atol=1e-12
+            np.exp(fast.block(x)), np.exp(slow.block(x)), rtol=0, atol=1e-12
         )
 
     def test_block_matches_scalar_evaluate(self):
-        for name in ("p4", "q8", "r16", "ralpha"):
-            desc = builtin_descriptor(name)
+        # the built-ins' cosine blocks, and the generic block's monomials at
+        # exponents up to +-8
+        wide = parse_descriptor("1 8 -7 0\n-3 -1 2 5\n2 0 0 -8\n5 3 0 1", name="wide")
+        for desc in [builtin_descriptor(n) for n in ("p4", "q8", "r16", "ralpha")] + [wide]:
             integrand = torus_integrand(desc)
             pts = np.random.default_rng(3).random((8, integrand.dimension))
-            blocked = integrand.block(pts)
+            blocked = integrand.block(np.exp(2j * np.pi * pts.T))
             scalar = [scalar_log_abs(desc, row) for row in pts]
             np.testing.assert_allclose(blocked, scalar, rtol=0, atol=1e-12)
 

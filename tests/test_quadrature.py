@@ -224,9 +224,14 @@ class TestNodeCache:
         assert list(quadrature._node_cache)[-1] == max(int(30 * math.log2(10)) + 48, 80)
 
 
+def _theta(x):
+    """The angles of torus coordinates x = e^(2 pi i theta), in turns in [0, 1)."""
+    return np.mod(np.angle(x) / (2 * np.pi), 1.0)
+
+
 def _p4_integrand():
-    def block(p):
-        v = np.abs(2 * np.cos(2 * np.pi * p[:, 0]) + 2 * np.cos(2 * np.pi * p[:, 1]) - 4)
+    def block(x):
+        v = np.abs(2 * x.real[0] + 2 * x.real[1] - 4)
         with np.errstate(divide="ignore"):
             return np.log(v)
 
@@ -237,11 +242,16 @@ def _p4_integrand():
     )
 
 
+def _smooth_probe(x):
+    # cos(2 pi t_1) cos(2 pi t_2) + 1, mean 1
+    return x.real[0] * x.real[1] + 1.0
+
+
 class TestTorusQmc:
     def test_constant_is_exact(self):
         ti = TorusIntegrand(
             dimension=3,
-            evaluate_block=lambda p: np.ones(len(p)),
+            evaluate_block=lambda x: np.ones(x.shape[1]),
         )
         r = torus_qmc(ti, 2 ** 10, 8)
         assert float(r.value) == 1.0
@@ -268,18 +278,15 @@ class TestTorusQmc:
         assert abs(a.value - b.value) < 6 * (a.error_estimate + b.error_estimate) + mp.mpf("1e-4")
 
     def test_scalar_fallback_matches_block(self):
-        # a scalar integrand applied row by row, against the vectorised block
+        # a scalar integrand applied point by point, against the vectorised block
         def scalar(a, b):
-            return math.cos(2 * math.pi * a) * math.cos(2 * math.pi * b) + 1.0
+            return a.real * b.real + 1.0
 
         ti_scalar = TorusIntegrand(
             dimension=2,
-            evaluate_block=lambda p: [scalar(*row) for row in p],
+            evaluate_block=lambda x: [scalar(*point) for point in x.T],
         )
-        ti_block = TorusIntegrand(
-            dimension=2,
-            evaluate_block=lambda p: np.cos(2 * np.pi * p[:, 0]) * np.cos(2 * np.pi * p[:, 1]) + 1.0,
-        )
+        ti_block = TorusIntegrand(dimension=2, evaluate_block=_smooth_probe)
         a = torus_qmc(ti_scalar, 2 ** 10, 8, seed=3)
         b = torus_qmc(ti_block, 2 ** 10, 8, seed=3)
         assert abs(float(a.value) - float(b.value)) < 1e-14
@@ -287,9 +294,9 @@ class TestTorusQmc:
     def test_discard_and_report(self):
         # -inf on a fat slab: fraction must come back and the mean must use
         # only the kept points
-        def block(p):
-            out = np.ones(len(p))
-            out[p[:, 0] < 0.125] = -np.inf
+        def block(x):
+            out = np.ones(x.shape[1])
+            out[_theta(x[0]) < 0.125] = -np.inf
             return out
 
         ti = TorusIntegrand(dimension=1, evaluate_block=block)
@@ -298,8 +305,8 @@ class TestTorusQmc:
         assert float(r.value) == 1.0
 
     def test_nan_rejected_with_abscissa(self):
-        def block(p):
-            out = np.ones(len(p))
+        def block(x):
+            out = np.ones(x.shape[1])
             out[0] = np.nan
             return out
 
@@ -309,10 +316,11 @@ class TestTorusQmc:
         assert exc.value.abscissa is not None
 
     def test_reflection_invariance(self):
+        # theta -> 1 - theta is x -> conj(x)
         base = _p4_integrand()
         refl = TorusIntegrand(
             dimension=2,
-            evaluate_block=lambda p: base.evaluate_block(1.0 - p),
+            evaluate_block=lambda x: base.evaluate_block(np.conj(x)),
         )
         a = torus_qmc(base, 2 ** 14, 8, seed=11)
         b = torus_qmc(refl, 2 ** 14, 8, seed=12)
@@ -320,10 +328,7 @@ class TestTorusQmc:
 
     def test_error_decreases_at_lattice_rate(self):
         # spec asks for observed order better than N^-0.8 on the smooth probe
-        probe = TorusIntegrand(
-            dimension=2,
-            evaluate_block=lambda p: np.cos(2 * np.pi * p[:, 0]) * np.cos(2 * np.pi * p[:, 1]) + 1.0,
-        )
+        probe = TorusIntegrand(dimension=2, evaluate_block=_smooth_probe)
         errs = []
         ns = [2 ** 10, 2 ** 16]
         for n in ns:
@@ -334,7 +339,7 @@ class TestTorusQmc:
             assert slope < -0.8
 
     def test_parameter_validation(self):
-        ti = TorusIntegrand(dimension=1, evaluate_block=lambda p: np.ones(len(p)))
+        ti = TorusIntegrand(dimension=1, evaluate_block=lambda x: np.ones(x.shape[1]))
         with pytest.raises(ValueError):
             torus_qmc(ti, 2 ** 9, 8)
         with pytest.raises(ValueError):
@@ -344,13 +349,78 @@ class TestTorusQmc:
         with pytest.raises(ValueError):
             TorusIntegrand(dimension=5, evaluate_block=np.ones)
 
+    @pytest.mark.parametrize("samples", [3072, 3 * 2 ** 12])
+    def test_degenerate_lattice_refused(self, samples):
+        # QMC_LATTICE_Z[1] = 182667 and [3] = 498753 are multiples of 3: at
+        # these counts their coordinates would take only samples/3 values
+        ti = TorusIntegrand(dimension=4, evaluate_block=lambda x: np.ones(x.shape[1]))
+        with pytest.raises(ValueError, match=r"factor 3 with lattice component QMC_LATTICE_Z\[1\] = 182667"):
+            torus_qmc(ti, samples, 8)
+        with pytest.raises(ValueError, match=r"QMC_LATTICE_Z\[1\]"):
+            mahler.mahler_numeric(mahler.builtin_descriptor("r16"), samples=samples)
+        with pytest.raises(ValueError, match=r"QMC_LATTICE_Z\[1\]"):
+            mahler.r_alpha(0.3, route="torus", samples=samples)
+        # one dimension uses only the component 1, coprime to every count
+        one = TorusIntegrand(dimension=1, evaluate_block=lambda x: np.ones(x.shape[1]))
+        assert float(torus_qmc(one, samples, 8).value) == 1.0
 
-# The lattice rule as it evaluated each shift whole, and the integrand blocks
-# as they were before the rule went to blocks of rows: the oracles of the
-# blocked loop, which must give the same floats.
+
+# below the 2^13-row block: 2^10 and 5000; two whole blocks and a partial
+# one: 20000; eight whole blocks: 2^16
+_ORACLE_SAMPLES = (2 ** 10, 5000, 20000, 2 ** 16)
 
 
-def _torus_qmc_whole(f, samples, shifts, seed=quadrature.DEFAULT_QMC_SEED):
+def _shifts(d, shifts, seed=quadrature.DEFAULT_QMC_SEED):
+    # the shift vectors torus_qmc draws, in its order
+    rng = np.random.default_rng(seed if not isinstance(seed, int) else [seed])
+    return [rng.random(d) for _ in range(shifts)]
+
+
+class TestLatticeCoordinates:
+    @pytest.mark.parametrize("samples", _ORACLE_SAMPLES)
+    def test_coordinates_match_mpmath(self, samples):
+        # the coordinates torus_qmc hands its integrand, against e^(2 pi i
+        # theta) at 100 bits for the exact theta = frac(shift + (i z mod N)/N)
+        # of the float shift, on sampled rows of every dimension, the last
+        # (partial) block's among them
+        seen = []
+
+        def record(x):
+            seen.append(x.copy())
+            return np.zeros(x.shape[1])
+
+        torus_qmc(TorusIntegrand(dimension=4, evaluate_block=record), samples, 8, seed=17)
+        per_shift = len(seen) // 8
+        rows = min(samples, quadrature._QMC_BLOCK_ROWS)
+        last = samples - (samples - 1) % rows - 1  # first row of the last block
+        rng = np.random.default_rng(samples)
+        picked = {0, 1, rows - 1, last, samples - 1}
+        picked |= set(rng.integers(0, samples, 48).tolist())
+        picked |= set(rng.integers(last, samples, 16).tolist())
+        worst = 0.0
+        for s in (0, 7):
+            shift = _shifts(4, 8, seed=17)[s]
+            x = np.concatenate(seen[s * per_shift : (s + 1) * per_shift], axis=1)
+            assert x.shape == (4, samples)
+            with mp.workprec(100):
+                for i in sorted(picked):
+                    for j, zj in enumerate(quadrature.QMC_LATTICE_Z):
+                        theta = mp.mpf(float(shift[j])) + mp.mpf(i * zj % samples) / samples
+                        worst = max(
+                            worst,
+                            float(abs(mp.cospi(2 * theta) - mp.mpf(float(x[j, i].real)))),
+                            float(abs(mp.sinpi(2 * theta) - mp.mpf(float(x[j, i].imag)))),
+                        )
+        assert worst <= 2e-15
+
+
+# The lattice rule on theta points, as it evaluated each shift whole with
+# np.cos, and its integrand blocks: the reference implementation the
+# coordinate rule of torus_qmc is held to, within the rounding of the
+# coordinates.
+
+
+def _torus_qmc_theta(f, samples, shifts, seed=quadrature.DEFAULT_QMC_SEED):
     d = f.dimension
     rng = np.random.default_rng(seed if not isinstance(seed, int) else [seed])
     z = np.array(quadrature.QMC_LATTICE_Z[:d], dtype=np.int64)
@@ -386,7 +456,7 @@ def _torus_qmc_whole(f, samples, shifts, seed=quadrature.DEFAULT_QMC_SEED):
         )
 
 
-def _cosine_block_whole(kind, k):
+def _cosine_block_theta(kind, k):
     def block(pts):
         c = np.multiply(pts, 2.0 * np.pi)
         np.cos(c, out=c)
@@ -402,21 +472,139 @@ def _cosine_block_whole(kind, k):
     return block
 
 
-def _generic_block_whole(desc):
-    vecs, coeffs = desc.exponent_matrix()
+def _slab_error(bad, theta_of):
+    # bad on a slab of the first coordinate (lattice component 1), which the
+    # first shift reaches after about 81 % of its rows: in the last block at
+    # 20000 and 2^16 samples
+    def wrap(block):
+        def wrapped(p):
+            return np.where(np.abs(theta_of(p) - 0.952) < 0.002, bad, block(p))
 
-    def block(pts):
-        phases = pts @ vecs.T.astype(np.float64)
-        values = np.exp(2j * np.pi * phases) @ coeffs.astype(np.complex128)
+        return wrapped
+
+    return wrap
+
+
+class TestThetaReference:
+    @pytest.mark.parametrize("name", ["p4", "q8", "r16", "s0", "r:32", "ralpha"])
+    def test_builtins_match_the_theta_route(self, name):
+        desc = mahler.builtin_descriptor(name)
+        kind, k = mahler._classify_builtin(desc)
+        theta_block = _cosine_block_theta(kind, k)
+        x_block = mahler.torus_integrand(desc).evaluate_block
+        ref = _torus_qmc_theta(TorusIntegrand(desc.dimension, theta_block), 2 ** 16, 16)
+        got = torus_qmc(TorusIntegrand(desc.dimension, x_block), 2 ** 16, 16)
+        assert abs(got.value - ref.value) <= 1e-12
+        assert abs(got.error_estimate - ref.error_estimate) <= 1e-12
+        assert got.discarded_fraction == ref.discarded_fraction
+        # an integrand that turns NaN on a slab names the row of the theta
+        # route, in the same words
+        wrap_theta = _slab_error(np.nan, lambda p: p[:, 0])
+        wrap_x = _slab_error(np.nan, lambda x: _theta(x[0]))
+        with pytest.raises(IntegrandError) as want:
+            _torus_qmc_theta(TorusIntegrand(desc.dimension, wrap_theta(theta_block)), 2 ** 16, 16)
+        with pytest.raises(IntegrandError) as have:
+            torus_qmc(TorusIntegrand(desc.dimension, wrap_x(x_block)), 2 ** 16, 16)
+        assert str(have.value) == str(want.value)
+        assert have.value.abscissa == want.value.abscissa
+
+    @pytest.mark.parametrize("samples", _ORACLE_SAMPLES)
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_integrand_error_matches_the_theta_route(self, samples, bad):
+        def theta_block(p):
+            return np.cos(2 * np.pi * p[:, 1])
+
+        def x_block(x):
+            return x.real[1].copy()
+
+        want_ti = TorusIntegrand(3, _slab_error(bad, lambda p: p[:, 0])(theta_block))
+        have_ti = TorusIntegrand(3, _slab_error(bad, lambda x: _theta(x[0]))(x_block))
+        with pytest.raises(IntegrandError) as want:
+            _torus_qmc_theta(want_ti, samples, 8)
+        with pytest.raises(IntegrandError) as have:
+            torus_qmc(have_ti, samples, 8)
+        assert str(have.value) == str(want.value)
+        assert have.value.abscissa == want.value.abscissa
+
+
+# The rule of torus_qmc evaluated on each shift whole, and the integrand
+# blocks as they read whole arrays: the oracles of the blocked loop, which
+# must give the same floats.
+
+
+def _coordinates_whole(d, samples, shift):
+    # a shift's (d, samples) coordinates: each row's table entry times its
+    # block's unit scalar, multiplied as torus_qmc multiplies them
+    z = np.array(quadrature.QMC_LATTICE_Z[:d], dtype=np.int64)
+    rows = min(samples, quadrature._QMC_BLOCK_ROWS)
+    table = quadrature._circle(np.multiply.outer(z, np.arange(rows)) % samples / samples)
+    x = np.empty((d, samples), dtype=np.complex128)
+    for start in range(0, samples, rows):
+        n = min(rows, samples - start)
+        unit = quadrature._circle(start * z % samples / samples + shift)
+        np.multiply(table[:, :n], unit[:, None], out=x[:, start : start + n])
+    return x
+
+
+def _torus_qmc_whole(f, samples, shifts, seed=quadrature.DEFAULT_QMC_SEED):
+    d = f.dimension
+    z = np.array(quadrature.QMC_LATTICE_Z[:d], dtype=np.int64)
+    means = []
+    discarded = 0
+    for shift in _shifts(d, shifts, seed):
+        vals = f.block(_coordinates_whole(d, samples, shift))
+        bad = np.isnan(vals) | (np.isposinf(vals))
+        if bad.any():
+            idx = int(np.argmax(bad))
+            where = np.mod((idx * z % samples) / samples + shift, 1.0)
+            raise IntegrandError(
+                f"integrand returned {vals[idx]} at theta = {where}",
+                abscissa=tuple(where),
+            )
+        keep = ~np.isneginf(vals)
+        discarded += int(len(vals) - keep.sum())
+        means.append(float(np.mean(vals[keep])))
+    arr = np.array(means)
+    with mp.workprec(64):
+        return QuadratureResult(
+            value=mp.mpf(float(np.median(arr))),
+            error_estimate=mp.mpf(float(np.std(arr, ddof=1)) / math.sqrt(shifts)),
+            evaluations=samples * shifts,
+            converged=True,
+            discarded_fraction=discarded / (samples * shifts),
+        )
+
+
+def _cosine_block_whole(kind, k):
+    def block(x):
+        c = x.real
+        if kind == "sum":
+            inner = 2.0 * c.sum(axis=0) - k
+        elif kind == "product":
+            inner = float(2 ** x.shape[0]) * c.prod(axis=0) - k
+        else:
+            inner = 4.0 * (k * c[0] * c[1] + c[2] * c[3])
         with np.errstate(divide="ignore"):
-            return np.log(np.abs(values))
+            return np.log(np.abs(inner))
 
     return block
 
 
-# below the 2^13-row block: 2^10 and 5000; two whole blocks and a partial
-# one: 20000; eight whole blocks: 2^16
-_ORACLE_SAMPLES = (2 ** 10, 5000, 20000, 2 ** 16)
+def _generic_block_whole(desc):
+    vecs, coeffs = desc.exponent_matrix()
+
+    def block(x):
+        values = np.zeros(x.shape[1], dtype=np.complex128)
+        for vec, c in zip(vecs.tolist(), coeffs.tolist()):
+            term = np.full(x.shape[1], complex(c))
+            for xj, e in zip(x, vec):
+                if e:
+                    term *= xj ** e
+            values += term
+        with np.errstate(divide="ignore"):
+            return np.log(np.abs(values))
+
+    return block
 
 
 class TestBlockedTorusQmc:
@@ -448,10 +636,10 @@ class TestBlockedTorusQmc:
 
     @pytest.mark.parametrize("samples", _ORACLE_SAMPLES)
     def test_discarded_zeros_match_the_oracle(self, samples):
-        # -inf on a slab, finite and varying elsewhere, one value per row
-        def block(p):
+        # -inf on a slab, finite and varying elsewhere, one value per point
+        def block(x):
             with np.errstate(divide="ignore"):
-                return np.where(p[:, 0] < 0.125, -np.inf, np.log(1.5 + np.cos(2 * np.pi * p[:, 1])))
+                return np.where(_theta(x[0]) < 0.125, -np.inf, np.log(1.5 + x.real[1]))
 
         ti = TorusIntegrand(dimension=2, evaluate_block=block)
         got = torus_qmc(ti, samples, 8)
@@ -461,13 +649,7 @@ class TestBlockedTorusQmc:
     @pytest.mark.parametrize("samples", _ORACLE_SAMPLES)
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_integrand_error_matches_the_oracle(self, samples, bad):
-        # bad on a slab of the first coordinate (lattice component 1), which
-        # the first shift reaches after about 81 % of its rows: in the last
-        # block at 20000 and 2^16 samples
-        def block(p):
-            return np.where(np.abs(p[:, 0] - 0.952) < 0.002, bad, np.cos(2 * np.pi * p[:, 1]))
-
-        ti = TorusIntegrand(dimension=3, evaluate_block=block)
+        ti = TorusIntegrand(3, _slab_error(bad, lambda x: _theta(x[0]))(lambda x: x.real[1].copy()))
         with pytest.raises(IntegrandError) as got:
             torus_qmc(ti, samples, 8)
         with pytest.raises(IntegrandError) as ref:
