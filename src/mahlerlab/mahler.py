@@ -18,9 +18,8 @@ It also hosts three self-contained identity checks (Fourier expansions
 of K(sin t)cos t and friends, the cos*cos density integral, and the
 moments of K(k)K'(k)) that the verification registry wraps.
 
-numpy is imported only where arrays are built (exponent_matrix and the
-torus integrand builders), so the hypergeometric and tanh-sinh routes
-never load it.
+numpy is imported only where arrays are built (the torus integrand
+builders), so the hypergeometric and tanh-sinh routes never load it.
 """
 
 from __future__ import annotations
@@ -95,14 +94,6 @@ class LaurentDescriptor:
         if not cleaned:
             raise ValueError("descriptor has no nonzero term")
         object.__setattr__(self, "terms", MappingProxyType(dict(sorted(cleaned.items()))))
-
-    def exponent_matrix(self) -> Tuple[np.ndarray, np.ndarray]:
-        """(terms x dimension) int64 exponent matrix and the coefficient vector."""
-        import numpy as np
-
-        vecs = np.array(list(self.terms.keys()), dtype=np.int64)
-        coeffs = np.array(list(self.terms.values()), dtype=np.float64)
-        return vecs, coeffs
 
 
 def parse_descriptor(text: str, name: str = "parsed") -> LaurentDescriptor:
@@ -264,8 +255,7 @@ def _cosine_block(kind: str, k: float):
 def _generic_block(desc: LaurentDescriptor):
     import numpy as np
 
-    vecs, coeffs = desc.exponent_matrix()
-    terms = [(tuple(int(e) for e in vec), complex(c)) for vec, c in zip(vecs, coeffs)]
+    terms = [(vec, complex(c)) for vec, c in desc.terms.items()]
 
     def block(x: np.ndarray) -> np.ndarray:
         # each monomial c x^v as integer powers of the coordinates (numpy

@@ -66,12 +66,13 @@ class TorusIntegrand:
     holds point i's coordinates x_j = e^(2 pi i theta_j), and returns their
     n values; evaluating whole blocks is what makes 10^6-point runs
     affordable.  Row j, coordinate j of every point, is contiguous, and
-    x.real holds the cosines cos(2 pi theta_j).  Each value must depend only on its own column (the point it
-    is evaluated at), not on n or on the other columns: torus_qmc passes a
-    shift's points in blocks of at most 2^13 columns (_QMC_BLOCK_ROWS),
-    which gives the floats of one call on all of them only under that
-    contract.  The block passed is a buffer that the next call overwrites,
-    so an integrand may read it but must keep no reference to it.
+    x.real holds the cosines cos(2 pi theta_j).  Each value must depend
+    only on its own column (the point it is evaluated at), not on n or on
+    the other columns: torus_qmc passes a shift's points in blocks of at
+    most 2^13 columns (_QMC_BLOCK_ROWS), which gives the floats of one call
+    on all of them only under that contract.  The block passed is a buffer
+    that the next call overwrites, so an integrand may read it but must
+    keep no reference to it.
     """
 
     dimension: int

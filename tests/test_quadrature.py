@@ -354,7 +354,8 @@ class TestTorusQmc:
         # QMC_LATTICE_Z[1] = 182667 and [3] = 498753 are multiples of 3: at
         # these counts their coordinates would take only samples/3 values
         ti = TorusIntegrand(dimension=4, evaluate_block=lambda x: np.ones(x.shape[1]))
-        with pytest.raises(ValueError, match=r"factor 3 with lattice component QMC_LATTICE_Z\[1\] = 182667"):
+        component = r"factor 3 with lattice component QMC_LATTICE_Z\[1\] = 182667"
+        with pytest.raises(ValueError, match=component):
             torus_qmc(ti, samples, 8)
         with pytest.raises(ValueError, match=r"QMC_LATTICE_Z\[1\]"):
             mahler.mahler_numeric(mahler.builtin_descriptor("r16"), samples=samples)
@@ -472,17 +473,11 @@ def _cosine_block_theta(kind, k):
     return block
 
 
-def _slab_error(bad, theta_of):
-    # bad on a slab of the first coordinate (lattice component 1), which the
-    # first shift reaches after about 81 % of its rows: in the last block at
-    # 20000 and 2^16 samples
-    def wrap(block):
-        def wrapped(p):
-            return np.where(np.abs(theta_of(p) - 0.952) < 0.002, bad, block(p))
-
-        return wrapped
-
-    return wrap
+def _bad_on_slab(bad, theta0, block):
+    # block, but bad on a slab of the first angle (lattice component 1),
+    # which the first shift reaches after about 81 % of its rows: in the
+    # last block at 20000 and 2^16 samples
+    return lambda p: np.where(np.abs(theta0(p) - 0.952) < 0.002, bad, block(p))
 
 
 class TestThetaReference:
@@ -499,26 +494,21 @@ class TestThetaReference:
         assert got.discarded_fraction == ref.discarded_fraction
         # an integrand that turns NaN on a slab names the row of the theta
         # route, in the same words
-        wrap_theta = _slab_error(np.nan, lambda p: p[:, 0])
-        wrap_x = _slab_error(np.nan, lambda x: _theta(x[0]))
+        bad_theta = _bad_on_slab(np.nan, lambda p: p[:, 0], theta_block)
+        bad_x = _bad_on_slab(np.nan, lambda x: _theta(x[0]), x_block)
         with pytest.raises(IntegrandError) as want:
-            _torus_qmc_theta(TorusIntegrand(desc.dimension, wrap_theta(theta_block)), 2 ** 16, 16)
+            _torus_qmc_theta(TorusIntegrand(desc.dimension, bad_theta), 2 ** 16, 16)
         with pytest.raises(IntegrandError) as have:
-            torus_qmc(TorusIntegrand(desc.dimension, wrap_x(x_block)), 2 ** 16, 16)
+            torus_qmc(TorusIntegrand(desc.dimension, bad_x), 2 ** 16, 16)
         assert str(have.value) == str(want.value)
         assert have.value.abscissa == want.value.abscissa
 
     @pytest.mark.parametrize("samples", _ORACLE_SAMPLES)
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_integrand_error_matches_the_theta_route(self, samples, bad):
-        def theta_block(p):
-            return np.cos(2 * np.pi * p[:, 1])
-
-        def x_block(x):
-            return x.real[1].copy()
-
-        want_ti = TorusIntegrand(3, _slab_error(bad, lambda p: p[:, 0])(theta_block))
-        have_ti = TorusIntegrand(3, _slab_error(bad, lambda x: _theta(x[0]))(x_block))
+        theta_block = lambda p: np.cos(2 * np.pi * p[:, 1])  # noqa: E731
+        want_ti = TorusIntegrand(3, _bad_on_slab(bad, lambda p: p[:, 0], theta_block))
+        have_ti = TorusIntegrand(3, _bad_on_slab(bad, lambda x: _theta(x[0]), lambda x: x.real[1]))
         with pytest.raises(IntegrandError) as want:
             _torus_qmc_theta(want_ti, samples, 8)
         with pytest.raises(IntegrandError) as have:
@@ -591,11 +581,9 @@ def _cosine_block_whole(kind, k):
 
 
 def _generic_block_whole(desc):
-    vecs, coeffs = desc.exponent_matrix()
-
     def block(x):
         values = np.zeros(x.shape[1], dtype=np.complex128)
-        for vec, c in zip(vecs.tolist(), coeffs.tolist()):
+        for vec, c in desc.terms.items():
             term = np.full(x.shape[1], complex(c))
             for xj, e in zip(x, vec):
                 if e:
@@ -649,7 +637,7 @@ class TestBlockedTorusQmc:
     @pytest.mark.parametrize("samples", _ORACLE_SAMPLES)
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_integrand_error_matches_the_oracle(self, samples, bad):
-        ti = TorusIntegrand(3, _slab_error(bad, lambda x: _theta(x[0]))(lambda x: x.real[1].copy()))
+        ti = TorusIntegrand(3, _bad_on_slab(bad, lambda x: _theta(x[0]), lambda x: x.real[1]))
         with pytest.raises(IntegrandError) as got:
             torus_qmc(ti, samples, 8)
         with pytest.raises(IntegrandError) as ref:
