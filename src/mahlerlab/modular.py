@@ -291,16 +291,29 @@ def _term_count(level: int, weight: int, work: int) -> int:
 
 
 def _g_split(spec: NewformSpec, s: int, u0, n_terms: int, work: int):
-    """G(s) = level^(s/2) sum a_n (2 pi n)^(-s) Gamma(s, 2 pi n u0)."""
+    """G(s) = level^(s/2) sum a_n (2 pi n)^(-s) Gamma(s, 2 pi n u0).
+
+    Term n carries the weight e^(-x) of x = 2 pi n u0, so its incomplete
+    gamma is taken at only p_n = work - floor(x log2 e) + bitlen(a_n)
+    + bitlen(n) bits (at least 32), within 2^(1-p_n) relative.  For x >= 1
+    and integer s >= 0, Gamma(s, x) <= e max(1, (s-1)!) x^(s-1) e^-x, so
+    |term n| <= e max(1, (s-1)!) |a_n| u0^(s-1) e^-x / (2 pi n), and the
+    reduced width costs term n under 2 e max(1, (s-1)!) u0^(s-1)
+    2^-work / (2 pi n^2): under (pi/6) e max(1, (s-1)!) u0^(s-1) 2^-work
+    in all, before the factor level^(s/2).  The rest of each term, and the
+    sum, run at work bits as before.
+    """
     with mp.workprec(work):
         two_pi = 2 * mp.pi
+        decay = two_pi * u0 / math.log(2)  # log2 e^(2 pi u0), per term
         total = mp.mpf(0)
         for n in range(1, n_terms + 1):
             a = spec._coeffs[n]
             if not a:
                 continue
             x = two_pi * n * u0
-            total += a * gamma_upper_int(s, x, work) / (two_pi * n) ** s
+            bits = work - int(n * decay) + a.bit_length() + n.bit_length()
+            total += a * gamma_upper_int(s, x, max(bits, 32)) / (two_pi * n) ** s
         return mp.mpf(spec.level) ** (mp.mpf(s) / 2) * total
 
 

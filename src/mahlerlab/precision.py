@@ -5,29 +5,35 @@ interprets it as a bit count and runs inside its own ``mp.workprec`` context,
 so callers never have to manage the global mpmath state.  Rationals are
 ``fractions.Fraction`` and all rational arithmetic is exact.
 
-Series with algebraic tails (1/n^2, 1/n^3, log n/n^2 ...) go through
-`accelerate`, which extrapolates a sequence of partial sums with the Levin
-u-transform.  Raw summation of an n^(-3) tail to twenty digits would need
-~10^10 terms, so acceleration is not optional here.
+Series with algebraic tails (1/n^2, 1/n^3, log n/n^2 ...) need an
+accelerator: raw summation of an n^(-3) tail to twenty digits would need
+~10^10 terms.  Two extrapolate partial sums.  `richardson` removes the
+first m terms of an expansion S_n = S + c_1/n + c_2/n^2 + ... with one
+weighted int sum; it serves every unit-argument pFq whose tail exponent is
+an integer.  `accelerate` is the Levin u-transform, for the rest: series
+with fractional or logarithmic tails, alternating series, and the
+registry's exact-partial-sum series.
 
 mpmath runs on its pure-Python backend, so every mpf operation costs
 microseconds.  The hot loops therefore run on a small fixed-point layer: an
 int v with w fraction bits stands for v * 2^-w, `to_fixed`/`from_fixed`
 convert at the loop's ends, and `fixed_bits` applies the guard-bit rule
-w = mp.prec + FIXED_GUARD_BITS.  The Levin table is exact integer
-arithmetic on that layer.  The other users are modular.fricke_check's
-q-series Horner; special.ell_k/ell_kprime (the AGM and pi / (2 agm) at
-every tanh-sinh node of the elliptic checks); special.pfq, whose direct
-sum inside the unit disk (the k-integral route's m_alpha series, m(R_k)'s
-6F5 for |k| > 16, special.catalan's 3F2 at 1/4 and special.legendre_chi3's
-4F3) and partial sums at |x| = 1 (the 6F5 of m(R_16) and the wan-moments
-4F3s) step one int term ratio; special.zeta_int (Borwein's
-integer-weighted series); and special.exp_integral_e1 (the Mellin split's
-E1 terms).  Each is an int loop whose docstring states its error bound.
+w = mp.prec + FIXED_GUARD_BITS.  The Levin table and the Richardson sum are
+exact integer arithmetic on that layer.  The other users are
+modular.fricke_check's q-series Horner; special.ell_k/ell_kprime (the AGM
+and pi / (2 agm) at every tanh-sinh node of the elliptic checks);
+special.pfq, whose direct sum inside the unit disk (the k-integral route's
+m_alpha series, m(R_k)'s 6F5 for |k| > 16, special.catalan's 3F2 at 1/4 and
+special.legendre_chi3's 4F3) and partial sums at |x| = 1 (the 6F5 of
+m(R_16) and the wan-moments 4F3s, which `richardson` extrapolates) step one
+int term ratio; special.zeta_int (Borwein's integer-weighted series); and
+special.exp_integral_e1 (the Mellin split's E1 terms).  Each is an int loop
+whose docstring states its error bound.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -38,6 +44,7 @@ __all__ = [
     "ResourceLimitError",
     "AccelResult",
     "accelerate",
+    "richardson",
 ]
 
 MIN_PRECISION_BITS = 32
@@ -145,6 +152,34 @@ def accelerate(partial_sums: Sequence, precision: Optional[int] = None) -> Accel
         low = d1 > settle_tol
         with mp.workprec(base + 8):
             return AccelResult(value=+value, error_estimate=+err, low_confidence=bool(low))
+
+
+def richardson(sums: Sequence[int], n: int) -> int:
+    """Richardson's extrapolant of fixed-point partial sums S_n, ...,
+    S_(n+m), with S_j the sum of a series' first j terms and
+    m = len(sums) - 1:
+
+        floor(sum_k (-1)^(k+m) C(m,k) (n+k)^m S_(n+k) / m!),
+
+    one int sum divided once.  The weights w_k are the Lagrange weights of
+    extrapolation to 1/j = 0 through the m + 1 points 1/(n+k): they sum to
+    1 and cancel c_1/j, ..., c_m/j^m, so when S_j = S + c_1/j + c_2/j^2
+    + ... (terms with an integer tail exponent) the extrapolant is S up to
+    about c_(m+1) / (n (n+1) ... (n+m)) (Richardson & Gaunt 1927, "The
+    deferred approach to the limit"; Bender & Orszag 1978, 8.1).
+
+    Floor error: sum_k |w_k| <= 2^m (n+m)^m / m!, so partial sums each off
+    by under E units of the fixed-point scale give a result off by under
+    E 2^m (n+m)^m / m! + 1 units.  The caller carries the log2 of that
+    many extra fraction bits.
+    """
+    m = len(sums) - 1
+    total, binom = 0, 1
+    for k, s in enumerate(sums):
+        term = binom * (n + k) ** m * s
+        total += -term if (k + m) & 1 else term
+        binom = binom * (m - k) // (k + 1)
+    return total // math.factorial(m)
 
 
 def _levin_u_diagonal(s):

@@ -28,6 +28,7 @@ from mahlerlab.mahler import (
     torus_integrand,
     wan_moment_check,
 )
+from mahlerlab.modular import NEWFORM_F, l_value
 from mahlerlab.precision import accelerate
 from mahlerlab.special import catalan, zeta_int
 
@@ -248,6 +249,33 @@ class TestHypergeometricRk:
         a = m_rk_hypergeometric(Fraction(33, 2))
         b = m_rk_hypergeometric(16.5)
         assert abs(a - b) < mp.mpf("1e-12")
+
+    def test_mpf_k_is_taken_exactly(self):
+        # an mpf is a dyadic rational: 17 + 2^-60 must not collapse to 17, as
+        # its float did, and 16 + 2^-80 must not be summed at argument 1
+        target = mp.mpf(2) ** -150
+        with mp.workprec(200):
+            at_17 = m_rk_hypergeometric(17, target, precision=200)
+            assert m_rk_hypergeometric(mp.mpf(17), target, precision=200) == at_17
+            gap = m_rk_hypergeometric(mp.mpf(17) + mp.mpf(2) ** -60, target, precision=200) - at_17
+            slope = (m_rk_hypergeometric(17 + Fraction(1, 2 ** 20), target, precision=200) - at_17) * 2 ** 20
+            assert abs(gap - slope * mp.mpf(2) ** -60) < abs(gap) * mp.mpf("1e-4")
+            with pytest.raises(ValueError, match="^pFq argument too close to 1 for direct summation$"):
+                m_rk_hypergeometric(mp.mpf(16) + mp.mpf(2) ** -80, target, precision=200)
+        for bad in (mp.inf, -mp.inf, mp.nan):
+            with pytest.raises(ValueError, match="^k must be finite"):
+                m_rk_hypergeometric(bad)
+
+    def test_headline_at_300_digits(self):
+        # the paper's theorem at the working precision of
+        # `compute mRk 16 --digits 300`, in one process: the series route
+        # against (192/pi^4) L(f,4) + 7 zeta(3)/pi^2 (the frozen 300-digit
+        # strings of tests/data/headline_300.json differ by 5.4e-302)
+        p = 1047
+        with mp.workprec(p):
+            series = m_rk_hypergeometric(16, mp.mpf(10) ** -304, precision=p)
+            l_route = 192 / mp.pi ** 4 * l_value(NEWFORM_F, 4, p) + 7 * zeta_int(3, p) / mp.pi ** 2
+            assert abs(series - l_route) < mp.mpf("1e-295")
 
 
 class TestMAlpha:

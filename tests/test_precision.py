@@ -1,4 +1,5 @@
-"""Tests for the precision core: Levin acceleration and exact rationals."""
+"""Tests for the precision core: Levin and Richardson acceleration and
+exact rationals."""
 
 import math
 from fractions import Fraction
@@ -8,7 +9,7 @@ from hypothesis import given, strategies as st
 from mpmath import mp
 
 import mahlerlab.precision as precision
-from mahlerlab.precision import AccelResult, accelerate, fixed_bits, from_fixed, to_fixed
+from mahlerlab.precision import AccelResult, accelerate, fixed_bits, from_fixed, richardson, to_fixed
 
 
 def _partial_sums(term, count, work_bits=400):
@@ -147,6 +148,38 @@ class TestLevinAgainstMpfOracle:
         want = accelerate(vals, precision=64)
         assert got.low_confidence and want.low_confidence
         assert got.value == want.value
+
+
+class TestRichardson:
+    @pytest.mark.parametrize("n, m", [(1, 1), (5, 3), (20, 10), (60, 30)])
+    def test_polynomials_in_one_over_j_within_the_floor_bound(self, n, m):
+        # S_j = c_0 + c_1/j + ... + c_m/j^m floored at w bits: the weights
+        # cancel every c_k with k >= 1, so only the floors remain, each
+        # under one unit, amplified by at most sum |w_k| <= 2^m (n+m)^m / m!
+        import random
+
+        rng = random.Random(n * 1000 + m)
+        coeffs = [Fraction(rng.randint(-10 ** 6, 10 ** 6), rng.randint(1, 10 ** 3)) for _ in range(m + 1)]
+        w = 300
+        sums = []
+        for j in range(n, n + m + 1):
+            value = sum(c / Fraction(j) ** k for k, c in enumerate(coeffs))
+            sums.append(math.floor(value * 2 ** w))
+        weights = sum(math.comb(m, k) * (n + k) ** m for k in range(m + 1)) / Fraction(math.factorial(m))
+        assert weights <= Fraction(2 ** m * (n + m) ** m, math.factorial(m))
+        assert abs(richardson(sums, n) - coeffs[0] * 2 ** w) <= weights + 1
+
+    def test_basel_sum(self):
+        # S_j = sum_(i<=j) 1/i^2 = pi^2/6 - 1/j + 1/(2j^2) - ...; from 91
+        # partial sums the extrapolant is within 2^-150 of the limit
+        w = 400
+        sums, total = [], 0
+        for i in range(1, 91):
+            total += (1 << w) // (i * i)
+            if i >= 60:
+                sums.append(total)
+        with mp.workprec(w):
+            assert abs(from_fixed(richardson(sums, 60), w) - mp.pi ** 2 / 6) < mp.mpf(2) ** -150
 
 
 class TestFixedPoint:

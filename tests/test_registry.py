@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from mpmath import mp
 
-from mahlerlab import ffield, registry, wz
+from mahlerlab import ffield, registry, special, wz
 from mahlerlab.modular import QSeries
 from mahlerlab.precision import NoConvergence
 from mahlerlab.registry import (
@@ -473,6 +473,28 @@ class TestPlanNegativeControls:
             monkeypatch.undo()
             ffield._greene_table.cache_clear()
         assert result.deviation == deviation
+        assert result.note == ""
+
+    def test_eq_1_5_6f5_without_its_first_term(self, monkeypatch):
+        # the 6F5 summed without t_0 = 1 on the Richardson path alone: the
+        # 6F5 lies in [1, 2), so each partial sum's top bit is t_0's 2^w;
+        # the series side, the 6F5 itself, moves by 1, and the Levin table
+        # is never run
+        exact = special.richardson
+
+        def without_first(sums, n):
+            first = 1 << (sums[0].bit_length() - 1)
+            return exact([s - first for s in sums], n)
+
+        def refused(sums, precision=None):
+            raise AssertionError("eq-1.5 reached the Levin table")
+
+        def perturb():
+            monkeypatch.setattr(special, "richardson", without_first)
+            monkeypatch.setattr(special, "accelerate", refused)
+
+        result = self._assert_flips("eq-1.5", perturb)
+        assert abs(result.deviation - 1) < mp.mpf("1e-9")
         assert result.note == ""
 
     @pytest.mark.parametrize("check_id, name, index", [

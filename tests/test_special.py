@@ -886,6 +886,75 @@ class TestPfqUnitAgainstMpfOracle:
             assert abs(catalan(precision) - mp.catalan) <= bound
 
 
+class TestPfqRichardson:
+    # pfq at x = 1 with an integer tail exponent extrapolates its int partial
+    # sums by Richardson's weights; every other unit-argument series keeps
+    # the Levin table
+
+    _SPECS = [_SIX_F_FIVE] + [_wan_4f3(m) for m in range(7)]
+
+    @pytest.mark.parametrize("precision", [64, 96, 144, 400, 1047])
+    def test_against_levin_and_twice_the_precision(self, precision):
+        # within the target of the Levin oracle, and equal to a reference at
+        # 2 precision bits rounded to precision (up to 2^-8 of an ulp):
+        # mpmath's hyper up to 144 bits, pfq itself, with other (n, m) and
+        # w, beyond (hyper takes seconds there)
+        target = mp.mpf(2) ** -(precision - 40)
+        for spec in self._SPECS:
+            value = pfq(spec, target, precision=precision)
+            assert abs(value - _pfq_unit_mpf(spec, target, precision)) <= target, spec
+            if precision <= 144:
+                ref = _hyper(spec, 2 * precision)
+            else:
+                ref = pfq(spec, mp.mpf(2) ** -(2 * precision), precision=2 * precision)
+            with mp.workprec(2 * precision):
+                assert _close_to(value, ref, precision), spec
+
+    def test_routes(self, monkeypatch):
+        # integer tail exponents at +1 never reach the Levin table; G's
+        # alternating 3F2 at -1 and Watson's 3F2 (rho = 3/2) never reach
+        # Richardson
+        levin, extrapolate = special.accelerate, special.richardson
+        calls = []
+
+        def counted(name, kernel):
+            def wrapper(*args, **kwargs):
+                calls.append(name)
+                return kernel(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(special, "accelerate", counted("levin", levin))
+        monkeypatch.setattr(special, "richardson", counted("richardson", extrapolate))
+        alpha_one = PFQSpec([Fraction(1, 2)] * 3, [Fraction(1), Fraction(3, 2)], 1)
+        for spec in self._SPECS + [alpha_one]:
+            pfq(spec, mp.mpf(2) ** -100, precision=128)
+        assert set(calls) == {"richardson"}
+        watson = PFQSpec([Fraction(1, 2)] * 3, [Fraction(1)] * 2, 1)
+        for spec in (_CATALAN_3F2, watson):
+            calls.clear()
+            pfq(spec, mp.mpf(2) ** -40, precision=96)
+            assert set(calls) == {"levin"}, spec
+
+    def test_missed_target_raises(self):
+        # 2^-4000 needs more than the 1280-term cap (R(2m, m) gains about
+        # 5.3 bits per m); the best value, R(854, 426), comes with the error
+        with pytest.raises(NoConvergence, match="^pFq extrapolation stalled") as info:
+            pfq(_SIX_F_FIVE, mp.mpf(2) ** -4000, precision=4000)
+        assert info.value.terms == 1280
+        ref = pfq(_SIX_F_FIVE, mp.mpf(2) ** -1100, precision=1100)
+        with mp.workprec(4000):
+            assert abs(info.value.best - ref) < mp.mpf(2) ** -1090
+
+    @pytest.mark.parametrize("precision", [96, 300])
+    def test_gauss_sum_with_growing_terms(self, precision):
+        # 2F1(a, a; 2a+1; 1) = C(2a, a) by Gauss's theorem, and rho = 2;
+        # the terms first grow, by ratios up to a^2 / (2a+1), so the floors'
+        # amplification passes its allowance and the sums are taken wider
+        for a in (2, 12, 16):
+            spec = PFQSpec([a, a], [2 * a + 1], 1)
+            assert pfq(spec, mp.mpf(2) ** -(precision + 4), precision=precision) == math.comb(2 * a, a)
+
+
 class TestExpIntegral:
     def test_scipy_grid(self):
         for x in (0.1, 0.5, 1.0, 2.0, 3.9, 4.1, 6.0, 15.0, 40.0):
