@@ -331,9 +331,10 @@ def m_rk_hypergeometric(k, target_abs_error=mp.mpf("1e-12"), precision: Optional
     Computes log|k| - (8/k^2) 6F5(3/2,3/2,3/2,3/2,1,1; 2,2,2,2,2; 256/k^2).
     Only the real part of log(k) survives for k < 0, so the value depends
     on |k| alone.  k is taken exactly: an int, float, Fraction or mpf as
-    the rational it is, anything else as the float it converts to.  At |k| = 16 the argument is exactly 1 and the series is
-    summed through the accelerated unit-argument path; the formula is not
-    valid for |k| < 16 and such k raise ValueError.
+    the rational it is, anything else as the float it converts to.  At
+    |k| = 16 the argument is exactly 1 and the series is summed through
+    the accelerated unit-argument path; the formula is not valid for
+    |k| < 16 and such k raise ValueError.
     """
     if isinstance(k, mp.mpf):
         if not mp.isfinite(k):

@@ -296,7 +296,8 @@ def _g_split(spec: NewformSpec, s: int, u0, n_terms: int, work: int):
     Term n carries the weight e^(-x) of x = 2 pi n u0, so its incomplete
     gamma is taken at only p_n = work - floor(x log2 e) + bitlen(a_n)
     + bitlen(n) bits (at least 32), within 2^(1-p_n) relative.  For x >= 1
-    and integer s >= 0, Gamma(s, x) <= e max(1, (s-1)!) x^(s-1) e^-x, so
+    (every n once level <= 39; below 1, p_n is work - 1 or more) and
+    integer s >= 0, Gamma(s, x) <= e max(1, (s-1)!) x^(s-1) e^-x, so
     |term n| <= e max(1, (s-1)!) |a_n| u0^(s-1) e^-x / (2 pi n), and the
     reduced width costs term n under 2 e max(1, (s-1)!) u0^(s-1)
     2^-work / (2 pi n^2): under (pi/6) e max(1, (s-1)!) u0^(s-1) 2^-work
