@@ -6,9 +6,11 @@ factors.  Hecke eigenform structure is visible directly in the
 coefficients: a_{mn} = a_m a_n for coprime m, n and a_{p^2} =
 a_p^2 - p^(weight-1) at good primes.
 
-The completed function Lambda(s) is then computed by direct quadrature of
-the q-series on the imaginary axis and tested for its reflection symmetry
-s -> weight - s.  The symmetry is never assumed anywhere in the library,
+The completed function Lambda(s) is then computed by direct integration of
+the q-series on the imaginary axis, one trapezoidal grid in log u serving
+every s (axis_mellin), and tested for its reflection symmetry
+s -> weight - s.  The same grid gives Lambda(0) = L'(f,0) without the
+Mellin split.  The symmetry is never assumed anywhere in the library,
 which is what makes the final negative control meaningful: flipping the
 claimed sign must blow up, and does.  The script exits 1 when it does not.
 """
@@ -22,6 +24,7 @@ from mahlerlab import (
     NEWFORM_H,
     FunctionalEquationViolation,
     NewformSpec,
+    axis_mellin,
     fricke_check,
     l_prime_at_0,
     l_value,
@@ -52,6 +55,8 @@ def main() -> int:
         print("  L(f,4)  = %s" % mp.nstr(l_value(NEWFORM_F, 4, precision=96), 25))
         print("  L(f,2)  = %s" % mp.nstr(l_value(NEWFORM_F, 2, precision=96), 25))
         print("  L'(f,0) = %s" % mp.nstr(l_prime_at_0(NEWFORM_F, precision=96), 25))
+        print("          = %s (Lambda(0) on the log-u grid)"
+              % mp.nstr(axis_mellin(NEWFORM_F, [0], 96)[0], 25))
         print("  L'(h,0) = %s" % mp.nstr(l_prime_at_0(NEWFORM_H, precision=96), 25))
 
     print()

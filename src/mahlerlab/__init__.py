@@ -32,6 +32,7 @@ from .modular import (
     FunctionalEquationViolation,
     NewformSpec,
     QSeries,
+    axis_mellin,
     eta_qexp,
     fricke_check,
     l_prime_at_0,
@@ -74,6 +75,7 @@ __all__ = [
     "FunctionalEquationViolation",
     "NewformSpec",
     "QSeries",
+    "axis_mellin",
     "eta_qexp",
     "fricke_check",
     "l_prime_at_0",

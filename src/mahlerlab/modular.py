@@ -13,17 +13,24 @@ u0 = 1/sqrt(level),
 which converges like exp(-2 pi u0 n).  At the integer arguments the artifact
 needs, Gamma(s, x) is an elementary finite sum and Gamma(0, x) = E1(x),
 which special.exp_integral_e1 evaluates on precision.py's fixed-point layer
-(an int series or continued fraction per term).
+(an int series or continued fraction per term); the two incomplete gammas
+of a term share one e^-x.
 
-fricke_check never assumes the functional equation: it integrates the
-q-series along the imaginary axis directly on [delta, T] and compares
-Lambda(s) against sign * Lambda(weight - s).  Under modularity the neglected
-piece below delta is ~ exp(-2 pi / (level delta)); if the form were not
-modular the main parts would disagree loudly, which is the point of the
-check.  Each node's f(iu) = sum a_n exp(-2 pi n u) is a Horner sum over
-ints scaled by 2^w (precision.py's fixed-point layer, w = working precision
-+ 32 guard bits) in x^step, where step is the stride of the support
-(2 for f, 4 for h).
+axis_mellin computes Lambda(s) = level^(s/2) int_0^inf f(iu) u^(s-1) du
+directly, for any number of s at once: with u = e^t the integrand decays
+double-exponentially at both ends and is analytic in |Im t| < pi/2, so one
+trapezoidal grid in t over [delta, T] converges like e^(-2 pi d/h)
+(Trefethen & Weideman 2014).  Each node's f(iu) = sum a_n exp(-2 pi n u) is
+a Horner sum over ints scaled by 2^w (precision.py's fixed-point layer,
+w = working precision + 32 guard bits) in x^step, where step is the stride
+of the support (2 for f, 4 for h), and serves every s.  Lambda(0) = L'(0)
+comes from the same grid.
+
+fricke_check never assumes the functional equation: it compares axis_mellin's
+Lambda(s) against sign * Lambda(weight - s).  Under modularity the integrand
+below delta is ~ exp(-2 pi / (level u)) and the nodes there are negligible;
+if the form were not modular the two sides would disagree loudly, which is
+the point of the check.
 
 q-series products use Kronecker substitution: one int product per
 multiplication.
@@ -34,12 +41,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Dict, List, Tuple
+from typing import Callable, List, Tuple
 
 from mpmath import mp
 
 from .precision import ResourceLimitError, fixed_bits, from_fixed, to_fixed
-from .quadrature import tanh_sinh_interval
 from .special import gamma_upper_int
 
 __all__ = [
@@ -54,6 +60,7 @@ __all__ = [
     "newform_coefficient",
     "l_value",
     "l_prime_at_0",
+    "axis_mellin",
     "fricke_check",
 ]
 
@@ -290,32 +297,41 @@ def _term_count(level: int, weight: int, work: int) -> int:
     return n
 
 
-def _g_split(spec: NewformSpec, s: int, u0, n_terms: int, work: int):
-    """G(s) = level^(s/2) sum a_n (2 pi n)^(-s) Gamma(s, 2 pi n u0).
+def _lambda_split(spec: NewformSpec, s: int, u0, n_terms: int, work: int):
+    """Lambda(s) = G(s) + sign G(weight - s), both sums in one pass over n,
+    with G(s) = level^(s/2) sum a_n (2 pi n)^(-s) Gamma(s, 2 pi n u0).
 
     Term n carries the weight e^(-x) of x = 2 pi n u0, so its incomplete
-    gamma is taken at only p_n = work - floor(x log2 e) + bitlen(a_n)
-    + bitlen(n) bits (at least 32), within 2^(1-p_n) relative.  For x >= 1
-    (every n once level <= 39; below 1, p_n is work - 1 or more) and
-    integer s >= 0, Gamma(s, x) <= e max(1, (s-1)!) x^(s-1) e^-x, so
+    gammas are taken at only p_n = work - floor(x log2 e) + bitlen(a_n)
+    + bitlen(n) bits (at least 32), within 2^(1-p_n) relative, and share
+    one e^-x taken at p_n + 32 bits.  For x >= 1 (every n once level <= 39;
+    below 1, p_n is work - 1 or more) and integer s >= 0,
+    Gamma(s, x) <= e max(1, (s-1)!) x^(s-1) e^-x, so
     |term n| <= e max(1, (s-1)!) |a_n| u0^(s-1) e^-x / (2 pi n), and the
     reduced width costs term n under 2 e max(1, (s-1)!) u0^(s-1)
     2^-work / (2 pi n^2): under (pi/6) e max(1, (s-1)!) u0^(s-1) 2^-work
-    in all, before the factor level^(s/2).  The rest of each term, and the
-    sum, run at work bits as before.
+    in all, per G and before the factor level^(s/2).  The rest of each
+    term, and the sums, run at work bits.
     """
+    r = spec.weight - s
     with mp.workprec(work):
         two_pi = 2 * mp.pi
         decay = two_pi * u0 / math.log(2)  # log2 e^(2 pi u0), per term
-        total = mp.mpf(0)
+        total_s = total_r = mp.mpf(0)
         for n in range(1, n_terms + 1):
             a = spec._coeffs[n]
             if not a:
                 continue
             x = two_pi * n * u0
-            bits = work - int(n * decay) + a.bit_length() + n.bit_length()
-            total += a * gamma_upper_int(s, x, max(bits, 32)) / (two_pi * n) ** s
-        return mp.mpf(spec.level) ** (mp.mpf(s) / 2) * total
+            bits = max(work - int(n * decay) + a.bit_length() + n.bit_length(), 32)
+            with mp.workprec(bits + 32):
+                e = mp.exp(-x)
+            total_s += a * gamma_upper_int(s, x, bits, e) / (two_pi * n) ** s
+            total_r += a * gamma_upper_int(r, x, bits, e) / (two_pi * n) ** r
+        level = mp.mpf(spec.level)
+        return level ** (mp.mpf(s) / 2) * total_s + spec.fricke_sign * (
+            level ** (mp.mpf(r) / 2) * total_r
+        )
 
 
 def l_value(spec: NewformSpec, s: int, precision: int = 64):
@@ -329,9 +345,7 @@ def l_value(spec: NewformSpec, s: int, precision: int = 64):
         u0 = 1 / mp.sqrt(spec.level)
         n_terms = _term_count(spec.level, spec.weight, work)
         spec.ensure(n_terms)
-        lam = _g_split(spec, s, u0, n_terms, work) + spec.fricke_sign * _g_split(
-            spec, spec.weight - s, u0, n_terms, work
-        )
+        lam = _lambda_split(spec, s, u0, n_terms, work)
         v = lam * (2 * mp.pi / mp.sqrt(spec.level)) ** s / mp.mpf(math.factorial(s - 1))
     with mp.workprec(precision):
         return +v
@@ -373,55 +387,94 @@ def _axis_series(coeffs: List[int], step: int, x):
     return from_fixed(acc, w) * x
 
 
+def _axis_window(spec: NewformSpec, p: int):
+    """(delta, T, step, coeffs) of the imaginary-axis integrals at P = p
+    bits, at the caller's mp.prec: the window [delta, T], the support
+    stride and the dense coefficient list a_1, a_(1+step), ... through
+    n_terms, taken so that n^(weight/2+1) e^(-2 pi delta n) < 2^-(p+20) at
+    n = n_terms."""
+    ln2 = mp.log(2)
+    delta = min(mp.mpf("0.008"), 2 * mp.pi / (spec.level * (p + 30) * ln2))
+    t_hi = ((p + 20) * ln2 + 10) / (2 * mp.pi)
+    cut = mp.mpf(2) ** -(p + 20)
+    n_terms = 64
+    while n_terms ** (spec.weight / 2 + 1) * mp.exp(-2 * mp.pi * delta * n_terms) > cut:
+        n_terms += 64
+    if n_terms >= _COEFF_LIMIT:
+        raise ResourceLimitError(f"the axis integrals need {n_terms} coefficients")
+    # the stride is taken over every coefficient used, so the dense list
+    # a_1, a_(1+step), ... skips no nonzero a_n
+    step = spec.support_step(n_terms)
+    return delta, t_hi, step, spec._coeffs[1 : n_terms + 1 : step]
+
+
+def axis_mellin(spec: NewformSpec, s_values, precision: int = 64):
+    """Lambda(s) = level^(s/2) int_0^inf f(iu) u^(s-1) du for every s in
+    s_values, from one trapezoidal grid in t = log u over the nodes in
+    [delta, T]; the functional equation is not used.
+
+    With g_s(t) = f(i e^t) e^(st), the nodes are t_j = log delta + j h,
+    j = 0..n, with h = 2 pi d / ((P + 24) ln 2), d = pi/3, shrunk so that
+    t_n = log T, and Lambda(s) ~ level^(s/2) h sum_j g_s(t_j): each f(iu_j)
+    is one integer Horner sum (_axis_series) shared by every s.  The
+    values are returned unrounded, at the working precision P + 48, so
+    that differences of them keep their digits.  Error budget, relative to
+    Lambda(s):
+
+    - discretisation: g_s is analytic in |Im t| < pi/2 and decays
+      double-exponentially at both ends, so the trapezoidal sum over the
+      whole line is off by at most 2M / (e^(2 pi d/h) - 1) <= 2M 2^-(P+24)
+      (Trefethen & Weideman 2014, SIAM Review 56(3), sec. 5), M being the
+      integral of |g_s| along Im t = +-d, where both tails decay at half
+      their rate (cos d = 1/2); M is of the order of Lambda(s) here, not
+      bounded rigorously;
+    - the nodes outside [delta, T]: every node carries the full weight h,
+      so the sum is the whole line's with the nodes beyond the window
+      dropped.  Below delta the q-series would need more than n_terms
+      terms; for a modular f, g_s falls there like e^(-2 pi/(level u)), by
+      e^(-kappa h) per step with kappa = 2 pi/(level delta) - weight and
+      kappa h > 2 pi^2 (P+30)/(3(P+24)) - weight h > 6, so the dropped
+      nodes sum to under 3e-3 h g_s(log delta), where g_s(log delta) is at
+      most about 2^-(P+12).  The trapezoidal rule on [delta, T] would put
+      the half weight h/2 at delta and leave h g_s(log delta)/2 instead;
+      likewise at T, where g_s ~ 2^-(P+20) and the next node is
+      e^(-2 pi T h) smaller still;
+    - q-series truncation: the terms past n_terms sum to about
+      2^-(P+20) / (2 pi delta) at every node (_axis_window's rule);
+    - Horner: each f(iu_j) is off by under 2^-w (len + (step + 1) |P'|)
+      at w = P + 80 fraction bits (_axis_series).
+    """
+    p = precision
+    with mp.workprec(p + 48):
+        delta, t_hi, step, coeffs = _axis_window(spec, p)
+        lo, hi = mp.log(delta), mp.log(t_hi)
+        n = int(mp.ceil((hi - lo) * (p + 24) * mp.log(2) * 3 / (2 * mp.pi ** 2)))
+        h = (hi - lo) / n
+        nodes = [lo + j * h for j in range(n + 1)]
+        f_iu = [_axis_series(coeffs, step, mp.exp(-2 * mp.pi * mp.exp(t))) for t in nodes]
+        lam = []
+        for s in map(mp.mpf, s_values):
+            mellin = mp.fsum(f * mp.exp(s * t) for f, t in zip(f_iu, nodes))
+            lam.append(mp.mpf(spec.level) ** (s / 2) * h * mellin)
+        return lam
+
+
 _FRICKE_S = ("2.25", "2.5", "3.0")
 
 
 def fricke_check(spec: NewformSpec, precision: int = 64):
     """Max over s in {2.25, 2.5, 3.0} of |Lambda(s) - sign*Lambda(weight-s)|,
-    with Lambda computed by direct quadrature of the q-series on the
-    imaginary axis; the functional equation is tested, never used.
+    with every Lambda from axis_mellin's one grid on the imaginary axis;
+    the functional equation is tested, never used.
 
     Raises FunctionalEquationViolation when the asymmetry reaches 2^(20-P).
     """
     p = precision
     with mp.workprec(p + 48):
         threshold = mp.mpf(2) ** (20 - p)
-        ln2 = mp.log(2)
-        delta = min(mp.mpf("0.008"), 2 * mp.pi / (spec.level * (p + 30) * ln2))
-        t_hi = ((p + 20) * ln2 + 10) / (2 * mp.pi)
-        # q-series truncation: n^(weight/2+1) exp(-2 pi delta n) < 2^-(p+20)
-        n_terms = 64
-        while (n_terms ** (spec.weight / 2 + 1)) * mp.exp(-2 * mp.pi * delta * n_terms) > mp.mpf(
-            2
-        ) ** (-(p + 20)):
-            n_terms += 64
-        if n_terms >= _COEFF_LIMIT:
-            raise ResourceLimitError(f"fricke_check needs {n_terms} coefficients")
-        # the stride is taken over every coefficient used, so the dense list
-        # a_1, a_(1+step), ... skips no nonzero a_n
-        step = spec.support_step(n_terms)
-        coeffs = spec._coeffs[1 : n_terms + 1 : step]
-        memo: Dict[object, object] = {}
-        two_pi = 2 * mp.pi
-
-        def f_iu(u):
-            v = memo.get(u)
-            if v is None:
-                v = memo[u] = _axis_series(coeffs, step, mp.exp(-two_pi * u))
-            return v
-
-        tol = mp.mpf(2) ** (-(p + 16))
-
-        def lam(s):
-            r = tanh_sinh_interval(lambda u: f_iu(u) * u ** (s - 1), delta, t_hi, tol,
-                                   precision=p + 32)
-            return mp.mpf(spec.level) ** (s / 2) * r.value
-
-        asym = mp.mpf(0)
-        for s_str in _FRICKE_S:
-            s = mp.mpf(s_str)
-            a = lam(s)
-            asym = max(asym, abs(a - spec.fricke_sign * lam(spec.weight - s)))
+        s_values = [v for s in map(mp.mpf, _FRICKE_S) for v in (s, spec.weight - s)]
+        lam = axis_mellin(spec, s_values, p)
+        asym = max(abs(a - spec.fricke_sign * b) for a, b in zip(lam[::2], lam[1::2]))
     if asym >= threshold:
         raise FunctionalEquationViolation(
             f"{spec.name}: Lambda asymmetry {mp.nstr(asym, 6)} at {precision} bits "

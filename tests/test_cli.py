@@ -167,7 +167,10 @@ class TestVerifyFormats:
 class TestFrozenReport:
     def test_highprec_96_report_is_byte_identical(self, capsys, tmp_path, monkeypatch):
         # tests/data/highprec_96.json was written by the mpf Levin table and
-        # the mpf q-series walk; the integer kernels must reproduce every byte
+        # the mpf q-series walk, and the integer kernels reproduced every
+        # byte; its two lambda-symmetry records were rewritten when Lambda(s)
+        # moved from per-s tanh-sinh to axis_mellin's one trapezoidal grid
+        # (asymmetry 4.2e-37 -> 2.2e-39 for f, 2.2e-35 -> 1.6e-37 for h)
         expected = (Path(__file__).parent / "data" / "highprec_96.json").read_text()
         monkeypatch.chdir(tmp_path)  # no mahlerlab.cfg
         code, out, err = run_cli(

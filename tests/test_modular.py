@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from mpmath import mp
 
+from mahlerlab.quadrature import tanh_sinh_interval
 from mahlerlab.modular import (
     NEWFORM_F,
     NEWFORM_H,
@@ -19,9 +20,11 @@ from mahlerlab.modular import (
     QSeries,
     ResourceLimitError,
     _axis_series,
+    _axis_window,
     _recipe_f,
     _recipe_h,
     _sigma_sieve,
+    axis_mellin,
     eta_qexp,
     fricke_check,
     l_prime_at_0,
@@ -485,12 +488,80 @@ class TestLPrimeAtZero:
             assert abs(lp - want) < mp.mpf(2) ** (10 - p)
 
 
+def lambda_tanh_sinh(spec, s_values, p):
+    """Lambda(s) = level^(s/2) int f(iu) u^(s-1) du on axis_mellin's window
+    [delta, T], one tanh-sinh quadrature per s to 2^-(P+16) with f(iu)
+    memoised per node: the oracle for modular.axis_mellin."""
+    with mp.workprec(p + 48):
+        delta, t_hi, step, coeffs = _axis_window(spec, p)
+        memo = {}
+
+        def f_iu(u):
+            v = memo.get(u)
+            if v is None:
+                v = memo[u] = _axis_series(coeffs, step, mp.exp(-2 * mp.pi * u))
+            return v
+
+        tol = mp.mpf(2) ** (-(p + 16))
+        out = []
+        for s in s_values:
+            s = mp.mpf(s)
+            r = tanh_sinh_interval(lambda u: f_iu(u) * u ** (s - 1), delta, t_hi, tol,
+                                   precision=p + 32)
+            out.append(mp.mpf(spec.level) ** (s / 2) * r.value)
+        return out
+
+
+_PROBE_S = {"f": ("2.25", "1.75", "2.5", "1.5", "3.0", "1.0"),
+            "h": ("2.25", "0.75", "2.5", "0.5", "3.0", "0.0")}
+
+
+class TestAxisMellin:
+    """One trapezoidal grid in log u against per-s tanh-sinh on the same
+    window, and Lambda(0) against the Mellin split's L'(0)."""
+
+    @pytest.mark.parametrize("p", [64, 96, 128])
+    @pytest.mark.parametrize("spec", [NEWFORM_F, NEWFORM_H], ids=["f", "h"])
+    def test_matches_tanh_sinh(self, spec, p):
+        # worst measured: 1.9e-44 (f) and 1.7e-44 (h) at 128 bits, both
+        # about 2^-(P+17); tanh-sinh's own 2^-(P+16) target dominates
+        s_values = _PROBE_S[spec.name]
+        got = axis_mellin(spec, s_values, p)
+        want = lambda_tanh_sinh(spec, s_values, p)
+        with mp.workprec(p + 48):
+            gap = max(abs(a - b) / abs(b) for a, b in zip(got, want))
+            assert gap <= mp.mpf(2) ** -(p + 14), mp.nstr(gap, 3)
+
+    @pytest.mark.parametrize("p", [64, 96, 128])
+    @pytest.mark.parametrize("spec", [NEWFORM_F, NEWFORM_H], ids=["f", "h"])
+    def test_lambda_at_zero_is_l_prime_at_0(self, spec, p):
+        # Lambda(0) = L'(0) (L(0) = 0, Gamma has a pole there); worst
+        # measured 4.9e-45 relative, f at 128 bits
+        lam0 = axis_mellin(spec, [0], p)[0]
+        with mp.workprec(p + 48):
+            want = l_prime_at_0(spec, p + 32)
+            assert abs(lam0 - want) <= mp.mpf(2) ** -(p + 8) * abs(want)
+
+    def test_values_keep_the_working_precision(self):
+        # unrounded, so Lambda(1) - Lambda(3) keeps digits far below 2^-64
+        lam = axis_mellin(NEWFORM_F, [1, "2.5", mp.mpf(3)], 64)
+        assert len(lam) == 3
+        with mp.workprec(112):
+            assert 0 < abs(lam[0] - lam[2]) < mp.mpf(2) ** -80
+
+
 class TestFrickeCheck:
     def test_f_asymmetry_small(self):
         assert fricke_check(NEWFORM_F, 64) < 1e-12
 
     def test_h_asymmetry_small(self):
         assert fricke_check(NEWFORM_H, 64) < 1e-12
+
+    @pytest.mark.parametrize("p", [64, 96, 128, 160])
+    @pytest.mark.parametrize("spec", [NEWFORM_F, NEWFORM_H], ids=["f", "h"])
+    def test_asymmetry_bound(self, spec, p):
+        # worst measured ratio to 2^-(P+8): 7.8e-6, h at 160 bits
+        assert fricke_check(spec, p) <= mp.mpf(2) ** -(p + 8)
 
     def test_flipped_sign_fails_loudly(self):
         bad = NewformSpec(name="f-flipped", weight=4, level=8, fricke_sign=-1,
@@ -511,6 +582,29 @@ class TestFrickeCheck:
         with pytest.raises(FunctionalEquationViolation) as exc:
             fricke_check(bad, precision)
         assert exc.value.asymmetry > exc.value.threshold
+
+    @pytest.mark.parametrize("precision, name, flips", [
+        (64, "f", {401}),
+        (64, "h", {401}),
+        (96, "f", {401, 801}),
+        (96, "h", {401, 801, 1201}),
+    ])
+    def test_perturbation_at_the_delta_end(self, precision, name, flips):
+        # e^(-2 pi k u) from a_k + 1 lives below u ~ 1/(2 pi k), so the
+        # asymmetry it leaves is its tail above delta, about
+        # e^(-2 pi k delta)/(2 pi k): the grid must resolve the cancelling
+        # sums at delta as finely as tanh-sinh did.  The flipping set is
+        # the one per-s tanh-sinh gave on the same window
+        weight, level, recipe = {"f": (4, 8, _recipe_f), "h": (3, 16, _recipe_h)}[name]
+        flipped = set()
+        for k in (401, 801, 1201):
+            bad = NewformSpec(name=f"{name}-a{k}+1", weight=weight, level=level,
+                              fricke_sign=1, recipe=_bumped(recipe, k))
+            try:
+                fricke_check(bad, precision)
+            except FunctionalEquationViolation:
+                flipped.add(k)
+        assert flipped == flips
 
     def test_support_step(self):
         assert NEWFORM_F.support_step() == 2
@@ -567,7 +661,7 @@ class TestAxisSeries:
     @pytest.mark.parametrize("spec", [NEWFORM_F, NEWFORM_H], ids=["f", "h"])
     def test_matches_mpf_walk(self, spec, p):
         n_terms = 1600
-        work = p + 64  # the precision fricke_check's quadrature runs f_iu at
+        work = p + 48  # the precision axis_mellin runs f_iu at
         step = spec.support_step(n_terms)
         coeffs = spec._coeffs[1 : n_terms + 1 : step]
         with mp.workprec(work):

@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from mpmath import mp
 
-from mahlerlab import ffield, registry, special, wz
+from mahlerlab import ffield, mahler, registry, special, wz
 from mahlerlab.modular import QSeries
 from mahlerlab.precision import NoConvergence
 from mahlerlab.registry import (
@@ -518,6 +518,69 @@ class TestPlanNegativeControls:
         )
         assert result.deviation is None
         assert result.note.startswith("FunctionalEquationViolation: ")
+
+
+class TestStatisticalNegativeControls:
+    """A perturbed lattice-QMC side must flip each statistical check to FAIL
+    at 2^12 samples, with the seed, shifts and 5e-3 floor unchanged; the
+    reference side is never touched."""
+
+    samples = 1 << 12
+
+    @pytest.mark.parametrize("check_id, name", [
+        ("eq-1.1", "p4"),
+        ("eq-1.2", "q8"),
+        ("thm-1.1-torus", "r16"),
+        ("eq-4.4", "s0"),
+        ("m-r32", "r:32"),
+    ])
+    def test_catalogue_k_moved_by_one(self, monkeypatch, check_id, name):
+        # the lattice side integrates log|P - (k + 1)| instead of
+        # log|P - k|; the cosine form still applies, since the descriptor
+        # and its classification read the same catalogue entry.  Deviations
+        # measured: 0.342, 0.145, 0.0667, 0.0667 and 0.0313
+        exact = mahler._catalogue_entry
+
+        def moved(entry):
+            key, kind, nvars, k = exact(entry)
+            return key, kind, nvars, k + (key == name)
+
+        clean = run_check(check_id, samples=self.samples)
+        assert clean.passed
+        monkeypatch.setattr(mahler, "_catalogue_entry", moved)
+        result = run_check(check_id, samples=self.samples)
+        assert not result.passed
+        assert result.note == ""
+        assert repr(result.rhs) == repr(clean.rhs)
+
+    @pytest.mark.parametrize("check_id", ["eq-1.1", "eq-1.2", "thm-1.1-torus", "eq-4.4", "m-r32"])
+    def test_smallest_relative_shift_that_flips(self, monkeypatch, check_id):
+        # the QMC value scaled by 1 + eps (its error estimate, hence the
+        # tolerance, left alone) flips the check once eps passes
+        # (tolerance - |lhs - rhs|) / |lhs| in the direction of lhs - rhs.
+        # Measured at 2^12 samples and the default seed: eq-1.1 4.2e-3,
+        # eq-1.2 2.3e-3 (downward), thm-1.1-torus 1.8e-3, eq-4.4 1.6e-2, m-r32 1.4e-3
+        clean = run_check(check_id, samples=self.samples)
+        assert clean.passed
+        with mp.workprec(64):
+            gap = clean.lhs - clean.rhs
+            edge = (clean.tolerance - abs(gap)) / abs(clean.lhs) * mp.sign(gap)
+        exact = registry.mahler_numeric
+
+        def scaled_by(factor):
+            def numeric(*args, **kwargs):
+                result = exact(*args, **kwargs)
+                return dataclasses.replace(result, value=result.value * factor)
+
+            return numeric
+
+        for fraction, passes in (("0.99", True), ("1.01", False)):
+            with mp.workprec(64):
+                factor = 1 + edge * mp.mpf(fraction)
+            monkeypatch.setattr(registry, "mahler_numeric", scaled_by(factor))
+            result = run_check(check_id, samples=self.samples)
+            assert result.passed is passes, (fraction, mp.nstr(edge, 3))
+            assert result.tolerance == clean.tolerance
 
 
 class TestRunAll:

@@ -165,7 +165,7 @@ def _close_to(value, ref, precision):
 
 def _mellin_nodes(precision):
     """Every x = 2 pi n / sqrt(level) at which l_value evaluates E1 for f and
-    h with work = precision bits, formed as _g_split forms it."""
+    h with work = precision bits, formed as _lambda_split forms it."""
     nodes = []
     with mp.workprec(precision):
         for spec in (NEWFORM_F, NEWFORM_H):
@@ -1055,6 +1055,21 @@ class TestGammaUpperInt:
             lhs = gamma_upper_int(s + 1, x, 128)
             rhs = s * gamma_upper_int(s, x, 128) + x ** s * mp.exp(-x)
             assert abs(lhs - rhs) <= abs(lhs) * mp.mpf(2) ** -110
+
+    @pytest.mark.parametrize("x", ["2.3", "150", "700"])
+    def test_shared_exponential(self, x):
+        # one e^-x at precision + 32 bits serves every s at that x: the
+        # elementary forms and E1 on both of its routes (150 and 700 take
+        # the continued fraction at 128 bits, 2.3 the series)
+        with mp.workprec(160):
+            xx = mp.mpf(x)
+            e = mp.exp(-xx)
+        for s in (0, 1, 3, 4):
+            assert gamma_upper_int(s, xx, 128, e) == gamma_upper_int(s, xx, 128), (s, x)
+        with mp.workprec(160):
+            fake = 2 * e
+        moved = gamma_upper_int(4, xx, 128, fake) / gamma_upper_int(4, xx, 128)
+        assert abs(moved - 2) < mp.mpf(2) ** -120
 
     def test_small_x_limit(self):
         with mp.workprec(128):
