@@ -1,8 +1,9 @@
 """High-precision verification toolkit for Mahler measures, L-values,
 and hypergeometric identities.
 
-The package is organized as a stack: Levin acceleration of series
-(precision), special functions on top of it (special), deterministic
+The package is organized as a stack: a fixed-point int layer with two
+series accelerators, Richardson and Levin (precision), special functions
+on top of it (special), deterministic
 quadrature and lattice QMC (quadrature), eta-product newforms and their
 L-functions (modular), Wilf-Zeilberger certificates (wz), finite-field
 hypergeometrics (ffield), torus Mahler measures (mahler), and finally a

@@ -9,10 +9,11 @@ Series with algebraic tails (1/n^2, 1/n^3, log n/n^2 ...) need an
 accelerator: raw summation of an n^(-3) tail to twenty digits would need
 ~10^10 terms.  Two extrapolate partial sums.  `richardson` removes the
 first m terms of an expansion S_n = S + c_1/n + c_2/n^2 + ... with one
-weighted int sum; it serves every unit-argument pFq whose tail exponent is
-an integer.  `accelerate` is the Levin u-transform, for the rest: series
-with fractional or logarithmic tails, alternating series, and the
-registry's exact-partial-sum series.
+weighted int sum; special.pfq runs it for every unit-argument pFq, each
+with an integer tail exponent.  `accelerate` is the Levin u-transform,
+which also takes fractional or logarithmic tails and alternating series;
+its one caller is the registry's Levin helper, on int partial sums of the
+series whose plans take Levin rather than Richardson.
 
 mpmath runs on its pure-Python backend, so every mpf operation costs
 microseconds.  The hot loops therefore run on a small fixed-point layer: an
@@ -24,11 +25,12 @@ modular.fricke_check's q-series Horner; special.ell_k/ell_kprime (the AGM
 and pi / (2 agm) at every tanh-sinh node of the elliptic checks);
 special.pfq, whose direct sum inside the unit disk (the k-integral route's
 m_alpha series, m(R_k)'s 6F5 for |k| > 16, special.catalan's 3F2 at 1/4 and
-special.legendre_chi3's 4F3) and partial sums at |x| = 1 (the 6F5 of
+special.legendre_chi3's 4F3) and partial sums at x = 1 (the 6F5 of
 m(R_16) and the wan-moments 4F3s, which `richardson` extrapolates) step one
-int term ratio; special.zeta_int (Borwein's integer-weighted series); and
-special.exp_integral_e1 (the Mellin split's E1 terms).  Each is an int loop
-whose docstring states its error bound.
+int term ratio, as do the registry's series plans; special.zeta_int
+(Borwein's integer-weighted series); and special.exp_integral_e1 (the
+Mellin split's E1 terms).  Each is an int loop whose docstring states its
+error bound.
 """
 
 from __future__ import annotations

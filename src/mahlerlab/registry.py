@@ -33,6 +33,7 @@ lhs/rhs pair of the worst part, ties resolved to the last part.
 from __future__ import annotations
 
 import difflib
+import itertools
 import math
 import time
 import zlib
@@ -45,6 +46,8 @@ from mpmath import mp
 
 from .ffield import greene_nfn, verify_4_1
 from .mahler import (
+    _SIX_F_FIVE_LOWER,
+    _SIX_F_FIVE_UPPER,
     builtin_descriptor,
     density_integral_check,
     fourier_check,
@@ -63,13 +66,12 @@ from .modular import (
     newform_coefficient,
     theta_psi,
 )
-from .precision import NoConvergence, ResourceLimitError, accelerate
+from .precision import NoConvergence, ResourceLimitError, accelerate, from_fixed, to_fixed
 from .quadrature import IntegrandError, tanh_sinh
-from .special import PFQSpec, catalan, ell_k, ell_kprime, pfq, zeta_int
+from .special import PFQSpec, _ratio_ints, catalan, ell_k, ell_kprime, pfq, zeta_int
 from .wz import (
     PAIR_ONE,
     PAIR_TWO,
-    _central_squares,
     identity_rows,
     telescope_reconstruct,
     wz_pair_verify,
@@ -100,10 +102,12 @@ DEFAULT_SEED = 0x5EED
 DEFAULT_SAMPLES = 1 << 20
 DEFAULT_SHIFTS = 16
 
-# Convergence plateaus, measured: the accelerated binomial series reach
-# ~1e-42 at 160 bits effective (352 terms) while the tolerance there is
-# 1e-38; the Lambda-symmetry quadratures reach ~1e-45 at 128 bits against
-# a 2^-108 threshold.  Raising the caps requires re-measuring the margins.
+# Convergence plateaus, measured: at 160 bits effective the six series
+# checks deviate by 1.2e-62 (eq-2.11) to 1.5e-56 (eq-1.5), those with a
+# Levin side (128 int partial sums) by about 3e-58, while the tolerance
+# there is 1e-38; the Lambda-symmetry quadratures reach ~1e-45 at 128 bits
+# against a 2^-108 threshold.  Raising the caps requires re-measuring the
+# margins.
 _CAP_HIGH_PRECISION = 160
 _CAP_LAMBDA = 128
 _CAP_STATISTICAL = 128
@@ -240,100 +244,112 @@ def _theorem_value(work: int):
         return 192 / mp.pi ** 4 * _l_f4(work) + 7 * _zeta3(work) / mp.pi ** 2
 
 
-def _to_mpf(x) -> mp.mpf:
-    if isinstance(x, Fraction):
-        return mp.mpf(x.numerator) / mp.mpf(x.denominator)
-    return mp.mpf(x)
-
-
 def _hp_tolerance(e: int):
     with mp.workprec(64):
         return mp.mpf(10) ** (-(mp.mpf("0.3") * e - 10))
 
 
 # ---------------------------------------------------------------------------
-# Series plans (exact Fraction partial sums, Levin-accelerated)
+# Series plans.  Every series is declared once, as a PFQSpec at x = 1, and
+# its terms are stepped on ints by pfq's term ratio.  Each plan fixes its
+# extrapolator, so that the 6F5 and the 5F4 each meet both: Richardson
+# inside pfq (eq-1.5, eq-2.11's lhs, eq-3.2) or the Levin u table on int
+# partial sums (thm-1.1, eq-4.3, and the swap sum of eq-2.10 and eq-2.11's
+# rhs).
+
+# 32 sum_{n>=1} C(2n,n)^4 2^(-8n) / (2n)
+_SIX_F_FIVE = PFQSpec(_SIX_F_FIVE_UPPER, _SIX_F_FIVE_LOWER, 1)
+# sum_{n>=0} C(2n,n)^4 2^(-8n) / (2n+1)
+_FIVE_F_FOUR = PFQSpec([Fraction(1, 2)] * 5, [1, 1, 1, Fraction(3, 2)], 1)
+# (96/5) sum_{n>=1} ((4n+1)/((2n)(2n+1))) C(2n,n)^4 2^(-8n), re-indexed from 0
+_EIGHT_F_SEVEN = PFQSpec(
+    [Fraction(3, 2)] * 5 + [Fraction(9, 4), 1, 1], [2] * 5 + [Fraction(5, 4), Fraction(5, 2)], 1
+)
+# t_j = (4j+1) C(2j,j)^4 2^(-8j), tail exponent 1: its partial sums S_n grow
+# like (4/pi^2) log n
+_RAMANUJAN = PFQSpec([Fraction(1, 2)] * 4 + [Fraction(5, 4)], [1, 1, 1, Fraction(1, 4)], 1)
+
+# Levin's partial-sum count, enough for every precision up to the 160-bit
+# cap, and the fraction bits its int partial sums carry beyond the work
+# precision: accelerate's own input rule, 1.2 bits a term for the table's
+# cancellation, plus 48
+_LEVIN_TERMS = 128
+_LEVIN_GUARD = int(1.2 * _LEVIN_TERMS) + 48
 
 
-def _series_terms(e: int) -> int:
-    return max(240, int(2.2 * e))
+def _unit_terms(spec: PFQSpec, w: int) -> Iterable[int]:
+    """The series' first _LEVIN_TERMS terms at x = 1 as ints of w fraction
+    bits: t_0 = 2^w, t_(j+1) = t_j P(j) // Q(j).  Each floor costs under a
+    unit and the ratios stay below 1, so term j is off by under j units."""
+    ratio = _ratio_ints(spec)
+    t = 1 << w
+    for j in range(_LEVIN_TERMS):
+        yield t
+        pn, qn = ratio(j)
+        t = t * pn // qn
 
 
-def _quartic_series(coef: Callable[[int], Fraction], e: int, start: int = 0):
-    """Accelerated sum of coef(n) * C(2n,n)^4 / 2^(8n) from exact partials."""
-    csq = _central_squares(_series_terms(e) - 1)
-    work = e + 64
-    acc = Fraction(0)
-    partials: List[Fraction] = []
-    for n in range(start, len(csq)):
-        acc += coef(n) * Fraction(csq[n] ** 2, 1 << (8 * n))
-        partials.append(acc)
-    with mp.workprec(work):
-        sums = [_to_mpf(p) for p in partials]
-        result = accelerate(sums, precision=work)
+def _levin(sums: Iterable[int], w: int, work: int):
+    """(value, count): the Levin u extrapolant of count int partial sums of
+    w fraction bits, to work bits; NoConvergence when the table never
+    settles."""
+    values = [from_fixed(s, w) for s in sums]
+    result = accelerate(values, precision=work)
     if result.low_confidence:
         raise NoConvergence(
             "series acceleration lost confidence; value "
             f"{mp.nstr(result.value, 20)} +- {mp.nstr(result.error_estimate, 3)}"
         )
-    return result.value, len(partials)
+    return result.value, len(values)
 
 
-def _plan_swap_sum(ctx: RunContext) -> PlanResult:
-    """2 sum_n S_n/(2n+1)^2 with S_n the exact partial sums of
-    sum (4k+1) 2^(-8k) C(2k,k)^4 = 8/pi^2 (so S_n -> (4/pi^2) log n
-    divergence never enters: summation by parts turns the double sum into
-    2 sum_j t_j (pi^2/8 - sum_{n<j} (2n+1)^-2) with
-    t_j = S_j - S_{j-1} = (4j+1) 2^(-8j) C(2j,j)^4, a pure power tail the
-    accelerator handles).
+def _levin_series(spec: PFQSpec, e: int):
+    w = e + 48 + _LEVIN_GUARD
+    return _levin(itertools.accumulate(_unit_terms(spec, w)), w, e + 48)
 
-    The rearrangement is legitimate: every t_j is positive and the inner
-    tail factors are bounded, so absolute convergence carries over.
+
+def _richardson_series(spec: PFQSpec, e: int):
+    return pfq(spec, target_abs_error=_hp_tolerance(e) / 8, precision=e + 48), 0
+
+
+def _swap_series(spec: PFQSpec, e: int):
+    """2 sum_n S_n/(2n+1)^2 with S_n = sum_{k<=n} t_k the partial sums of
+    spec's series, t_k = (4k+1) 2^(-8k) C(2k,k)^4, by Levin.  S_n grows like
+    (4/pi^2) log n, so the double sum's tail carries log n; summation by
+    parts turns it into 2 sum_j t_j (pi^2/8 - sum_{n<j} (2n+1)^-2), whose
+    terms fall like 2/(pi^2 j^2), a pure power tail.  The rearrangement is
+    legitimate: every t_j is positive and the inner tail factors are
+    bounded, so absolute convergence carries over.
+
+    On ints of w fraction bits the tail factor is one to_fixed of pi^2/8
+    less one floored 2^w/(2n+1)^2 a step, so both factors of term j are off
+    by under j + 1 units and twice their floored product by under 5 (j + 1).
     """
-    n_terms = _series_terms(ctx.effective)
-    work = ctx.effective + 64
-    csq = _central_squares(n_terms - 1)
-    with mp.workprec(work):
-        pi2_8 = mp.pi ** 2 / 8
-        acc = mp.mpf(0)
-        inner = mp.mpf(0)
-        partials: List[mp.mpf] = []
-        for j in range(n_terms):
-            t_j = Fraction((4 * j + 1) * csq[j] ** 2, 1 << (8 * j))
-            acc += 2 * _to_mpf(t_j) * (pi2_8 - inner)
-            partials.append(acc)
-            inner += mp.mpf(1) / (2 * j + 1) ** 2
-        result = accelerate(partials, precision=work)
-    if result.low_confidence:
-        raise NoConvergence("double-sum acceleration lost confidence")
-    return PlanResult((result.value,), n_terms)
+    w = e + 48 + _LEVIN_GUARD
+    with mp.workprec(w + 8):
+        tail = to_fixed(mp.pi ** 2 / 8, w)
+    sums, total = [], 0
+    for j, t in enumerate(_unit_terms(spec, w)):
+        total += (t * tail) >> (w - 1)
+        sums.append(total)
+        tail -= (1 << w) // (2 * j + 1) ** 2
+    return _levin(sums, w, e + 48)
 
 
-def _series_plan(coef: Callable[[int], Fraction], start: int = 0, outer=None) -> Plan:
-    """outer(work, series) for series = sum_{n>=start} coef(n) C(2n,n)^4 /
-    2^(8n), Levin-accelerated from exact partials (the bare series when
-    outer is None)."""
+def _series_plan(series, spec: PFQSpec, outer=None) -> Plan:
+    """outer(work, value) for the value of spec's series by series, one of
+    _levin_series, _richardson_series and _swap_series (the bare value when
+    outer is None), at work = effective + 48 bits."""
 
     def plan(ctx: RunContext) -> PlanResult:
-        e = ctx.effective
-        with mp.workprec(e + 64):
-            series, n = _quartic_series(coef, e, start)
-            value = series if outer is None else outer(e + 64, series)
+        work = ctx.effective + 48
+        with mp.workprec(work):
+            value, n = series(spec, ctx.effective)
+            if outer is not None:
+                value = outer(work, value)
         return PlanResult((value,), n)
 
     return plan
-
-
-def _plan_6f5_series(ctx: RunContext) -> PlanResult:
-    e = ctx.effective
-    spec = PFQSpec(
-        upper=(Fraction(3, 2),) * 4 + (Fraction(1), Fraction(1)),
-        lower=(Fraction(2),) * 5,
-        argument=Fraction(1),
-    )
-    with mp.workprec(e + 48):
-        value = pfq(spec, target_abs_error=_hp_tolerance(e) / 8, precision=e + 48)
-    return PlanResult((value,), 0)
 
 
 # ---------------------------------------------------------------------------
@@ -636,16 +652,18 @@ def _build_registry() -> Dict[str, IdentityCheck]:
             "4 log 2 - sum_{n>=1} (1/(2n)) C(2n,n)^4 2^(-8n) "
             "= (192/pi^4) L(f,4) + 7 zeta(3)/pi^2, "
             "f the weight-4 level-8 newform eta(2t)^4 eta(4t)^4; series side "
-            "Levin-accelerated from exact partials, L-side by Mellin-split "
-            "incomplete gammas (no machinery shared between the routes)",
-            _series_plan(lambda k: Fraction(1, 2 * k), 1, lambda w, s: 4 * mp.log(2) - s),
+            "eq-1.5's 6F5 / 32 by Levin on int partial sums (eq-1.5 takes "
+            "Richardson), L-side by Mellin-split incomplete gammas (no "
+            "machinery shared between the routes)",
+            _series_plan(_levin_series, _SIX_F_FIVE, lambda w, s: 4 * mp.log(2) - s / 32),
             _const_plan(_theorem_value),
         ),
         _check(
             "high-precision", "eq-1.5",
             "6F5(3/2,3/2,3/2,3/2,1,1; 2,2,2,2,2; 1) "
-            "= 128 log 2 - 6144 L(f,4)/pi^4 - 224 zeta(3)/pi^2",
-            _plan_6f5_series,
+            "= 128 log 2 - 6144 L(f,4)/pi^4 - 224 zeta(3)/pi^2; series by "
+            "pfq's Richardson extrapolation (thm-1.1 takes Levin)",
+            _series_plan(_richardson_series, _SIX_F_FIVE),
             _const_plan(
                 lambda w: 128 * mp.log(2)
                 - 6144 * _l_f4(w) / mp.pi ** 4
@@ -707,24 +725,25 @@ def _build_registry() -> Dict[str, IdentityCheck]:
             "high-precision", "eq-2.10",
             "(8/pi^3) int_0^1 K(k) K'(k) log((1+k)/(1-k)) dk/k "
             "= 2 sum_{n>=0} S_n/(2n+1)^2, "
-            "S_n = sum_{k<=n} (4k+1) 2^(-8k) C(2k,k)^4 exact; the double sum "
-            "is evaluated by exact summation by parts (see eq-2.11)",
+            "S_n = sum_{k<=n} (4k+1) 2^(-8k) C(2k,k)^4; the double sum by "
+            "summation by parts (see eq-2.11), Levin on int partial sums",
             _quad_plan(
                 lambda k: ell_k(k) * ell_kprime(k) * mp.log((1 + k) / (1 - k)) / k,
                 lambda: 8 / mp.pi ** 3,
             ),
-            _plan_swap_sum,
+            _series_plan(_swap_series, _RAMANUJAN),
         ),
         _check(
             "high-precision", "eq-2.11",
             "14 zeta(3)/pi^2 + sum_{n>=0} 2^(-8n) C(2n,n)^4/(2n+1) "
-            "= 2 sum_{n>=0} S_n/(2n+1)^2 with exact inner partial sums S_n;  "
-            "right side via summation by parts: "
-            "2 sum_j (S_j - S_{j-1}) (pi^2/8 - sum_{n<j} (2n+1)^-2)",
+            "= 2 sum_{n>=0} S_n/(2n+1)^2 with inner partial sums S_n; left "
+            "series 5F4(1/2,1/2,1/2,1/2,1/2; 1,1,1,3/2; 1) by pfq's Richardson "
+            "extrapolation, right side via summation by parts, "
+            "2 sum_j (S_j - S_{j-1}) (pi^2/8 - sum_{n<j} (2n+1)^-2), by Levin",
             _series_plan(
-                lambda k: Fraction(1, 2 * k + 1), 0, lambda w, s: 14 * _zeta3(w) / mp.pi ** 2 + s
+                _richardson_series, _FIVE_F_FOUR, lambda w, s: 14 * _zeta3(w) / mp.pi ** 2 + s
             ),
-            _plan_swap_sum,
+            _series_plan(_swap_series, _RAMANUJAN),
         ),
         _check(
             "high-precision", "wan-moments",
@@ -738,11 +757,11 @@ def _build_registry() -> Dict[str, IdentityCheck]:
         _check(
             "high-precision", "eq-3.2",
             "-14 zeta(3)/pi^2 + 4 log 2 "
-            "= 1 + sum_{n>=1} ((4n+1)/((2n)(2n+1))) C(2n,n)^4 2^(-8n)",
+            "= 1 + sum_{n>=1} ((4n+1)/((2n)(2n+1))) C(2n,n)^4 2^(-8n) "
+            "= 1 + (5/96) 8F7(3/2,3/2,3/2,3/2,3/2,9/4,1,1; 2,2,2,2,2,5/4,5/2; 1), "
+            "by pfq's Richardson extrapolation",
             _const_plan(lambda w: -14 * _zeta3(w) / mp.pi ** 2 + 4 * mp.log(2)),
-            _series_plan(
-                lambda k: Fraction(4 * k + 1, 2 * k * (2 * k + 1)), 1, lambda w, s: 1 + s
-            ),
+            _series_plan(_richardson_series, _EIGHT_F_SEVEN, lambda w, s: 1 + 5 * s / 96),
         ),
         _check(
             "high-precision", "eq-3.5-vs-3.6",
@@ -794,9 +813,10 @@ def _build_registry() -> Dict[str, IdentityCheck]:
         _check(
             "high-precision", "eq-4.3",
             "(192/pi^4) L(f,4) - 7 zeta(3)/pi^2 "
-            "= sum_{n>=0} 2^(-8n) C(2n,n)^4/(2n+1)",
+            "= sum_{n>=0} 2^(-8n) C(2n,n)^4/(2n+1), eq-2.11's 5F4, here by "
+            "Levin on int partial sums (eq-2.11 takes Richardson)",
             _const_plan(lambda w: 192 / mp.pi ** 4 * _l_f4(w) - 7 * _zeta3(w) / mp.pi ** 2),
-            _series_plan(lambda k: Fraction(1, 2 * k + 1)),
+            _series_plan(_levin_series, _FIVE_F_FOUR),
         ),
         _check(
             "high-precision", "lambda-symmetry-f",
@@ -978,17 +998,20 @@ def _combined_error(left: PlanResult, right: PlanResult):
 
 
 def _score(check: IdentityCheck, ctx: RunContext, left: PlanResult, right: PlanResult):
-    """Worst-part deviation; lhs/rhs from that part (ties: last part)."""
+    """Worst-part deviation; lhs/rhs from that part (ties: last part).
+
+    Exact parts subtract as Fractions; any other part subtracts its two
+    sides exactly and rounds the difference once, to effective + 16 bits.
+    """
     pairs = list(zip(left.values, right.values))
     exact = all(
         isinstance(v, (Fraction, int)) for pair in pairs for v in pair
     )
-    convert = Fraction if exact else _to_mpf
     with mp.workprec(max(ctx.effective, 64) + 16):
         worst_idx = 0
-        worst = convert(0)
+        worst = Fraction(0) if exact else mp.mpf(0)
         for i, (a, b) in enumerate(pairs):
-            d = abs(convert(a) - convert(b))
+            d = abs(Fraction(a) - Fraction(b)) if exact else abs(mp.fsub(a, b))
             if d >= worst:
                 worst, worst_idx = d, i
     lhs, rhs = pairs[worst_idx]

@@ -9,15 +9,16 @@ local working-precision context.
 The kernels run on ints, in precision.py's fixed-point sense: the AGM is
 the loop a, b <- (a+b)/2, isqrt(a b) on arguments normalised by a common
 power of two, and ell_k/ell_kprime divide a fixed-point pi by its result
-without leaving ints; every pFq branch steps one small-int term ratio:
-the direct sum inside the unit disk, Richardson's extrapolation at x = 1
-for integer tail exponents (one weighted int sum) and the Levin table for
-the other series at |x| = 1; `zeta_int` sums Borwein's
-integer-weighted series; and `exp_integral_e1` sums its power series or
-runs its continued fraction's convergent recurrence, choosing per call
-whichever needs fewer long multiplies at that x and precision.  Each
-converts its inputs once and rounds its result once; `zeta_int` and
-`catalan` are correctly rounded.
+without leaving ints; both pFq branches step one small-int term ratio:
+the direct sum inside the unit disk, and Richardson's extrapolation at
+x = 1 for integer tail exponents (one weighted int sum), the only
+unit-argument series pfq accepts; the registry's Levin series step the
+same ratio (`_ratio_ints`); `zeta_int` sums Borwein's integer-weighted
+series; and `exp_integral_e1` sums its power series or runs its
+continued fraction's convergent recurrence, choosing per call whichever
+needs fewer long multiplies at that x and precision.  Each converts its
+inputs once and rounds its result once; `zeta_int` and `catalan` are
+correctly rounded.
 """
 
 from __future__ import annotations
@@ -32,7 +33,6 @@ from mpmath import libmp, mp
 from .precision import (
     MIN_PRECISION_BITS,
     NoConvergence,
-    accelerate,
     fixed_ratio,
     from_fixed,
     richardson,
@@ -301,9 +301,11 @@ def pfq(spec: PFQSpec, target_abs_error, precision: Optional[int] = None):
     unit disk the series is summed directly with a geometric tail estimate.
     At |x| = 1 the partial sums are extrapolated (the series here decay like
     n^(-2) or n^(-3), so direct summation to 10 digits would need ~10^8
-    terms, which is refused): by Richardson's weights at x = 1 when the tail
-    exponent is an integer, as for every caller in this package, and by the
-    Levin table otherwise.
+    terms, which is refused) by Richardson's weights, which hold for x = +1
+    with an integer tail exponent, as for every caller in this package: the
+    6F5 of m(R_16), the wan-moments 4F3s and m_alpha's 3F2 at alpha = 1.
+    Any other unit argument (x = -1, or a fractional tail exponent) raises
+    ValueError, as does a tail exponent <= 1 (a divergent series).
     """
     target = mp.mpf(target_abs_error)
     base = precision if precision is not None else int(-mp.log(target, 2)) + 48
@@ -316,7 +318,11 @@ def pfq(spec: PFQSpec, target_abs_error, precision: Optional[int] = None):
         rho = spec.tail_exponent()
         if rho <= 1:
             raise ValueError("pFq at unit argument needs parameter excess > 0")
-        return _pfq_unit(spec, target, base)
+        if num < 0 or rho.denominator != 1:
+            raise ValueError(
+                "pFq at |argument| = 1 is summed only at +1 with an integer tail exponent"
+            )
+        return _pfq_richardson(_ratio_ints(spec), target, base)
     return _pfq_direct(spec, target, base, terminates)[0]
 
 
@@ -485,43 +491,8 @@ def _pfq_direct(spec: PFQSpec, target, base: int, terminates: bool):
         w += math.ceil(excess) + 2
 
 
-# the most terms either unit-argument route sums before giving up
+# the most terms the unit-argument route sums before giving up
 _UNIT_TERM_CAP = 1280
-
-
-def _pfq_unit(spec: PFQSpec, target, base: int):
-    """pFq at x = +1 or -1.  At x = +1 with an integer tail exponent rho
-    the partial sums are S + sum_k c_k n^-k (the terms are n^-rho times a
-    series in 1/n), which `_pfq_richardson` extrapolates.  Otherwise (x = -1,
-    or a fractional rho, whose tail has powers n^(1-rho-k)): Levin-u over 128
-    partial sums (320 for targets <= 1e-15), doubled up to 1280 until the
-    estimate meets the target.  Terms are stepped as in _pfq_direct, on
-    ints of w = base + int(1.2 n_terms) + 48 fraction bits (1.2 bits a term
-    for the Levin table's cancellation)."""
-    ratio = _ratio_ints(spec)
-    num, den, s = _exact_argument(spec.argument, base + 32)
-    if num > 0 and spec.tail_exponent().denominator == 1:
-        return _pfq_richardson(ratio, target, base)
-    n_terms = 128 if target > mp.mpf("1e-15") else 320
-    while True:
-        w = base + int(1.2 * n_terms) + 48
-        sums, total, t = [], 0, 1 << w
-        for n in range(n_terms):
-            total += t
-            sums.append(from_fixed(total, w))
-            pn, qn = ratio(n)
-            t = ((t * num * pn) >> s) // (den * qn)
-        res = accelerate(sums, precision=base)
-        if not res.low_confidence and res.error_estimate <= target:
-            with mp.workprec(base):
-                return +res.value
-        if n_terms >= _UNIT_TERM_CAP:
-            raise NoConvergence(
-                "pFq acceleration stalled above the requested error",
-                best=res.value,
-                terms=n_terms,
-            )
-        n_terms *= 2
 
 
 def _pfq_richardson(ratio, target, base: int):

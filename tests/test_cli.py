@@ -170,7 +170,12 @@ class TestFrozenReport:
         # the mpf q-series walk, and the integer kernels reproduced every
         # byte; its two lambda-symmetry records were rewritten when Lambda(s)
         # moved from per-s tanh-sinh to axis_mellin's one trapezoidal grid
-        # (asymmetry 4.2e-37 -> 2.2e-39 for f, 2.2e-35 -> 1.6e-37 for h)
+        # (asymmetry 4.2e-37 -> 2.2e-39 for f, 2.2e-35 -> 1.6e-37 for h).
+        # It was rewritten again when the series checks moved to int partial
+        # sums (thm-1.1, eq-2.10, eq-2.11, eq-3.2 and eq-4.3 changed lhs or
+        # rhs, deviation and evals) and deviations became one rounding of
+        # the exact difference (eq-1.5, eq-2.4, e-wan, eq-2.6, eq-2.7 and
+        # eq-2.8-analytic no longer read 0.0)
         expected = (Path(__file__).parent / "data" / "highprec_96.json").read_text()
         monkeypatch.chdir(tmp_path)  # no mahlerlab.cfg
         code, out, err = run_cli(

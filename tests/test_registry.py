@@ -327,6 +327,64 @@ class TestRunCheck:
         assert "mismatch" in result.note
 
 
+# The extrapolator each series side is declared to take (None: neither),
+# as the check descriptions name it: the 6F5 meets Levin in thm-1.1 and
+# Richardson in eq-1.5, the 5F4 Levin in eq-4.3 and Richardson in eq-2.11,
+# and eq-2.11's two sides never share one.
+SERIES_ROUTES = {
+    "thm-1.1": ("levin", None),
+    "eq-1.5": ("richardson", None),
+    "eq-2.10": (None, "levin"),
+    "eq-2.11": ("richardson", "levin"),
+    "eq-3.2": (None, "richardson"),
+    "eq-4.3": (None, "levin"),
+}
+
+
+class TestSeriesPlans:
+    @pytest.mark.parametrize("check_id", sorted(SERIES_ROUTES))
+    def test_each_side_reaches_its_declared_extrapolator(self, monkeypatch, check_id):
+        calls = []
+
+        def counted(name, kernel):
+            def wrapper(*args, **kwargs):
+                calls.append(name)
+                return kernel(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(registry, "accelerate", counted("levin", registry.accelerate))
+        monkeypatch.setattr(special, "richardson", counted("richardson", special.richardson))
+        check = get_check(check_id)
+        ctx = registry.RunContext(check_id, 64, registry.DEFAULT_SEED, registry.DEFAULT_SAMPLES)
+        for plan, declared in zip((check.lhs_plan, check.rhs_plan), SERIES_ROUTES[check_id]):
+            calls.clear()
+            plan(ctx)
+            assert set(calls) == ({declared} if declared else set()), (check_id, declared)
+
+    @pytest.mark.parametrize("precision", [64, 96, 128, 160])
+    def test_margin_below_the_cap(self, precision):
+        # the registry docstring's claim: below the cap every series check
+        # stays a factor 10^4 inside its tolerance.  Measured worst: eq-1.5,
+        # 1.5e-18 of the tolerance at 160 bits
+        for check_id in SERIES_ROUTES:
+            result = run_check(check_id, precision)
+            assert result.passed, (check_id, result.note)
+            with mp.workprec(64):
+                assert result.deviation <= result.tolerance / 10 ** 4, check_id
+
+    def test_levin_low_confidence_fails_the_check(self, monkeypatch):
+        exact = registry.accelerate
+
+        def doubtful(sums, precision=None):
+            return dataclasses.replace(exact(sums, precision), low_confidence=True)
+
+        monkeypatch.setattr(registry, "accelerate", doubtful)
+        for check_id in ("thm-1.1", "eq-2.10", "eq-4.3"):
+            result = run_check(check_id, 64)
+            assert not result.passed and result.deviation is None
+            assert result.note.startswith("NoConvergence: series acceleration lost confidence")
+
+
 @pytest.fixture
 def small_wz_range(monkeypatch):
     """The WZ checks on n <= 40, with the shared row cache emptied before
@@ -353,10 +411,8 @@ def _pair_scaled_at(fn, cell):
 
 
 class TestWZNegativeControls:
-    """One perturbed input must flip each WZ check, and each series check
-    that reads the same C(2k,k)^2, to FAIL with a deviation beyond its
-    tolerance; the unperturbed check passes on the same range, at 64 bits
-    where a precision applies."""
+    """One perturbed input must flip each WZ check to FAIL with a deviation
+    beyond its tolerance; the unperturbed check passes on the same range."""
 
     def _assert_flips(self, check_id, perturb):
         clean = run_check(check_id, 64)
@@ -390,14 +446,10 @@ class TestWZNegativeControls:
 
         self._assert_flips(check_id, perturb)
 
-    @pytest.mark.parametrize("check_id", [
-        "wz-telescope", "wz-2.8-2.9", "thm-1.1", "eq-2.10", "eq-2.11", "eq-3.2", "eq-4.3",
-    ])
+    @pytest.mark.parametrize("check_id", ["wz-telescope", "wz-2.8-2.9"])
     def test_central_square_off_by_one(self, small_wz_range, monkeypatch, check_id):
-        # one C(2k,k)^2, patched where the check's plans read it: in wz for
-        # the row-sum kernel (the telescope's certificates take theirs from
-        # binom and so expose it), in registry for the C(2n,n)^4 series
-        module = wz if check_id.startswith("wz-") else registry
+        # one C(2k,k)^2 of the row-sum kernel (the telescope's certificates
+        # take theirs from binom and so expose it)
         exact_squares = wz._central_squares
 
         def off_by_one(n):
@@ -406,7 +458,7 @@ class TestWZNegativeControls:
             return squares
 
         self._assert_flips(
-            check_id, lambda: monkeypatch.setattr(module, "_central_squares", off_by_one)
+            check_id, lambda: monkeypatch.setattr(wz, "_central_squares", off_by_one)
         )
 
     def test_telescope_certificate_scaled_at_one_cell(self, small_wz_range, monkeypatch):
@@ -418,7 +470,7 @@ class TestWZNegativeControls:
 
 class TestPlanNegativeControls:
     """One perturbed input must flip each check whose plans come from a
-    shared builder (per-prime, Fricke, summation by parts) to FAIL; the
+    shared builder (per-prime, Fricke, the series plans) to FAIL; the
     unperturbed check passes at the same precision."""
 
     def _assert_flips(self, check_id, perturb, precision=64):
@@ -475,23 +527,50 @@ class TestPlanNegativeControls:
         assert result.deviation == deviation
         assert result.note == ""
 
+    @pytest.mark.parametrize("check_id, module", [
+        ("thm-1.1", "registry"),
+        ("eq-2.10", "registry"),
+        ("eq-2.11", "registry"),
+        ("eq-2.11", "special"),
+        ("eq-3.2", "special"),
+        ("eq-4.3", "registry"),
+    ])
+    def test_term_ratio_off_at_one_index(self, monkeypatch, check_id, module):
+        # the series' term ratio t_6 / t_5 scaled by 1 + 2^-10, patched
+        # where the side reads it: registry's binding for the Levin plans,
+        # special's for pfq's Richardson route.  Every later term moves with
+        # it: measured deviations 5.5e-7 (thm-1.1) to 3.5e-5 (the swap sum),
+        # against a tolerance of 6.3e-10 at 64 bits
+        exact = special._ratio_ints
+
+        def off_at_five(spec):
+            ratio = exact(spec)
+
+            def perturbed(n):
+                pn, qn = ratio(n)
+                return (1025 * pn, 1024 * qn) if n == 5 else (pn, qn)
+
+            return perturbed
+
+        target = {"registry": registry, "special": special}[module]
+        result = self._assert_flips(
+            check_id, lambda: monkeypatch.setattr(target, "_ratio_ints", off_at_five)
+        )
+        assert result.deviation > result.tolerance
+        assert result.note == ""
+
     def test_eq_1_5_6f5_without_its_first_term(self, monkeypatch):
-        # the 6F5 summed without t_0 = 1 on the Richardson path alone: the
-        # 6F5 lies in [1, 2), so each partial sum's top bit is t_0's 2^w;
-        # the series side, the 6F5 itself, moves by 1, and the Levin table
-        # is never run
+        # the 6F5 summed without t_0 = 1 on the Richardson path: the 6F5
+        # lies in [1, 2), so each partial sum's top bit is t_0's 2^w; the
+        # series side, the 6F5 itself, moves by 1
         exact = special.richardson
 
         def without_first(sums, n):
             first = 1 << (sums[0].bit_length() - 1)
             return exact([s - first for s in sums], n)
 
-        def refused(sums, precision=None):
-            raise AssertionError("eq-1.5 reached the Levin table")
-
         def perturb():
             monkeypatch.setattr(special, "richardson", without_first)
-            monkeypatch.setattr(special, "accelerate", refused)
 
         result = self._assert_flips("eq-1.5", perturb)
         assert abs(result.deviation - 1) < mp.mpf("1e-9")

@@ -135,8 +135,11 @@ def _pfq_direct_mpf(spec, target, base):
 
 
 def _pfq_unit_mpf(spec, target, base):
-    # the mpf partial sums the int unit-argument path replaced, now with the
-    # argument's factor (+-1, so exact); the same terms, widths and retries
+    # the Levin route pfq had at |x| = 1 before Richardson took every series
+    # it accepts: mpf partial sums with the argument's factor (+-1, so
+    # exact), Levin over 128 of them (320 for targets <= 1e-15), doubled up
+    # to 1280 until the estimate meets the target.  The Levin table's
+    # alternating (x = -1) and n^-1.5 cases run through it
     n_terms = 128 if target > mp.mpf("1e-15") else 320
     while True:
         with mp.workprec(base + int(1.2 * n_terms) + 48):
@@ -154,7 +157,12 @@ def _pfq_unit_mpf(spec, target, base):
         if not res.low_confidence and res.error_estimate <= target:
             with mp.workprec(base):
                 return +res.value
-        assert n_terms < 1280, "the mpf oracle stalled"
+        if n_terms >= 1280:
+            raise NoConvergence(
+                "pFq acceleration stalled above the requested error",
+                best=res.value,
+                terms=n_terms,
+            )
         n_terms *= 2
 
 
@@ -481,27 +489,27 @@ class TestCatalan:
             assert abs(catalan(128) - catalan(256)) < mp.mpf(2) ** -120
 
     def test_missed_target_raises(self, monkeypatch):
-        # an accelerator that never meets the target: every pass of pfq's
-        # unit-argument path (320, 640 and 1280 terms at 136 bits) on G's
+        # an accelerator that never meets the target: every pass of the
+        # Levin oracle (320, 640 and 1280 terms at 136 bits) on G's
         # alternating 3F2 at -1 must end in NoConvergence, not a value
         def stalled(sums, precision=None):
             return AccelResult(value=sums[-1], error_estimate=mp.mpf(1), low_confidence=True)
 
-        monkeypatch.setattr(special, "accelerate", stalled)
+        monkeypatch.setitem(globals(), "accelerate", stalled)
         with pytest.raises(NoConvergence) as info:
-            pfq(_CATALAN_3F2, mp.mpf(2) ** -132, precision=136)
+            _pfq_unit_mpf(_CATALAN_3F2, mp.mpf(2) ** -132, 136)
         assert info.value.terms == 1280
         assert abs(info.value.best - mp.mpf("0.91596559")) < 1e-3
 
     def test_low_confidence_alone_raises(self, monkeypatch):
-        exact = special.accelerate
+        exact = accelerate
 
         def doubtful(sums, precision=None):
             return dataclasses.replace(exact(sums, precision), low_confidence=True)
 
-        monkeypatch.setattr(special, "accelerate", doubtful)
+        monkeypatch.setitem(globals(), "accelerate", doubtful)
         with pytest.raises(NoConvergence):
-            pfq(_CATALAN_3F2, mp.mpf(2) ** -132, precision=136)
+            _pfq_unit_mpf(_CATALAN_3F2, mp.mpf(2) ** -132, 136)
 
     def test_correctly_rounded_sweep(self):
         # every precision from 16 to 600 bits; G lies within 2^-(p+9) of a
@@ -512,10 +520,11 @@ class TestCatalan:
         assert wrong == []
 
     def test_needs_no_accelerator(self, monkeypatch):
-        def refused(sums, precision=None):
-            raise AssertionError("catalan reached the accelerator")
+        # Bradley's 3F2 at 1/4 is summed directly: no extrapolator runs
+        def refused(*args):
+            raise AssertionError("catalan reached an extrapolator")
 
-        monkeypatch.setattr(special, "accelerate", refused)
+        monkeypatch.setattr(special, "richardson", refused)
         with mp.workprec(200):
             assert catalan(144) == mp.mpf(mp.catalan, prec=144)
 
@@ -637,15 +646,17 @@ class TestPfq:
 
     def test_unit_argument_watson(self):
         # 3F2(1/2,1/2,1/2; 1,1; 1) = pi / Gamma(3/4)^4; the n^-1.5 tail is the
-        # hardest decay rate the Levin path is asked to handle
+        # hardest decay rate the Levin table is asked to handle.  pfq refuses
+        # the fractional tail exponent, so the Levin oracle sums it, at the
+        # 97 bits pfq would have taken for this target
         spec = PFQSpec([Fraction(1, 2)] * 3, [Fraction(1)] * 2, 1)
         with mp.workprec(160):
-            v = pfq(spec, mp.mpf(10) ** -15)
+            v = _pfq_unit_mpf(spec, mp.mpf(10) ** -15, 97)
             ref = mp.pi / mp.gamma(mp.mpf(3) / 4) ** 4
             assert abs(v - ref) < mp.mpf(10) ** -14
 
     def test_unit_argument_six_five(self):
-        # tail decays like n^-3: Levin must reach 1e-25 from ~320 terms
+        # tail decays like n^-3: Richardson must reach 1e-25
         spec = PFQSpec([Fraction(3, 2)] * 4 + [Fraction(1)] * 2, [Fraction(2)] * 5, 1)
         with mp.workprec(200):
             v = pfq(spec, mp.mpf(10) ** -25)
@@ -806,12 +817,23 @@ def _hyper(spec, precision):
 class TestPfqArgument:
     @pytest.mark.parametrize("precision", [96, 300])
     def test_minus_one_is_summed_at_minus_one(self, precision):
-        # 3F2(1, 1/2, 1/2; 3/2, 3/2; -1) is Catalan's G, not the pi^2/8 of +1
+        # 3F2(1, 1/2, 1/2; 3/2, 3/2; -1) is Catalan's G, not the pi^2/8 of
+        # +1: the Levin oracle's alternating case
         target = mp.mpf(2) ** -(precision - 6)
-        value = pfq(_CATALAN_3F2, target, precision=precision)
+        value = _pfq_unit_mpf(_CATALAN_3F2, target, precision)
         assert abs(value - _hyper(_CATALAN_3F2, precision + 64)) <= target
         with mp.workprec(precision + 64):
             assert abs(value - mp.catalan) <= target
+
+    @pytest.mark.parametrize("spec", [
+        _CATALAN_3F2,
+        PFQSpec([Fraction(1, 2)] * 3, [Fraction(1)] * 2, 1),
+    ], ids=["catalan-at-minus-one", "watson-tail-3/2"])
+    def test_unit_argument_outside_richardson_refused(self, spec):
+        # x = -1, and x = +1 with the fractional tail exponent 3/2: pfq sums
+        # neither
+        with pytest.raises(ValueError, match="only at \\+1 with an integer tail exponent"):
+            pfq(spec, mp.mpf(2) ** -40, precision=96)
 
     def test_argument_just_below_one_is_not_one(self):
         # 1 - 2^-80 must not be summed as x = 1 (mpmath puts that value
@@ -869,11 +891,14 @@ class TestPfqUnitAgainstMpfOracle:
 
     @pytest.mark.parametrize("precision", [64, 200, 400, 700])
     def test_within_target(self, precision):
+        # pfq's Richardson route within the target of the Levin oracle, and
+        # the oracle's alternating case within the target of G
         for slack in (40, 48):
             target = mp.mpf(2) ** -(precision - slack)
-            for spec in (_SIX_F_FIVE, _wan_4f3(0), _wan_4f3(5), _CATALAN_3F2):
+            for spec in (_SIX_F_FIVE, _wan_4f3(0), _wan_4f3(5)):
                 value = pfq(spec, target, precision=precision)
                 assert abs(value - _pfq_unit_mpf(spec, target, precision)) <= target, (spec, slack)
+            value = _pfq_unit_mpf(_CATALAN_3F2, target, precision)
             with mp.workprec(precision + 64):
                 assert abs(value - mp.catalan) <= target, slack
 
@@ -888,8 +913,7 @@ class TestPfqUnitAgainstMpfOracle:
 
 class TestPfqRichardson:
     # pfq at x = 1 with an integer tail exponent extrapolates its int partial
-    # sums by Richardson's weights; every other unit-argument series keeps
-    # the Levin table
+    # sums by Richardson's weights; it refuses every other unit argument
 
     _SPECS = [_SIX_F_FIVE] + [_wan_4f3(m) for m in range(7)]
 
@@ -911,29 +935,28 @@ class TestPfqRichardson:
                 assert _close_to(value, ref, precision), spec
 
     def test_routes(self, monkeypatch):
-        # integer tail exponents at +1 never reach the Levin table; G's
-        # alternating 3F2 at -1 and Watson's 3F2 (rho = 3/2) never reach
-        # Richardson
-        levin, extrapolate = special.accelerate, special.richardson
+        # integer tail exponents at +1 reach Richardson, once per spec at
+        # least; G's alternating 3F2 at -1 and Watson's 3F2 (rho = 3/2) are
+        # refused before any partial sum is formed
+        extrapolate = special.richardson
         calls = []
 
-        def counted(name, kernel):
-            def wrapper(*args, **kwargs):
-                calls.append(name)
-                return kernel(*args, **kwargs)
-            return wrapper
+        def counted(sums, n):
+            calls.append(n)
+            return extrapolate(sums, n)
 
-        monkeypatch.setattr(special, "accelerate", counted("levin", levin))
-        monkeypatch.setattr(special, "richardson", counted("richardson", extrapolate))
+        monkeypatch.setattr(special, "richardson", counted)
         alpha_one = PFQSpec([Fraction(1, 2)] * 3, [Fraction(1), Fraction(3, 2)], 1)
         for spec in self._SPECS + [alpha_one]:
+            calls.clear()
             pfq(spec, mp.mpf(2) ** -100, precision=128)
-        assert set(calls) == {"richardson"}
+            assert calls, spec
         watson = PFQSpec([Fraction(1, 2)] * 3, [Fraction(1)] * 2, 1)
         for spec in (_CATALAN_3F2, watson):
             calls.clear()
-            pfq(spec, mp.mpf(2) ** -40, precision=96)
-            assert set(calls) == {"levin"}, spec
+            with pytest.raises(ValueError):
+                pfq(spec, mp.mpf(2) ** -40, precision=96)
+            assert calls == [], spec
 
     def test_missed_target_raises(self):
         # 2^-4000 needs more than the 1280-term cap (R(2m, m) gains about
