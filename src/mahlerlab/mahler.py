@@ -24,6 +24,7 @@ builders), so the hypergeometric and tanh-sinh routes never load it.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from types import MappingProxyType
@@ -31,6 +32,7 @@ from typing import Dict, Mapping, Optional, Tuple, Union
 
 from mpmath import mp
 
+from .precision import from_fixed, to_fixed
 from .quadrature import (
     DEFAULT_QMC_SEED,
     QuadratureResult,
@@ -39,7 +41,7 @@ from .quadrature import (
     tanh_sinh_interval,
     torus_qmc,
 )
-from .special import PFQSpec, ell_k, ell_kprime, gamma_half_int, legendre_chi3, pfq
+from .special import PFQSpec, _agm_fixed, ell_k, ell_kprime, gamma_half_int, legendre_chi3, pfq
 
 __all__ = [
     "LaurentDescriptor",
@@ -379,6 +381,33 @@ def _check_alpha_unit(alpha, what: str):
     return a
 
 
+def _m_alpha_integrand(rho):
+    """2 R / agm(1, R sqrt(2 - R^2)) at R = 1 - rho, for 0 <= rho < 1,
+    rounded once to p = mp.prec bits.
+
+    Ints at w = p + 32 fraction bits.  R = 2^w - floor(rho 2^w) moves the
+    abscissa by under 2^-w, where the integrand's slope is below w (it
+    grows like (4/pi) log(1/R)).  c = R sqrt(2 - R^2) is one isqrt of the
+    exact int 2^(2w+1) - R^2 and one floored shift: under 2 units below
+    its value at the moved abscissa, and c >= R >= 1 unit, as tanh-sinh's
+    abscissae stop short of rho = 1, the far end at a = 1.  A relative
+    change d in the smaller AGM argument moves the mean by at most d
+    relative (Euler's relation), so c's floors and `_agm_fixed`'s n < 2w
+    truncating steps move the mean m by under (n + 2) / c relative and
+    2R / m by under 2 (n + 2) / (m 2^w) < 4 w^2 2^-w, as 1/m < w for
+    c >= 2^-w.  The loop's stopping rule adds 2^-(p+8) relative and the
+    floored division at g = p + 24 fraction bits 2^-g, so for w below
+    2,800 the value (at most 2) is within 2^-(p+6) before its one
+    rounding.
+    """
+    p = mp.prec
+    w, g = p + 32, p + 24
+    r = (1 << w) - to_fixed(rho, w)
+    c = (r * math.isqrt((2 << 2 * w) - r * r)) >> w
+    a = _agm_fixed(1 << w, c, p)
+    return from_fixed((r << (g + 1)) // a, g, p)
+
+
 def m_alpha(alpha, route: str = "series", precision: Optional[int] = None):
     """m(4 alpha + x + 1/x + y + 1/y) for 0 <= alpha <= 1.
 
@@ -386,8 +415,14 @@ def m_alpha(alpha, route: str = "series", precision: Optional[int] = None):
     a * 3F2(1/2,1/2,1/2; 1,3/2; a^2); at a = 1 the series decays like n^-2
     and goes through the accelerated unit-argument path, giving 4G/pi.
 
-    integral route: (2/pi) int_0^{arcsin a} K(sin u) cos u du by tanh-sinh;
-    the u = pi/2 endpoint of a = 1 is a log singularity the rule absorbs.
+    integral route: m(4a) = (2/pi) int_0^{arcsin a} K(sin u) cos u du.  With
+    sin u = 1 - r^2 and (2/pi) K(s) = 1 / agm(1, sqrt(1 - s^2)) it becomes
+    int_{sqrt(1-a)}^1 2r dr / agm(1, r sqrt(2 - r^2)): no cosine and no pi
+    per node, and sqrt(1 - s^2) = r sqrt(2 - r^2) has no cancellation.  The
+    log singularity of a = 1 moves to r = 0 as r log r, as mild as the cos
+    form's c log c, so tanh-sinh takes the same levels as it did in u.  The
+    rule runs over rho = 1 - r in [0, a / (1 + sqrt(1 - a))]: for small a
+    the ends sqrt(1 - a) and 1 of the r interval would round together.
     """
     if route not in _M_ROUTES:
         raise ValueError(f"route must be one of {_M_ROUTES}, got {route!r}")
@@ -403,21 +438,10 @@ def m_alpha(alpha, route: str = "series", precision: Optional[int] = None):
                 argument=a * a,
             )
             return a * pfq(spec, mp.mpf(2) ** (-(base + 8)), precision=base + 16)
-        upper = mp.asin(a)
+        upper = a / (1 + mp.sqrt(1 - a))
         tol = mp.mpf(2) ** (-(base + 4))
-
-        # K(sin u) = K'(cos u) = pi / (2 agm(1, cos u)); the cos form stays
-        # accurate where quadrature abscissae push sin u within an ulp of 1.
-        # Rounding of asin(1) can put a node an ulp past pi/2; the integrand
-        # limit there is 0.
-        def integrand(u):
-            c = mp.cos(u)
-            if c <= 0:
-                return mp.mpf(0)
-            return ell_kprime(c) * c
-
-        result = tanh_sinh_interval(integrand, mp.mpf(0), upper, tolerance=tol, precision=base + 24)
-        return 2 / mp.pi * result.value
+        result = tanh_sinh_interval(_m_alpha_integrand, mp.mpf(0), upper, tolerance=tol, precision=base + 24)
+        return +result.value
 
 
 def r_alpha(
@@ -432,8 +456,9 @@ def r_alpha(
 
     polylog route (0 <= alpha <= 1 only): (4/pi^2) sum_n alpha^(2n+1)/(2n+1)^3.
     k-integral route: (4/pi^2) int_0^1 m_alpha(alpha k) K'(k) dk; the inner
-    measure uses its series form away from 1 and its integral form on the
-    last 2 percent, where the series slows down.
+    measure uses its series form away from 1 and, on the last 2 percent,
+    where the series slows down, its integral form in r = sqrt(1 - sin u),
+    an int AGM per node with no cosine.
     torus route: 4-variable QMC of the defining integral; Monte Carlo grade
     accuracy, returned as the lattice-rule median.
     """

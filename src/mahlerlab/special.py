@@ -61,13 +61,13 @@ def _ambient(precision: Optional[int]) -> int:
     return precision if precision is not None else mp.prec
 
 
-def _agm_fixed(x, y, p: int):
-    """agm of two positive raw mpf tuples as (a, f): the mean is a * 2^-f.
+def _agm_fixed(a: int, b: int, p: int) -> int:
+    """agm of two positive ints on one fixed-point scale, on that scale.
 
-    Both arguments become ints with f = p + 16 - min(mag) fraction bits,
-    so the smaller keeps p + 16 significant bits and the larger more:
-    exactly for the moduli ell_k and ell_kprime pass, floored for longer
-    inputs.  Near k = 0 the mean is that sensitive to the smaller argument.
+    This is the one AGM loop; callers put their arguments on ints.  The
+    bound assumes the smaller argument carries at least p + 16 significant
+    bits (`_half_pi_over_agm` normalises its tuples so; the integrand of
+    `mahler.m_alpha`'s integral route states its own bound).
 
     Each step a, b <- (a+b) >> 1, isqrt(a b) truncates by at most one unit,
     and neither falls below the smaller argument, so a step adds under
@@ -77,11 +77,9 @@ def _agm_fixed(x, y, p: int):
     and the mean lies between b and a, so a is within 2^-(p+8) relative.
     Quadratic convergence: about log2(p) + log2(gap) steps.
     """
-    f = p + 16 - min(x[2] + x[3], y[2] + y[3])
-    a, b = libmp.to_fixed(x, f), libmp.to_fixed(y, f)
     while abs(a - b) > a >> (p + 8):
         a, b = (a + b) >> 1, math.isqrt(a * b)
-    return a, f
+    return a
 
 
 def _modulus(k, prec: int):
@@ -95,6 +93,11 @@ def _half_pi_over_agm(kc, p: int):
     """pi / (2 agm(1, kc)) for a raw mpf tuple 0 < kc <= 1, rounded once to
     p bits.
 
+    1 and kc become ints with f = p + 24 - mag(kc) fraction bits, so kc,
+    the smaller, keeps p + 24 significant bits: exactly for the moduli
+    ell_k and ell_kprime pass.  Near k = 0 the mean is that sensitive to
+    the smaller argument.
+
     The mean m lies in [kc, 1], so the result is at least pi/2.  The int a
     is within 2^-(p+16) of m relative (`_agm_fixed` at p + 8), and the
     quotient floor(pi 2^g) 2^f / (2 a) is taken on ints at g = p + 24
@@ -102,7 +105,8 @@ def _half_pi_over_agm(kc, p: int):
     cost under 2^-(p+23) relative, so the result is within 2^-(p+15)
     relative before its one rounding to p bits.
     """
-    a, f = _agm_fixed(libmp.fone, kc, p + 8)
+    f = p + 24 - (kc[2] + kc[3])
+    a = _agm_fixed(1 << f, libmp.to_fixed(kc, f), p + 8)
     g = p + 24
     v = (libmp.pi_fixed(g) << (f - 1)) // a
     return mp.make_mpf(libmp.from_man_exp(v, -g, p, _NEAREST))

@@ -175,7 +175,9 @@ class TestFrozenReport:
         # sums (thm-1.1, eq-2.10, eq-2.11, eq-3.2 and eq-4.3 changed lhs or
         # rhs, deviation and evals) and deviations became one rounding of
         # the exact difference (eq-1.5, eq-2.4, e-wan, eq-2.6, eq-2.7 and
-        # eq-2.8-analytic no longer read 0.0)
+        # eq-2.8-analytic no longer read 0.0), and once more when m_alpha's
+        # integral route moved to ints in rho = 1 - sqrt(1 - sin u)
+        # (fourier-3.10's lhs and deviation ...412350561804 -> ...412465356174)
         expected = (Path(__file__).parent / "data" / "highprec_96.json").read_text()
         monkeypatch.chdir(tmp_path)  # no mahlerlab.cfg
         code, out, err = run_cli(

@@ -30,7 +30,8 @@ from mahlerlab.mahler import (
 )
 from mahlerlab.modular import NEWFORM_F, l_value
 from mahlerlab.precision import accelerate
-from mahlerlab.special import catalan, zeta_int
+from mahlerlab.quadrature import tanh_sinh_interval
+from mahlerlab.special import catalan, ell_kprime, zeta_int
 
 
 def central_binomial(n: int) -> int:
@@ -296,10 +297,12 @@ class TestMAlpha:
         assert abs(s - i) < mp.mpf("1e-12")
 
     def test_alpha_one_is_catalan(self):
-        with mp.workprec(128):
-            target = 4 * catalan(96) / mp.pi
-            assert abs(m_alpha(1, "series", precision=96) - target) < mp.mpf("1e-20")
-            assert abs(m_alpha(1, "integral", precision=96) - target) < mp.mpf("1e-20")
+        for base in (64, 96, 128):
+            with mp.workprec(base + 32):
+                target = 4 * catalan(base + 16) / mp.pi
+                for route in ("series", "integral"):
+                    value = m_alpha(1, route, precision=base)
+                    assert abs(value - target) <= mp.mpf(2) ** -(base + 2), (base, route)
 
     def test_small_alpha_linear(self):
         # leading term of the series is alpha itself
@@ -312,6 +315,50 @@ class TestMAlpha:
         s = m_alpha(Fraction(alpha), "series", precision=64)
         i = m_alpha(Fraction(alpha), "integral", precision=64)
         assert abs(s - i) < mp.mpf("1e-10")
+
+
+def m_alpha_cos_form(alpha, base: int):
+    """(2/pi) int_0^{arcsin a} K'(cos u) cos u du by tanh-sinh, through
+    ell_kprime at every node: the integral route's earlier integrand, in
+    the variable u and with the same rule, tolerance and precisions (oracle
+    for the int integrand in r = sqrt(1 - sin u))."""
+    with mp.workprec(base + 24):
+        tol = mp.mpf(2) ** (-(base + 4))
+
+        def integrand(u):
+            c = mp.cos(u)
+            if c <= 0:  # a node rounded an ulp past pi/2
+                return mp.mpf(0)
+            return ell_kprime(c) * c
+
+        result = tanh_sinh_interval(integrand, mp.mpf(0), mp.asin(alpha), tolerance=tol, precision=base + 24)
+        return 2 / mp.pi * result.value
+
+
+class TestMAlphaIntegralRoute:
+    # alpha from 2^-200, where sqrt(1 - alpha) rounds to 1, to the log
+    # singularity at alpha = 1, with 1 - alpha down to 2^-116
+    @pytest.mark.parametrize("base", [64, 96, 128])
+    def test_matches_cos_form(self, base):
+        with mp.workprec(base + 64):
+            alphas = [mp.mpf(2) ** -200, mp.mpf("1e-20"), mp.mpf("1e-3"), mp.mpf("0.5"), mp.mpf("0.98")]
+            alphas += [1 - mp.mpf(2) ** -e for e in (7, 20, 60, 116)] + [mp.mpf(1)]
+            for alpha in alphas:
+                new = m_alpha(alpha, "integral", precision=base)
+                assert abs(new - m_alpha_cos_form(alpha, base)) <= mp.mpf(2) ** -(base + 2), alpha
+
+    @pytest.mark.parametrize("base", [64, 96, 128])
+    def test_tiny_alpha_is_alpha(self, base):
+        # m(4a) = a + O(a^3); the interval in rho = 1 - r keeps its width
+        # a / (1 + sqrt(1 - a)) where sqrt(1 - a) itself rounds to 1.  The
+        # rule's tolerance is absolute, so it stops at level 2 here, whose
+        # relative error on the near-constant integrand is 3.7e-14 (the cos
+        # form's too); 2^-40 relative still sees a value off by a factor
+        alpha = mp.mpf(2) ** -200
+        value = m_alpha(alpha, "integral", precision=base)
+        with mp.workprec(base + 32):
+            assert abs(value - alpha) <= mp.mpf(2) ** -(base + 4)
+            assert abs(value - alpha) <= alpha * mp.mpf(2) ** -40
 
 
 class TestRAlpha:

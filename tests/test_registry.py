@@ -599,6 +599,37 @@ class TestPlanNegativeControls:
         assert result.note.startswith("FunctionalEquationViolation: ")
 
 
+class TestRAlphaNegativeControls:
+    """eq-3.5-vs-3.6 at 96 bits flips to FAIL under either side scaled by
+    1 + 2^-power.  m_alpha is scaled on both inner routes at once, so the
+    k-integral's integrand keeps no jump at the 0.98 seam and its outer
+    tanh-sinh stops at the clean run's level (a jump there drives it
+    through all 12 levels before NoConvergence)."""
+
+    # R(1) = 0.426 is the largest of the three values, so the deviation is
+    # 0.426 2^-power against the 1e-8 tolerance: 2^-25 is the smallest
+    # flipping power of two on either side (1.3e-8), and 2^-26 passes
+    @pytest.mark.parametrize("name, power, passes", [
+        ("m_alpha", 16, False),
+        ("m_alpha", 25, False),
+        ("m_alpha", 26, True),
+        ("legendre_chi3", 20, False),
+        ("legendre_chi3", 25, False),
+        ("legendre_chi3", 26, True),
+    ])
+    def test_scaled_side(self, monkeypatch, name, power, passes):
+        exact = getattr(mahler, name)
+
+        def scaled(*args, **kwargs):
+            return exact(*args, **kwargs) * (1 + mp.mpf(2) ** -power)
+
+        monkeypatch.setattr(mahler, name, scaled)
+        result = run_check("eq-3.5-vs-3.6", 96)
+        assert result.passed is passes
+        assert (result.deviation > result.tolerance) is not passes
+        assert result.note == ""
+
+
 class TestStatisticalNegativeControls:
     """A perturbed lattice-QMC side must flip each statistical check to FAIL
     at 2^12 samples, with the seed, shifts and 5e-3 floor unchanged; the
