@@ -9,7 +9,8 @@ local working-precision context.
 The kernels run on ints, in precision.py's fixed-point sense: the AGM is
 the loop a, b <- (a+b)/2, isqrt(a b) on arguments normalised by a common
 power of two, and ell_k/ell_kprime divide a fixed-point pi by its result
-without leaving ints; both pFq branches step one small-int term ratio:
+without leaving ints (`mahler.m_alpha`'s integral route runs the same
+loop); both pFq branches step one small-int term ratio:
 the direct sum inside the unit disk, and Richardson's extrapolation at
 x = 1 for integer tail exponents (one weighted int sum), the only
 unit-argument series pfq accepts; the registry's Levin series step the
