@@ -318,10 +318,10 @@ class TestMAlpha:
 
 
 def m_alpha_cos_form(alpha, base: int):
-    """(2/pi) int_0^{arcsin a} K'(cos u) cos u du by tanh-sinh, through
-    ell_kprime at every node: the integral route's earlier integrand, in
-    the variable u and with the same rule, tolerance and precisions (oracle
-    for the int integrand in r = sqrt(1 - sin u))."""
+    """(2/pi) int_0^{arcsin a} K'(cos u) cos u du by tanh-sinh, with
+    mp.cos and ell_kprime at every node and the integral route's rule,
+    tolerance and precisions: the same integral in u (oracle for the int
+    integrand in r = sqrt(1 - sin u))."""
     with mp.workprec(base + 24):
         tol = mp.mpf(2) ** (-(base + 4))
 
