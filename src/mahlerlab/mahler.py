@@ -11,8 +11,8 @@ This module evaluates m(P) three ways and cross-checks the routes:
   with cosine-reduced real integrands for the built-in families;
 * the hypergeometric closed form for the four-variable product family
   (x+1/x)(y+1/y)(z+1/z)(w+1/w) - k, valid for |k| >= 16;
-* the one-parameter measures m(4a) and R(a) with their series,
-  integral, and torus representations.
+* the one-parameter measures m(4a) and R(a) with their series (m(4a)
+  about 0 and about 1), integral, and torus representations.
 
 It also hosts three self-contained identity checks (Fourier expansions
 of K(sin t)cos t and friends, the cos*cos density integral, and the
@@ -27,6 +27,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from types import MappingProxyType
 from typing import Dict, Mapping, Optional, Tuple, Union
 
@@ -41,7 +42,7 @@ from .quadrature import (
     tanh_sinh_interval,
     torus_qmc,
 )
-from .special import PFQSpec, _agm_fixed, ell_k, ell_kprime, gamma_half_int, legendre_chi3, pfq
+from .special import PFQSpec, _agm_fixed, catalan, ell_k, ell_kprime, gamma_half_int, legendre_chi3, pfq
 
 __all__ = [
     "LaurentDescriptor",
@@ -370,7 +371,7 @@ def m_rk_hypergeometric(k, target_abs_error=mp.mpf("1e-12"), precision: Optional
 # ---------------------------------------------------------------------------
 # The one-parameter measures m(4a) and R(a)
 
-_M_ROUTES = ("series", "integral")
+_M_ROUTES = ("series", "integral", "complement")
 _R_ROUTES = ("polylog", "k-integral", "torus")
 
 
@@ -408,6 +409,93 @@ def _m_alpha_integrand(rho):
     return from_fixed((r << (g + 1)) // a, g, p)
 
 
+# terms of the complement series kept; 64 reach 2^-290 at beta = 0.98
+_COMPLEMENT_TERMS = 64
+
+
+@lru_cache(maxsize=None)
+def _complement_table(n_terms: int):
+    """(A_N / (2N+2), (A_N / (2N+2) - B_N) / (2N+2)) for N < n_terms, as
+    Fractions, with A_N = sum_{n+m=N} c_n^2 c_m, B_N = sum c_n^2 c_m d_n,
+    c_n = C(2n,n) / 4^n and d_n = 2 (H_2n - H_n); summed on ints over the
+    common denominators 16^N and lcm(1, ..., 2 n_terms - 1)."""
+    binom = [math.comb(2 * n, n) for n in range(n_terms)]
+    den = math.lcm(*range(1, 2 * n_terms))
+    delta = [0]  # d_n den
+    for n in range(1, n_terms):
+        delta.append(delta[-1] + 2 * (den // (2 * n - 1) - den // (2 * n)))
+    table = []
+    for big_n in range(n_terms):
+        # c_n^2 c_m 16^N for n + m = N
+        terms = [binom[n] ** 2 * binom[big_n - n] << 2 * (big_n - n) for n in range(big_n + 1)]
+        a_n = Fraction(sum(terms), 16**big_n)
+        b_n = Fraction(sum(t * dn for t, dn in zip(terms, delta)), 16**big_n * den)
+        k = 2 * big_n + 2
+        table.append((a_n / k, (a_n / k - b_n) / k))
+    return tuple(table)
+
+
+@lru_cache(maxsize=None)
+def _complement_fixed(n_terms: int, w: int):
+    """4G/pi, 2/pi and `_complement_table(n_terms)` floored to ints at w
+    fraction bits; G from `special.catalan`."""
+    with mp.workprec(w + 16):
+        four_g = to_fixed(4 * catalan(w + 16) / mp.pi, w)
+        two_over_pi = to_fixed(2 / mp.pi, w)
+    coeffs = tuple(
+        ((x.numerator << w) // x.denominator, (y.numerator << w) // y.denominator)
+        for x, y in _complement_table(n_terms)
+    )
+    return four_g, two_over_pi, coeffs
+
+
+def _m_alpha_complement(a, base: int):
+    """m(4a) by its series in t = sqrt(1 - a^2) about a = 1, rounded once to
+    p = mp.prec bits, for 0 < a <= 1 and p >= base + 24.
+
+    From d/da m(4a) = (2/pi) K(a), m(4) = 4G/pi and K about modulus 1,
+    K = sum_n c_n^2 t^2n [L - d_n] with L = log(4/t) (DLMF 19.12.1), the
+    substitution s = sqrt(1 - t^2) in int_a^1 K(s) ds gives
+
+        m(4a) = 4G/pi - (2/pi) sum_N t^(2N+2) / (2N+2) [A_N (L + 1/(2N+2)) - B_N]
+
+    with `_complement_table`'s A_N and B_N.  As 0 <= d_n < 2 log 2 and
+    A_N <= N + 1, term N lies in [0, t^(2N+2) (L + 2) / 2], so the terms
+    from N = n on sum to at most t^(2n+2) (L + 2) / (2 (1 - t^2)).  The
+    first n for which that falls below 2^-(base+8), plus one, is the term
+    count; ArithmeticError is raised if it passes `_COMPLEMENT_TERMS`.
+    t^2 = (1 - a)(1 + a) is formed exactly.  Horner's rule runs the two
+    sums, sum A_N t^2N / (2N+2) and the rest, on ints at w = p + 32
+    fraction bits: the floors of the coefficients, the steps and L add
+    under (w + 16) 2^-w < 2^-(p+6) for w below 2^25.  So the value is
+    within 2^-(base+7) before its one rounding, and is 4G/pi at a = 1.
+    """
+    p = mp.prec
+    w = p + 32
+    four_g, two_over_pi, coeffs = _complement_fixed(_COMPLEMENT_TERMS, w)
+    q = mp.fmul(mp.fsub(1, a, exact=True), mp.fadd(1, a, exact=True), exact=True)
+    if not q:
+        return from_fixed(four_g, w, p)
+    with mp.workprec(w):
+        log_q = mp.log(q)
+        log_term = 2 * mp.ln2 - log_q / 2
+        tail = (log_term + 2) / (2 * (1 - q))
+        n_terms = int(((base + 8) * mp.ln2 + mp.log(tail)) / -log_q) + 1
+        big_l = to_fixed(log_term, w)
+    if n_terms > len(coeffs):
+        raise ArithmeticError(
+            f"the complement series needs {n_terms} terms at a = {mp.nstr(a, 8)} "
+            f"for 2^-{base + 8}; the table has {len(coeffs)}"
+        )
+    tq = to_fixed(q, w)
+    s_log = s_rest = 0
+    for a_n, e_n in reversed(coeffs[:n_terms]):
+        s_log = ((s_log * tq) >> w) + a_n
+        s_rest = ((s_rest * tq) >> w) + e_n
+    series = (((s_log * big_l) >> w) + s_rest) * tq >> w
+    return from_fixed(four_g - ((two_over_pi * series) >> w), w, p)
+
+
 def m_alpha(alpha, route: str = "series", precision: Optional[int] = None):
     """m(4 alpha + x + 1/x + y + 1/y) for 0 <= alpha <= 1.
 
@@ -423,6 +511,18 @@ def m_alpha(alpha, route: str = "series", precision: Optional[int] = None):
     form's c log c, so tanh-sinh takes the same levels as it did in u.  The
     rule runs over rho = 1 - r in [0, a / (1 + sqrt(1 - a))]: for small a
     the ends sqrt(1 - a) and 1 of the r interval would round together.
+
+    complement route, for a near 1: the series about a = 1 in
+    t = sqrt(1 - a^2) and L = log(4/t),
+
+        m(4a) = 4G/pi - (2/pi) sum_N t^(2N+2) / (2N+2) [A_N (L + 1/(2N+2)) - B_N],
+
+    A_N = sum_{n+m=N} c_n^2 c_m, B_N = sum_{n+m=N} c_n^2 c_m d_n, from
+    K's expansion about modulus 1 (DLMF 19.12.1) with c_n = C(2n,n)/4^n and
+    d_n = 2 (H_2n - H_n).  Term N is at most t^(2N+2) (L + 2) / 2, and the
+    sum stops on that tail bound at 2^-(base+8), on ints with one rounding
+    (`_m_alpha_complement`).  Its fixed table of terms reaches 2^-290 at
+    a = 0.98; a precision or an a that needs more raises ArithmeticError.
     """
     if route not in _M_ROUTES:
         raise ValueError(f"route must be one of {_M_ROUTES}, got {route!r}")
@@ -438,6 +538,8 @@ def m_alpha(alpha, route: str = "series", precision: Optional[int] = None):
                 argument=a * a,
             )
             return a * pfq(spec, mp.mpf(2) ** (-(base + 8)), precision=base + 16)
+        if route == "complement":
+            return _m_alpha_complement(a, base)
         upper = a / (1 + mp.sqrt(1 - a))
         tol = mp.mpf(2) ** (-(base + 4))
         result = tanh_sinh_interval(_m_alpha_integrand, mp.mpf(0), upper, tolerance=tol, precision=base + 24)
@@ -456,9 +558,13 @@ def r_alpha(
 
     polylog route (0 <= alpha <= 1 only): (4/pi^2) sum_n alpha^(2n+1)/(2n+1)^3.
     k-integral route: (4/pi^2) int_0^1 m_alpha(alpha k) K'(k) dk; the inner
-    measure uses its series form away from 1 and, on the last 2 percent,
-    where the series slows down, its integral form in r = sqrt(1 - sin u),
-    an int AGM per node with no cosine.
+    measure beta = alpha k takes m_alpha's series route below 0.98 and,
+    where that 3F2 slows down, its complement route, the series in
+    sqrt(1 - beta^2) about 1.  The two inner series meet at the 0.98 seam,
+    so a disagreement between them is a jump the outer rule cannot settle.
+    Of mahlerlab's kernels this route shares only pfq's direct int path
+    with the polylog route: the series route's 3F2 and `special.catalan`'s
+    3F2, behind the complement route's 4G/pi, against `legendre_chi3`'s 4F3.
     torus route: 4-variable QMC of the defining integral; Monte Carlo grade
     accuracy, returned as the lattice-rule median.
     """
@@ -477,7 +583,7 @@ def r_alpha(
 
             def integrand(kk):
                 beta = a * kk
-                inner_route = "series" if beta < mp.mpf("0.98") else "integral"
+                inner_route = "series" if beta < mp.mpf("0.98") else "complement"
                 return m_alpha(beta, route=inner_route, precision=base + 16) * ell_kprime(kk)
 
             tol = mp.mpf(2) ** (-(min(base, 120) - 10))

@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from mpmath import mp
 
+from mahlerlab import mahler
 from mahlerlab.mahler import (
     LaurentDescriptor,
     builtin_descriptor,
@@ -288,8 +289,8 @@ class TestMAlpha:
                 m_alpha(bad)
 
     def test_zero(self):
-        assert m_alpha(0, "series") == 0
-        assert m_alpha(0, "integral") == 0
+        for route in ("series", "integral", "complement"):
+            assert m_alpha(0, route) == 0
 
     def test_route_agreement_at_half(self):
         s = m_alpha(mp.mpf(1) / 2, "series", precision=96)
@@ -359,6 +360,45 @@ class TestMAlphaIntegralRoute:
         with mp.workprec(base + 32):
             assert abs(value - alpha) <= mp.mpf(2) ** -(base + 4)
             assert abs(value - alpha) <= alpha * mp.mpf(2) ** -40
+
+
+class TestMAlphaComplementRoute:
+    # beta from the 0.98 seam to the log singularity at 1, with 1 - beta
+    # down to 2^-116; the integral route is the oracle
+    @pytest.mark.parametrize("base", [64, 96, 128])
+    def test_matches_integral_route(self, base):
+        with mp.workprec(base + 64):
+            betas = [mp.mpf("0.98"), mp.mpf("0.99")]
+            betas += [1 - mp.mpf(2) ** -e for e in (7, 20, 60, 116)] + [mp.mpf(1)]
+            for beta in betas:
+                new = m_alpha(beta, "complement", precision=base)
+                assert abs(new - m_alpha(beta, "integral", precision=base)) <= mp.mpf(2) ** -(base + 2), beta
+
+    @pytest.mark.parametrize("base", [64, 96, 128])
+    def test_one_is_four_catalan_over_pi(self, base):
+        with mp.workprec(base + 32):
+            target = 4 * mp.catalan / mp.pi
+            assert abs(m_alpha(1, "complement", precision=base) - target) <= mp.mpf(2) ** -(base + 2)
+
+    @pytest.mark.parametrize("base", [64, 96, 128])
+    def test_meets_the_series_route_at_the_seam(self, base):
+        # r_alpha's k-integral switches from the series to this route here
+        with mp.workprec(base + 32):
+            beta = mp.mpf("0.98")
+            gap = m_alpha(beta, "complement", precision=base) - m_alpha(beta, "series", precision=base)
+            assert abs(gap) <= mp.mpf(2) ** -(base + 2)
+
+    def test_short_term_table_raises(self, monkeypatch):
+        # t^2 = 0.0396 gains 4.66 bits a term: 96 bits need about 22 terms
+        monkeypatch.setattr(mahler, "_COMPLEMENT_TERMS", 16)
+        with pytest.raises(ArithmeticError, match="complement series"):
+            m_alpha(mp.mpf("0.98"), "complement", precision=96)
+        assert m_alpha(mp.mpf("0.98"), "complement", precision=48) > 0
+
+    def test_far_from_one_raises(self):
+        # t^2 = 3/4 would need about 250 terms for 2^-104
+        with pytest.raises(ArithmeticError, match="complement series"):
+            m_alpha(mp.mpf("0.5"), "complement", precision=96)
 
 
 class TestRAlpha:

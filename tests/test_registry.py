@@ -599,6 +599,16 @@ class TestPlanNegativeControls:
         assert result.note.startswith("FunctionalEquationViolation: ")
 
 
+def scale_kernel(monkeypatch, module, name, power):
+    """Replace module.name by the kernel times 1 + 2^-power."""
+    exact = getattr(module, name)
+
+    def scaled(*args, **kwargs):
+        return exact(*args, **kwargs) * (1 + mp.mpf(2) ** -power)
+
+    monkeypatch.setattr(module, name, scaled)
+
+
 class TestRAlphaNegativeControls:
     """eq-3.5-vs-3.6 at 96 bits flips to FAIL under either side scaled by
     1 + 2^-power.  m_alpha is scaled on both inner routes at once, so the
@@ -618,13 +628,60 @@ class TestRAlphaNegativeControls:
         ("legendre_chi3", 26, True),
     ])
     def test_scaled_side(self, monkeypatch, name, power, passes):
-        exact = getattr(mahler, name)
-
-        def scaled(*args, **kwargs):
-            return exact(*args, **kwargs) * (1 + mp.mpf(2) ** -power)
-
-        monkeypatch.setattr(mahler, name, scaled)
+        scale_kernel(monkeypatch, mahler, name, power)
         result = run_check("eq-3.5-vs-3.6", 96)
+        assert result.passed is passes
+        assert (result.deviation > result.tolerance) is not passes
+        assert result.note == ""
+
+
+class TestFourierNegativeControls:
+    """Each Fourier check at 96 bits flips to FAIL once its closed-form side
+    is scaled by 1 + 2^-power, at the smallest such power of two; one power
+    more passes.  fourier-3.10 is the only caller of m_alpha's integral
+    route, so its control guards that route.  Its flip at 2^-11 comes from
+    `fourier_check`'s tail bound (a deviation of 4.6e-4, under the 1e-3
+    floor), so the plan raises and no deviation is reported; fourier-3.8
+    and fourier-3.9 flip on the floor (1.4e-3 and 1.3e-3)."""
+
+    @pytest.mark.parametrize("check_id, name, power, passes", [
+        ("fourier-3.10", "m_alpha", 11, False),
+        ("fourier-3.10", "m_alpha", 12, True),
+        ("fourier-3.8", "ell_kprime", 10, False),
+        ("fourier-3.8", "ell_kprime", 11, True),
+        ("fourier-3.9", "ell_kprime", 11, False),
+        ("fourier-3.9", "ell_kprime", 12, True),
+    ])
+    def test_smallest_flipping_power(self, monkeypatch, check_id, name, power, passes):
+        scale_kernel(monkeypatch, mahler, name, power)
+        result = run_check(check_id, 96)
+        assert result.passed is passes
+        if check_id == "fourier-3.10" and not passes:
+            assert result.deviation is None
+            assert result.note.startswith("ArithmeticError: expansion 3.10 deviates by")
+        else:
+            assert result.note == ""
+            assert (result.deviation > result.tolerance) is not passes
+
+
+class TestMomentNegativeControls:
+    """The six K K' moment checks at 64 bits flip to FAIL once the
+    registry's K is scaled by 1 + 2^-power, at each check's smallest such
+    power of two; one power more passes.  2^-32 flips all six and 2^-40
+    passes all six, against the unchanged 6.3e-10 tolerance."""
+
+    @pytest.mark.parametrize("check_id, power", [
+        ("eq-2.4", 36),
+        ("eq-2.5", 35),
+        ("e-wan", 32),
+        ("eq-2.6", 32),
+        ("eq-2.7", 32),
+        ("eq-2.8-analytic", 33),
+    ])
+    @pytest.mark.parametrize("shift, passes", [(0, False), (1, True)])
+    def test_smallest_flipping_power(self, monkeypatch, check_id, power, shift, passes):
+        scale_kernel(monkeypatch, registry, "ell_k", power + shift)
+        result = run_check(check_id, 64)
         assert result.passed is passes
         assert (result.deviation > result.tolerance) is not passes
         assert result.note == ""
