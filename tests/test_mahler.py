@@ -389,16 +389,14 @@ class TestMAlphaComplementRoute:
             assert abs(gap) <= mp.mpf(2) ** -(base + 2)
 
     def test_short_term_table_raises(self, monkeypatch):
-        # t^2 = 0.0396 gains 4.66 bits a term: 96 bits need about 22 terms
+        # t^2 = 3/4 would need about 250 terms for 2^-104
+        with pytest.raises(ArithmeticError, match="complement series"):
+            m_alpha(mp.mpf("0.5"), "complement", precision=96)
+        # t^2 = 0.0396 gains 4.66 bits a term: 96 bits need 23 terms
         monkeypatch.setattr(mahler, "_COMPLEMENT_TERMS", 16)
         with pytest.raises(ArithmeticError, match="complement series"):
             m_alpha(mp.mpf("0.98"), "complement", precision=96)
         assert m_alpha(mp.mpf("0.98"), "complement", precision=48) > 0
-
-    def test_far_from_one_raises(self):
-        # t^2 = 3/4 would need about 250 terms for 2^-104
-        with pytest.raises(ArithmeticError, match="complement series"):
-            m_alpha(mp.mpf("0.5"), "complement", precision=96)
 
 
 class TestRAlpha:
