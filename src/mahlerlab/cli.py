@@ -35,18 +35,10 @@ from typing import Dict, Optional, Sequence, Tuple
 
 from mpmath import mp
 
-from . import registry
-from .mahler import (
-    builtin_descriptor,
-    builtin_names,
-    m_rk_hypergeometric,
-    mahler_numeric,
-    parse_descriptor,
-)
-from .modular import NEWFORM_F, NEWFORM_H, l_value, newform_coefficient
+from . import mahler, modular, registry, special
+from .modular import NEWFORM_F, NEWFORM_H
 from .precision import ResourceLimitError
 from .registry import UnknownCheckError
-from .special import catalan, ell_k, zeta_int
 
 __all__ = ["RunConfig", "main", "cmd_verify", "cmd_compute", "JSON_SCHEMA"]
 
@@ -367,7 +359,7 @@ def _quantity_l(tokens: Sequence[str], work: int, config: RunConfig):
     spec = forms[tokens[0]]
     if not 2 <= s <= spec.weight:
         raise UsageError(f"s must lie in [2, {spec.weight}] for {tokens[0]}")
-    value = l_value(spec, s, precision=work)
+    value = modular.l_value(spec, s, precision=work)
     return value, f"mellin-split L({tokens[0]},{s})", mp.mpf(2) ** (8 - work)
 
 
@@ -375,11 +367,11 @@ def _quantity_zeta(tokens: Sequence[str], work: int, config: RunConfig):
     s = _parse_int(tokens[0], "s")
     if s < 2:
         raise UsageError(f"zeta needs integer s >= 2, got {s}")
-    return zeta_int(s, work), "borwein", mp.mpf(2) ** (8 - work)
+    return special.zeta_int(s, work), "borwein", mp.mpf(2) ** (8 - work)
 
 
 def _quantity_catalan(tokens: Sequence[str], work: int, config: RunConfig):
-    return catalan(work), "bradley-3f2", mp.mpf(2) ** (8 - work)
+    return special.catalan(work), "bradley-3f2", mp.mpf(2) ** (8 - work)
 
 
 def _quantity_k(tokens: Sequence[str], work: int, config: RunConfig):
@@ -390,7 +382,7 @@ def _quantity_k(tokens: Sequence[str], work: int, config: RunConfig):
             raise UsageError(f"modulus must be a number, got {tokens[0]!r}") from None
         if not 0 <= k < 1:
             raise UsageError(f"modulus must lie in [0, 1), got {tokens[0]}")
-        value = ell_k(k, precision=work)
+        value = special.ell_k(k, precision=work)
     return value, "agm", mp.mpf(2) ** (8 - work)
 
 
@@ -413,7 +405,7 @@ def _quantity_mrk(tokens: Sequence[str], work: int, config: RunConfig):
     with mp.workprec(work + 16):
         target = mp.mpf(10) ** (-(config.digits + 4))
         try:
-            value = m_rk_hypergeometric(k, target_abs_error=target, precision=work)
+            value = mahler.m_rk_hypergeometric(k, target_abs_error=target, precision=work)
         except ValueError as exc:
             raise UsageError(str(exc)) from None
     return value, "hypergeometric-6f5", target
@@ -424,14 +416,14 @@ def _quantity_mahler(tokens: Sequence[str], work: int, config: RunConfig):
     try:
         if os.path.isfile(name):
             with open(name) as fh:
-                descriptor = parse_descriptor(fh.read(), name=os.path.basename(name))
+                descriptor = mahler.parse_descriptor(fh.read(), name=os.path.basename(name))
         else:
-            descriptor = builtin_descriptor(name)
+            descriptor = mahler.builtin_descriptor(name)
     except (ValueError, KeyError) as exc:
         raise UsageError(
-            f"bad descriptor {name!r} ({exc}); built-ins: {', '.join(builtin_names())}"
+            f"bad descriptor {name!r} ({exc}); built-ins: {', '.join(mahler.builtin_names())}"
         ) from None
-    result = mahler_numeric(
+    result = mahler.mahler_numeric(
         descriptor,
         samples=config.qmc_samples,
         seed=[config.seed, 0],
@@ -444,7 +436,7 @@ def _quantity_ap(tokens: Sequence[str], work: int, config: RunConfig):
     if n < 1:
         raise UsageError(f"n must be >= 1, got {n}")
     try:
-        return newform_coefficient(NEWFORM_F, n), "q-expansion", 0
+        return modular.newform_coefficient(NEWFORM_F, n), "q-expansion", 0
     except ResourceLimitError as exc:
         raise UsageError(str(exc)) from None
 

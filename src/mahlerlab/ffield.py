@@ -185,12 +185,8 @@ class Eq41Report:
         return max(abs(r) for _, r in self.residuals)
 
 
-def verify_4_1(p: int, constant_shift: int = 0) -> Eq41Report:
-    """Check the count identity for every t in F_p*.
-
-    constant_shift perturbs the identity's constant term and exists as a
-    negative control: a nonzero shift must show up in every residual.
-    """
+def verify_4_1(p: int) -> Eq41Report:
+    """Check the count identity for every t in F_p*."""
     _check_odd_prime(p)
     if p > _VERIFY_P_MAX:
         raise ResourceLimitError(f"verify_4_1 limited to p <= {_VERIFY_P_MAX}")
@@ -209,7 +205,6 @@ def verify_4_1(p: int, constant_shift: int = 0) -> Eq41Report:
             - 3 * p
             - 8 * (phi_m1 + 1)
             + 1
-            + constant_shift
         )
         if rhs.denominator != 1:
             raise ArithmeticError(f"right side not an integer at t = {t}")

@@ -33,16 +33,10 @@ from typing import Dict, Mapping, Optional, Tuple, Union
 
 from mpmath import mp
 
+from . import quadrature, special
 from .precision import from_fixed, to_fixed
-from .quadrature import (
-    DEFAULT_QMC_SEED,
-    QuadratureResult,
-    TorusIntegrand,
-    tanh_sinh,
-    tanh_sinh_interval,
-    torus_qmc,
-)
-from .special import PFQSpec, _agm_fixed, catalan, ell_k, ell_kprime, gamma_half_int, legendre_chi3, pfq
+from .quadrature import DEFAULT_QMC_SEED, QuadratureResult, TorusIntegrand
+from .special import PFQSpec
 
 __all__ = [
     "LaurentDescriptor",
@@ -291,18 +285,8 @@ def torus_integrand(desc: LaurentDescriptor) -> TorusIntegrand:
     """log|P| on [0,1)^d, cosine-reduced when desc is a catalogue built-in."""
     builtin = _classify_builtin(desc)
     if builtin is not None:
-        kind, k = builtin
-        note = f"zero set of the cosine form of {desc.name}"
-        return TorusIntegrand(
-            dimension=desc.dimension,
-            evaluate_block=_cosine_block(kind, k),
-            singular_set_note=note,
-        )
-    return TorusIntegrand(
-        dimension=desc.dimension,
-        evaluate_block=_generic_block(desc),
-        singular_set_note=f"zero set of {desc.name} on the torus",
-    )
+        return TorusIntegrand(dimension=desc.dimension, evaluate_block=_cosine_block(*builtin))
+    return TorusIntegrand(dimension=desc.dimension, evaluate_block=_generic_block(desc))
 
 
 def mahler_numeric(
@@ -318,7 +302,7 @@ def mahler_numeric(
     meaningful.  Exact zeros of P land on a measure-zero set; sample points
     hitting it are discarded and counted in discarded_fraction.
     """
-    return torus_qmc(torus_integrand(poly), samples=samples, shifts=shifts, seed=seed)
+    return quadrature.torus_qmc(torus_integrand(poly), samples=samples, shifts=shifts, seed=seed)
 
 
 # ---------------------------------------------------------------------------
@@ -361,7 +345,7 @@ def m_rk_hypergeometric(k, target_abs_error=mp.mpf("1e-12"), precision: Optional
     # scale, which underflows a float once |k| passes about 1.3e162
     series_target = target * scale.denominator / scale.numerator / 4
     spec = PFQSpec(upper=_SIX_F_FIVE_UPPER, lower=_SIX_F_FIVE_LOWER, argument=argument)
-    value = pfq(spec, series_target, precision=base)
+    value = special.pfq(spec, series_target, precision=base)
     with mp.workprec(base + 16):
         scale_mp = mp.mpf(scale.numerator) / scale.denominator
         k_abs = abs(mp.mpf(kq.numerator)) / kq.denominator
@@ -376,6 +360,8 @@ _R_ROUTES = ("polylog", "k-integral", "torus")
 
 
 def _check_alpha_unit(alpha, what: str):
+    """alpha as an mpf at mp.prec bits: each caller enters its working
+    precision first, so a Fraction is not rounded at the caller's."""
     a = mp.mpf(alpha) if not isinstance(alpha, Fraction) else mp.mpf(alpha.numerator) / alpha.denominator
     if not 0 <= a <= 1:
         raise ValueError(f"{what} needs 0 <= alpha <= 1, got {alpha}")
@@ -405,7 +391,7 @@ def _m_alpha_integrand(rho):
     w, g = p + 32, p + 24
     r = (1 << w) - to_fixed(rho, w)
     c = (r * math.isqrt((2 << 2 * w) - r * r)) >> w
-    a = _agm_fixed(1 << w, c, p)
+    a = special._agm_fixed(1 << w, c, p)
     return from_fixed((r << (g + 1)) // a, g, p)
 
 
@@ -440,7 +426,7 @@ def _complement_fixed(n_terms: int, w: int):
     """4G/pi, 2/pi and `_complement_table(n_terms)` floored to ints at w
     fraction bits; G from `special.catalan`."""
     with mp.workprec(w + 16):
-        four_g = to_fixed(4 * catalan(w + 16) / mp.pi, w)
+        four_g = to_fixed(4 * special.catalan(w + 16) / mp.pi, w)
         two_over_pi = to_fixed(2 / mp.pi, w)
     coeffs = tuple(
         ((x.numerator << w) // x.denominator, (y.numerator << w) // y.denominator)
@@ -527,22 +513,24 @@ def m_alpha(alpha, route: str = "series", precision: Optional[int] = None):
     if route not in _M_ROUTES:
         raise ValueError(f"route must be one of {_M_ROUTES}, got {route!r}")
     base = _base(precision)
-    a = _check_alpha_unit(alpha, "m_alpha")
-    if a == 0:
-        return mp.mpf(0)
     with mp.workprec(base + 24):
+        a = _check_alpha_unit(alpha, "m_alpha")
+        if a == 0:
+            return mp.mpf(0)
         if route == "series":
             spec = PFQSpec(
                 upper=[Fraction(1, 2)] * 3,
                 lower=[Fraction(1), Fraction(3, 2)],
                 argument=a * a,
             )
-            return a * pfq(spec, mp.mpf(2) ** (-(base + 8)), precision=base + 16)
+            return a * special.pfq(spec, mp.mpf(2) ** (-(base + 8)), precision=base + 16)
         if route == "complement":
             return _m_alpha_complement(a, base)
         upper = a / (1 + mp.sqrt(1 - a))
         tol = mp.mpf(2) ** (-(base + 4))
-        result = tanh_sinh_interval(_m_alpha_integrand, mp.mpf(0), upper, tolerance=tol, precision=base + 24)
+        result = quadrature.tanh_sinh_interval(
+            _m_alpha_integrand, mp.mpf(0), upper, tolerance=tol, precision=base + 24
+        )
         return +result.value
 
 
@@ -571,31 +559,27 @@ def r_alpha(
     if route not in _R_ROUTES:
         raise ValueError(f"route must be one of {_R_ROUTES}, got {route!r}")
     base = _base(precision)
-    if route != "torus":
-        a = _check_alpha_unit(alpha, f"the {route} route")
     if route == "polylog":
         with mp.workprec(base + 16):
-            return 4 / mp.pi ** 2 * legendre_chi3(a, precision=base + 8)
+            a = _check_alpha_unit(alpha, "the polylog route")
+            return 4 / mp.pi ** 2 * special.legendre_chi3(a, precision=base + 8)
     if route == "k-integral":
         with mp.workprec(base + 24):
+            a = _check_alpha_unit(alpha, "the k-integral route")
             if a == 0:
                 return mp.mpf(0)
 
             def integrand(kk):
                 beta = a * kk
                 inner_route = "series" if beta < mp.mpf("0.98") else "complement"
-                return m_alpha(beta, route=inner_route, precision=base + 16) * ell_kprime(kk)
+                return m_alpha(beta, route=inner_route, precision=base + 16) * special.ell_kprime(kk)
 
             tol = mp.mpf(2) ** (-(min(base, 120) - 10))
-            result = tanh_sinh(integrand, tolerance=tol, precision=base + 24)
+            result = quadrature.tanh_sinh(integrand, tolerance=tol, precision=base + 24)
             return 4 / mp.pi ** 2 * result.value
     # torus route
-    integrand4 = TorusIntegrand(
-        dimension=4,
-        evaluate_block=_cosine_block("ralpha", float(alpha)),
-        singular_set_note="hypersurface a c1 c2 + c3 c4 = 0",
-    )
-    result = torus_qmc(integrand4, samples=samples, shifts=shifts, seed=seed)
+    integrand4 = TorusIntegrand(dimension=4, evaluate_block=_cosine_block("ralpha", float(alpha)))
+    result = quadrature.torus_qmc(integrand4, samples=samples, shifts=shifts, seed=seed)
     return result.value
 
 
@@ -662,9 +646,9 @@ def fourier_check(which: str, theta, terms: int, precision: Optional[int] = None
             series += mp.log(2)
 
         if which == "3.8":
-            direct = ell_kprime(mp.cos(t)) * mp.cos(t)
+            direct = special.ell_kprime(mp.cos(t)) * mp.cos(t)
         elif which == "3.9":
-            direct = ell_kprime(mp.sin(t)) * mp.cos(t)
+            direct = special.ell_kprime(mp.sin(t)) * mp.cos(t)
         else:
             direct = m_alpha(mp.sin(t), route="integral", precision=base + 16)
 
@@ -697,7 +681,7 @@ def density_integral_check(m_exponent: int, tolerance=mp.mpf("1e-10"), precision
         if m_exponent == 0:
             moment = mp.mpf(1)
         else:
-            part = tanh_sinh_interval(
+            part = quadrature.tanh_sinh_interval(
                 lambda u: mp.cos(2 * mp.pi * u) ** m_exponent,
                 mp.mpf(0),
                 mp.mpf(1) / 4,
@@ -707,8 +691,8 @@ def density_integral_check(m_exponent: int, tolerance=mp.mpf("1e-10"), precision
             moment = 4 * part.value
         lhs = moment * moment
 
-        rhs_quad = tanh_sinh(
-            lambda k: k ** m_exponent * ell_kprime(k),
+        rhs_quad = quadrature.tanh_sinh(
+            lambda k: k ** m_exponent * special.ell_kprime(k),
             tolerance=tol / 64,
             precision=base + 16,
         )
@@ -728,8 +712,8 @@ def wan_moment_check(m: int, tolerance=mp.mpf("1e-10"), precision: Optional[int]
     tol = mp.mpf(tolerance)
     base = _base(precision) if precision is not None else max(64, int(-mp.log(tol, 2)) + 32)
     with mp.workprec(base + 16):
-        quad = tanh_sinh(
-            lambda k: k ** m * ell_k(k) * ell_kprime(k),
+        quad = quadrature.tanh_sinh(
+            lambda k: k ** m * special.ell_k(k) * special.ell_kprime(k),
             tolerance=tol / 16,
             precision=base + 16,
         )
@@ -739,7 +723,7 @@ def wan_moment_check(m: int, tolerance=mp.mpf("1e-10"), precision: Optional[int]
             lower=[Fraction(1), half + Fraction(1, 2), half + Fraction(1, 2)],
             argument=Fraction(1),
         )
-        series = pfq(spec, tol / 16, precision=base + 8)
-        ratio = gamma_half_int(m + 1, precision=base + 16) / gamma_half_int(m + 2, precision=base + 16)
+        series = special.pfq(spec, tol / 16, precision=base + 8)
+        ratio = special.gamma_half_int(m + 1, base + 16) / special.gamma_half_int(m + 2, base + 16)
         closed = mp.pi ** 2 / 8 * ratio ** 2 * series
         return abs(quad.value - closed)

@@ -45,8 +45,8 @@ from typing import Callable, List, Tuple
 
 from mpmath import mp
 
+from . import special
 from .precision import ResourceLimitError, fixed_bits, from_fixed, to_fixed
-from .special import gamma_upper_int
 
 __all__ = [
     "QSeries",
@@ -206,7 +206,6 @@ class NewformSpec:
     level: int
     fricke_sign: int
     recipe: Callable[[int], QSeries]
-    character_note: str = ""
     _coeffs: List[int] = field(default_factory=list, repr=False)
 
     def ensure(self, n: int) -> None:
@@ -264,17 +263,16 @@ NEWFORM_F = NewformSpec(
     level=8,
     fricke_sign=1,
     recipe=_recipe_f,
-    character_note="trivial character",
 )
 
+# h has the character of conductor 4 (CM by Q(i)); its completion is adopted
+# as weight 3, level 16, sign +1 and validated by fricke_check
 NEWFORM_H = NewformSpec(
     name="h",
     weight=3,
     level=16,
     fricke_sign=1,
     recipe=_recipe_h,
-    character_note="character of conductor 4 (CM by Q(i)); completion "
-    "adopted as weight 3, level 16, sign +1 and validated by fricke_check",
 )
 
 
@@ -326,8 +324,8 @@ def _lambda_split(spec: NewformSpec, s: int, u0, n_terms: int, work: int):
             bits = max(work - int(n * decay) + a.bit_length() + n.bit_length(), 32)
             with mp.workprec(bits + 32):
                 e = mp.exp(-x)
-            total_s += a * gamma_upper_int(s, x, bits, e) / (two_pi * n) ** s
-            total_r += a * gamma_upper_int(r, x, bits, e) / (two_pi * n) ** r
+            total_s += a * special.gamma_upper_int(s, x, bits, e) / (two_pi * n) ** s
+            total_r += a * special.gamma_upper_int(r, x, bits, e) / (two_pi * n) ** r
         level = mp.mpf(spec.level)
         return level ** (mp.mpf(s) / 2) * total_s + spec.fricke_sign * (
             level ** (mp.mpf(r) / 2) * total_r

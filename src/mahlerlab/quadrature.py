@@ -53,7 +53,6 @@ class QuadratureResult:
     value: object
     error_estimate: object
     evaluations: int
-    converged: bool
     levels: int = 0
     discarded_fraction: float = 0.0
 
@@ -77,7 +76,6 @@ class TorusIntegrand:
 
     dimension: int
     evaluate_block: Callable
-    singular_set_note: str = ""
 
     def __post_init__(self):
         if not 1 <= self.dimension <= 4:
@@ -207,7 +205,6 @@ def tanh_sinh(f, tolerance, max_levels: int = 12, precision: Optional[int] = Non
                             value=+estimates[-1],
                             error_estimate=+err,
                             evaluations=evals,
-                            converged=True,
                             levels=level,
                         )
         raise NoConvergence(
@@ -351,6 +348,5 @@ def torus_qmc(
             value=mp.mpf(value),
             error_estimate=mp.mpf(spread),
             evaluations=samples * shifts,
-            converged=True,
             discarded_fraction=discarded / (samples * shifts),
         )

@@ -44,38 +44,13 @@ from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Un
 
 from mpmath import mp
 
-from .ffield import greene_nfn, verify_4_1
-from .mahler import (
-    _SIX_F_FIVE_LOWER,
-    _SIX_F_FIVE_UPPER,
-    builtin_descriptor,
-    density_integral_check,
-    fourier_check,
-    m_rk_hypergeometric,
-    mahler_numeric,
-    r_alpha,
-    wan_moment_check,
-)
-from .modular import (
-    NEWFORM_F,
-    NEWFORM_H,
-    _sigma_sieve,
-    fricke_check,
-    l_prime_at_0,
-    l_value,
-    newform_coefficient,
-    theta_psi,
-)
-from .precision import NoConvergence, ResourceLimitError, accelerate, from_fixed, to_fixed
-from .quadrature import IntegrandError, tanh_sinh
-from .special import PFQSpec, _ratio_ints, catalan, ell_k, ell_kprime, pfq, zeta_int
-from .wz import (
-    PAIR_ONE,
-    PAIR_TWO,
-    identity_rows,
-    telescope_reconstruct,
-    wz_pair_verify,
-)
+from . import ffield, mahler, modular, precision, quadrature, special, wz
+from .mahler import _SIX_F_FIVE_LOWER, _SIX_F_FIVE_UPPER
+from .modular import NEWFORM_F, NEWFORM_H
+from .precision import NoConvergence, ResourceLimitError, from_fixed, to_fixed
+from .quadrature import IntegrandError
+from .special import PFQSpec
+from .wz import PAIR_ONE, PAIR_TWO
 
 __all__ = [
     "IdentityCheck",
@@ -230,12 +205,12 @@ class CheckResult:
 
 @lru_cache(maxsize=None)
 def _l_f4(work: int):
-    return l_value(NEWFORM_F, 4, precision=work)
+    return modular.l_value(NEWFORM_F, 4, precision=work)
 
 
 @lru_cache(maxsize=None)
 def _zeta3(work: int):
-    return zeta_int(3, work)
+    return special.zeta_int(3, work)
 
 
 def _theorem_value(work: int):
@@ -281,7 +256,7 @@ def _unit_terms(spec: PFQSpec, w: int) -> Iterable[int]:
     """The series' first _LEVIN_TERMS terms at x = 1 as ints of w fraction
     bits: t_0 = 2^w, t_(j+1) = t_j P(j) // Q(j).  Each floor costs under a
     unit and the ratios stay below 1, so term j is off by under j units."""
-    ratio = _ratio_ints(spec)
+    ratio = special._ratio_ints(spec)
     t = 1 << w
     for j in range(_LEVIN_TERMS):
         yield t
@@ -294,7 +269,7 @@ def _levin(sums: Iterable[int], w: int, work: int):
     w fraction bits, to work bits; NoConvergence when the table never
     settles."""
     values = [from_fixed(s, w) for s in sums]
-    result = accelerate(values, precision=work)
+    result = precision.accelerate(values, precision=work)
     if result.low_confidence:
         raise NoConvergence(
             "series acceleration lost confidence; value "
@@ -309,7 +284,7 @@ def _levin_series(spec: PFQSpec, e: int):
 
 
 def _richardson_series(spec: PFQSpec, e: int):
-    return pfq(spec, target_abs_error=_hp_tolerance(e) / 8, precision=e + 48), 0
+    return special.pfq(spec, target_abs_error=_hp_tolerance(e) / 8, precision=e + 48), 0
 
 
 def _swap_series(spec: PFQSpec, e: int):
@@ -361,7 +336,7 @@ def _quad_plan(integrand, prefactor=None) -> Plan:
         e = ctx.effective
         work = e + 32
         with mp.workprec(work):
-            result = tanh_sinh(integrand, tolerance=_hp_tolerance(e) / 4, precision=work)
+            result = quadrature.tanh_sinh(integrand, tolerance=_hp_tolerance(e) / 4, precision=work)
             value = result.value
             if prefactor is not None:
                 value = prefactor() * value
@@ -388,7 +363,7 @@ def _const_plan(maker, guard: int = 32) -> Plan:
 
 def _plan_wz_pair(pair) -> Plan:
     def plan(ctx: RunContext) -> PlanResult:
-        report = wz_pair_verify(pair, _WZ_RANGE)
+        report = wz.wz_pair_verify(pair, _WZ_RANGE)
         worst = max(
             (abs(residual) for _, _, residual in report.violations),
             default=Fraction(0),
@@ -402,7 +377,7 @@ def _plan_wz_telescope(ctx: RunContext) -> PlanResult:
     worst = Fraction(0)
     checked = 0
     for pair in (PAIR_ONE, PAIR_TWO):
-        report = telescope_reconstruct(pair, _WZ_RANGE)
+        report = wz.telescope_reconstruct(pair, _WZ_RANGE)
         checked += report.relations_checked
         for _, _, residual in report.violations:
             worst = max(worst, abs(residual))
@@ -412,7 +387,7 @@ def _plan_wz_telescope(ctx: RunContext) -> PlanResult:
 @lru_cache(maxsize=1)
 def _wz_triples(n_max: int) -> Tuple[Tuple[Fraction, Fraction, Fraction], ...]:
     """(s1, s2, s3) for every n <= n_max, computed once for both plans."""
-    return tuple(identity_rows(n_max))
+    return tuple(wz.identity_rows(n_max))
 
 
 def _plan_wz_triples(pick) -> Plan:
@@ -429,15 +404,15 @@ def _plan_ff_counts(ctx: RunContext) -> PlanResult:
     worst = 0
     evaluations = 0
     for p in _FF_PRIMES:
-        report = verify_4_1(p)
+        report = ffield.verify_4_1(p)
         worst = max(worst, report.max_abs_residual)
         evaluations += len(report.residuals)
     return PlanResult((Fraction(worst),), evaluations)
 
 
 def _prime_plan(value) -> Plan:
-    """value(p) for each p in _FF_PRIMES; value is a lambda naming module
-    globals, so the call sees any rebinding of them."""
+    """value(p) for each p in _FF_PRIMES; value is a lambda that calls its
+    kernels through their modules, so a patch of a kernel reaches it."""
 
     def plan(ctx: RunContext) -> PlanResult:
         return PlanResult(tuple(value(p) for p in _FF_PRIMES), len(_FF_PRIMES))
@@ -447,8 +422,8 @@ def _prime_plan(value) -> Plan:
 
 def _plan_qexp_ramanujan(ctx: RunContext) -> PlanResult:
     half = _QEXP_ORDER // 2
-    series = (theta_psi(half).dilate(2) ** 4).shift(1)
-    sig = _sigma_sieve(_QEXP_ORDER)
+    series = (modular.theta_psi(half).dilate(2) ** 4).shift(1)
+    sig = modular._sigma_sieve(_QEXP_ORDER)
     worst = 0
     for m in range(_QEXP_ORDER + 1):
         expected = sig[m] if m % 2 == 1 else 0
@@ -457,7 +432,7 @@ def _plan_qexp_ramanujan(ctx: RunContext) -> PlanResult:
 
 
 def _plan_qexp_hecke(ctx: RunContext) -> PlanResult:
-    a = lambda n: newform_coefficient(NEWFORM_F, n)
+    a = lambda n: modular.newform_coefficient(NEWFORM_F, n)
     worst = 0
     relations = 0
     primes = [p for p in range(2, 38) if all(p % d for d in range(2, p))]
@@ -483,8 +458,8 @@ def _plan_qexp_hecke(ctx: RunContext) -> PlanResult:
 def _suite_plan(checker, count: int) -> Plan:
     """Largest checker(m) deviation over m < count, at most 96 bits.
 
-    checker is a lambda that names the mahler-module function, so the call
-    resolves the module global at run time and sees any rebinding of it.
+    checker is a lambda that calls the checker through the mahler module,
+    so a patch of mahler's function reaches the plan.
     """
 
     def plan(ctx: RunContext) -> PlanResult:
@@ -506,7 +481,7 @@ def _plan_r_alpha(route: str) -> Plan:
     def plan(ctx: RunContext) -> PlanResult:
         e = min(ctx.effective, 80)
         values = tuple(
-            r_alpha(alpha, route=route, precision=e) for alpha in _R_ALPHA_POINTS
+            mahler.r_alpha(alpha, route=route, precision=e) for alpha in _R_ALPHA_POINTS
         )
         return PlanResult(values, len(values))
 
@@ -518,7 +493,7 @@ def _plan_fourier(key: str, theta_num: int, theta_den: int) -> Plan:
         e = min(ctx.effective, 96)
         with mp.workprec(e + 24):
             theta = mp.pi * theta_num / theta_den
-            deviation = fourier_check(key, theta, _FOURIER_TERMS, precision=e)
+            deviation = mahler.fourier_check(key, theta, _FOURIER_TERMS, precision=e)
         return PlanResult((deviation,), _FOURIER_TERMS)
 
     return plan
@@ -530,8 +505,8 @@ def _plan_fourier(key: str, theta_num: int, theta_den: int) -> Plan:
 
 def _plan_qmc(name: str) -> Plan:
     def plan(ctx: RunContext) -> PlanResult:
-        result = mahler_numeric(
-            builtin_descriptor(name),
+        result = mahler.mahler_numeric(
+            mahler.builtin_descriptor(name),
             samples=ctx.samples,
             shifts=DEFAULT_SHIFTS,
             seed=ctx.rng_seed(),
@@ -629,8 +604,8 @@ def _build_registry() -> Dict[str, IdentityCheck]:
             "p^3 4F3(1) = -a_p - p for p in {3,5,7,11,13}, with 4F3 the "
             "finite-field hypergeometric sum (all upper phi, all lower eps) "
             "and a_p the p-th coefficient of eta(2t)^4 eta(4t)^4",
-            _prime_plan(lambda p: p ** 3 * greene_nfn(p, 3, 1)),
-            _prime_plan(lambda p: Fraction(-newform_coefficient(NEWFORM_F, p) - p)),
+            _prime_plan(lambda p: p ** 3 * ffield.greene_nfn(p, 3, 1)),
+            _prime_plan(lambda p: Fraction(-modular.newform_coefficient(NEWFORM_F, p) - p)),
         ),
         _check(
             "exact", "qexp-ramanujan",
@@ -674,7 +649,7 @@ def _build_registry() -> Dict[str, IdentityCheck]:
             "high-precision", "eq-2.4",
             "-8 int_0^1 ((1+k^2)/(1-k^2)) K(k) K'(k) log k dk = (192/pi) L(f,4)",
             _quad_plan(
-                lambda k: (1 + k * k) / (1 - k * k) * ell_k(k) * ell_kprime(k) * mp.log(k),
+                lambda k: (1 + k * k) / (1 - k * k) * special.ell_k(k) * special.ell_kprime(k) * mp.log(k),
                 lambda: mp.mpf(-8),
             ),
             _const_plan(lambda w: 192 / mp.pi * _l_f4(w)),
@@ -683,7 +658,7 @@ def _build_registry() -> Dict[str, IdentityCheck]:
             "high-precision", "eq-2.5",
             "-8 int_0^1 (2k/(1-k^2)) K(k) K'(k) log k dk = 7 pi zeta(3)",
             _quad_plan(
-                lambda k: 2 * k / (1 - k * k) * ell_k(k) * ell_kprime(k) * mp.log(k),
+                lambda k: 2 * k / (1 - k * k) * special.ell_k(k) * special.ell_kprime(k) * mp.log(k),
                 lambda: mp.mpf(-8),
             ),
             _const_plan(lambda w: 7 * mp.pi * _zeta3(w)),
@@ -692,7 +667,7 @@ def _build_registry() -> Dict[str, IdentityCheck]:
             "high-precision", "e-wan",
             "int_0^1 (-log(1-k^2)/k) K(k) K'(k) dk = (7/8) pi zeta(3)",
             _quad_plan(
-                lambda k: -mp.log((1 - k) * (1 + k)) / k * ell_k(k) * ell_kprime(k)
+                lambda k: -mp.log((1 - k) * (1 + k)) / k * special.ell_k(k) * special.ell_kprime(k)
             ),
             _const_plan(lambda w: mp.mpf(7) / 8 * mp.pi * _zeta3(w)),
         ),
@@ -701,7 +676,7 @@ def _build_registry() -> Dict[str, IdentityCheck]:
             "(8/pi^3) int_0^1 K(k) K'(k) log((1+k)/(1-k)) dk/k "
             "= (192/pi^4) L(f,4) + 7 zeta(3)/pi^2",
             _quad_plan(
-                lambda k: ell_k(k) * ell_kprime(k) * mp.log((1 + k) / (1 - k)) / k,
+                lambda k: special.ell_k(k) * special.ell_kprime(k) * mp.log((1 + k) / (1 - k)) / k,
                 lambda: 8 / mp.pi ** 3,
             ),
             _const_plan(_theorem_value),
@@ -709,14 +684,14 @@ def _build_registry() -> Dict[str, IdentityCheck]:
         _check(
             "high-precision", "eq-2.7",
             "int_0^1 K(k) K'(k) log(1+k) dk/k = (12/pi) L(f,4)",
-            _quad_plan(lambda k: ell_k(k) * ell_kprime(k) * mp.log(1 + k) / k),
+            _quad_plan(lambda k: special.ell_k(k) * special.ell_kprime(k) * mp.log(1 + k) / k),
             _const_plan(lambda w: 12 / mp.pi * _l_f4(w)),
         ),
         _check(
             "high-precision", "eq-2.8-analytic",
             "int_0^1 K(k) K'(k) log(1-k) dk/k "
             "= -(12/pi) L(f,4) - (7/8) pi zeta(3)",
-            _quad_plan(lambda k: ell_k(k) * ell_kprime(k) * mp.log(1 - k) / k),
+            _quad_plan(lambda k: special.ell_k(k) * special.ell_kprime(k) * mp.log(1 - k) / k),
             _const_plan(
                 lambda w: -12 / mp.pi * _l_f4(w) - mp.mpf(7) / 8 * mp.pi * _zeta3(w)
             ),
@@ -728,7 +703,7 @@ def _build_registry() -> Dict[str, IdentityCheck]:
             "S_n = sum_{k<=n} (4k+1) 2^(-8k) C(2k,k)^4; the double sum by "
             "summation by parts (see eq-2.11), Levin on int partial sums",
             _quad_plan(
-                lambda k: ell_k(k) * ell_kprime(k) * mp.log((1 + k) / (1 - k)) / k,
+                lambda k: special.ell_k(k) * special.ell_kprime(k) * mp.log((1 + k) / (1 - k)) / k,
                 lambda: 8 / mp.pi ** 3,
             ),
             _series_plan(_swap_series, _RAMANUJAN),
@@ -751,7 +726,7 @@ def _build_registry() -> Dict[str, IdentityCheck]:
             "[Gamma((m+1)/2)/Gamma((m+2)/2)]^2 "
             "4F3(1/2,1/2,(m+1)/2,(m+1)/2; 1,(m+2)/2,(m+2)/2; 1) "
             "for m = 0..6; largest quadrature-vs-series deviation vs 0",
-            _suite_plan(lambda m, **kw: wan_moment_check(m, **kw), 7),
+            _suite_plan(lambda m, **kw: mahler.wan_moment_check(m, **kw), 7),
             floor="1e-8",
         ),
         _check(
@@ -780,7 +755,7 @@ def _build_registry() -> Dict[str, IdentityCheck]:
             "= (4/pi^2) int_0^1 F(k) K'(k) dk for F = k^m, m = 0..4; "
             "largest deviation vs 0 (left side factors as a squared cosine "
             "moment)",
-            _suite_plan(lambda m, **kw: density_integral_check(m, **kw), 5),
+            _suite_plan(lambda m, **kw: mahler.density_integral_check(m, **kw), 5),
             floor="1e-8",
         ),
         _check(
@@ -823,7 +798,7 @@ def _build_registry() -> Dict[str, IdentityCheck]:
             "Lambda(s) = (sqrt(8)/(2 pi))^s Gamma(s) L(f,s) satisfies "
             "Lambda(s) = Lambda(4-s) on a probe grid, measured without "
             "assuming the functional equation; largest asymmetry vs 0",
-            _const_plan(lambda w: fricke_check(NEWFORM_F, precision=w), guard=0),
+            _const_plan(lambda w: modular.fricke_check(NEWFORM_F, precision=w), guard=0),
             cap=_CAP_LAMBDA,
             rule="fricke",
         ),
@@ -832,7 +807,7 @@ def _build_registry() -> Dict[str, IdentityCheck]:
             "Lambda(s) = (4/pi)^s Gamma(s) L(h,s) satisfies "
             "Lambda(s) = Lambda(3-s) on a probe grid for the weight-3 "
             "level-16 form h = eta(4t)^6; largest asymmetry vs 0",
-            _const_plan(lambda w: fricke_check(NEWFORM_H, precision=w), guard=0),
+            _const_plan(lambda w: modular.fricke_check(NEWFORM_H, precision=w), guard=0),
             cap=_CAP_LAMBDA,
             rule="fricke",
         ),
@@ -842,7 +817,7 @@ def _build_registry() -> Dict[str, IdentityCheck]:
             "m(x + 1/x + y + 1/y - 4) = 4G/pi, G Catalan's constant; "
             "lattice QMC vs Bradley's 3F2 series for G",
             _plan_qmc("p4"),
-            _const_plan(lambda w: 4 * catalan(w) / mp.pi, guard=16),
+            _const_plan(lambda w: 4 * special.catalan(w) / mp.pi, guard=16),
         ),
         _check(
             "statistical", "eq-1.2",
@@ -850,7 +825,7 @@ def _build_registry() -> Dict[str, IdentityCheck]:
             "level-16 newform h = eta(4t)^6; lattice QMC vs completed-L "
             "derivative",
             _plan_qmc("q8"),
-            _const_plan(lambda w: 4 * l_prime_at_0(NEWFORM_H, w), guard=16),
+            _const_plan(lambda w: 4 * modular.l_prime_at_0(NEWFORM_H, w), guard=16),
         ),
         _check(
             "statistical", "thm-1.1-torus",
@@ -873,7 +848,7 @@ def _build_registry() -> Dict[str, IdentityCheck]:
             "4-D lattice QMC vs hypergeometric series",
             _plan_qmc("r:32"),
             _const_plan(
-                lambda w: m_rk_hypergeometric(
+                lambda w: mahler.m_rk_hypergeometric(
                     32, target_abs_error=mp.mpf(2) ** (16 - w), precision=w
                 ),
                 guard=16,

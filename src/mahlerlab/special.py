@@ -31,14 +31,8 @@ from typing import List, Optional
 
 from mpmath import libmp, mp
 
-from .precision import (
-    MIN_PRECISION_BITS,
-    NoConvergence,
-    fixed_ratio,
-    from_fixed,
-    richardson,
-    to_fixed,
-)
+from . import precision
+from .precision import MIN_PRECISION_BITS, NoConvergence, fixed_ratio, from_fixed, to_fixed
 
 __all__ = [
     "PFQSpec",
@@ -549,8 +543,8 @@ def _pfq_richardson(ratio, target, base: int):
         if excess > 0:
             extra += excess
             continue
-        value = richardson(sums, n)
-        gap = abs(value - richardson(sums[:-2], n))
+        value = precision.richardson(sums, n)
+        gap = abs(value - precision.richardson(sums[:-2], n))
         if gap <= to_fixed(target, w) and gap <= (abs(value) + (1 << w)) >> (base + 8):
             return from_fixed(value, w, base)
         if terms >= _UNIT_TERM_CAP:

@@ -259,3 +259,14 @@ class TestBenchRun:
         assert not any(os.path.exists(p) for s in prefixes.values() for p in s)
         for checkout in (parent, change):
             assert not (checkout / "src" / "__pycache__").exists()
+
+    def test_paths_of_unequal_length_are_refused(self, tmp_path, capsys):
+        # peak RSS depends on the checkout path's length, so main exits 2,
+        # naming both lengths, before any run
+        parent, change = _stub_checkout(tmp_path / "parent"), _stub_checkout(tmp_path / "change2")
+        out = tmp_path / "bench.json"
+        assert bench_pairs.main(["--parent", str(parent), "--change", str(change),
+                                 "--workloads", "headline", "--seeds", "3", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"{len(str(parent))} characters" in err and f"--change path {len(str(change))}" in err
+        assert not out.exists()

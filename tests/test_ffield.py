@@ -1,6 +1,7 @@
 """Tests for Legendre symbols, Greene hypergeometric values against a
 character-sum oracle, and the hypersurface point-count identity."""
 
+import dataclasses
 import functools
 import math
 from fractions import Fraction
@@ -10,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mahlerlab import ffield
 from mahlerlab.ffield import (
     Eq41Report,
     PointCount,
@@ -299,22 +301,19 @@ class TestVerify41:
             assert rep.ok, rep.residuals
             assert len(rep.residuals) == p - 1
 
-    def test_negative_control_shift(self):
-        rep = verify_4_1(7, constant_shift=-1)
-        assert not rep.ok
-        assert all(r == 1 for _, r in rep.residuals)
-        rep = verify_4_1(5, constant_shift=1)
-        assert all(r == -1 for _, r in rep.residuals)
+    def test_negative_control_shift(self, monkeypatch):
+        # a point count raised (or lowered) by one must show as a residual
+        # of +1 (or -1) at every t
+        exact = ffield.count_points
+        for p, step in ((7, 1), (5, -1)):
+            def shifted(q, t, step=step):
+                point = exact(q, t)
+                return dataclasses.replace(point, count=point.count + step)
 
-    def test_constant_term_pinned_by_counts(self):
-        # shifting the constant by 16(phi(-1)+1) (the nearest wrong variant)
-        # leaves p = 3 mod 4 untouched but breaks every t for p = 1 mod 4
-        for p in (3, 7):
-            assert verify_4_1(p, constant_shift=16 * (legendre(-1, p) + 1)).ok
-        for p in (5, 13):
-            shift = 16 * (legendre(-1, p) + 1)
-            rep = verify_4_1(p, constant_shift=shift)
-            assert all(r == -shift for _, r in rep.residuals)
+            monkeypatch.setattr(ffield, "count_points", shifted)
+            rep = verify_4_1(p)
+            assert not rep.ok
+            assert all(r == step for _, r in rep.residuals)
 
     def test_ahlgren_ono_mutual_consistency(self):
         # eliminate 4F3(1) between the count identity and p^3 4F3(1) = -a_p - p:

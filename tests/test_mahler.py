@@ -305,6 +305,16 @@ class TestMAlpha:
                     value = m_alpha(1, route, precision=base)
                     assert abs(value - target) <= mp.mpf(2) ** -(base + 2), (base, route)
 
+    def test_fraction_converts_at_the_working_precision(self):
+        # alpha is converted inside m_alpha's own working precision, so the
+        # caller's mp.prec does not reach it: 1/3 rounded at mpmath's default
+        # 53 bits would move the value by 1.9e-17
+        with mp.workprec(53):
+            low = m_alpha(Fraction(1, 3), "series", precision=200)
+        with mp.workprec(240):
+            high = m_alpha(Fraction(1, 3), "series", precision=200)
+        assert low._mpf_ == high._mpf_
+
     def test_small_alpha_linear(self):
         # leading term of the series is alpha itself
         a = mp.mpf("1e-6")
@@ -415,6 +425,17 @@ class TestRAlpha:
         tor = r_alpha(1, "torus", samples=1 << 16, shifts=8)
         pl = r_alpha(1, "polylog", precision=64)
         assert abs(tor - pl) < 5e-3
+
+    @pytest.mark.parametrize("route", ["polylog", "k-integral"])
+    def test_fraction_converts_at_the_working_precision(self, route):
+        # as for m_alpha: 1/3 rounded at 53 bits would move the polylog
+        # value by 7.6e-18
+        precision = 200 if route == "polylog" else 64
+        with mp.workprec(53):
+            low = r_alpha(Fraction(1, 3), route, precision=precision)
+        with mp.workprec(240):
+            high = r_alpha(Fraction(1, 3), route, precision=precision)
+        assert low._mpf_ == high._mpf_
 
     def test_small_alpha_scaling(self):
         a = mp.mpf("1e-4")

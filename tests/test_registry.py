@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from mpmath import mp
 
-from mahlerlab import ffield, mahler, registry, special, wz
+from mahlerlab import ffield, mahler, modular, precision, registry, special, wz
 from mahlerlab.modular import QSeries
 from mahlerlab.precision import NoConvergence
 from mahlerlab.registry import (
@@ -352,8 +352,8 @@ class TestSeriesPlans:
                 return kernel(*args, **kwargs)
             return wrapper
 
-        monkeypatch.setattr(registry, "accelerate", counted("levin", registry.accelerate))
-        monkeypatch.setattr(special, "richardson", counted("richardson", special.richardson))
+        monkeypatch.setattr(precision, "accelerate", counted("levin", precision.accelerate))
+        monkeypatch.setattr(precision, "richardson", counted("richardson", precision.richardson))
         check = get_check(check_id)
         ctx = registry.RunContext(check_id, 64, registry.DEFAULT_SEED, registry.DEFAULT_SAMPLES)
         for plan, declared in zip((check.lhs_plan, check.rhs_plan), SERIES_ROUTES[check_id]):
@@ -373,12 +373,12 @@ class TestSeriesPlans:
                 assert result.deviation <= result.tolerance / 10 ** 4, check_id
 
     def test_levin_low_confidence_fails_the_check(self, monkeypatch):
-        exact = registry.accelerate
+        exact = precision.accelerate
 
         def doubtful(sums, precision=None):
             return dataclasses.replace(exact(sums, precision), low_confidence=True)
 
-        monkeypatch.setattr(registry, "accelerate", doubtful)
+        monkeypatch.setattr(precision, "accelerate", doubtful)
         for check_id in ("thm-1.1", "eq-2.10", "eq-4.3"):
             result = run_check(check_id, 64)
             assert not result.passed and result.deviation is None
@@ -482,14 +482,14 @@ class TestPlanNegativeControls:
         return result
 
     def test_ahlgren_ono_a7_off_by_one(self, monkeypatch):
-        exact = registry.newform_coefficient
+        exact = modular.newform_coefficient
 
         def off_by_one(spec, n):
             return exact(spec, n) + (n == 7)
 
         result = self._assert_flips(
             "ff-ahlgren-ono",
-            lambda: monkeypatch.setattr(registry, "newform_coefficient", off_by_one),
+            lambda: monkeypatch.setattr(modular, "newform_coefficient", off_by_one),
         )
         assert result.deviation == 1
         assert result.note == ""
@@ -527,6 +527,8 @@ class TestPlanNegativeControls:
         assert result.deviation == deviation
         assert result.note == ""
 
+    # module names the route that reads the perturbed series: the
+    # registry's Levin plans or pfq's Richardson route in special
     @pytest.mark.parametrize("check_id, module", [
         ("thm-1.1", "registry"),
         ("eq-2.10", "registry"),
@@ -536,15 +538,27 @@ class TestPlanNegativeControls:
         ("eq-4.3", "registry"),
     ])
     def test_term_ratio_off_at_one_index(self, monkeypatch, check_id, module):
-        # the series' term ratio t_6 / t_5 scaled by 1 + 2^-10, patched
-        # where the side reads it: registry's binding for the Levin plans,
-        # special's for pfq's Richardson route.  Every later term moves with
-        # it: measured deviations 5.5e-7 (thm-1.1) to 3.5e-5 (the swap sum),
-        # against a tolerance of 6.3e-10 at 64 bits
+        # one series' term ratio t_6 / t_5 scaled by 1 + 2^-10 through
+        # special._ratio_ints, which both routes read.  The perturbation is
+        # keyed on the side's spec, so eq-2.11's 5F4 (Richardson) and its
+        # swap sum over the Ramanujan series (Levin) each keep a control of
+        # their own.  Every later term moves with it: measured deviations
+        # 5.5e-7 (thm-1.1) to 3.5e-5 (the swap sum), against a tolerance of
+        # 6.3e-10 at 64 bits
+        target = {
+            ("thm-1.1", "registry"): registry._SIX_F_FIVE,
+            ("eq-2.10", "registry"): registry._RAMANUJAN,
+            ("eq-2.11", "registry"): registry._RAMANUJAN,
+            ("eq-2.11", "special"): registry._FIVE_F_FOUR,
+            ("eq-3.2", "special"): registry._EIGHT_F_SEVEN,
+            ("eq-4.3", "registry"): registry._FIVE_F_FOUR,
+        }[check_id, module]
         exact = special._ratio_ints
 
         def off_at_five(spec):
             ratio = exact(spec)
+            if spec != target:
+                return ratio
 
             def perturbed(n):
                 pn, qn = ratio(n)
@@ -552,9 +566,8 @@ class TestPlanNegativeControls:
 
             return perturbed
 
-        target = {"registry": registry, "special": special}[module]
         result = self._assert_flips(
-            check_id, lambda: monkeypatch.setattr(target, "_ratio_ints", off_at_five)
+            check_id, lambda: monkeypatch.setattr(special, "_ratio_ints", off_at_five)
         )
         assert result.deviation > result.tolerance
         assert result.note == ""
@@ -563,14 +576,14 @@ class TestPlanNegativeControls:
         # the 6F5 summed without t_0 = 1 on the Richardson path: the 6F5
         # lies in [1, 2), so each partial sum's top bit is t_0's 2^w; the
         # series side, the 6F5 itself, moves by 1
-        exact = special.richardson
+        exact = precision.richardson
 
         def without_first(sums, n):
             first = 1 << (sums[0].bit_length() - 1)
             return exact([s - first for s in sums], n)
 
         def perturb():
-            monkeypatch.setattr(special, "richardson", without_first)
+            monkeypatch.setattr(precision, "richardson", without_first)
 
         result = self._assert_flips("eq-1.5", perturb)
         assert abs(result.deviation - 1) < mp.mpf("1e-9")
@@ -600,7 +613,8 @@ class TestPlanNegativeControls:
 
 
 def scale_kernel(monkeypatch, module, name, power):
-    """Replace module.name by the kernel times 1 + 2^-power."""
+    """Replace module.name, the kernel's one binding in the module that
+    defines it, by the kernel times 1 + 2^-power."""
     exact = getattr(module, name)
 
     def scaled(*args, **kwargs):
@@ -628,7 +642,7 @@ class TestRAlphaNegativeControls:
         ("legendre_chi3", 26, True),
     ])
     def test_scaled_side(self, monkeypatch, name, power, passes):
-        scale_kernel(monkeypatch, mahler, name, power)
+        scale_kernel(monkeypatch, mahler if name == "m_alpha" else special, name, power)
         result = run_check("eq-3.5-vs-3.6", 96)
         assert result.passed is passes
         assert (result.deviation > result.tolerance) is not passes
@@ -653,7 +667,7 @@ class TestFourierNegativeControls:
         ("fourier-3.9", "ell_kprime", 12, True),
     ])
     def test_smallest_flipping_power(self, monkeypatch, check_id, name, power, passes):
-        scale_kernel(monkeypatch, mahler, name, power)
+        scale_kernel(monkeypatch, mahler if name == "m_alpha" else special, name, power)
         result = run_check(check_id, 96)
         assert result.passed is passes
         if check_id == "fourier-3.10" and not passes:
@@ -665,8 +679,8 @@ class TestFourierNegativeControls:
 
 
 class TestMomentNegativeControls:
-    """The six K K' moment checks at 64 bits flip to FAIL once the
-    registry's K is scaled by 1 + 2^-power, at each check's smallest such
+    """The six K K' moment checks at 64 bits flip to FAIL once
+    special.ell_k is scaled by 1 + 2^-power, at each check's smallest such
     power of two; one power more passes.  2^-32 flips all six and 2^-40
     passes all six, against the unchanged 6.3e-10 tolerance."""
 
@@ -680,7 +694,7 @@ class TestMomentNegativeControls:
     ])
     @pytest.mark.parametrize("shift, passes", [(0, False), (1, True)])
     def test_smallest_flipping_power(self, monkeypatch, check_id, power, shift, passes):
-        scale_kernel(monkeypatch, registry, "ell_k", power + shift)
+        scale_kernel(monkeypatch, special, "ell_k", power + shift)
         result = run_check(check_id, 64)
         assert result.passed is passes
         assert (result.deviation > result.tolerance) is not passes
@@ -732,7 +746,7 @@ class TestStatisticalNegativeControls:
         with mp.workprec(64):
             gap = clean.lhs - clean.rhs
             edge = (clean.tolerance - abs(gap)) / abs(clean.lhs) * mp.sign(gap)
-        exact = registry.mahler_numeric
+        exact = mahler.mahler_numeric
 
         def scaled_by(factor):
             def numeric(*args, **kwargs):
@@ -744,7 +758,7 @@ class TestStatisticalNegativeControls:
         for fraction, passes in (("0.99", True), ("1.01", False)):
             with mp.workprec(64):
                 factor = 1 + edge * mp.mpf(fraction)
-            monkeypatch.setattr(registry, "mahler_numeric", scaled_by(factor))
+            monkeypatch.setattr(mahler, "mahler_numeric", scaled_by(factor))
             result = run_check(check_id, samples=self.samples)
             assert result.passed is passes, (fraction, mp.nstr(edge, 3))
             assert result.tolerance == clean.tolerance

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from mpmath import mp
 import scipy.special
 
-from mahlerlab import special
+from mahlerlab import precision, special
 from mahlerlab.mahler import r_alpha
 from mahlerlab.modular import NEWFORM_F, NEWFORM_H, _term_count
 from mahlerlab.precision import AccelResult, NoConvergence, accelerate
@@ -524,7 +524,7 @@ class TestCatalan:
         def refused(*args):
             raise AssertionError("catalan reached an extrapolator")
 
-        monkeypatch.setattr(special, "richardson", refused)
+        monkeypatch.setattr(precision, "richardson", refused)
         with mp.workprec(200):
             assert catalan(144) == mp.mpf(mp.catalan, prec=144)
 
@@ -938,14 +938,14 @@ class TestPfqRichardson:
         # integer tail exponents at +1 reach Richardson, once per spec at
         # least; G's alternating 3F2 at -1 and Watson's 3F2 (rho = 3/2) are
         # refused before any partial sum is formed
-        extrapolate = special.richardson
+        extrapolate = precision.richardson
         calls = []
 
         def counted(sums, n):
             calls.append(n)
             return extrapolate(sums, n)
 
-        monkeypatch.setattr(special, "richardson", counted)
+        monkeypatch.setattr(precision, "richardson", counted)
         alpha_one = PFQSpec([Fraction(1, 2)] * 3, [Fraction(1), Fraction(3, 2)], 1)
         for spec in self._SPECS + [alpha_one]:
             calls.clear()

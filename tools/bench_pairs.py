@@ -31,6 +31,11 @@ traced run (--trace 1) per side and workload.  --cold ID ... times each
 warm-up of the same command, and compares their stdout and stderr with
 each check's wall_ms removed.
 
+The two checkouts' absolute paths must have the same length: equal code
+run from paths of different lengths read a different peak_rss_mb (47.79
+against 48.04 MB on the statistical workload, 2-core x86_64 Linux), so the
+tool exits 2 before any run when they differ.
+
 The report's parent and change fields name the code each side ran: the
 HEAD commit when the checkout is the top of its own git work tree with
 src/ and bench/ as committed, and otherwise (a `git archive` export, inside
@@ -257,6 +262,12 @@ def main(argv=None):
     args = parser.parse_args(argv)
 
     checkouts = {"parent": os.path.abspath(args.parent), "change": os.path.abspath(args.change)}
+    lengths = {side: len(path) for side, path in checkouts.items()}
+    if lengths["parent"] != lengths["change"]:
+        print(f"bench_pairs: the --parent path is {lengths['parent']} characters long and the "
+              f"--change path {lengths['change']}; peak RSS depends on that length, so run "
+              "both from paths of equal length", file=sys.stderr)
+        return 2
     with open(os.path.join(checkouts["change"], "BENCHMARK.json")) as fh:
         metric_specs = json.load(fh)["end_to_end"]
     report = {
