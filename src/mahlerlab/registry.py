@@ -50,7 +50,6 @@ from .modular import NEWFORM_F, NEWFORM_H
 from .precision import NoConvergence, ResourceLimitError, from_fixed, to_fixed
 from .quadrature import IntegrandError
 from .special import PFQSpec
-from .wz import PAIR_ONE, PAIR_TWO
 
 __all__ = [
     "IdentityCheck",
@@ -361,27 +360,20 @@ def _const_plan(maker, guard: int = 32) -> Plan:
 # Residual-style plans (largest residual vs. zero)
 
 
-def _plan_wz_pair(pair) -> Plan:
+def _plan_wz(verify, pairs) -> Plan:
+    """The largest |residual| of the WZ reports verify(pair) over pairs, with
+    their relations_checked summed.  verify is a lambda that calls into wz
+    through the module, so a patched or traced wz function is the one run."""
+
     def plan(ctx: RunContext) -> PlanResult:
-        report = wz.wz_pair_verify(pair, _WZ_RANGE)
+        reports = [verify(pair) for pair in pairs]
         worst = max(
-            (abs(residual) for _, _, residual in report.violations),
+            (abs(residual) for report in reports for _, _, residual in report.violations),
             default=Fraction(0),
         )
-        return PlanResult((worst,), report.relations_checked)
+        return PlanResult((worst,), sum(report.relations_checked for report in reports))
 
     return plan
-
-
-def _plan_wz_telescope(ctx: RunContext) -> PlanResult:
-    worst = Fraction(0)
-    checked = 0
-    for pair in (PAIR_ONE, PAIR_TWO):
-        report = wz.telescope_reconstruct(pair, _WZ_RANGE)
-        checked += report.relations_checked
-        for _, _, residual in report.violations:
-            worst = max(worst, abs(residual))
-    return PlanResult((worst,), checked)
 
 
 @lru_cache(maxsize=1)
@@ -564,7 +556,7 @@ def _build_registry() -> Dict[str, IdentityCheck]:
             "G = -T(n,k) k^2 (2n+1)^2/((n+1)^2 (2n-2k+3)), "
             "T(n,k) = 2^(-4n-4k) C(2k,k)^2 C(2n,n)^2; "
             "largest residual vs 0",
-            _plan_wz_pair(PAIR_ONE),
+            _plan_wz(lambda pair: wz.wz_pair_verify(pair, _WZ_RANGE), (wz.PAIR_ONE,)),
         ),
         _check(
             "exact", "wz-pair-2",
@@ -572,14 +564,17 @@ def _build_registry() -> Dict[str, IdentityCheck]:
             "for F = T(n,k)(2n+1)^2/(n+k+1), "
             "G = T(n,k) k^2 (2n+1)^2/((n+1)^2 (n+k+1)); "
             "largest residual vs 0",
-            _plan_wz_pair(PAIR_TWO),
+            _plan_wz(lambda pair: wz.wz_pair_verify(pair, _WZ_RANGE), (wz.PAIR_TWO,)),
         ),
         _check(
             "exact", "wz-telescope",
             "h(n) = h(0) + sum_{j<=n} (F(j,j) + G(j-1,j) - G(j-1,0)) "
             "reconstructs the row sums h(n) = sum_{k<=n} F(n,k) exactly for "
             "both certificate pairs, n <= 500; largest residual vs 0",
-            _plan_wz_telescope,
+            _plan_wz(
+                lambda pair: wz.telescope_reconstruct(pair, _WZ_RANGE),
+                (wz.PAIR_ONE, wz.PAIR_TWO),
+            ),
         ),
         _check(
             "exact", "wz-2.8-2.9",

@@ -104,7 +104,7 @@ def _half_pi_over_agm(kc, p: int):
     a = _agm_fixed(1 << f, libmp.to_fixed(kc, f), p + 8)
     g = p + 24
     v = (libmp.pi_fixed(g) << (f - 1)) // a
-    return mp.make_mpf(libmp.from_man_exp(v, -g, p, _NEAREST))
+    return from_fixed(v, g, p)
 
 
 def ell_k(k, precision: Optional[int] = None):

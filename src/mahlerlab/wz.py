@@ -22,17 +22,17 @@ inner sums of s3 and ramanujan_partial_sums come from the integer prefix
 
 one Fraction (one gcd) per value again, and s3 one step of the prefix per
 row when identity_rows computes all rows together.  C(2k,k)^2 comes from
-the recurrence C(2k,k) = C(2k-2,k-1) 2(2k-1)/k, never from binom; the
-registry's C(2n,n)^4 series plans read the same list.
+the recurrence C(2k,k) = C(2k-2,k-1) 2(2k-1)/k, never from binom.
 
 Certificates.  The two certificate pairs share the common factor
 T(n,k) = 2^(-4k-4n) C(2k,k)^2 C(2n,n)^2, and each is declared once, by its
-reduced forms f/T and g/T; f and g are T times those.  A reduced form
+reduced forms f/T and g/T; the methods f and g return T times those, so
+the pair verifier and the telescope read one certificate.  A reduced form
 returns an integer pair (num, den) with den != 0, not necessarily in lowest
 terms, so the verifier builds no Fraction and pays no gcd per value.  The
-fast verification route divides the pair relation through by T, which
-cancels every binomial coefficient and every power of two symbolically and
-leaves a relation between O(1)-size rationals:
+verifier divides the pair relation through by T, which cancels every
+binomial coefficient and every power of two symbolically and leaves a
+relation between O(1)-size rationals:
 
     T(n+1,k)/T(n,k) = (2n+1)^2 / (4(n+1)^2)
     T(n,k+1)/T(n,k) = (2k+1)^2 / (4(k+1)^2)
@@ -40,7 +40,7 @@ leaves a relation between O(1)-size rationals:
 Both sides are compared by cross-multiplying their small integer numerators
 and denominators; a zero den raises ZeroDivisionError as Fraction would,
 and the exact Fraction residual (times T) is built only for a violation.
-The certificates f and g are Fractions, T (its binomials from binom) times
+The values of f and g are Fractions, T (its binomials from binom) times
 Fraction(*reduced), and the telescope's reconstruction side sums
 f(n,n) + g(n-1,n) - g(n-1,0) from them, so it shares no arithmetic with
 the row-sum kernel it is checked against.
@@ -83,20 +83,25 @@ def binom(n: int, k: int) -> int:
 
 @dataclass(frozen=True)
 class WZPair:
-    """Certificate pair with the relation f(n+1,k)-f(n,k) = g(n,k+1)-g(n,k).
+    """Certificate pair with the relation f(n+1,k)-f(n,k) = g(n,k+1)-g(n,k),
+    declared by its reduced forms.
 
     reduced_f/reduced_g are f/T and g/T for the shared factor T above, each
     returned as an integer pair (num, den) with den != 0, in lowest terms or
-    not (either sign of den); the verifier needs no gcd per value.  When
-    both are present the verifier uses them and never touches a binomial,
-    and a reduced_f alone lets telescope_reconstruct use the row-sum kernel.
+    not (either sign of den); the verifier reads them and never touches a
+    binomial, and telescope_reconstruct's direct rows put reduced_f through
+    the row-sum kernel.  f and g are derived from them, T times the form.
     """
 
     name: str
-    f: Callable[[int, int], Fraction]
-    g: Callable[[int, int], Fraction]
-    reduced_f: Optional[Callable[[int, int], Tuple[int, int]]] = None
-    reduced_g: Optional[Callable[[int, int], Tuple[int, int]]] = None
+    reduced_f: Callable[[int, int], Tuple[int, int]]
+    reduced_g: Callable[[int, int], Tuple[int, int]]
+
+    def f(self, n: int, k: int) -> Fraction:
+        return _t_factor(n, k) * Fraction(*self.reduced_f(n, k))
+
+    def g(self, n: int, k: int) -> Fraction:
+        return _t_factor(n, k) * Fraction(*self.reduced_g(n, k))
 
 
 @dataclass(frozen=True)
@@ -108,7 +113,6 @@ class WZReport:
     n_max: int
     relations_checked: int
     violations: Tuple[Tuple[int, Optional[int], Fraction], ...]
-    route: str
 
     @property
     def ok(self) -> bool:
@@ -119,24 +123,13 @@ def _t_factor(n: int, k: int) -> Fraction:
     return Fraction(binom(2 * k, k) ** 2 * binom(2 * n, n) ** 2, 1 << (4 * k + 4 * n))
 
 
-def _reduced_pair(name: str, reduced_f, reduced_g) -> WZPair:
-    """The pair f = T reduced_f, g = T reduced_g, with T from binom."""
-    return WZPair(
-        name=name,
-        f=lambda n, k: _t_factor(n, k) * Fraction(*reduced_f(n, k)),
-        g=lambda n, k: _t_factor(n, k) * Fraction(*reduced_g(n, k)),
-        reduced_f=reduced_f,
-        reduced_g=reduced_g,
-    )
-
-
-PAIR_ONE = _reduced_pair(
+PAIR_ONE = WZPair(
     "pair-2n-2k+1",
     lambda n, k: ((2 * n + 1) ** 2, 2 * n - 2 * k + 1),
     lambda n, k: (-(k ** 2) * (2 * n + 1) ** 2, (1 + n) ** 2 * (2 * n - 2 * k + 3)),
 )
 
-PAIR_TWO = _reduced_pair(
+PAIR_TWO = WZPair(
     "pair-n+k+1",
     lambda n, k: ((2 * n + 1) ** 2, n + k + 1),
     lambda n, k: (k ** 2 * (2 * n + 1) ** 2, (n + 1) ** 2 * (n + k + 1)),
@@ -186,34 +179,6 @@ def _row_sum(
     return total, den << (4 * n)
 
 
-def wz_pair_verify(pair: WZPair, n_max: int) -> WZReport:
-    """Check the pair relation exactly for all 0 <= k <= n <= n_max.
-
-    Violations are reported with the exact residual of the full (unreduced)
-    relation; they are data, not errors.
-    """
-    if n_max < 1:
-        raise ValueError(f"n_max must be >= 1, got {n_max}")
-    reduced = pair.reduced_f is not None and pair.reduced_g is not None
-    if reduced:
-        violations = _reduced_violations(pair, n_max)
-    else:
-        violations = []
-        for n in range(n_max + 1):
-            for k in range(n + 1):
-                lhs = pair.f(n + 1, k) - pair.f(n, k)
-                rhs = pair.g(n, k + 1) - pair.g(n, k)
-                if lhs != rhs:
-                    violations.append((n, k, lhs - rhs))
-    return WZReport(
-        pair_name=pair.name,
-        n_max=n_max,
-        relations_checked=(n_max + 1) * (n_max + 2) // 2,
-        violations=tuple(violations),
-        route="reduced" if reduced else "direct",
-    )
-
-
 def _reduced_row(fn, n: int, stop: int) -> List[Tuple[int, int]]:
     """fn(n, k) for k < stop as (num, den) pairs; a zero den raises here, as
     Fraction(num, 0) would, so a 0-against-0 cross-multiplication never
@@ -224,17 +189,22 @@ def _reduced_row(fn, n: int, stop: int) -> List[Tuple[int, int]]:
     return row
 
 
-def _reduced_violations(
-    pair: WZPair, n_max: int
-) -> List[Tuple[int, Optional[int], Fraction]]:
-    """The reduced relation
+def wz_pair_verify(pair: WZPair, n_max: int) -> WZReport:
+    """Check the pair relation exactly for all 0 <= k <= n <= n_max, in its
+    reduced form
 
         rf(n+1,k) a_n/b_n - rf(n,k) = rg(n,k+1) c_k/d_k - rg(n,k)
 
     with a_n/b_n = T(n+1,k)/T(n,k) and c_k/d_k = T(n,k+1)/T(n,k), compared
     as cross-multiplied integers straight from the (num, den) pairs.  Row
     n+1's reduced_f values serve as the next row's, so each certificate
-    value is evaluated once."""
+    value is evaluated once.
+
+    Violations are reported with the exact residual of the full (unreduced)
+    relation, the reduced one times T(n,k); they are data, not errors.
+    """
+    if n_max < 1:
+        raise ValueError(f"n_max must be >= 1, got {n_max}")
     rf, rg = pair.reduced_f, pair.reduced_g
     ratios_k = [((2 * k + 1) ** 2, 4 * (k + 1) ** 2) for k in range(n_max + 1)]
     violations: List[Tuple[int, Optional[int], Fraction]] = []
@@ -251,7 +221,12 @@ def _reduced_violations(
             if lhs_num * rhs_den != rhs_num * lhs_den:
                 residual = Fraction(lhs_num, lhs_den) - Fraction(rhs_num, rhs_den)
                 violations.append((n, k, residual * _t_factor(n, k)))
-    return violations
+    return WZReport(
+        pair_name=pair.name,
+        n_max=n_max,
+        relations_checked=(n_max + 1) * (n_max + 2) // 2,
+        violations=tuple(violations),
+    )
 
 
 def _identity_row(
@@ -288,10 +263,8 @@ def identity_rows(n_max: int) -> List[Tuple[Fraction, Fraction, Fraction]]:
 
 
 def _direct_row(pair: WZPair, csq: Sequence[int], n: int) -> Fraction:
-    """h(n) = sum_{k<=n} f(n,k); with a reduced_f this is T_n times the
-    kernel's row sum of reduced_f(n,k), T_n = C(2n,n)^2 / 16^n."""
-    if pair.reduced_f is None:
-        return sum((pair.f(n, k) for k in range(n + 1)), Fraction(0))
+    """h(n) = sum_{k<=n} f(n,k), as T_n times the kernel's row sum of
+    reduced_f(n,k), T_n = C(2n,n)^2 / 16^n; it reads neither f nor binom."""
     total, den = _row_sum(csq, n, [pair.reduced_f(n, k) for k in range(n + 1)])
     return Fraction(csq[n] * total, den << (4 * n))
 
@@ -303,20 +276,17 @@ def telescope_reconstruct(pair: WZPair, n_max: int) -> WZReport:
         raise ValueError(f"n_max must be >= 1, got {n_max}")
     violations: List[Tuple[int, Optional[int], Fraction]] = []
     csq = _central_squares(n_max)
-    recon = pair.f(0, 0)
-    checked = 1  # n = 0 base case is h(0) = f(0,0) by construction
+    recon = pair.f(0, 0)  # the n = 0 row, h(0) = f(0,0) by construction
     for n in range(1, n_max + 1):
         recon += pair.f(n, n) + pair.g(n - 1, n) - pair.g(n - 1, 0)
         direct = _direct_row(pair, csq, n)
-        checked += 1
         if direct != recon:
             violations.append((n, None, direct - recon))
     return WZReport(
         pair_name=pair.name,
         n_max=n_max,
-        relations_checked=checked,
+        relations_checked=n_max + 1,
         violations=tuple(violations),
-        route="telescope",
     )
 
 
@@ -324,8 +294,7 @@ def ramanujan_partial_sums(m_max: int) -> List[Fraction]:
     """Exact inner partial sums S_m = sum_{k<=m} (4k+1) 2^(-8k) C(2k,k)^4
     = I(m) / 2^(8m).
 
-    These grow like (4/pi^2) log m + O(1).  The double-sum checks sum
-    their increments S_m - S_(m-1) by parts, straight from _central_squares.
+    These grow like (4/pi^2) log m + O(1).
     """
     if m_max < 0:
         raise ValueError(f"m_max must be >= 0, got {m_max}")

@@ -6,6 +6,7 @@ checks are exercised at modest precision to keep the loop fast, with one
 filtered run_all over the exact kind (those checks are precision-free).
 """
 
+import collections
 import dataclasses
 import functools
 from fractions import Fraction
@@ -395,19 +396,21 @@ def small_wz_range(monkeypatch):
     registry._wz_triples.cache_clear()
 
 
-def _scaled_at(fn, cell):
-    return lambda n, k: fn(n, k) * (2 if (n, k) == cell else 1)
-
-
 def _pair_scaled_at(fn, cell):
-    """_scaled_at for a reduced form, which returns (num, den): the numerator
-    doubles at cell."""
+    """A reduced form, which returns (num, den), with its numerator doubled
+    at cell."""
 
     def scaled(n, k):
         num, den = fn(n, k)
         return (2 * num if (n, k) == cell else num), den
 
     return scaled
+
+
+def _substitute(monkeypatch, name, pair, bad):
+    """wz.<name> run on bad wherever the registry passes it pair."""
+    exact = getattr(wz, name)
+    monkeypatch.setattr(wz, name, lambda p, n_max: exact(bad if p is pair else p, n_max))
 
 
 class TestWZNegativeControls:
@@ -430,21 +433,10 @@ class TestWZNegativeControls:
     ])
     def test_certificate_scaled_at_one_cell(self, small_wz_range, monkeypatch, check_id, pair):
         cell = (17, 6)
-        bad = dataclasses.replace(
-            pair,
-            f=_scaled_at(pair.f, cell),
-            reduced_f=_pair_scaled_at(pair.reduced_f, cell),
+        bad = dataclasses.replace(pair, reduced_f=_pair_scaled_at(pair.reduced_f, cell))
+        self._assert_flips(
+            check_id, lambda: _substitute(monkeypatch, "wz_pair_verify", pair, bad)
         )
-        check = get_check(check_id)
-
-        def perturb():
-            monkeypatch.setitem(
-                registry._REGISTRY,
-                check_id,
-                dataclasses.replace(check, lhs_plan=registry._plan_wz_pair(bad)),
-            )
-
-        self._assert_flips(check_id, perturb)
 
     @pytest.mark.parametrize("check_id", ["wz-telescope", "wz-2.8-2.9"])
     def test_central_square_off_by_one(self, small_wz_range, monkeypatch, check_id):
@@ -462,10 +454,38 @@ class TestWZNegativeControls:
         )
 
     def test_telescope_certificate_scaled_at_one_cell(self, small_wz_range, monkeypatch):
-        bad = dataclasses.replace(wz.PAIR_TWO, g=_scaled_at(wz.PAIR_TWO.g, (11, 12)))
-        self._assert_flips(
-            "wz-telescope", lambda: monkeypatch.setattr(registry, "PAIR_TWO", bad)
+        bad = dataclasses.replace(
+            wz.PAIR_TWO, reduced_g=_pair_scaled_at(wz.PAIR_TWO.reduced_g, (11, 12))
         )
+        self._assert_flips(
+            "wz-telescope",
+            lambda: _substitute(monkeypatch, "telescope_reconstruct", wz.PAIR_TWO, bad),
+        )
+
+    def test_plans_call_wz_through_the_module(self, small_wz_range, monkeypatch):
+        # a plan holding the functions it bound when the registry was built
+        # would bypass these wrappers, and the benchmark tracer's wz spans
+        calls = collections.Counter()
+
+        def counting(name):
+            exact = getattr(wz, name)
+
+            def counted(pair, n_max):
+                calls[name] += 1
+                return exact(pair, n_max)
+
+            monkeypatch.setattr(wz, name, counted)
+
+        counting("wz_pair_verify")
+        counting("telescope_reconstruct")
+        for check_id, expected in [
+            ("wz-pair-1", {"wz_pair_verify": 1}),
+            ("wz-pair-2", {"wz_pair_verify": 1}),
+            ("wz-telescope", {"telescope_reconstruct": 2}),
+        ]:
+            calls.clear()
+            assert run_check(check_id, 64).passed
+            assert calls == expected, check_id
 
 
 class TestPlanNegativeControls:

@@ -15,7 +15,7 @@ from mahlerlab.wz import (
     telescope_reconstruct,
     wz_pair_verify,
 )
-from mahlerlab.wz import _central_squares, _direct_row, _reduced_pair, _t_factor, identity_rows
+from mahlerlab.wz import _central_squares, _direct_row, _t_factor, identity_rows
 
 
 def _pascal_oracle(n, k):
@@ -58,8 +58,40 @@ def _ramanujan_oracle(m_max):
     return out
 
 
+def _unreduced_violations(pair, n_max):
+    """The pair relation f(n+1,k) - f(n,k) = g(n,k+1) - g(n,k) itself, on
+    Fractions from pair.f and pair.g, with no T-cancellation."""
+    violations = []
+    for n in range(n_max + 1):
+        for k in range(n + 1):
+            lhs = pair.f(n + 1, k) - pair.f(n, k)
+            rhs = pair.g(n, k + 1) - pair.g(n, k)
+            if lhs != rhs:
+                violations.append((n, k, lhs - rhs))
+    return violations
+
+
+def _t_comb(n, k):
+    return Fraction(math.comb(2 * k, k) ** 2 * math.comb(2 * n, n) ** 2, 1 << (4 * n + 4 * k))
+
+
+# F and G of the wz-pair-1 and wz-pair-2 check descriptions, from math.comb
+CLOSED_FORMS = {
+    PAIR_ONE.name: (
+        lambda n, k: _t_comb(n, k) * Fraction((2 * n + 1) ** 2, 2 * n - 2 * k + 1),
+        lambda n, k: -_t_comb(n, k) * Fraction(
+            k ** 2 * (2 * n + 1) ** 2, (n + 1) ** 2 * (2 * n - 2 * k + 3)
+        ),
+    ),
+    PAIR_TWO.name: (
+        lambda n, k: _t_comb(n, k) * Fraction((2 * n + 1) ** 2, n + k + 1),
+        lambda n, k: _t_comb(n, k) * Fraction(k ** 2 * (2 * n + 1) ** 2, (n + 1) ** 2 * (n + k + 1)),
+    ),
+}
+
+
 def _reduced_fraction_route(pair, n_max):
-    """wz_pair_verify's reduced route with every quantity a Fraction."""
+    """wz_pair_verify's reduced relation with every quantity a Fraction."""
     rf = lambda n, k: Fraction(*pair.reduced_f(n, k))
     rg = lambda n, k: Fraction(*pair.reduced_g(n, k))
     violations = []
@@ -83,10 +115,6 @@ def _scaled_pair(fn, factor, cell=None):
         return (num * factor, den) if cell in (None, (n, k)) else (num, den)
 
     return scaled
-
-
-def _with_reduced(pair, reduced_f, reduced_g):
-    return WZPair(name=pair.name, f=pair.f, g=pair.g, reduced_f=reduced_f, reduced_g=reduced_g)
 
 
 ORACLE_ROWS = list(range(61)) + [100, 250, 500]
@@ -116,15 +144,15 @@ class TestBinom:
 
 
 class TestReducedForms:
-    @given(st.integers(min_value=0, max_value=30), st.data())
-    @settings(max_examples=40, deadline=None)
-    def test_reduction_is_exact(self, n, data):
-        k = data.draw(st.integers(min_value=0, max_value=n))
-        t = _t_factor(n, k)
-        assert PAIR_ONE.f(n, k) == Fraction(*PAIR_ONE.reduced_f(n, k)) * t
-        assert PAIR_ONE.g(n, k) == Fraction(*PAIR_ONE.reduced_g(n, k)) * t
-        assert PAIR_TWO.f(n, k) == Fraction(*PAIR_TWO.reduced_f(n, k)) * t
-        assert PAIR_TWO.g(n, k) == Fraction(*PAIR_TWO.reduced_g(n, k)) * t
+    @pytest.mark.parametrize("pair", [PAIR_ONE, PAIR_TWO], ids=lambda p: p.name)
+    def test_certificates_match_the_closed_forms(self, pair):
+        # g is read one step past the triangle, at k = n + 1
+        f, g = CLOSED_FORMS[pair.name]
+        for n in range(31):
+            for k in range(n + 1):
+                assert pair.f(n, k) == f(n, k), (n, k)
+            for k in range(n + 2):
+                assert pair.g(n, k) == g(n, k), (n, k)
 
     @given(st.integers(min_value=0, max_value=40), st.integers(min_value=0, max_value=40))
     @settings(max_examples=40, deadline=None)
@@ -139,28 +167,19 @@ class TestPairVerify:
         report = wz_pair_verify(PAIR_ONE, 500)
         assert report.ok
         assert report.relations_checked == 501 * 502 // 2
-        assert report.route == "reduced"
 
     def test_pair_two_to_500(self):
         report = wz_pair_verify(PAIR_TWO, 500)
         assert report.ok
 
-    def test_direct_route_agrees(self):
-        # same relation checked without the T-cancellation shortcut
-        for pair in (PAIR_ONE, PAIR_TWO):
-            direct = WZPair(name=pair.name, f=pair.f, g=pair.g)
-            report = wz_pair_verify(direct, 60)
-            assert report.route == "direct"
-            assert report.ok
+    @pytest.mark.parametrize("pair", [PAIR_ONE, PAIR_TWO], ids=lambda p: p.name)
+    def test_unreduced_relation_agrees(self, pair):
+        # the same relation checked without the T-cancellation
+        assert _unreduced_violations(pair, 60) == []
+        assert wz_pair_verify(pair, 60).ok
 
     def test_mutated_pair_caught(self):
-        bad = WZPair(
-            name="bad",
-            f=PAIR_ONE.f,
-            g=lambda n, k: 2 * PAIR_ONE.g(n, k),
-            reduced_f=PAIR_ONE.reduced_f,
-            reduced_g=_scaled_pair(PAIR_ONE.reduced_g, 2),
-        )
+        bad = WZPair("bad", PAIR_ONE.reduced_f, _scaled_pair(PAIR_ONE.reduced_g, 2))
         report = wz_pair_verify(bad, 5)
         assert not report.ok
         cells = {(n, k) for n, k, _ in report.violations}
@@ -176,15 +195,26 @@ class TestPairVerify:
             rf = _scaled_pair(rf, 3, (9, 4))
         else:
             rg = _scaled_pair(rg, 3, (12, 7))
-        bad = WZPair(name="bad", f=PAIR_TWO.f, g=PAIR_TWO.g, reduced_f=rf, reduced_g=rg)
+        bad = WZPair("bad", rf, rg)
         report = wz_pair_verify(bad, 20)
         expected = _reduced_fraction_route(bad, 20)
         assert expected
         assert list(report.violations) == expected
 
-    def test_mutated_pair_caught_on_direct_route(self):
-        bad = WZPair(name="bad", f=PAIR_ONE.f, g=lambda n, k: 2 * PAIR_ONE.g(n, k))
-        assert not wz_pair_verify(bad, 5).ok
+    @pytest.mark.parametrize("pair", [PAIR_ONE, PAIR_TWO], ids=lambda p: p.name)
+    @pytest.mark.parametrize("scaled", ["f", "g"])
+    def test_mutated_pair_caught_by_unreduced_relation(self, pair, scaled):
+        # one certificate value scaled at one cell, or g everywhere: the
+        # verifier reports the cells and residuals of the unreduced relation
+        rf, rg = pair.reduced_f, pair.reduced_g
+        if scaled == "f":
+            rf = _scaled_pair(rf, 3, (33, 20))
+        else:
+            rg = _scaled_pair(rg, 2)
+        bad = WZPair("bad", rf, rg)
+        expected = _unreduced_violations(bad, 60)
+        assert expected
+        assert list(wz_pair_verify(bad, 60).violations) == expected
 
     def test_domain(self):
         with pytest.raises(ValueError):
@@ -214,25 +244,26 @@ class TestCertificateDenominators:
             rf = self._zero_den_at(rf, (7, 3))
         else:
             rg = self._zero_den_at(rg, (6, 7))
-        bad = _with_reduced(PAIR_ONE, rf, rg)
+        bad = WZPair(PAIR_ONE.name, rf, rg)
         with pytest.raises(ZeroDivisionError):
             wz_pair_verify(bad, 20)
         with pytest.raises(ZeroDivisionError):
-            telescope_reconstruct(_reduced_pair("bad", rf, rg), 20)
+            telescope_reconstruct(WZPair("bad", rf, rg), 20)
 
     def test_zero_den_in_telescope_row_sum_raises(self):
-        # f keeps its Fraction values, so only the row-sum kernel sees the 0
+        # the reconstruction reads f only on the diagonal, so only the
+        # row-sum kernel sees the 0
         rf = self._zero_den_at(PAIR_TWO.reduced_f, (9, 4))
         with pytest.raises(ZeroDivisionError):
-            telescope_reconstruct(_with_reduced(PAIR_TWO, rf, PAIR_TWO.reduced_g), 20)
+            telescope_reconstruct(WZPair(PAIR_TWO.name, rf, PAIR_TWO.reduced_g), 20)
 
     def test_zero_against_zero_is_not_a_pass(self):
         # every cross-multiplied product would read 0 == 0
         zero = lambda n, k: (0, 0)
         with pytest.raises(ZeroDivisionError):
-            wz_pair_verify(_with_reduced(PAIR_ONE, zero, zero), 5)
+            wz_pair_verify(WZPair(PAIR_ONE.name, zero, zero), 5)
         with pytest.raises(ZeroDivisionError):
-            telescope_reconstruct(_with_reduced(PAIR_ONE, zero, zero), 5)
+            telescope_reconstruct(WZPair(PAIR_ONE.name, zero, zero), 5)
 
     @pytest.mark.parametrize("cells", [
         pytest.param(lambda n, k: True, id="everywhere"),
@@ -240,16 +271,16 @@ class TestCertificateDenominators:
     ])
     @pytest.mark.parametrize("pair", [PAIR_ONE, PAIR_TWO], ids=lambda p: p.name)
     def test_negated_pairs_give_the_same_report(self, pair, cells):
-        neg = _with_reduced(
-            pair, self._negated(pair.reduced_f, cells), self._negated(pair.reduced_g, cells)
+        neg = WZPair(
+            pair.name, self._negated(pair.reduced_f, cells), self._negated(pair.reduced_g, cells)
         )
         assert wz_pair_verify(neg, 60) == wz_pair_verify(pair, 60)
         assert telescope_reconstruct(neg, 60) == telescope_reconstruct(pair, 60)
         # and for a broken pair, the same cells and the same exact residuals
         rg = _scaled_pair(pair.reduced_g, 3, (12, 7))
-        bad = _with_reduced(pair, pair.reduced_f, rg)
-        bad_neg = _with_reduced(
-            pair, self._negated(pair.reduced_f, cells), self._negated(rg, cells)
+        bad = WZPair(pair.name, pair.reduced_f, rg)
+        bad_neg = WZPair(
+            pair.name, self._negated(pair.reduced_f, cells), self._negated(rg, cells)
         )
         report = wz_pair_verify(bad, 30)
         assert not report.ok
@@ -314,12 +345,8 @@ class TestTelescope:
         for pair in (PAIR_ONE, PAIR_TWO):
             assert _direct_row(pair, csq, n) == _direct_row_oracle(pair, n)
 
-    def test_direct_route_without_reduced_forms(self):
-        direct = WZPair(name=PAIR_TWO.name, f=PAIR_TWO.f, g=PAIR_TWO.g)
-        assert telescope_reconstruct(direct, 40).ok
-
     def test_mutated_pair_caught(self):
-        bad = WZPair(name="bad", f=PAIR_ONE.f, g=lambda n, k: 2 * PAIR_ONE.g(n, k))
+        bad = WZPair("bad", PAIR_ONE.reduced_f, _scaled_pair(PAIR_ONE.reduced_g, 2))
         report = telescope_reconstruct(bad, 10)
         assert not report.ok
         assert report.violations[0][1] is None  # telescoping rows carry no k
