@@ -4,17 +4,21 @@ the identities here revolve around:
     f = eta(2t)^4 eta(4t)^4   weight 4, level 8
     h = eta(4t)^6             weight 3, level 16 (CM by Q(i))
 
-L-values come from the Mellin split of the completed function: with
-u0 = 1/sqrt(level),
+L-values come from the Mellin split of the completed function at a free
+split point t0 (Dokchitser 2004):
 
-    Lambda(s) = G(s) + sign * G(weight - s),
-    G(s) = level^(s/2) * sum_n a_n (2 pi n)^(-s) Gamma(s, 2 pi n u0),
+    Lambda(s) = level^(s/2) G(s, 2 pi t0)
+                + sign * level^((weight-s)/2) G(weight - s, 2 pi / (level t0)),
+    G(s, c) = sum_n a_n (2 pi n)^(-s) Gamma(s, c n),
 
-which converges like exp(-2 pi u0 n).  At the integer arguments the artifact
-needs, Gamma(s, x) is an elementary finite sum and Gamma(0, x) = E1(x),
-which special.exp_integral_e1 evaluates on precision.py's fixed-point layer
-(an int series or continued fraction per term); the two incomplete gammas
-of a term share one e^-x.
+each side converging like exp(-c n).  At the integer arguments the
+artifact needs, Gamma(s, x) for s >= 1 is e^-x times a polynomial in x, so
+such a side is one fixed-point q-series in q = e^-c on ints; Gamma(0, x) is
+E1(x), which special.exp_integral_e1 evaluates term by term on
+precision.py's fixed-point layer (an int series or continued fraction).
+t0 = 1/sqrt(level) balances the two sides' term counts; when one side is
+E1 (s = weight) the split moves to t0 = 1/(4 sqrt(level)), where that side
+needs 4 times fewer of its costly terms.
 
 axis_mellin computes Lambda(s) = level^(s/2) int_0^inf f(iu) u^(s-1) du
 directly, for any number of s at once: with u = e^t the integrand decays
@@ -285,66 +289,135 @@ def newform_coefficient(spec: NewformSpec, n: int) -> int:
 # L-values via the Mellin split
 
 
-def _term_count(level: int, weight: int, work: int) -> int:
-    u0 = 1.0 / math.sqrt(level)
+# Split point of l_value when one side is E1 (s = weight): t0 =
+# 1/(_E1_SPLIT sqrt(level)) instead of the balanced 1/sqrt(level).  The E1
+# side then needs _E1_SPLIT times fewer terms, each at an _E1_SPLIT times
+# larger x, and the elementary side _E1_SPLIT times more, each a few int
+# operations.  L(f,4) at 1,047 bits by lambda = 1/(t0 sqrt(level)), best of
+# 11 in one process on a 2-core Intel Xeon (family 6, model 143) KVM guest:
+#
+#     lambda  sum       coefficient generation  f's cache order
+#     1       0.077 s   1.6 ms                     349
+#     2       0.040 s   3.3 ms                     696
+#     4       0.022 s   6.8 ms                   1,390
+#     6       0.018 s   11 ms                    2,086
+#     8       0.016 s   16 ms                    2,784
+#
+# Past 4 the sum saves what the longer coefficient cache costs.
+_E1_SPLIT = 4
+
+
+def _side_terms(c: float, weight: int, work: int) -> int:
+    """Terms n <= M of a side sum at x = c n: M^(weight/2+1) e^(-c M) <
+    2^-(work+8), as |a_n| <= d(n) n^((weight-1)/2) <= n^(weight/2+1)."""
     target = (work + 8) * math.log(2)
-    n = max(16, int(target / (2 * math.pi * u0)))
-    # polynomial slack: |a_n| <= d(n) n^((weight-1)/2) <= n^(weight/2 + 1)
+    n = max(16, int(target / c))
     for _ in range(4):
-        n = int((target + (weight / 2 + 1) * math.log(n + 1)) / (2 * math.pi * u0)) + 4
+        n = int((target + (weight / 2 + 1) * math.log(n + 1)) / c) + 4
     return n
 
 
-def _lambda_split(spec: NewformSpec, s: int, u0, n_terms: int, work: int):
-    """Lambda(s) = G(s) + sign G(weight - s), both sums in one pass over n,
-    with G(s) = level^(s/2) sum a_n (2 pi n)^(-s) Gamma(s, 2 pi n u0).
+def _side_elementary(spec: NewformSpec, s: int, c, work: int):
+    """sum_n a_n (2 pi n)^(-s) Gamma(s, c n) for an integer s >= 1, at work
+    bits, as the fixed-point q-series
 
-    Term n carries the weight e^(-x) of x = 2 pi n u0, so its incomplete
-    gammas are taken at only p_n = work - floor(x log2 e) + bitlen(a_n)
-    + bitlen(n) bits (at least 32), within 2^(1-p_n) relative, and share
-    one e^-x taken at p_n + 32 bits.  For x >= 1 (every n once level <= 39;
-    below 1, p_n is work - 1 or more) and integer s >= 0,
-    Gamma(s, x) <= e max(1, (s-1)!) x^(s-1) e^-x, so
-    |term n| <= e max(1, (s-1)!) |a_n| u0^(s-1) e^-x / (2 pi n), and the
-    reduced width costs term n under 2 e max(1, (s-1)!) u0^(s-1)
-    2^-work / (2 pi n^2): under (pi/6) e max(1, (s-1)!) u0^(s-1) 2^-work
-    in all, per G and before the factor level^(s/2).  The rest of each
-    term, and the sums, run at work bits.
-    """
-    r = spec.weight - s
+        (s-1)!/(2 pi)^s sum_n a_n q^n sum_(j<s) K_j n^(j-s),
+        q = e^-c,  K_j = c^j / j!,
+
+    on ints with w = work + 32 fraction bits (l_value states its error)."""
+    n_terms = _side_terms(float(c), spec.weight, work)
+    spec.ensure(n_terms)
     with mp.workprec(work):
-        two_pi = 2 * mp.pi
-        decay = two_pi * u0 / math.log(2)  # log2 e^(2 pi u0), per term
-        total_s = total_r = mp.mpf(0)
+        w = fixed_bits()
+        with mp.workprec(w + 8):
+            q = to_fixed(mp.exp(-c), w)
+            k = [to_fixed(c ** j / math.factorial(j), w) for j in range(s)]
+        total, qn = 0, 1 << w
+        for n in range(1, n_terms + 1):
+            qn = qn * q >> w
+            a = spec._coeffs[n]
+            if a:
+                poly = 0
+                for kj in reversed(k):
+                    poly = poly * n + kj
+                total += a * qn * poly // n ** s
+        return from_fixed(total, 2 * w) * math.factorial(s - 1) / (2 * mp.pi) ** s
+
+
+def _side_e1(spec: NewformSpec, c, work: int):
+    """sum_n a_n Gamma(0, c n) = sum_n a_n E1(c n), at work bits.
+
+    Term n carries the weight e^-x of x = c n, so its E1 is taken at only
+    p_n = work - floor(x log2 e) + bitlen(a_n) + bitlen(n) bits (at least
+    32), within 2^(1-p_n) relative.  As E1(x) < e^-x / x, that costs term
+    n under 2^(1-work) / (c n^2), and the sum under (pi^2/3) 2^-work / c."""
+    n_terms = _side_terms(float(c), spec.weight, work)
+    spec.ensure(n_terms)
+    with mp.workprec(work):
+        decay = c / math.log(2)  # log2 e^c, per term
+        total = mp.mpf(0)
         for n in range(1, n_terms + 1):
             a = spec._coeffs[n]
-            if not a:
-                continue
-            x = two_pi * n * u0
-            bits = max(work - int(n * decay) + a.bit_length() + n.bit_length(), 32)
-            with mp.workprec(bits + 32):
-                e = mp.exp(-x)
-            total_s += a * special.gamma_upper_int(s, x, bits, e) / (two_pi * n) ** s
-            total_r += a * special.gamma_upper_int(r, x, bits, e) / (two_pi * n) ** r
-        level = mp.mpf(spec.level)
-        return level ** (mp.mpf(s) / 2) * total_s + spec.fricke_sign * (
-            level ** (mp.mpf(r) / 2) * total_r
-        )
+            if a:
+                bits = max(work - int(n * decay) + a.bit_length() + n.bit_length(), 32)
+                total += a * special.gamma_upper_int(0, c * n, bits)
+        return total
 
 
 def l_value(spec: NewformSpec, s: int, precision: int = 64):
     """L(spec, s) for integer s in [1, weight] via the exponentially
-    convergent Mellin split."""
+    convergent Mellin split, at work = precision + 24 bits.
+
+    For any split point t0 > 0 (Dokchitser 2004, Experiment. Math. 13),
+    with r = weight - s,
+
+        Lambda(s) = level^(s/2) G(s, c) + sign level^(r/2) G(r, c'),
+        G(s, c) = sum_n a_n (2 pi n)^(-s) Gamma(s, c n),
+        c = 2 pi t0,  c' = 2 pi / (level t0).
+
+    Split rule: t0 = 1/sqrt(level) while both sides are elementary (s <
+    weight), which balances their term counts; when s = weight, G(0, c')
+    is the E1 sum (_side_e1), and t0 = 1/(_E1_SPLIT sqrt(level)) gives it
+    _E1_SPLIT times fewer, costlier terms.
+
+    An elementary side (_side_elementary) is one q-series on ints with w =
+    work + 32 fraction bits.  Q = floor(q 2^w) and K_j = floor(K_j 2^w),
+    floors of values taken at w + 8 bits, are off by under 1 + 2^-8 units
+    of 2^-w each (read as 1 below; the bound has room for it).
+    q^n advances as floor(q^(n-1) Q 2^-w): each step floors once and
+    passes on the floor of Q, so the running error obeys e_n <= q e_(n-1)
+    + q^(n-1) + 1 and stays under 1/(1-q) + n q^(n-1) units.  Term n is
+    floor(a_n q^n P(n) / n^s) at 2w bits, P(n) = sum_(j<s) K_j n^j, so
+    its own floor costs 2^-w units.  Term n takes on the q^n error times
+    |a_n| P(n) / n^s, with P(n) / n^s <= e^c / n, and the K_j floors times
+    |a_n| q^n sum_(j<s) n^(j-s) <= |a_n| s / n.  With n q^(n-1) <=
+    m = max(1, e^(c-1) / c) and Deligne's |a_n| <= d(n) n^((k-1)/2) <=
+    2 n^(k/2), k = weight, the M terms are off by under
+
+        2 M^(k/2) (e^c (1/(1-q) + m) + s) units of 2^-w,
+
+    2^25.2 for L(f,4) at 1,047 bits (c = 0.555, M = 1,389).  The 32 guard
+    bits hold it under 2^-work while that bound stays below 2^32, up to M
+    = 14,500, about 11,500 bits, for L(f,4).  The E1 side is within (pi^2/3)
+    2^-work / c' (_side_e1); c' >= 2 pi here.  L(s) = Lambda(s) (2 pi /
+    sqrt(level))^s / (s-1)! is rounded once to precision bits.
+    """
     if s != int(s) or not 1 <= s <= spec.weight:
         raise ValueError(f"l_value needs an integer s in [1, {spec.weight}], got {s}")
     s = int(s)
+    r = spec.weight - s
     work = precision + 24
     with mp.workprec(work):
-        u0 = 1 / mp.sqrt(spec.level)
-        n_terms = _term_count(spec.level, spec.weight, work)
-        spec.ensure(n_terms)
-        lam = _lambda_split(spec, s, u0, n_terms, work)
-        v = lam * (2 * mp.pi / mp.sqrt(spec.level)) ** s / mp.mpf(math.factorial(s - 1))
+        root = mp.sqrt(spec.level)
+        split = 1 if r else _E1_SPLIT
+        c, c_r = 2 * mp.pi / (split * root), 2 * mp.pi * split / root
+        # the s side has the most terms, so it grows the coefficient cache
+        side_s = _side_elementary(spec, s, c, work)
+        side_r = _side_elementary(spec, r, c_r, work) if r else _side_e1(spec, c_r, work)
+        level = mp.mpf(spec.level)
+        lam = level ** (mp.mpf(s) / 2) * side_s
+        lam += spec.fricke_sign * level ** (mp.mpf(r) / 2) * side_r
+        v = lam * (2 * mp.pi / root) ** s / mp.mpf(math.factorial(s - 1))
     with mp.workprec(precision):
         return +v
 
@@ -472,7 +545,8 @@ def fricke_check(spec: NewformSpec, precision: int = 64):
         threshold = mp.mpf(2) ** (20 - p)
         s_values = [v for s in map(mp.mpf, _FRICKE_S) for v in (s, spec.weight - s)]
         lam = axis_mellin(spec, s_values, p)
-        asym = max(abs(a - spec.fricke_sign * b) for a, b in zip(lam[::2], lam[1::2]))
+        pairs = zip(lam[::2], lam[1::2], strict=True)
+        asym = max(abs(a - spec.fricke_sign * b) for a, b in pairs)
     if asym >= threshold:
         raise FunctionalEquationViolation(
             f"{spec.name}: Lambda asymmetry {mp.nstr(asym, 6)} at {precision} bits "

@@ -21,8 +21,9 @@ int v with w fraction bits stands for v * 2^-w, `to_fixed`/`from_fixed`
 convert at the loop's ends, and `fixed_bits` applies the guard-bit rule
 w = mp.prec + FIXED_GUARD_BITS.  The Levin table and the Richardson sum are
 exact integer arithmetic on that layer.  The other users are
-modular.fricke_check's q-series Horner; special.ell_k/ell_kprime (the AGM
-and pi / (2 agm) at every tanh-sinh node of the elliptic checks);
+modular.fricke_check's q-series Horner and modular.l_value's elementary
+Mellin-split sides; special.ell_k/ell_kprime (the AGM and pi / (2 agm)
+at every tanh-sinh node of the elliptic checks);
 special.pfq, whose direct sum inside the unit disk (the k-integral route's
 m_alpha series, m(R_k)'s 6F5 for |k| > 16, special.catalan's 3F2 at 1/4 and
 special.legendre_chi3's 4F3) and partial sums at x = 1 (the 6F5 of

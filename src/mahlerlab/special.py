@@ -648,15 +648,13 @@ def _e1_fraction(x, bits: int):
             wronskian_bits -= 2 * r
 
 
-def exp_integral_e1(x, precision: Optional[int] = None, exp_neg_x=None):
+def exp_integral_e1(x, precision: Optional[int] = None):
     """E1(x) = integral_x^inf exp(-t)/t dt for x > 0.
 
     Each call takes the cheaper int kernel for its x and precision p: the
     power series where it needs at most twice the continued fraction's
     steps (small x, or high p), else the continued fraction times e^-x.
     Both aim at 2^-(p+24) relative; the result is rounded once to p bits.
-    exp_neg_x, when given, is e^-x to p + 32 bits and stands in for the
-    exponential the continued fraction would take.
     """
     p = _ambient(precision)
     with mp.workprec(p + 32):
@@ -668,21 +666,18 @@ def exp_integral_e1(x, precision: Optional[int] = None, exp_neg_x=None):
         if _e1_uses_series(min(max(float(xx), 1e-300), 1e100), bits):
             v = _e1_series(xx, bits)
         else:
-            v = _e1_fraction(xx, bits) * (mp.exp(-xx) if exp_neg_x is None else exp_neg_x)
+            v = _e1_fraction(xx, bits) * mp.exp(-xx)
     with mp.workprec(p):
         return +v
 
 
-def gamma_upper_int(s: int, x, precision: Optional[int] = None, exp_neg_x=None):
+def gamma_upper_int(s: int, x, precision: Optional[int] = None):
     """Upper incomplete gamma Gamma(s, x) for integer s >= 0 and x > 0.
 
     s >= 1 is elementary: (s-1)! e^(-x) sum_{j<s} x^j/j!.  s = 0 is E1(x).
-    exp_neg_x, when given, is e^-x to precision + 32 bits and stands in for
-    the exponential the call would take, so that Gamma values of several s
-    at one x share it.
     """
     if s == 0:
-        return exp_integral_e1(x, precision, exp_neg_x)
+        return exp_integral_e1(x, precision)
     if s < 0:
         raise ValueError("gamma_upper_int needs s >= 0")
     p = _ambient(precision)
@@ -694,7 +689,6 @@ def gamma_upper_int(s: int, x, precision: Optional[int] = None, exp_neg_x=None):
             if j > 0:
                 t *= xx / j
             acc += t
-        e = mp.exp(-xx) if exp_neg_x is None else exp_neg_x
-        v = mp.mpf(math.factorial(s - 1)) * e * acc
+        v = mp.mpf(math.factorial(s - 1)) * mp.exp(-xx) * acc
     with mp.workprec(p):
         return +v

@@ -2,6 +2,7 @@
 functional equation check."""
 
 import math
+from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
 
@@ -11,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from mpmath import mp
 
+from mahlerlab import special
 from mahlerlab.quadrature import tanh_sinh_interval
 from mahlerlab.modular import (
     NEWFORM_F,
@@ -23,6 +25,8 @@ from mahlerlab.modular import (
     _axis_window,
     _recipe_f,
     _recipe_h,
+    _side_e1,
+    _side_elementary,
     _sigma_sieve,
     axis_mellin,
     eta_qexp,
@@ -472,6 +476,113 @@ class TestLValue:
         assert l_value(NEWFORM_F, 1, 64) > 0
 
 
+def l_value_symmetric(spec, s, precision):
+    """L(spec, s) by the Mellin split at the balanced point u0 =
+    1/sqrt(level), with both incomplete gammas of every term taken in mpf
+    arithmetic by special.gamma_upper_int at the term's reduced precision:
+    the per-term route l_value's fixed-point sides replaced, kept as its
+    oracle."""
+    work = precision + 24
+    r = spec.weight - s
+    with mp.workprec(work):
+        u0 = 1 / mp.sqrt(spec.level)
+        target = (work + 8) * math.log(2)
+        n_terms = max(16, int(target / (2 * math.pi * float(u0))))
+        for _ in range(4):
+            slack = (spec.weight / 2 + 1) * math.log(n_terms + 1)
+            n_terms = int((target + slack) / (2 * math.pi * float(u0))) + 4
+        spec.ensure(n_terms)
+        two_pi = 2 * mp.pi
+        decay = two_pi * u0 / math.log(2)
+        total_s = total_r = mp.mpf(0)
+        for n in range(1, n_terms + 1):
+            a = spec._coeffs[n]
+            if a:
+                x = two_pi * n * u0
+                bits = max(work - int(n * decay) + a.bit_length() + n.bit_length(), 32)
+                total_s += a * special.gamma_upper_int(s, x, bits) / (two_pi * n) ** s
+                total_r += a * special.gamma_upper_int(r, x, bits) / (two_pi * n) ** r
+        level = mp.mpf(spec.level)
+        lam = level ** (mp.mpf(s) / 2) * total_s
+        lam += spec.fricke_sign * level ** (mp.mpf(r) / 2) * total_r
+        v = lam * (two_pi * u0) ** s / math.factorial(s - 1)
+    with mp.workprec(precision):
+        return +v
+
+
+def lambda_at_split(spec, s, split, work):
+    """Lambda(s) from modular's side sums split at t0 = 1/(split sqrt(level)),
+    each side elementary or E1 by its own s."""
+    r = spec.weight - s
+    with mp.workprec(work):
+        root = mp.sqrt(spec.level)
+        c, c_r = 2 * mp.pi / (split * root), 2 * mp.pi * split / root
+        side_r = _side_elementary(spec, r, c_r, work) if r else _side_e1(spec, c_r, work)
+        level = mp.mpf(spec.level)
+        lam = level ** (mp.mpf(s) / 2) * _side_elementary(spec, s, c, work)
+        return lam + spec.fricke_sign * level ** (mp.mpf(r) / 2) * side_r
+
+
+class TestMellinSplit:
+    """The fixed-point sides against the per-term route they replaced, and
+    Lambda(s) at two split points (Dokchitser's split-independence check,
+    which a wrong power or sign in a side sum fails)."""
+
+    @pytest.mark.parametrize("p", [64, 160, 1047])
+    @pytest.mark.parametrize("spec", [NEWFORM_F, NEWFORM_H], ids=["f", "h"])
+    def test_matches_symmetric_route(self, spec, p):
+        for s in range(1, spec.weight + 1):
+            got = l_value(spec, s, p)
+            want = l_value_symmetric(spec, s, p)
+            with mp.workprec(p + 16):
+                assert abs(got - want) <= abs(want) * mp.mpf(2) ** -(p + 8), s
+
+    @pytest.mark.parametrize("p", [64, 160, 1047])
+    @pytest.mark.parametrize("spec", [NEWFORM_F, NEWFORM_H], ids=["f", "h"])
+    def test_split_independence(self, spec, p):
+        work = p + 24
+        for s in range(1, spec.weight + 1):
+            balanced = lambda_at_split(spec, s, 1, work)
+            moved = lambda_at_split(spec, s, 4, work)
+            with mp.workprec(work):
+                assert abs(balanced - moved) <= abs(moved) * mp.mpf(2) ** -(p + 8), s
+
+    def test_wrong_sign_breaks_split_independence(self):
+        # the negative control: with the sign flipped the two splits give
+        # two different "Lambda(s)".  Below the weight l_value splits where
+        # the oracle does, so it must still follow it there
+        bad = NewformSpec(name="f-flipped", weight=4, level=8, fricke_sign=-1,
+                          recipe=_recipe_f)
+        for s in range(1, 5):
+            balanced = lambda_at_split(bad, s, 1, 88)
+            moved = lambda_at_split(bad, s, 4, 88)
+            with mp.workprec(88):
+                assert abs(balanced - moved) > abs(moved) * mp.mpf(2) ** -20, s
+        for s in range(1, 4):
+            got, want = l_value(bad, s, 64), l_value_symmetric(bad, s, 64)
+            with mp.workprec(80):
+                assert abs(got - want) <= abs(want) * mp.mpf(2) ** -72, s
+
+    def test_headline_work(self, monkeypatch):
+        # L(f,4) at 1,047 bits, as `compute L f 4 --digits 300` runs it:
+        # 45 E1 terms (odd n <= 89) and no elementary Gamma call, from f's
+        # coefficients through order 1,390 (the elementary side's n <= 1,389;
+        # _recipe_f's factor q adds one).  Counts, unlike times, do not
+        # depend on the host
+        calls = Counter()
+        kernel = special.gamma_upper_int
+
+        def counted(s, x, precision=None):
+            calls[s] += 1
+            return kernel(s, x, precision)
+
+        monkeypatch.setattr(special, "gamma_upper_int", counted)
+        spec = replace(NEWFORM_F, _coeffs=[])
+        l_value(spec, 4, 1047)
+        assert calls == {0: 45}
+        assert spec.cached_order() == 1390
+
+
 class TestLPrimeAtZero:
     def test_f_closed_form(self):
         p = 128
@@ -562,6 +673,20 @@ class TestFrickeCheck:
     def test_asymmetry_bound(self, spec, p):
         # worst measured ratio to 2^-(P+8): 7.8e-6, h at 160 bits
         assert fricke_check(spec, p) <= mp.mpf(2) ** -(p + 8)
+
+    @pytest.mark.parametrize("spec", [NEWFORM_F, NEWFORM_H], ids=["f", "h"])
+    def test_returns_the_largest_probe_asymmetry(self, spec):
+        # every probe pairs Lambda(s) with Lambda(weight - s), from the one
+        # grid whose values do not depend on which s are asked for
+        p = 64
+        with mp.workprec(p + 48):
+            asym = []
+            for s in map(mp.mpf, ("2.25", "2.5", "3.0")):
+                lam_s, lam_r = axis_mellin(spec, [s, spec.weight - s], p)
+                asym.append(abs(lam_s - spec.fricke_sign * lam_r))
+            want = max(asym)
+        with mp.workprec(p):
+            assert fricke_check(spec, p) == +want
 
     def test_flipped_sign_fails_loudly(self):
         bad = NewformSpec(name="f-flipped", weight=4, level=8, fricke_sign=-1,

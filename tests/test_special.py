@@ -7,9 +7,9 @@ from hypothesis import given, settings, strategies as st
 from mpmath import mp
 import scipy.special
 
-from mahlerlab import precision, special
+from mahlerlab import modular, precision, special
 from mahlerlab.mahler import r_alpha
-from mahlerlab.modular import NEWFORM_F, NEWFORM_H, _term_count
+from mahlerlab.modular import NEWFORM_F, NEWFORM_H
 from mahlerlab.precision import AccelResult, NoConvergence, accelerate
 from mahlerlab.registry import _hp_tolerance
 from mahlerlab.special import (
@@ -172,15 +172,30 @@ def _close_to(value, ref, precision):
 
 
 def _mellin_nodes(precision):
-    """Every x = 2 pi n / sqrt(level) at which l_value evaluates E1 for f and
-    h with work = precision bits, formed as _lambda_split forms it."""
+    """Every x at which l_value evaluates E1 for f and h with work =
+    precision bits, recorded from its calls: the E1 side's abscissae
+    x = 2 pi 4n / sqrt(level) over the nonzero a_n."""
     nodes = []
-    with mp.workprec(precision):
+    kernel = special.gamma_upper_int
+
+    def record(s, x, bits=None):
+        assert s == 0
+        nodes.append(x)
+        return kernel(s, x, bits)
+
+    special.gamma_upper_int = record
+    try:
         for spec in (NEWFORM_F, NEWFORM_H):
-            n_terms = _term_count(spec.level, spec.weight, precision)
-            spec.ensure(n_terms)
-            u0 = 1 / mp.sqrt(spec.level)
-            nodes += [2 * mp.pi * n * u0 for n in range(1, n_terms + 1) if spec._coeffs[n]]
+            start = len(nodes)
+            modular.l_value(spec, spec.weight, precision - 24)
+            with mp.workprec(precision):
+                c = 2 * mp.pi * 4 / mp.sqrt(spec.level)
+                picked = [int(mp.nint(x / c)) for x in nodes[start:]]
+                assert all(abs(x - c * n) <= x * 2 ** (4 - precision)
+                           for x, n in zip(nodes[start:], picked)), spec.name
+            assert picked == [n for n in range(1, picked[-1] + 1) if spec._coeffs[n]], spec.name
+    finally:
+        special.gamma_upper_int = kernel
     return nodes
 
 
@@ -1078,21 +1093,6 @@ class TestGammaUpperInt:
             lhs = gamma_upper_int(s + 1, x, 128)
             rhs = s * gamma_upper_int(s, x, 128) + x ** s * mp.exp(-x)
             assert abs(lhs - rhs) <= abs(lhs) * mp.mpf(2) ** -110
-
-    @pytest.mark.parametrize("x", ["2.3", "150", "700"])
-    def test_shared_exponential(self, x):
-        # one e^-x at precision + 32 bits serves every s at that x: the
-        # elementary forms and E1 on both of its routes (150 and 700 take
-        # the continued fraction at 128 bits, 2.3 the series)
-        with mp.workprec(160):
-            xx = mp.mpf(x)
-            e = mp.exp(-xx)
-        for s in (0, 1, 3, 4):
-            assert gamma_upper_int(s, xx, 128, e) == gamma_upper_int(s, xx, 128), (s, x)
-        with mp.workprec(160):
-            fake = 2 * e
-        moved = gamma_upper_int(4, xx, 128, fake) / gamma_upper_int(4, xx, 128)
-        assert abs(moved - 2) < mp.mpf(2) ** -120
 
     def test_small_x_limit(self):
         with mp.workprec(128):
