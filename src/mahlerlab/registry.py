@@ -376,18 +376,15 @@ def _plan_wz(verify, pairs) -> Plan:
     return plan
 
 
-@lru_cache(maxsize=1)
-def _wz_triples(n_max: int) -> Tuple[Tuple[Fraction, Fraction, Fraction], ...]:
-    """(s1, s2, s3) for every n <= n_max, computed once for both plans."""
-    return tuple(wz.identity_rows(n_max))
-
-
 def _plan_wz_triples(pick) -> Plan:
-    """The pair pick(s1, s2, s3) of every row of the shared sweep."""
+    """The pair pick(s1, s2, s3) of every row of wz.identity_rows, whose s1
+    and s2 come from the row-sum sweeps that wz caches per pair; its evals
+    count the values of the rows actually returned."""
 
     def plan(ctx: RunContext) -> PlanResult:
-        values = [s for row in _wz_triples(_WZ_RANGE) for s in pick(*row)]
-        return PlanResult(tuple(values), 2 * (_WZ_RANGE + 1))
+        rows = wz.identity_rows(_WZ_RANGE)
+        values = [s for row in rows for s in pick(*row)]
+        return PlanResult(tuple(values), 2 * len(rows))
 
     return plan
 

@@ -4,19 +4,30 @@ they prove.
 Everything here is integer and rational arithmetic: a pass is a proof for
 the verified range, there are no tolerances.
 
-Row sums.  Every sum of (2.8)-(2.9) and every telescoping row has the shape
+Row sums.  Every sum of (2.8)-(2.9) and every telescoping row comes from a
+certificate pair's reduced row sum
 
-    sum_{k<=n} C(2k,k)^2 2^(-4k) num_k / den_k
+    r(n) = sum_{k<=n} C(2k,k)^2 2^(-4k) reduced_f(n,k).
 
-with small integer weights: 1/(2n-2k+1) for s1, 1/(n+k+1) for s2, and a
-pair's reduced_f(n,k) for the direct side of telescope_reconstruct.
-_row_sum adds the terms C(2k,k)^2 16^(n-k) num_k / den_k by binary
-splitting: neighbouring partial sums P1/Q1 and P2/Q2 merge into
-(P1 Q2 + P2 Q1) / (Q1 Q2) with no gcd, level by level, so a numerator of
-about 4n bits is only ever multiplied by a product of small denominators,
-never by their lcm.  Its caller builds one Fraction over Q 16^n from the
-result, so each value pays a single gcd instead of one per term.  The
-inner sums of s3 and ramanujan_partial_sums come from the integer prefix
+PAIR_ONE's reduced_f is (2n+1)^2/(2n-2k+1) and PAIR_TWO's is
+(2n+1)^2/(n+k+1), so s1 and s2 are PAIR_ONE's and PAIR_TWO's r(n) divided
+by (2n+1)^2, and the direct side of telescope_reconstruct,
+h(n) = sum_{k<=n} f(n,k), is T_n r(n) with T_n = C(2n,n)^2 / 16^n.  One
+sweep per pair serves both checks: _reduced_row_sums(pair, n_max) computes
+r(n) for every n <= n_max once per process, cached by (pair, n_max), and
+identity_rows and telescope_reconstruct read it.  A new pair (say one
+built by dataclasses.replace) is a new key; whoever patches a kernel the
+sweep rests on (_row_sum, _central_squares) clears the cache with
+_reduced_row_sums.cache_clear(), as the registry's negative controls do.
+identity_2_8_2_9(n) computes its one row afresh and fills no cache.
+
+_row_sum adds the terms C(2k,k)^2 16^(n-k) num_k / den_k, for
+(num_k, den_k) = reduced_f(n,k), by binary splitting: neighbouring partial
+sums P1/Q1 and P2/Q2 merge into (P1 Q2 + P2 Q1) / (Q1 Q2) with no gcd,
+level by level, so a numerator of about 4n bits is only ever multiplied
+by a product of small denominators, never by their lcm.  Its caller builds
+one Fraction over Q 16^n from the result, so each value pays a single gcd
+instead of one per term.  The inner sums of s3 and ramanujan_partial_sums come from the integer prefix
 
     I(n) = 256 I(n-1) + (4n+1) C(2n,n)^4,   I(n) / 2^(8n) = sum_{k<=n} (4k+1) 2^(-8k) C(2k,k)^4,
 
@@ -89,8 +100,8 @@ class WZPair:
     reduced_f/reduced_g are f/T and g/T for the shared factor T above, each
     returned as an integer pair (num, den) with den != 0, in lowest terms or
     not (either sign of den); the verifier reads them and never touches a
-    binomial, and telescope_reconstruct's direct rows put reduced_f through
-    the row-sum kernel.  f and g are derived from them, T times the form.
+    binomial, and _reduced_row_sums puts reduced_f through the row-sum
+    kernel.  f and g are derived from them, T times the form.
     """
 
     name: str
@@ -198,7 +209,7 @@ def wz_pair_verify(pair: WZPair, n_max: int) -> WZReport:
     with a_n/b_n = T(n+1,k)/T(n,k) and c_k/d_k = T(n,k+1)/T(n,k), compared
     as cross-multiplied integers straight from the (num, den) pairs.  Row
     n+1's reduced_f values serve as the next row's, so each certificate
-    value is evaluated once.
+    value is evaluated once.  relations_checked counts the cells compared.
 
     Violations are reported with the exact residual of the full (unreduced)
     relation, the reduced one times T(n,k); they are data, not errors.
@@ -208,13 +219,16 @@ def wz_pair_verify(pair: WZPair, n_max: int) -> WZReport:
     rf, rg = pair.reduced_f, pair.reduced_g
     ratios_k = [((2 * k + 1) ** 2, 4 * (k + 1) ** 2) for k in range(n_max + 1)]
     violations: List[Tuple[int, Optional[int], Fraction]] = []
+    compared = 0
     f_next = _reduced_row(rf, 0, 1)
     for n in range(n_max + 1):
         f_row = f_next
         f_next = _reduced_row(rf, n + 1, n + 2)
         g_row = _reduced_row(rg, n, n + 2)
         a, b = (2 * n + 1) ** 2, 4 * (n + 1) ** 2
-        cells = zip(f_next, f_row, g_row[1:], g_row, ratios_k)
+        # zip stops at its shortest list: count the cells it gave
+        cells = list(zip(f_next, f_row, g_row[1:], g_row, ratios_k))
+        compared += len(cells)
         for k, ((p1, q1), (p0, q0), (u1, v1), (u0, v0), (c, d)) in enumerate(cells):
             lhs_num, lhs_den = p1 * a * q0 - p0 * q1 * b, q1 * b * q0
             rhs_num, rhs_den = u1 * c * v0 - u0 * v1 * d, v1 * d * v0
@@ -224,18 +238,30 @@ def wz_pair_verify(pair: WZPair, n_max: int) -> WZReport:
     return WZReport(
         pair_name=pair.name,
         n_max=n_max,
-        relations_checked=(n_max + 1) * (n_max + 2) // 2,
+        relations_checked=compared,
         violations=tuple(violations),
     )
 
 
-def _identity_row(
-    csq: Sequence[int], prefix: Sequence[int], n: int
+def _reduced_row_sum(pair: WZPair, csq: Sequence[int], n: int) -> Fraction:
+    """r(n) = sum_{k<=n} csq[k] 16^(-k) reduced_f(n,k), one Fraction."""
+    return Fraction(*_row_sum(csq, n, _reduced_row(pair.reduced_f, n, n + 1)))
+
+
+@lru_cache(maxsize=None)
+def _reduced_row_sums(pair: WZPair, n_max: int) -> Tuple[Fraction, ...]:
+    """r(n) for every n <= n_max: the one sweep per pair that identity_rows
+    and telescope_reconstruct share (see the module docstring)."""
+    csq = _central_squares(n_max)
+    return tuple(_reduced_row_sum(pair, csq, n) for n in range(n_max + 1))
+
+
+def _identity_triple(
+    r1: Fraction, r2: Fraction, csq: Sequence[int], prefix: Sequence[int], n: int
 ) -> Tuple[Fraction, Fraction, Fraction]:
-    s1 = Fraction(*_row_sum(csq, n, [(1, 2 * n - 2 * k + 1) for k in range(n + 1)]))
-    s2 = Fraction(*_row_sum(csq, n, [(1, n + k + 1) for k in range(n + 1)]))
-    s3 = Fraction(prefix[n], (2 * n + 1) ** 2 * csq[n] << (4 * n))
-    return s1, s2, s3
+    """(s1, s2, s3) of row n from PAIR_ONE's and PAIR_TWO's r(n)."""
+    square = (2 * n + 1) ** 2
+    return r1 / square, r2 / square, Fraction(prefix[n], square * csq[n] << (4 * n))
 
 
 def identity_2_8_2_9(n: int) -> Tuple[Fraction, Fraction, Fraction]:
@@ -245,47 +271,53 @@ def identity_2_8_2_9(n: int) -> Tuple[Fraction, Fraction, Fraction]:
     s2 = sum_{k<=n} 2^(-4k) C(2k,k)^2 / (n+k+1)
     s3 = 2^(4n) / ((2n+1)^2 C(2n,n)^2) * sum_{k<=n} (4k+1) 2^(-8k) C(2k,k)^4
        = I(n) / ((2n+1)^2 C(2n,n)^2 2^(4n))
+
+    One row, computed afresh: it neither reads nor fills the sweep cache.
     """
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
     csq = _central_squares(n)
-    return _identity_row(csq, _ramanujan_prefix(csq), n)
+    r1, r2 = (_reduced_row_sum(pair, csq, n) for pair in (PAIR_ONE, PAIR_TWO))
+    return _identity_triple(r1, r2, csq, _ramanujan_prefix(csq), n)
 
 
 def identity_rows(n_max: int) -> List[Tuple[Fraction, Fraction, Fraction]]:
-    """identity_2_8_2_9(n) for every 0 <= n <= n_max; the rows share one
-    list of C(2k,k)^2 and one prefix I, so s3 costs O(1) per row."""
+    """identity_2_8_2_9(n) for every 0 <= n <= n_max.  s1 and s2 are
+    PAIR_ONE's and PAIR_TWO's cached reduced row sums divided by (2n+1)^2,
+    from the same sweep that telescope_reconstruct reads; s3 costs one step
+    of the prefix I per row.  One row per sweep entry, so a shorter sweep
+    gives fewer rows."""
     if n_max < 0:
         raise ValueError(f"n_max must be >= 0, got {n_max}")
     csq = _central_squares(n_max)
     prefix = _ramanujan_prefix(csq)
-    return [_identity_row(csq, prefix, n) for n in range(n_max + 1)]
-
-
-def _direct_row(pair: WZPair, csq: Sequence[int], n: int) -> Fraction:
-    """h(n) = sum_{k<=n} f(n,k), as T_n times the kernel's row sum of
-    reduced_f(n,k), T_n = C(2n,n)^2 / 16^n; it reads neither f nor binom."""
-    total, den = _row_sum(csq, n, [pair.reduced_f(n, k) for k in range(n + 1)])
-    return Fraction(csq[n] * total, den << (4 * n))
+    sweeps = zip(_reduced_row_sums(PAIR_ONE, n_max), _reduced_row_sums(PAIR_TWO, n_max))
+    return [_identity_triple(r1, r2, csq, prefix, n) for n, (r1, r2) in enumerate(sweeps)]
 
 
 def telescope_reconstruct(pair: WZPair, n_max: int) -> WZReport:
-    """Check h(n) = h(0) + sum_{j<=n} (f(j,j) + g(j-1,j) - g(j-1,0)) against
-    the direct row sums h(n) = sum_{k<=n} f(n,k), exactly, for n <= n_max."""
+    """Check h(n) = h(0) + sum_{1<=j<=n} (f(j,j) + g(j-1,j) - g(j-1,0))
+    against the direct row sums h(n) = sum_{k<=n} f(n,k) = T_n r(n),
+    exactly, for every n <= n_max, row 0 included; relations_checked counts
+    the rows compared.  The direct side reads the pair's cached sweep and
+    the kernel's C(2n,n)^2, the reconstruction f and g (binom and
+    Fraction), so the two sides share no arithmetic."""
     if n_max < 1:
         raise ValueError(f"n_max must be >= 1, got {n_max}")
     violations: List[Tuple[int, Optional[int], Fraction]] = []
     csq = _central_squares(n_max)
-    recon = pair.f(0, 0)  # the n = 0 row, h(0) = f(0,0) by construction
-    for n in range(1, n_max + 1):
-        recon += pair.f(n, n) + pair.g(n - 1, n) - pair.g(n - 1, 0)
-        direct = _direct_row(pair, csq, n)
-        if direct != recon:
-            violations.append((n, None, direct - recon))
+    sweep = _reduced_row_sums(pair, n_max)
+    recon = pair.f(0, 0)  # h(0) = f(0,0) by construction
+    for n, r in enumerate(sweep):
+        if n:
+            recon += pair.f(n, n) + pair.g(n - 1, n) - pair.g(n - 1, 0)
+        num, den = csq[n] * r.numerator, r.denominator << (4 * n)
+        if num * recon.denominator != recon.numerator * den:
+            violations.append((n, None, Fraction(num, den) - recon))
     return WZReport(
         pair_name=pair.name,
         n_max=n_max,
-        relations_checked=n_max + 1,
+        relations_checked=len(sweep),
         violations=tuple(violations),
     )
 

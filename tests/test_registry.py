@@ -388,12 +388,12 @@ class TestSeriesPlans:
 
 @pytest.fixture
 def small_wz_range(monkeypatch):
-    """The WZ checks on n <= 40, with the shared row cache emptied before
-    and after, so perturbed rows cannot outlive the test."""
+    """The WZ checks on n <= 40, with wz's row-sum sweep cache emptied
+    before and after, so perturbed rows cannot outlive the test."""
     monkeypatch.setattr(registry, "_WZ_RANGE", 40)
-    registry._wz_triples.cache_clear()
+    wz._reduced_row_sums.cache_clear()
     yield
-    registry._wz_triples.cache_clear()
+    wz._reduced_row_sums.cache_clear()
 
 
 def _pair_scaled_at(fn, cell):
@@ -421,8 +421,11 @@ class TestWZNegativeControls:
         clean = run_check(check_id, 64)
         assert clean.passed and clean.deviation <= clean.tolerance
         perturb()
-        registry._wz_triples.cache_clear()
-        result = run_check(check_id, 64)
+        wz._reduced_row_sums.cache_clear()
+        self._assert_failed(run_check(check_id, 64))
+
+    @staticmethod
+    def _assert_failed(result):
         assert not result.passed
         assert result.deviation > result.tolerance
         assert result.note == ""
@@ -461,6 +464,51 @@ class TestWZNegativeControls:
             "wz-telescope",
             lambda: _substitute(monkeypatch, "telescope_reconstruct", wz.PAIR_TWO, bad),
         )
+
+    def test_row_sum_scaled_flips_both_sweep_readers(self, small_wz_range, monkeypatch):
+        # both checks run clean first, so both pairs' sweeps are cached; after
+        # wz's one cache is cleared, a kernel scaled at one row must reach
+        # both checks: no other cache holds the clean rows
+        checks = ("wz-telescope", "wz-2.8-2.9")
+        for check_id in checks:
+            assert run_check(check_id, 64).passed
+        exact = wz._row_sum
+
+        def scaled(csq, n, weights):
+            total, den = exact(csq, n, weights)
+            return (3 * total if n == 7 else total), den
+
+        monkeypatch.setattr(wz, "_row_sum", scaled)
+        wz._reduced_row_sums.cache_clear()
+        for check_id in checks:
+            self._assert_failed(run_check(check_id, 64))
+
+    def test_identity_evals_count_the_rows_returned(self, small_wz_range, monkeypatch):
+        # a sweep one row short: each plan must report the 2 * 40 values it
+        # compared, not 2 * 41 by formula
+        assert run_check("wz-2.8-2.9", 64).evaluations == 2 * 2 * 41
+        exact = wz.identity_rows
+        monkeypatch.setattr(wz, "identity_rows", lambda n_max: exact(n_max)[:-1])
+        result = run_check("wz-2.8-2.9", 64)
+        assert result.passed
+        assert result.evaluations == 2 * 2 * 40
+
+    def test_row_sum_work_gate(self, monkeypatch):
+        # the four WZ checks at the full range run the row-sum kernel once
+        # per row of each pair's sweep: 2 (_WZ_RANGE + 1) calls, where
+        # separate sweeps for the telescope and the identities took twice that
+        calls = collections.Counter()
+        exact = wz._row_sum
+
+        def counted(csq, n, weights):
+            calls["_row_sum"] += 1
+            return exact(csq, n, weights)
+
+        monkeypatch.setattr(wz, "_row_sum", counted)
+        wz._reduced_row_sums.cache_clear()
+        for check_id in ("wz-pair-1", "wz-pair-2", "wz-telescope", "wz-2.8-2.9"):
+            assert run_check(check_id, 64).passed, check_id
+        assert calls["_row_sum"] == 2 * (registry._WZ_RANGE + 1)
 
     def test_plans_call_wz_through_the_module(self, small_wz_range, monkeypatch):
         # a plan holding the functions it bound when the registry was built

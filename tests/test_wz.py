@@ -15,7 +15,8 @@ from mahlerlab.wz import (
     telescope_reconstruct,
     wz_pair_verify,
 )
-from mahlerlab.wz import _central_squares, _direct_row, _t_factor, identity_rows
+from mahlerlab import wz
+from mahlerlab.wz import _reduced_row_sums, _t_factor, identity_rows
 
 
 def _pascal_oracle(n, k):
@@ -220,6 +221,18 @@ class TestPairVerify:
         with pytest.raises(ValueError):
             wz_pair_verify(PAIR_ONE, 0)
 
+    def test_counts_the_cells_compared(self, monkeypatch):
+        # a g row one value short makes zip stop one cell early, as a
+        # shortened ratios_k would: the report must count one relation fewer
+        exact = wz._reduced_row
+        monkeypatch.setattr(
+            wz, "_reduced_row",
+            lambda fn, n, stop: exact(fn, n, stop - (fn is PAIR_ONE.reduced_g and n == 20)),
+        )
+        report = wz_pair_verify(PAIR_ONE, 20)
+        assert report.ok
+        assert report.relations_checked == 21 * 22 // 2 - 1
+
 
 class TestCertificateDenominators:
     """Reduced forms are unreduced (num, den) pairs: a zero den must raise
@@ -298,6 +311,11 @@ class TestIdentity:
         s1, s2, s3 = identity_2_8_2_9(1)
         assert s1 == s2 == s3 == Fraction(7, 12)
 
+    def test_one_row_fills_no_cache(self):
+        wz._reduced_row_sums.cache_clear()
+        identity_2_8_2_9(30)
+        assert wz._reduced_row_sums.cache_info().currsize == 0
+
     def test_n_100_triple_equality(self):
         s1, s2, s3 = identity_2_8_2_9(100)
         assert s1 == s2 == s3
@@ -341,9 +359,22 @@ class TestTelescope:
 
     @pytest.mark.parametrize("n", ORACLE_ROWS)
     def test_direct_rows_match_fraction_oracle(self, n):
-        csq = _central_squares(n)
+        # the direct side h(n) = T_n r(n), from the cached sweep that
+        # telescope_reconstruct and identity_rows read
+        t_n = Fraction(math.comb(2 * n, n) ** 2, 1 << (4 * n))
         for pair in (PAIR_ONE, PAIR_TWO):
-            assert _direct_row(pair, csq, n) == _direct_row_oracle(pair, n)
+            r_n = _reduced_row_sums(pair, max(ORACLE_ROWS))[n]
+            assert t_n * r_n == _direct_row_oracle(pair, n)
+
+    def test_counts_the_rows_compared(self, monkeypatch):
+        # row 0 is compared too; a sweep one row short leaves one row
+        # uncompared, and the report must say so
+        assert telescope_reconstruct(PAIR_TWO, 20).relations_checked == 21
+        exact = wz._reduced_row_sums
+        monkeypatch.setattr(wz, "_reduced_row_sums", lambda pair, n_max: exact(pair, n_max)[:-1])
+        report = telescope_reconstruct(PAIR_TWO, 20)
+        assert report.ok
+        assert report.relations_checked == 20
 
     def test_mutated_pair_caught(self):
         bad = WZPair("bad", PAIR_ONE.reduced_f, _scaled_pair(PAIR_ONE.reduced_g, 2))
