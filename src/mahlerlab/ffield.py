@@ -23,6 +23,12 @@ counting: count_points solves the quadratic in w through its
 discriminant's Legendre symbol, and since (x, y, z) enters only through
 A = (x^2+1)(y^2+1)(z^2+1) and u = xyz, one O(p^3) histogram of (A, u) per
 prime serves every t with an O(p^2) weighted sum.
+
+The Legendre symbol has one implementation, _legendre_table(p), read by
+the histogram, the recursion and verify_4_1's phi(-1).  Every entry point
+passes one guard, _check_odd_prime(p, cap): count_points and greene_nfn
+take p <= 199, verify_4_1 p <= 50, and a larger p raises
+ResourceLimitError before any trial division or table.
 """
 
 from __future__ import annotations
@@ -39,7 +45,6 @@ from .precision import ResourceLimitError
 __all__ = [
     "PointCount",
     "Eq41Report",
-    "legendre",
     "count_points",
     "greene_nfn",
     "verify_4_1",
@@ -47,33 +52,19 @@ __all__ = [
 
 _COUNT_P_MAX = 199
 _VERIFY_P_MAX = 50
-_MR_LIMIT = 3317044064679887385961981  # least strong pseudoprime to the bases 2..41
 
 
-def _check_odd_prime(p: int) -> None:
-    """Trial division below 10^6; above, Miller-Rabin to the thirteen prime
-    bases up to 41, exact below _MR_LIMIT (Sorenson and Webster 2015)."""
+def _check_odd_prime(p: int, cap: int) -> None:
+    """ValueError unless p is an odd int, ResourceLimitError above the
+    caller's cap, then trial division: the cap comes first, so no p too
+    large to tabulate costs a primality test."""
     if not isinstance(p, int) or p < 3 or p % 2 == 0:
         raise ValueError(f"p must be an odd prime, got {p}")
-    if p < 10 ** 6:
-        for d in range(3, isqrt(p) + 1, 2):
-            if p % d == 0:
-                raise ValueError(f"p must be prime; {p} = {d} * {p // d}")
-        return
-    if p >= _MR_LIMIT:
-        raise ValueError(f"p must be below {_MR_LIMIT}, got {p}")
-    r = ((p - 1) & -(p - 1)).bit_length() - 1         # 2^r exactly divides p - 1
-    for a in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41):
-        powers = [pow(a, (p - 1) >> r << i, p) for i in range(r)]  # a^(d 2^i), d odd
-        if powers[0] != 1 and p - 1 not in powers:
-            raise ValueError(f"p must be prime; {p} fails Miller-Rabin to base {a}")
-
-
-def legendre(a: int, p: int) -> int:
-    """Quadratic residue symbol (a/p) in {-1, 0, 1} by Euler's criterion."""
-    _check_odd_prime(p)
-    r = pow(a % p, (p - 1) // 2, p)
-    return -1 if r == p - 1 else r
+    if p > cap:
+        raise ResourceLimitError(f"p limited to p <= {cap}, got {p}")
+    for d in range(3, isqrt(p) + 1, 2):
+        if p % d == 0:
+            raise ValueError(f"p must be prime; {p} = {d} * {p // d}")
 
 
 @dataclass(frozen=True)
@@ -133,9 +124,7 @@ def count_points(p: int, t: int) -> PointCount:
     roots if B = 0 and one otherwise.  So the count is the prime's O(p^3)
     histogram of (A, u = xyz) summed against these root counts, O(p^2)
     per t."""
-    _check_odd_prime(p)
-    if p > _COUNT_P_MAX:
-        raise ResourceLimitError(f"count_points limited to p <= {_COUNT_P_MAX}")
+    _check_odd_prime(p, _COUNT_P_MAX)
     hist, roots = _count_histogram(p)
     count = sum(sum(map(mul, row, roots[16 * t * u % p])) for u, row in enumerate(hist))
     return PointCount(prime=p, parameter=t % p, count=count)
@@ -162,7 +151,7 @@ def _greene_table(p: int) -> Tuple[Tuple[int, ...], ...]:
 def greene_nfn(p: int, n: int, x: int) -> Fraction:
     """Normalized finite-field (n+1)Fn (all upper phi, all lower eps) at x,
     as an exact rational with denominator p^n."""
-    _check_odd_prime(p)
+    _check_odd_prime(p, _COUNT_P_MAX)
     if n not in (1, 3):
         raise ValueError(f"n must be 1 or 3, got {n}")
     return Fraction(_greene_table(p)[n - 1][x % p], p ** n)
@@ -187,10 +176,8 @@ class Eq41Report:
 
 def verify_4_1(p: int) -> Eq41Report:
     """Check the count identity for every t in F_p*."""
-    _check_odd_prime(p)
-    if p > _VERIFY_P_MAX:
-        raise ResourceLimitError(f"verify_4_1 limited to p <= {_VERIFY_P_MAX}")
-    phi_m1 = legendre(-1, p)
+    _check_odd_prime(p, _VERIFY_P_MAX)
+    phi_m1 = _legendre_table(p)[p - 1]
     rows = []
     for t in range(1, p):
         t2 = t * t % p

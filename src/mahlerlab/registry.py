@@ -14,14 +14,15 @@ deviation against a tolerance determined by the check's kind:
 
 The kind alone supplies the tolerance floor, the precision cap and the
 zero a residual check compares against (see _KIND_POLICY); a check
-declares only what departs from that: a high-precision floor, the lower
-Lambda cap, the Fricke rule.
+declares only what departs from that: a high-precision floor, a lower
+cap (the Lambda checks and the six floored checks), the Fricke rule.
 
-Effective precision E is min(requested, per-check cap).  The caps exist
-because each accelerated series and each completed-L quadrature has a
-measured convergence plateau; past it a tighter tolerance could not be
-honored, so both the internal effort and the tolerance freeze together.
-That makes "raising precision never flips pass to fail" true by
+Effective precision E is min(requested, per-check cap), and every plan
+reads it as ctx.effective with no cap of its own, so for every check the
+internal effort and the tolerance both stop at the declared cap.  The caps
+exist because each accelerated series and each completed-L quadrature has
+a measured convergence plateau; past it a tighter tolerance could not be
+honored.  That makes "raising precision never flips pass to fail" true by
 construction above the cap and by measured margin (>= 10^4) below it.
 
 Checks whose natural statement is "residual vanishes" (certificate suites,
@@ -85,6 +86,10 @@ DEFAULT_SHIFTS = 16
 _CAP_HIGH_PRECISION = 160
 _CAP_LAMBDA = 128
 _CAP_STATISTICAL = 128
+# The six floored checks (wan-moments, eq-3.5-vs-3.6, eq-3.7 and the three
+# Fourier checks) declare cap=96 or cap=80 with their floors: from E = 60 up
+# their tolerance is the 1e-8 or 1e-3 floor, so work past the cap could not
+# tighten it.
 
 _WZ_RANGE = 500
 _FF_PRIMES = (3, 5, 7, 11, 13)
@@ -445,14 +450,14 @@ def _plan_qexp_hecke(ctx: RunContext) -> PlanResult:
 
 
 def _suite_plan(checker, count: int) -> Plan:
-    """Largest checker(m) deviation over m < count, at most 96 bits.
+    """Largest checker(m) deviation over m < count.
 
     checker is a lambda that calls the checker through the mahler module,
     so a patch of mahler's function reaches the plan.
     """
 
     def plan(ctx: RunContext) -> PlanResult:
-        e = min(ctx.effective, 96)
+        e = ctx.effective
         with mp.workprec(e + 32):
             target = max(_hp_tolerance(e), mp.mpf("1e-14"))
             worst = mp.mpf(0)
@@ -468,7 +473,7 @@ _R_ALPHA_POINTS = (0.3, 0.7, 1.0)
 
 def _plan_r_alpha(route: str) -> Plan:
     def plan(ctx: RunContext) -> PlanResult:
-        e = min(ctx.effective, 80)
+        e = ctx.effective
         values = tuple(
             mahler.r_alpha(alpha, route=route, precision=e) for alpha in _R_ALPHA_POINTS
         )
@@ -479,7 +484,7 @@ def _plan_r_alpha(route: str) -> Plan:
 
 def _plan_fourier(key: str, theta_num: int, theta_den: int) -> Plan:
     def plan(ctx: RunContext) -> PlanResult:
-        e = min(ctx.effective, 96)
+        e = ctx.effective
         with mp.workprec(e + 24):
             theta = mp.pi * theta_num / theta_den
             deviation = mahler.fourier_check(key, theta, _FOURIER_TERMS, precision=e)
@@ -719,7 +724,7 @@ def _build_registry() -> Dict[str, IdentityCheck]:
             "4F3(1/2,1/2,(m+1)/2,(m+1)/2; 1,(m+2)/2,(m+2)/2; 1) "
             "for m = 0..6; largest quadrature-vs-series deviation vs 0",
             _suite_plan(lambda m, **kw: mahler.wan_moment_check(m, **kw), 7),
-            floor="1e-8",
+            floor="1e-8", cap=96,
         ),
         _check(
             "high-precision", "eq-3.2",
@@ -739,7 +744,7 @@ def _build_registry() -> Dict[str, IdentityCheck]:
             "mu(c) = m(c + x + 1/x + y + 1/y)",
             _plan_r_alpha("polylog"),
             _plan_r_alpha("k-integral"),
-            floor="1e-8",
+            floor="1e-8", cap=80,
         ),
         _check(
             "high-precision", "eq-3.7",
@@ -748,7 +753,7 @@ def _build_registry() -> Dict[str, IdentityCheck]:
             "largest deviation vs 0 (left side factors as a squared cosine "
             "moment)",
             _suite_plan(lambda m, **kw: mahler.density_integral_check(m, **kw), 5),
-            floor="1e-8",
+            floor="1e-8", cap=96,
         ),
         _check(
             "high-precision", "fourier-3.8",
@@ -757,7 +762,7 @@ def _build_registry() -> Dict[str, IdentityCheck]:
             "t = pi/6; deviation vs 0 within the Abel/Dirichlet tail bound "
             "pi a_N / |sin 2t|",
             _plan_fourier("3.8", 1, 6),
-            floor="1e-3",
+            floor="1e-3", cap=96,
         ),
         _check(
             "high-precision", "fourier-3.9",
@@ -765,7 +770,7 @@ def _build_registry() -> Dict[str, IdentityCheck]:
             "a_n = 2^(-4n) C(2n,n)^2, truncated at 400 terms and compared at "
             "t = pi/4; deviation vs 0",
             _plan_fourier("3.9", 1, 4),
-            floor="1e-3",
+            floor="1e-3", cap=96,
         ),
         _check(
             "high-precision", "fourier-3.10",
@@ -775,7 +780,7 @@ def _build_registry() -> Dict[str, IdentityCheck]:
             "route; deviation vs 0 within the absolute tail bound "
             "1/(2 pi (N-1))",
             _plan_fourier("3.10", 1, 3),
-            floor="1e-3",
+            floor="1e-3", cap=96,
         ),
         _check(
             "high-precision", "eq-4.3",

@@ -2,9 +2,10 @@
 Catalan's constant (Bradley's 3F2 at 1/4), Legendre chi (a 4F3 at
 alpha^2), the exponential integral, and generalized pFq summation.
 
-Gamma is only provided at integer and half-integer arguments; that is all the
-identities here require.  Everything real-valued is an mpf computed inside a
-local working-precision context.
+Gamma is provided at integer and half-integer arguments (gamma_half_int),
+and the upper incomplete Gamma(s, x) at s = 0 only, as E1(x): modular
+sums the L-values' sides at integer s >= 1 as int q-series.  Everything
+real-valued is an mpf computed inside a local working-precision context.
 
 The kernels run on ints, in precision.py's fixed-point sense: the AGM is
 the loop a, b <- (a+b)/2, isqrt(a b) on arguments normalised by a common
@@ -19,7 +20,7 @@ series; and `exp_integral_e1` sums its power series or runs its
 continued fraction's convergent recurrence, choosing per call whichever
 needs fewer long multiplies at that x and precision.  Each converts its
 inputs once and rounds its result once; `zeta_int` and `catalan` are
-correctly rounded.
+correctly rounded by one guard-doubling loop (`_correctly_rounded`).
 """
 
 from __future__ import annotations
@@ -153,6 +154,29 @@ def gamma_half_int(twice_s: int, precision: int = 128):
 
 
 # ---------------------------------------------------------------------------
+# Correctly rounded constants
+
+
+def _correctly_rounded(approx, precision: int):
+    """The value approx approximates, correctly rounded to precision bits.
+
+    approx(g) returns (v, e): an mpf v within 2^e of the value, computed
+    with g guard bits.  v is rounded once to precision when both ends of
+    [v - 2^e, v + 2^e] round alike; otherwise the value lies that close to
+    a rounding tie and approx runs again with g doubled, from g = 16.
+    This is the one such loop: zeta_int and catalan share it.
+    """
+    guard = 16
+    while True:
+        value, e = approx(guard)
+        err = mp.ldexp(1, e)
+        low, high = (mp.mpf(mp.fadd(value, r, exact=True), prec=precision) for r in (-err, err))
+        if low == high:
+            return low
+        guard *= 2
+
+
+# ---------------------------------------------------------------------------
 # Riemann zeta at integers by Borwein's alternating series
 
 
@@ -172,16 +196,15 @@ def zeta_int(s: int, precision: int = 128):
     d_n 2^w, and so the sum stops where 2^(s floor(log2(k+1))) does, which
     keeps a large s cheap.  The floors cost under n / d_n units of 2^-w and
     the quotient three roundings to w bits, so the value is within
-    2^-(p+1) of zeta(s).  It is rounded once to precision when both ends of
-    that interval round alike; otherwise zeta(s) lies that close to a
-    rounding tie and the pass is repeated with g doubled, from g = 16.
+    2^-(p+1) of zeta(s), and _correctly_rounded rounds it, doubling g from
+    16 while that interval straddles a rounding tie.
     """
     if s < 2:
         raise ValueError(f"zeta_int needs s >= 2, got {s}")
     if precision < MIN_PRECISION_BITS:
         raise ValueError(f"precision must be >= {MIN_PRECISION_BITS} bits")
-    guard = 16
-    while True:
+
+    def approx(guard: int):
         p = precision + guard
         n = math.ceil((p + 4) / math.log2(3 + math.sqrt(8)))
         d, e = [1], 1
@@ -199,11 +222,9 @@ def zeta_int(s: int, precision: int = 128):
             total += -t if k & 1 else t
         with mp.workprec(w):
             value = fixed_ratio(total, d[n] << w) / (1 - mp.ldexp(1, 1 - s))
-        err = mp.ldexp(1, -p - 1)
-        low, high = (mp.mpf(mp.fadd(value, r, exact=True), prec=precision) for r in (-err, err))
-        if low == high:
-            return low
-        guard *= 2
+        return value, -p - 1
+
+    return _correctly_rounded(approx, precision)
 
 
 def zeta_prime_minus2(precision: int = 128):
@@ -224,22 +245,18 @@ def catalan(precision: int = 128):
     2^-(precision+g-8); pfq's int bound and stop rule keep it within a
     quarter of that target plus one rounding, and the other six roundings
     at precision + g bits add a few units of 2^-(precision+g), so the value
-    is within 2^-(precision+g-7) of G.  It is rounded once to precision
-    when both ends of that interval round alike; otherwise G lies that
-    close to a rounding tie and the pass is repeated with g doubled, from
-    g = 16.  So the result is G correctly rounded.
+    is within 2^-(precision+g-7) of G, and _correctly_rounded rounds it,
+    doubling g from 16 while that interval straddles a rounding tie.  So
+    the result is G correctly rounded.
     """
     spec = PFQSpec([Fraction(1, 2), 1, 1], [Fraction(3, 2)] * 2, Fraction(1, 4))
-    guard = 16
-    while True:
+
+    def approx(guard: int):
         with mp.workprec(precision + guard):
             s = pfq(spec, mp.mpf(2) ** (8 - precision - guard), precision=precision + guard)
-            value = mp.pi / 8 * mp.log(2 + mp.sqrt(3)) + 3 * s / 8
-        err = mp.mpf(2) ** (7 - precision - guard)
-        low, high = (mp.mpf(mp.fadd(value, e, exact=True), prec=precision) for e in (-err, err))
-        if low == high:
-            return low
-        guard *= 2
+            return mp.pi / 8 * mp.log(2 + mp.sqrt(3)) + 3 * s / 8, 7 - precision - guard
+
+    return _correctly_rounded(approx, precision)
 
 
 def legendre_chi3(alpha, precision: int = 128):
@@ -672,23 +689,14 @@ def exp_integral_e1(x, precision: Optional[int] = None):
 
 
 def gamma_upper_int(s: int, x, precision: Optional[int] = None):
-    """Upper incomplete gamma Gamma(s, x) for integer s >= 0 and x > 0.
+    """Upper incomplete gamma Gamma(0, x) = E1(x) for x > 0; any other s
+    raises ValueError.
 
-    s >= 1 is elementary: (s-1)! e^(-x) sum_{j<s} x^j/j!.  s = 0 is E1(x).
+    Only modular._side_e1 calls it: every side with integer s >= 1 is the
+    int q-series of modular._side_elementary.  The name and the argument s
+    stay because the benchmark tracer wraps special.gamma_upper_int, and its
+    call count is the count of E1 terms summed.
     """
-    if s == 0:
-        return exp_integral_e1(x, precision)
-    if s < 0:
-        raise ValueError("gamma_upper_int needs s >= 0")
-    p = _ambient(precision)
-    with mp.workprec(p + 16):
-        xx = mp.mpf(x)
-        acc = mp.mpf(0)
-        t = mp.mpf(1)
-        for j in range(s):
-            if j > 0:
-                t *= xx / j
-            acc += t
-        v = mp.mpf(math.factorial(s - 1)) * mp.exp(-xx) * acc
-    with mp.workprec(p):
-        return +v
+    if s != 0:
+        raise ValueError(f"gamma_upper_int is Gamma(0, x) only, got s = {s}")
+    return exp_integral_e1(x, precision)

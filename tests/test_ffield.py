@@ -1,4 +1,4 @@
-"""Tests for Legendre symbols, Greene hypergeometric values against a
+"""Tests for the Legendre table, Greene hypergeometric values against a
 character-sum oracle, and the hypersurface point-count identity."""
 
 import dataclasses
@@ -17,15 +17,19 @@ from mahlerlab.ffield import (
     PointCount,
     count_points,
     greene_nfn,
-    legendre,
     verify_4_1,
 )
-from mahlerlab.ffield import _COUNT_P_MAX, _count_histogram
+from mahlerlab.ffield import _COUNT_P_MAX, _count_histogram, _legendre_table
 from mahlerlab.modular import NEWFORM_F, newform_coefficient
 from mahlerlab.precision import ResourceLimitError
 
 PRIMES_SMALL = (3, 5, 7, 11, 13)
 PRIMES_TO_50 = (3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
+
+
+def euler(a, p):
+    """The oracles' own Legendre symbol (a/p), by Euler's criterion."""
+    return (pow(a, (p - 1) // 2, p) + 1) % p - 1
 
 
 def count_points_exhaustive(p, t):
@@ -52,7 +56,7 @@ def count_points_sweep(p, t):
     t %= p
     idx = np.arange(p, dtype=np.int64)
     sq1 = (idx ** 2 + 1) % p
-    leg = np.array([legendre(int(v), p) for v in idx], dtype=np.int64)
+    leg = np.array([euler(int(v), p) for v in idx], dtype=np.int64)
     yz_sq = (sq1[:, None] * sq1[None, :]) % p
     yz = (idx[:, None] * idx[None, :]) % p
     total = 0
@@ -124,8 +128,13 @@ def legendre_curve_trace(p, lam):
     """p + 1 minus the projective point count of y^2 = x(x-1)(x-lam)."""
     affine = 0
     for x in range(p):
-        affine += 1 + legendre(x * (x - 1) * (x - lam), p)
+        affine += 1 + euler(x * (x - 1) * (x - lam), p)
     return p + 1 - (affine + 1)
+
+
+def legendre(a, p):
+    """(a/p) read from ffield's one table."""
+    return _legendre_table(p)[a % p]
 
 
 class TestLegendre:
@@ -153,16 +162,26 @@ class TestLegendre:
         assert legendre(a * b, p) == legendre(a, p) * legendre(b, p)
 
     def test_bad_modulus(self):
-        # 1000001 = 101 * 9901 lies past trial division; 318665857834031151167461
-        # is a strong pseudoprime to every prime base up to 37, caught by 41;
-        # 3317044064679887385961981 passes all thirteen and is refused as too large
-        for p in (2, 9, 15, 1, -7, 1000001, 318665857834031151167461,
-                  3317044064679887385961981):
+        # every public entry point refuses an even, composite or non-positive p
+        for p in (2, 9, 15, 1, -7):
+            for call in (lambda: count_points(p, 1), lambda: greene_nfn(p, 1, 1),
+                         lambda: verify_4_1(p)):
+                with pytest.raises(ValueError):
+                    call()
+
+    def test_size_guard_runs_before_any_table(self, monkeypatch):
+        # greene_nfn shares count_points' cap: a prime past it is refused
+        # before the O(p^2) table starts, a composite below it by division
+        def refuse(p):
+            raise AssertionError(f"_greene_table({p}) built")
+
+        monkeypatch.setattr(ffield, "_greene_table", refuse)
+        for p in (211, 1000003):
+            with pytest.raises(ResourceLimitError):
+                greene_nfn(p, 3, 1)
+        for p in (9, 15):
             with pytest.raises(ValueError):
-                legendre(3, p)
-        # primes past trial division are still accepted
-        assert legendre(3, 1000003) == -1
-        assert legendre(2, 2 ** 61 - 1) == 1
+                greene_nfn(p, 3, 1)
 
 
 class TestCharTable:
@@ -259,7 +278,7 @@ class TestGreene:
 
     def test_2f1_matches_legendre_curve_traces(self):
         for p in (5, 7, 13, 17):
-            phim1 = legendre(-1, p)
+            phim1 = euler(-1, p)
             for lam in range(2, p):
                 got = p * greene_nfn(p, 1, lam)
                 assert got == -phim1 * legendre_curve_trace(p, lam)
@@ -319,7 +338,7 @@ class TestVerify41:
         # eliminate 4F3(1) between the count identity and p^3 4F3(1) = -a_p - p:
         # the resulting 2F1(1) must match greene_nfn directly
         for p in PRIMES_SMALL:
-            phi = legendre(-1, p)
+            phi = euler(-1, p)
             ap = newform_coefficient(NEWFORM_F, p)
             tail = (
                 p ** 3

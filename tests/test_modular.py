@@ -476,12 +476,20 @@ class TestLValue:
         assert l_value(NEWFORM_F, 1, 64) > 0
 
 
+def _gamma_upper(s, x, bits):
+    """Gamma(s, x) rounded to bits: E1 at s = 0, else mpmath's gammainc."""
+    if s == 0:
+        return special.gamma_upper_int(0, x, bits)
+    with mp.workprec(bits):
+        return mp.gammainc(s, x)
+
+
 def l_value_symmetric(spec, s, precision):
     """L(spec, s) by the Mellin split at the balanced point u0 =
     1/sqrt(level), with both incomplete gammas of every term taken in mpf
-    arithmetic by special.gamma_upper_int at the term's reduced precision:
-    the per-term route l_value's fixed-point sides replaced, kept as its
-    oracle."""
+    arithmetic at the term's reduced precision, Gamma(s, x) for s >= 1 by
+    mpmath's gammainc and E1 by special.gamma_upper_int: the per-term route
+    l_value's fixed-point sides replaced, kept as its oracle."""
     work = precision + 24
     r = spec.weight - s
     with mp.workprec(work):
@@ -500,8 +508,8 @@ def l_value_symmetric(spec, s, precision):
             if a:
                 x = two_pi * n * u0
                 bits = max(work - int(n * decay) + a.bit_length() + n.bit_length(), 32)
-                total_s += a * special.gamma_upper_int(s, x, bits) / (two_pi * n) ** s
-                total_r += a * special.gamma_upper_int(r, x, bits) / (two_pi * n) ** r
+                total_s += a * _gamma_upper(s, x, bits) / (two_pi * n) ** s
+                total_r += a * _gamma_upper(r, x, bits) / (two_pi * n) ** r
         level = mp.mpf(spec.level)
         lam = level ** (mp.mpf(s) / 2) * total_s
         lam += spec.fricke_sign * level ** (mp.mpf(r) / 2) * total_r
