@@ -531,6 +531,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
+    # no check calls BLAS, so the OpenBLAS thread pool that the first numpy
+    # import would start only spins beside the main thread; numpy is
+    # imported lazily, after this line, and a value the caller set wins
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)

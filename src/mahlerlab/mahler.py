@@ -220,7 +220,9 @@ def builtin_descriptor(name: str) -> LaurentDescriptor:
 # torus_qmc hands each block the coordinates x_j = e^{2 pi i t_j}, so
 # x + 1/x = 2 Re x = 2cos(2 pi t) and every catalogue polynomial is real on
 # the torus: log|P| needs no complex arithmetic.  Arbitrary descriptors
-# evaluate P as a complex sum of monomials in x.
+# evaluate P as a complex sum of monomials in x.  A sampled zero of P gives
+# log 0 = -inf, which torus_qmc discards with numpy's divide-by-zero warning
+# silenced for the whole call.
 
 
 def _cosine_block(kind: str, k: float):
@@ -243,8 +245,7 @@ def _cosine_block(kind: str, k: float):
             np.multiply(inner, 2.0 if kind == "sum" else float(2 ** len(c)), out=inner)
             np.subtract(inner, k, out=inner)
         np.abs(inner, out=inner)
-        with np.errstate(divide="ignore"):
-            return np.log(inner, out=inner)
+        return np.log(inner, out=inner)
 
     return block
 
@@ -264,8 +265,7 @@ def _generic_block(desc: LaurentDescriptor):
                 if e:
                     term *= xj ** e
             values += term
-        with np.errstate(divide="ignore"):
-            return np.log(np.abs(values))
+        return np.log(np.abs(values))
 
     return block
 

@@ -122,15 +122,19 @@ class QSeries:
     def __pow__(self, e: int) -> "QSeries":
         if e < 0:
             raise ValueError("only nonnegative integer powers")
-        result = QSeries((1,) + (0,) * self.order, self.order)
+        if e == 0:
+            return QSeries((1,) + (0,) * self.order, self.order)
+        # binary powering that starts from the lowest set bit's power, not
+        # from the series 1: x^e costs its squarings plus popcount(e) - 1
+        result = None
         base = self
-        while e:
+        while True:
             if e & 1:
-                result = result * base
+                result = base if result is None else result * base
             e >>= 1
-            if e:
-                base = base * base
-        return result
+            if not e:
+                return result
+            base = base * base
 
     def shift(self, k: int) -> "QSeries":
         """Multiply by q^k."""
@@ -253,7 +257,8 @@ class NewformSpec:
 def _recipe_f(order: int) -> QSeries:
     e2, _ = eta_qexp(2, order)
     e4, _ = eta_qexp(4, order)
-    return (e2 ** 4 * e4 ** 4).shift(1)
+    # (e2 e4)^4: one product and two squarings, where e2^4 e4^4 takes five
+    return ((e2 * e4) ** 4).shift(1)
 
 
 def _recipe_h(order: int) -> QSeries:

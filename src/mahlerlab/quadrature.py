@@ -13,6 +13,10 @@ cosine.  Each shift is walked in blocks of 2^13 rows through one
 preallocated buffer, so the coordinates and their values stay in cache; the
 table and the buffer take 2 * d * 2^13 complex128 (1 MB at d = 4), only the
 shift's values are kept whole, and its mean is taken over them as one array.
+The per-block work is the multiply and the integrand: numpy's divide-by-zero
+warning is silenced once per call, and the mean doubles as the finiteness
+test, so the NaN, +inf and -inf passes run only on a shift whose mean is not
+finite.
 
 numpy is imported by torus_qmc and TorusIntegrand.block when they run, not
 with the module, so the tanh-sinh routes never load it.
@@ -41,7 +45,8 @@ __all__ = [
 
 
 class IntegrandError(ArithmeticError):
-    """Integrand produced NaN or +inf.  abscissa records where."""
+    """Integrand produced NaN or +inf, or -inf at every point of a torus
+    shift.  abscissa records where."""
 
     def __init__(self, message, abscissa=None):
         super().__init__(message)
@@ -71,7 +76,8 @@ class TorusIntegrand:
     most 2^13 columns (_QMC_BLOCK_ROWS), which gives the floats of one call
     on all of them only under that contract.  The block passed is a buffer
     that the next call overwrites, so an integrand may read it but must
-    keep no reference to it.
+    keep no reference to it.  torus_qmc calls it with numpy's divide-by-zero
+    warning silenced, so log(0) = -inf (a discarded zero) needs no errstate.
     """
 
     dimension: int
@@ -271,7 +277,8 @@ def torus_qmc(
     Each shift gets the same lattice offset by an independent uniform vector;
     value is the median of the per-shift means and error-estimate their
     standard deviation scaled by 1/sqrt(shifts).  Points where the integrand
-    is -inf (exact zeros of |P|) are discarded and the fraction reported.
+    is -inf (exact zeros of |P|) are discarded and the fraction reported; a
+    shift with no other point raises IntegrandError, as NaN and +inf do.
     samples must be coprime to every lattice component used, or the rule
     would repeat points; ValueError names the component that shares a factor.
 
@@ -317,28 +324,49 @@ def torus_qmc(
 
     means = []
     discarded = 0
-    for _ in range(shifts):
-        shift = rng.random(d)
-        units = _circle(offsets + shift)
-        for start, unit in zip(starts, units):
-            n = min(rows, samples - start)
-            # (d, n) by a (d, 1) column: one flat loop per coordinate row
-            np.multiply(table[:, :n], unit[:, None], out=x[:, :n])
-            vals[start : start + n] = f.block(x[:, :n])
-        if np.isfinite(vals).all():
-            means.append(float(np.mean(vals)))
-            continue
-        bad = np.isnan(vals) | np.isposinf(vals)
-        if bad.any():
-            idx = int(np.argmax(bad))
-            where = np.mod(idx * z % samples / samples + shift, 1.0)
-            raise IntegrandError(
-                f"integrand returned {vals[idx]} at theta = {where}",
-                abscissa=tuple(where),
-            )
-        keep = ~np.isneginf(vals)
-        discarded += int(len(vals) - keep.sum())
-        means.append(float(np.mean(vals[keep])))
+    # log|P| is -inf at an exact zero, which is discarded below, so numpy's
+    # divide-by-zero warning is silenced once here rather than per block
+    with np.errstate(divide="ignore"):
+        for _ in range(shifts):
+            shift = rng.random(d)
+            # (blocks, d, 1): each block's unit scalars as a (d, 1) column, so
+            # (d, rows) by (d, 1) is one flat loop per coordinate row
+            units = _circle(offsets + shift)[:, :, None]
+            for start, unit in zip(starts, units):
+                n = samples - start
+                if n >= rows:
+                    np.multiply(table, unit, out=x)
+                    vals[start : start + rows] = f.block(x)
+                else:  # the last block, partial
+                    np.multiply(table[:, :n], unit, out=x[:, :n])
+                    vals[start:] = f.block(x[:, :n])
+            # a finite mean means every value is finite, so only a shift with
+            # a zero, NaN or +inf (or a sum that overflows, whose mean the
+            # passes keep) pays for the passes below; +inf beside -inf makes
+            # the mean NaN, which needs no warning of its own
+            with np.errstate(invalid="ignore"):
+                mean = float(np.mean(vals))
+            if math.isfinite(mean):
+                means.append(mean)
+                continue
+            bad = np.isnan(vals) | np.isposinf(vals)
+            if bad.any():
+                idx = int(np.argmax(bad))
+                where = np.mod(idx * z % samples / samples + shift, 1.0)
+                raise IntegrandError(
+                    f"integrand returned {vals[idx]} at theta = {where}",
+                    abscissa=tuple(where),
+                )
+            keep = ~np.isneginf(vals)
+            kept = int(keep.sum())
+            if not kept:
+                raise IntegrandError(
+                    f"integrand returned -inf at all {samples} points of the shift "
+                    f"whose first point is theta = {shift}",
+                    abscissa=tuple(shift),
+                )
+            discarded += samples - kept
+            means.append(float(np.mean(vals[keep])))
 
     arr = np.array(means)
     value = float(np.median(arr))

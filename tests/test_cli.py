@@ -572,3 +572,41 @@ class TestImports:
         assert [name for name, _, numpy in steps[:11] if numpy] == []
         # ... the lattice rule does
         assert [numpy for _, _, numpy in steps[11:]] == [True]
+
+
+# One fresh interpreter: import the CLI, run one statistical check, and
+# count the process's threads.  Prints OPENBLAS_NUM_THREADS as the import
+# left it and the thread count after the check.
+_BLAS_PROBE = """
+import contextlib, io, json, os
+import mahlerlab
+from mahlerlab import cli
+
+after_import = os.environ.get("OPENBLAS_NUM_THREADS")
+with contextlib.redirect_stdout(io.StringIO()):
+    code = cli.main(["verify", "eq-1.1", "--samples", "1024"])
+print(json.dumps([after_import, code, len(os.listdir("/proc/self/task"))]))
+"""
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="counts /proc/self/task")
+class TestBlasThreads:
+    @pytest.mark.parametrize("setting, threads", [(None, 1), ("2", 2)])
+    def test_cli_starts_no_blas_pool_unless_asked(self, tmp_path, setting, threads):
+        # numpy's first import, inside the QMC check, starts OpenBLAS with
+        # the thread count the environment holds when it runs: the CLI's
+        # default of 1, or the caller's own value
+        if threads > (os.cpu_count() or 1):
+            pytest.skip("OpenBLAS starts at most one thread per core")
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = dict(os.environ, PYTHONPATH=src)
+        env.pop("OPENBLAS_NUM_THREADS", None)
+        if setting is not None:
+            env["OPENBLAS_NUM_THREADS"] = setting
+        proc = subprocess.run([sys.executable, "-c", _BLAS_PROBE], cwd=tmp_path, env=env,
+                              capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        after_import, code, count = json.loads(proc.stdout)
+        assert after_import == setting  # importing the library set nothing
+        assert code == 0
+        assert count == threads

@@ -137,6 +137,15 @@ def loop_mul(a, b):
     return QSeries(tuple(out), n)
 
 
+def _repeated_product(factors, order):
+    """The series 1 through q^order times each factor in turn (test oracle
+    for QSeries.__pow__'s binary powering)."""
+    out = QSeries((1,) + (0,) * order, order)
+    for factor in factors:
+        out = out * factor
+    return out
+
+
 small_series = st.builds(
     lambda cs: QSeries(tuple(cs), len(cs) - 1),
     st.lists(st.integers(-9, 9), min_size=1, max_size=12),
@@ -160,9 +169,23 @@ class TestQSeries:
         sq = one_plus_q * one_plus_q
         assert sq.coeffs == (1, 2, 1, 0)
 
-    def test_power_matches_repeated_product(self):
+    @pytest.mark.parametrize("e", range(10))
+    def test_power_matches_repeated_product(self, e):
         s = QSeries((1, -1, 2, 0, 3, 0, 0, 0), 7)
-        assert (s ** 3).coeffs == (s * s * s).coeffs
+        assert (s ** e).coeffs == _repeated_product([s] * e, 7).coeffs
+
+    def test_recipes_and_psi4_match_repeated_products(self):
+        # the recipes' and qexp-ramanujan's powers, against each factor
+        # multiplied in one at a time from the series 1
+        order = 2784
+        e2, _ = eta_qexp(2, order)
+        e4, _ = eta_qexp(4, order)
+        f_ref = _repeated_product([e2] * 4 + [e4] * 4, order).shift(1)
+        h_ref = _repeated_product([e4] * 6, order).shift(1)
+        assert _recipe_f(order).coeffs == f_ref.coeffs
+        assert _recipe_h(order).coeffs == h_ref.coeffs
+        psi2 = theta_psi(100).dilate(2)
+        assert (psi2 ** 4).coeffs == _repeated_product([psi2] * 4, 200).coeffs
 
     def test_product_truncation_is_min_of_operands(self):
         a = QSeries((1, 1, 1), 2)

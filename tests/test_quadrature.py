@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -310,6 +311,47 @@ class TestTorusQmc:
         with pytest.raises(IntegrandError) as exc:
             torus_qmc(ti, 2 ** 10, 8)
         assert exc.value.abscissa is not None
+
+    def test_shift_of_zeros_only_rejected(self):
+        # every point of every shift is a zero: no mean to take, so no NaN
+        # value, and no numpy warning on the way to the error
+        ti = TorusIntegrand(1, lambda x: np.full(x.shape[1], -np.inf))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(IntegrandError, match="-inf at all 1024 points") as exc:
+                torus_qmc(ti, 2 ** 10, 8)
+        assert exc.value.abscissa == tuple(_shifts(1, 8)[0])
+
+    @pytest.mark.parametrize("samples", [2 ** 10, 20000])
+    def test_plus_inf_beside_zeros_rejected_at_the_plus_inf(self, samples):
+        # -inf and +inf in one shift make its mean NaN; the error names the
+        # +inf point, as it does with no -inf beside it, and nothing warns
+        def block(x):
+            out = np.where(_theta(x[0]) < 0.25, -np.inf, 1.0)
+            out[_theta(x[0]) > 0.95] = np.inf
+            return out
+
+        ti = TorusIntegrand(2, block)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(IntegrandError, match="returned inf") as got:
+                torus_qmc(ti, samples, 8)
+        with pytest.raises(IntegrandError) as ref:
+            _torus_qmc_whole(ti, samples, 8)
+        assert str(got.value) == str(ref.value)
+        assert got.value.abscissa == ref.value.abscissa
+
+    def test_log_of_zero_needs_no_errstate(self):
+        # torus_qmc silences numpy's divide-by-zero warning for its
+        # integrand, so log 0 = -inf is discarded without one
+        def block(x):
+            return np.log(np.where(_theta(x[0]) < 0.125, 0.0, 1.5))
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            r = torus_qmc(TorusIntegrand(1, block), 2 ** 12, 8)
+        assert abs(r.discarded_fraction - 0.125) < 0.01
+        assert abs(float(r.value) - math.log(1.5)) < 1e-15
 
     def test_reflection_invariance(self):
         # theta -> 1 - theta is x -> conj(x)

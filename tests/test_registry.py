@@ -561,6 +561,46 @@ class TestPlanNegativeControls:
         assert not result.passed
         return result
 
+    def test_qexp_ramanujan_sigma_off_by_one(self, monkeypatch):
+        # sigma(15) raised by 1 in the divisor-sum side; the q-series side,
+        # theta_psi's powers, is left alone
+        exact = modular._sigma_sieve
+
+        def off_by_one(n):
+            sig = exact(n)
+            sig[15] += 1
+            return sig
+
+        result = self._assert_flips(
+            "qexp-ramanujan", lambda: monkeypatch.setattr(modular, "_sigma_sieve", off_by_one)
+        )
+        assert result.deviation == 1
+        assert result.note == ""
+
+    def test_qexp_f_coeffs_a9_off_by_one(self, monkeypatch):
+        # f's recipe with a_9 raised by 1 and the coefficient cache emptied,
+        # so the check reads the bad expansion; monkeypatch restores both
+        f = modular.NEWFORM_F
+        exact = f.recipe
+
+        def off_by_one(order):
+            series = exact(order)
+            coeffs = list(series.coeffs)
+            coeffs[9] += 1
+            return QSeries(tuple(coeffs), series.order)
+
+        def perturb():
+            monkeypatch.setattr(f, "recipe", off_by_one)
+            monkeypatch.setattr(f, "_coeffs", [])
+
+        result = self._assert_flips("qexp-f-coeffs", perturb)
+        # a_153 against a_9 a_17 is off by a_17 = 50, the largest violation
+        assert result.deviation == 50
+        assert result.note == ""
+        monkeypatch.undo()
+        assert f.recipe is modular._recipe_f
+        assert run_check("qexp-f-coeffs", 64).passed
+
     def test_ahlgren_ono_a7_off_by_one(self, monkeypatch):
         exact = modular.newform_coefficient
 
