@@ -533,8 +533,20 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     # no check calls BLAS, so the OpenBLAS thread pool that the first numpy
     # import would start only spins beside the main thread; numpy is
-    # imported lazily, after this line, and a value the caller set wins
-    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+    # imported lazily, inside a command, and a value the caller set wins.
+    # OpenBLAS reads the variable once, when it loads, so a value set here
+    # is removed on return and the caller's process keeps its environment.
+    set_here = "OPENBLAS_NUM_THREADS" not in os.environ
+    if set_here:
+        os.environ["OPENBLAS_NUM_THREADS"] = "1"
+    try:
+        return _run(argv)
+    finally:
+        if set_here:
+            os.environ.pop("OPENBLAS_NUM_THREADS", None)
+
+
+def _run(argv: Optional[Sequence[str]]) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)

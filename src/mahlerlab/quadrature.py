@@ -333,13 +333,9 @@ def torus_qmc(
             # (d, rows) by (d, 1) is one flat loop per coordinate row
             units = _circle(offsets + shift)[:, :, None]
             for start, unit in zip(starts, units):
-                n = samples - start
-                if n >= rows:
-                    np.multiply(table, unit, out=x)
-                    vals[start : start + rows] = f.block(x)
-                else:  # the last block, partial
-                    np.multiply(table[:, :n], unit, out=x[:, :n])
-                    vals[start:] = f.block(x[:, :n])
+                n = min(rows, samples - start)
+                np.multiply(table[:, :n], unit, out=x[:, :n])
+                vals[start : start + n] = f.block(x[:, :n])
             # a finite mean means every value is finite, so only a shift with
             # a zero, NaN or +inf (or a sum that overflows, whose mean the
             # passes keep) pays for the passes below; +inf beside -inf makes

@@ -576,7 +576,8 @@ class TestImports:
 
 # One fresh interpreter: import the CLI, run one statistical check, and
 # count the process's threads.  Prints OPENBLAS_NUM_THREADS as the import
-# left it and the thread count after the check.
+# and as main left it, the exit code, the thread count after the check and
+# the name of the BLAS that numpy was built against.
 _BLAS_PROBE = """
 import contextlib, io, json, os
 import mahlerlab
@@ -585,7 +586,11 @@ from mahlerlab import cli
 after_import = os.environ.get("OPENBLAS_NUM_THREADS")
 with contextlib.redirect_stdout(io.StringIO()):
     code = cli.main(["verify", "eq-1.1", "--samples", "1024"])
-print(json.dumps([after_import, code, len(os.listdir("/proc/self/task"))]))
+threads = len(os.listdir("/proc/self/task"))
+import numpy
+config = getattr(numpy.__config__, "CONFIG", {}).get("Build Dependencies", {})
+blas = config.get("blas", {}).get("name", "")
+print(json.dumps([after_import, os.environ.get("OPENBLAS_NUM_THREADS"), code, threads, blas]))
 """
 
 
@@ -606,7 +611,10 @@ class TestBlasThreads:
         proc = subprocess.run([sys.executable, "-c", _BLAS_PROBE], cwd=tmp_path, env=env,
                               capture_output=True, text=True, timeout=300)
         assert proc.returncode == 0, proc.stderr
-        after_import, code, count = json.loads(proc.stdout)
+        after_import, after_main, code, count, blas = json.loads(proc.stdout)
         assert after_import == setting  # importing the library set nothing
+        assert after_main == setting  # nor did main, once it returned
         assert code == 0
+        if "openblas" not in blas.lower():
+            pytest.skip(f"numpy is built against {blas or 'an unknown BLAS'}, not OpenBLAS")
         assert count == threads
